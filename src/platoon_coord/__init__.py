@@ -2,8 +2,7 @@
 
 from .baselines import FIXED_INTERVAL, SPONTANEOUS, solve_fixed_interval, solve_spontaneous
 from .discretize import PreparedTruck, min_charge_time, prepare_fleet
-from .dp import DP_LS, DP_NLS, DpState, leader_feasible, run_dp, solve_dp_ls, solve_dp_nls
-from .kernels import active_backend
+from .dp import DP_LS, DP_NLS, DpState, run_dp, solve_dp_ls, solve_dp_nls
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -38,6 +37,7 @@ from .utility import (
     aggregate,
     et_charge_time,
     evaluate_platoon,
+    leader_feasible,
     platoon_profit,
 )
 

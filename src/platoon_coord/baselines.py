@@ -15,7 +15,6 @@ import time
 from typing import List, Sequence
 
 from .discretize import PreparedTruck
-from .dp import leader_feasible
 from .kernels import leader_draw_bit
 from .model import ContractViolation, EconomicParams, RouteParams, TIME_TOL
 from .solution import Diagnostics, Solution
@@ -23,6 +22,7 @@ from .utility import (
     LeaderType,
     PlatoonAssignment,
     evaluate_platoon,
+    leader_feasible,
     leader_type_for_kind,
 )
 

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .baselines import solve_fixed_interval, solve_spontaneous
@@ -34,8 +32,6 @@ from .verification import (
     check_ft_only_exact,
     check_mixed_upper_bound,
 )
-
-THREADS_ENV = "PLATOON_COORD_THREADS"
 
 METHODS = ("dp-ls", "dp-nls", "spontaneous", "fixed-interval")
 
@@ -178,13 +174,7 @@ def _compare_one(seed: int, args, fixed_instance):
 def _cmd_compare(args) -> int:
     seeds = _parse_seeds(args.seeds)
     fixed_instance = load_instance(args.instance) if args.instance else None
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda s: _compare_one(s, args, fixed_instance), seeds))
-    else:
-        results = [_compare_one(s, args, fixed_instance) for s in seeds]
+    results = [_compare_one(s, args, fixed_instance) for s in seeds]
 
     prefix = args.out
     summary_path = f"{prefix}_summary.csv"

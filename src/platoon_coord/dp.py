@@ -19,6 +19,7 @@ import numpy as np
 from .discretize import PreparedTruck
 from .kernels import fleet_arrays, leader_draw_bits, run_dp_kernel
 from .model import (
+    MONEY_TOL,
     ContractViolation,
     EconomicParams,
     NoFeasibleScheduleError,
@@ -41,18 +42,6 @@ class DpState:
     choice_sizes: np.ndarray  # winning platoon size per prefix, 0 when none
     choice_leaders: np.ndarray  # 0 electric, 1 fuel, -1 when none
     updates: int              # candidate evaluations performed
-    backend: str
-
-
-def leader_feasible(platoon: PlatoonAssignment, leader: LeaderType) -> bool:
-    """Whether some member of an evaluated platoon can take the lead role.
-
-    A fuel leader only needs a fuel member. An electric leader needs a member
-    whose departure SoC covers the alone-rate trip plus the safety margin.
-    """
-    if leader is LeaderType.FUEL:
-        return any(row.departure_soc is None for row in platoon.ledger)
-    return any(row.departure_soc is not None and row.can_lead for row in platoon.ledger)
 
 
 def _check_prepared(prepared: Sequence[PreparedTruck]) -> None:
@@ -72,9 +61,8 @@ def run_dp(prepared: Sequence[PreparedTruck], route: RouteParams,
         bits = leader_draw_bits(seed, arr.size, route.max_platoon_size)
     else:
         bits = np.zeros((1, 1), np.uint8)
-    values, choice_n, choice_m, updates, backend = run_dp_kernel(
-        arr, econ, route.max_platoon_size, route.horizon, mode, bits)
-    return DpState(values, choice_n, choice_m, updates, backend)
+    return DpState(*run_dp_kernel(arr, econ, route.max_platoon_size,
+                                  route.horizon, mode, bits))
 
 
 def _backtrack(state: DpState, prepared: Sequence[PreparedTruck],
@@ -108,9 +96,18 @@ def _solve(prepared, route, econ, mode, seed, method) -> Solution:
         dp_updates=state.updates,
         dp_value=float(state.values[n]) if n else 0.0,
         solve_ms=elapsed_ms,
-        backend=state.backend,
+        backend="numpy",  # kernel label carried in solution files
     )
-    return Solution.from_platoons(method, platoons, diag)
+    solution = Solution.from_platoons(method, platoons, diag)
+    # The recursion and the backtracked pricing must agree; summation order
+    # alone moves J by a few ulps of R + L at fleet scale.
+    gap = abs(diag.dp_value - solution.utility)
+    if gap > MONEY_TOL * (1.0 + solution.profit + solution.loss):
+        raise ContractViolation(
+            f"recursion value {diag.dp_value!r} differs from the priced "
+            f"schedule's J {solution.utility!r} by {gap:.3e}"
+        )
+    return solution
 
 
 def solve_dp_ls(prepared: Sequence[PreparedTruck], route: RouteParams,

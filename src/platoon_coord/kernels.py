@@ -1,52 +1,26 @@
-"""Hot search kernels: numba-compiled fast path with a pure-numpy fallback.
+"""The value-recursion kernel and the fleet columns it reads.
 
-The value recursion scans every (prefix, platoon size, leader kind) candidate,
-which dominates runtime at fleet scale. Both backends implement the identical
-arithmetic; the backend is chosen per call from the PLATOON_COORD_BACKEND
-environment variable ("numba", "numpy", or "auto", default auto = numba when
-importable). Leader draws for the randomized variant come from a counter-based
-splitmix64 stream keyed by (seed, prefix, size) so results are independent of
-evaluation order and reproducible across platforms and backends.
+The recursion scans every (prefix, platoon size, leader kind) candidate,
+which dominates runtime at fleet scale. It runs in two steps: numpy prices
+all (last truck, size) candidates of the fleet in one table, reducing each
+to a single utility and leader kind, then a plain-Python max-plus loop over
+the table's rows fills the value table and the winning choice per prefix.
+Leader draws for the randomized variant come from a counter-based splitmix64
+stream keyed by (seed, prefix, size) so results are independent of
+evaluation order and reproducible across platforms.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAVE_NUMBA = False
-
-BACKEND_ENV = "PLATOON_COORD_BACKEND"
+from .model import SOC_TOL, TIME_TOL
 
 _U64 = (1 << 64) - 1
 _KEY_I = 0x9E3779B97F4A7C15
 _KEY_N = 0xC2B2AE3D27D4EB4F
-
-# Feasibility slack, percent points; must match the scalar evaluation path.
-_SOC_TOL = 1e-9
-_TIME_TOL = 1e-9
-
-
-def active_backend() -> str:
-    """Resolve the kernel backend from the environment."""
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"{BACKEND_ENV} must be one of auto/numba/numpy, got {choice!r}"
-        )
-    if choice == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return choice
 
 
 def _splitmix64_py(x: int) -> int:
@@ -132,15 +106,25 @@ def fleet_arrays(prepared, route) -> FleetArrays:
         need_lead[k] = spec.safe_soc + spec.discharge_rate * route.distance
         alone_charge[k] = alone_charge_time(m, route)
         alone_depart[k] = m.arrival_time + alone_charge[k]
-        alone_ok[k] = 1 if need_lead[k] <= spec.max_soc + _SOC_TOL else 0
+        alone_ok[k] = 1 if need_lead[k] <= spec.max_soc + SOC_TOL else 0
 
     return FleetArrays(tau_delta, tau_cmin, is_et, sd_min, fill_time, rate,
                        need_lead, alone_charge, alone_depart, alone_ok)
 
 
-def _dp_numpy(arr: FleetArrays, ew, ec, xi_e, xi_f, nbar, horizon, mode, bits):
+def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
+                     mode: int, bits: np.ndarray):
+    """Price every (last truck, size) candidate in one vectorised pass.
+
+    Row r, column k is the platoon of trucks r - k .. r. Returns the utility
+    of each candidate under its leader kind (-inf when no kind is safe or the
+    block runs past the first truck), that kind as a code (0 electric,
+    1 fuel), the work each candidate adds to the `updates` counter, and the
+    prefix length each candidate extends.
+    """
+    ew, ec = econ.wait_cost, econ.charge_cost
+    xi_e, xi_f = econ.et_follower_profit, econ.ft_follower_profit
     n = arr.size
-    nbar = int(nbar)
     k = np.arange(nbar)
     rows = np.arange(n)[:, None]
     idx = rows - k[None, :]
@@ -162,7 +146,7 @@ def _dp_numpy(arr: FleetArrays, ew, ec, xi_e, xi_f, nbar, horizon, mode, bits):
     ft_cnt = sizes - et_cnt
 
     s_dep = arr.sd_min[idxc] + arr.rate[idxc] * xc
-    lead_ok = np.logical_or.accumulate(etw & (s_dep >= arr.need_lead[idxc] - _SOC_TOL), axis=1)
+    lead_ok = np.logical_or.accumulate(etw & (s_dep >= arr.need_lead[idxc] - SOC_TOL), axis=1)
 
     j_e = (xi_f * ft_cnt + xi_e * (et_cnt - 1)) - cum_loss
     j_f = (xi_f * (ft_cnt - 1) + xi_e * et_cnt) - cum_loss
@@ -172,169 +156,54 @@ def _dp_numpy(arr: FleetArrays, ew, ec, xi_e, xi_f, nbar, horizon, mode, bits):
     # Size-1 candidates: a lone ET charges to the alone-safe level instead.
     et_b = arr.is_et.astype(bool)
     j_e[:, 0] = np.where(et_b, -ec * arr.alone_charge, -np.inf)
-    val_e[:, 0] = et_b & (arr.alone_ok == 1) & (arr.alone_depart <= horizon + _TIME_TOL)
+    val_e[:, 0] = et_b & (arr.alone_ok == 1) & (arr.alone_depart <= horizon + TIME_TOL)
     j_f[:, 0] = 0.0
     val_f[:, 0] = ~et_b
 
-    values = np.empty(n + 1)
-    values[0] = 0.0
-    choice_n = np.zeros(n + 1, np.int64)
-    choice_m = np.full(n + 1, -1, np.int8)
-    updates = 0
-
-    for i in range(1, n + 1):
-        row = i - 1
-        nmax = min(i, nbar)
-        prev = values[row::-1][:nmax]  # values[i-1], values[i-2], ...
-        finite = prev > -np.inf
-        fe = val_e[row, :nmax] & finite
-        ff = val_f[row, :nmax] & finite
-        if mode == 0:
-            updates += int(fe.sum()) + int(ff.sum())
-            cand = np.full(2 * nmax, -np.inf)
-            cand[0::2] = np.where(fe, prev + j_e[row, :nmax], -np.inf)
-            cand[1::2] = np.where(ff, prev + j_f[row, :nmax], -np.inf)
-            pos = int(np.argmax(cand))
-            best = cand[pos]
-            if best > -np.inf:
-                values[i] = best
-                choice_n[i] = pos // 2 + 1
-                choice_m[i] = 0 if pos % 2 == 0 else 1
-            else:
-                values[i] = -np.inf
-        else:
-            any_ok = fe | ff
-            updates += int(any_ok.sum())
-            pick_e = fe & (~ff | (bits[i, 1:nmax + 1] == 1))
-            cand = np.where(pick_e, prev + j_e[row, :nmax],
-                            np.where(ff, prev + j_f[row, :nmax], -np.inf))
-            pos = int(np.argmax(cand))
-            best = cand[pos]
-            if best > -np.inf:
-                values[i] = best
-                choice_n[i] = pos + 1
-                choice_m[i] = 0 if pick_e[pos] else 1
-            else:
-                values[i] = -np.inf
-
-    return values, choice_n, choice_m, updates
-
-
-def _dp_loop_py(tau_delta, tau_cmin, is_et, sd_min, fill_time, rate, need_lead,
-                alone_charge, alone_depart, alone_ok,
-                ew, ec, xi_e, xi_f, nbar, horizon, mode, bits):
-    n = tau_delta.shape[0]
-    values = np.empty(n + 1)
-    values[0] = 0.0
-    choice_n = np.zeros(n + 1, np.int64)
-    choice_m = np.full(n + 1, -1, np.int8)
-    updates = 0
-
-    for i in range(1, n + 1):
-        t = tau_delta[i - 1]
-        best = -np.inf
-        best_n = 0
-        best_m = np.int8(-1)
-        loss = 0.0
-        et_cnt = 0
-        lead_ok = False
-        nmax = i if i < nbar else nbar
-        for size in range(1, nmax + 1):
-            j = i - size
-            dt = t - tau_delta[j]
-            if is_et[j] == 1:
-                fill = fill_time[j]
-                xc = fill if fill < dt else dt
-                loss += ec * tau_cmin[j] + ew * dt - (ew - ec) * xc
-                et_cnt += 1
-                if sd_min[j] + rate[j] * xc >= need_lead[j] - _SOC_TOL:
-                    lead_ok = True
-            else:
-                loss += ew * dt
-            prev = values[i - size]
-            if prev == -np.inf:
-                continue
-            if size == 1:
-                if is_et[j] == 1:
-                    if alone_ok[j] == 1 and alone_depart[j] <= horizon + _TIME_TOL:
-                        u = prev - ec * alone_charge[j]
-                        updates += 1
-                        if u > best:
-                            best = u
-                            best_n = 1
-                            best_m = np.int8(0)
-                else:
-                    updates += 1
-                    if prev > best:
-                        best = prev
-                        best_n = 1
-                        best_m = np.int8(1)
-                continue
-            ft_cnt = size - et_cnt
-            if mode == 0:
-                if lead_ok:
-                    u = prev + ((xi_f * ft_cnt + xi_e * (et_cnt - 1)) - loss)
-                    updates += 1
-                    if u > best:
-                        best = u
-                        best_n = size
-                        best_m = np.int8(0)
-                if ft_cnt >= 1:
-                    u = prev + ((xi_f * (ft_cnt - 1) + xi_e * et_cnt) - loss)
-                    updates += 1
-                    if u > best:
-                        best = u
-                        best_n = size
-                        best_m = np.int8(1)
-            else:
-                if not (lead_ok or ft_cnt >= 1):
-                    continue
-                if lead_ok and ft_cnt >= 1:
-                    pick_e = bits[i, size] == 1
-                elif lead_ok:
-                    pick_e = True
-                else:
-                    pick_e = False
-                if pick_e:
-                    u = prev + ((xi_f * ft_cnt + xi_e * (et_cnt - 1)) - loss)
-                else:
-                    u = prev + ((xi_f * (ft_cnt - 1) + xi_e * et_cnt) - loss)
-                updates += 1
-                if u > best:
-                    best = u
-                    best_n = size
-                    best_m = np.int8(0) if pick_e else np.int8(1)
-        values[i] = best
-        choice_n[i] = best_n
-        choice_m[i] = best_m
-
-    return values, choice_n, choice_m, updates
-
-
-if HAVE_NUMBA:
-    _dp_loop_numba = numba.njit(cache=True, nogil=True)(_dp_loop_py)
-else:  # pragma: no cover
-    _dp_loop_numba = None
+    if mode == 0:
+        pick_e = val_e & (~val_f | (j_e >= j_f))
+        work = val_e.astype(np.int8) + val_f
+    else:
+        pick_e = val_e & (~val_f | (bits[1:n + 1, 1:nbar + 1] == 1))
+        work = val_e | val_f
+    utility = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
+    leader = np.where(pick_e, 0, 1).astype(np.int8)
+    return utility, leader, work, idxc
 
 
 def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float,
-                  mode: int, bits: np.ndarray, backend: str | None = None):
-    """Run the value recursion; returns (values, choice_n, choice_m, updates, backend).
+                  mode: int, bits: np.ndarray):
+    """Run the value recursion; returns (values, choice_n, choice_m, updates).
 
     mode 0 keeps the better leader kind per candidate, mode 1 draws one from
     `bits`. The returned choice arrays encode, per prefix length, the platoon
     size and leader kind (0 electric, 1 fuel) of the winning candidate.
+    `updates` counts the safe (candidate, leader kind) pairs whose prefix has
+    a finite value; under mode 1 each candidate counts once.
     """
-    backend = backend or active_backend()
-    args = (arr.tau_delta, arr.tau_cmin, arr.is_et, arr.sd_min, arr.fill_time,
-            arr.rate, arr.need_lead, arr.alone_charge, arr.alone_depart,
-            arr.alone_ok, econ.wait_cost, econ.charge_cost,
-            econ.et_follower_profit, econ.ft_follower_profit,
-            int(nbar), float(horizon), int(mode), bits)
-    if backend == "numba":
-        values, choice_n, choice_m, updates = _dp_loop_numba(*args)
-    else:
-        values, choice_n, choice_m, updates = _dp_numpy(
-            arr, econ.wait_cost, econ.charge_cost, econ.et_follower_profit,
-            econ.ft_follower_profit, int(nbar), float(horizon), int(mode), bits)
-    return values, choice_n, choice_m, int(updates), backend
+    n = arr.size
+    nbar = int(nbar)
+    utility, leader, work, prefix = _candidate_table(
+        arr, econ, nbar, float(horizon), int(mode), bits)
+
+    values = [0.0] * (n + 1)
+    best_k = [-1] * (n + 1)
+    neg_inf = -np.inf
+    for i, row in enumerate(utility.tolist(), start=1):
+        best, pick = neg_inf, -1
+        for k in range(min(i, nbar)):
+            u = values[i - 1 - k] + row[k]
+            if u > best:  # strict: the smaller platoon wins a tie
+                best, pick = u, k
+        values[i] = best
+        best_k[i] = pick
+
+    values = np.array(values)
+    best_k = np.array(best_k)
+    choice_n = best_k + 1
+    choice_m = np.full(n + 1, -1, np.int8)
+    found = best_k >= 0
+    choice_m[found] = leader[np.flatnonzero(found[1:]), best_k[found]]
+
+    updates = int(work[np.isfinite(values[prefix])].sum())
+    return values, choice_n, choice_m, updates

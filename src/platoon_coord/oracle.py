@@ -14,7 +14,6 @@ import time
 from typing import List, Optional, Sequence
 
 from .discretize import PreparedTruck, prepare_fleet
-from .dp import leader_feasible
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -28,6 +27,7 @@ from .utility import (
     PlatoonAssignment,
     alone_departure,
     evaluate_platoon,
+    leader_feasible,
     leader_type_for_kind,
 )
 

@@ -253,6 +253,17 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
     )
 
 
+def leader_feasible(platoon: PlatoonAssignment, leader: LeaderType) -> bool:
+    """Whether some member of an evaluated platoon can take the lead role.
+
+    A fuel leader only needs a fuel member. An electric leader needs a member
+    whose departure SoC covers the alone-rate trip plus the safety margin.
+    """
+    if leader is LeaderType.FUEL:
+        return any(row.departure_soc is None for row in platoon.ledger)
+    return any(row.departure_soc is not None and row.can_lead for row in platoon.ledger)
+
+
 def aggregate(platoons: Sequence[PlatoonAssignment],
               n_trucks: Optional[int] = None) -> Tuple[float, float, float]:
     """Fleet totals (profit, loss, utility) of platoons covering each rank once.

@@ -109,19 +109,6 @@ class TestCompare:
         assert sorted({r["seed"] for r in rows}) == ["5", "7"]
 
 
-class TestThreads:
-    def test_sweep_parallelism_preserves_output(self, tmp_path, monkeypatch):
-        args = ["compare", "--seeds", "0:4", "--n", 15, "--arrival-hi", 60,
-                "--horizon", 200]
-        run(args + ["--out", tmp_path / "seq"])
-        monkeypatch.setenv("PLATOON_COORD_THREADS", "3")
-        run(args + ["--out", tmp_path / "par"])
-        for name in ("summary", "leaders", "sizes"):
-            seq = (tmp_path / f"seq_{name}.csv").read_bytes()
-            par = (tmp_path / f"par_{name}.csv").read_bytes()
-            assert seq == par
-
-
 class TestVerify:
     def test_small_verification_sweep(self, capsys):
         assert run(["verify", "--trials", 8, "--full-trials", 4]) == 0

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from platoon_coord import (
+    ContractViolation,
     LeaderType,
     NoFeasibleScheduleError,
     RouteParams,
@@ -12,6 +15,7 @@ from platoon_coord import (
     solve_dp_ls,
     solve_dp_nls,
 )
+from platoon_coord import dp
 from platoon_coord.dp import run_dp
 from conftest import FOLLOW_NEED, REF_ECON, REF_ROUTE, et, ft, prepare
 from checks import assert_solution_valid
@@ -60,6 +64,14 @@ class TestSolveDpLs:
         assert len(sol.platoons) == 1
         assert sol.platoons[0].leader_type is LeaderType.ELECTRIC
         assert sol.utility == pytest.approx(14.0, **APPROX)
+
+    def test_electric_leader_wins_a_tie(self):
+        # Equal follower profits price both leader kinds at 14.
+        econ = replace(REF_ECON, et_follower_profit=14.0)
+        prepared = prepare([ft(1, 0.0), et(2, 0.0, soc=70.0)], econ=econ)
+        sol = solve_dp_ls(prepared, REF_ROUTE, econ)
+        assert sol.utility == pytest.approx(14.0, **APPROX)
+        assert sol.platoons[0].leader_type is LeaderType.ELECTRIC
 
     def test_single_truck(self):
         prepared = prepare([ft(1, 5.0)])
@@ -141,3 +153,23 @@ class TestSolveDpNls:
             nls = solve_dp_nls(prepared, inst.route, inst.econ, seed)
             assert ls.utility >= nls.utility - 1e-9
             assert_solution_valid(nls, prepared, inst.route)
+
+
+class TestValueInvariant:
+    @pytest.mark.parametrize("solve", [
+        solve_dp_ls, lambda p, r, e: solve_dp_nls(p, r, e, 3)])
+    def test_pricing_drift_raises(self, monkeypatch, solve):
+        cfg = ScenarioConfig(n_trucks=40, et_share=0.3, seed=5,
+                             arrival_lo=1, arrival_hi=120, horizon=400.0)
+        inst = generate(cfg)
+        prepared = prepare_fleet(inst)
+        solve(prepared, inst.route, inst.econ)
+        real = dp.evaluate_platoon
+
+        def drifted(*args, **kwargs):
+            p = real(*args, **kwargs)
+            return replace(p, loss=p.loss + 1e-3, utility=p.utility - 1e-3)
+
+        monkeypatch.setattr(dp, "evaluate_platoon", drifted)
+        with pytest.raises(ContractViolation, match="recursion value"):
+            solve(prepared, inst.route, inst.econ)

@@ -1,33 +1,27 @@
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from platoon_coord import ScenarioConfig, generate, prepare_fleet
-from platoon_coord.dp import run_dp, solve_dp_ls, solve_dp_nls
-from platoon_coord.kernels import (
-    BACKEND_ENV,
-    HAVE_NUMBA,
-    active_backend,
-    leader_draw_bit,
-    leader_draw_bits,
+from platoon_coord import (
+    LeaderType,
+    NoFeasibleScheduleError,
+    ScenarioConfig,
+    evaluate_platoon,
+    generate,
+    leader_feasible,
+    prepare_fleet,
 )
+from platoon_coord.dp import run_dp, solve_dp_ls, solve_dp_nls
+from platoon_coord.kernels import leader_draw_bit, leader_draw_bits
+from platoon_coord.model import TIME_TOL
+from platoon_coord.utility import leader_type_for_kind
+from conftest import ET_VRATE, REF_ECON, REF_ROUTE, et, ft, prepare
 
 
 class TestBackendSelection:
-    def test_auto_resolves(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert active_backend() == ("numba" if HAVE_NUMBA else "numpy")
-
-    def test_forced_numpy(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert active_backend() == "numpy"
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "cuda")
-        with pytest.raises(ValueError):
-            active_backend()
-
-    def test_backend_recorded_in_diagnostics(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+    def test_backend_recorded_in_diagnostics(self):
         inst = generate(ScenarioConfig(n_trucks=6, seed=1, arrival_lo=1,
                                        arrival_hi=30, horizon=200.0))
         prepared = prepare_fleet(inst)
@@ -54,36 +48,120 @@ class TestLeaderDraws:
         assert 0.45 < mean < 0.55
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="needs the compiled backend")
-class TestBackendEquivalence:
-    def solve_both(self, monkeypatch, mode, seed):
-        inst = generate(ScenarioConfig(n_trucks=60, et_share=0.4, seed=seed,
-                                       arrival_lo=1, arrival_hi=120, horizon=400.0))
-        prepared = prepare_fleet(inst)
-        results = {}
-        for backend in ("numba", "numpy"):
-            monkeypatch.setenv(BACKEND_ENV, backend)
-            results[backend] = run_dp(prepared, inst.route, inst.econ,
-                                      mode=mode, seed=seed)
-        return results
+# An ET discharging 0.5 %/km needs 110 % to lead the 200 km leg: it can follow
+# a platoon but never lead one or drive alone.
+UNLEADABLE_VRATE = 0.5
 
-    @pytest.mark.parametrize("mode", [0, 1])
-    def test_same_values_choices_and_work(self, monkeypatch, mode):
-        for seed in range(6):
-            res = self.solve_both(monkeypatch, mode, seed)
-            a, b = res["numba"], res["numpy"]
-            assert np.allclose(a.values, b.values, atol=1e-9, rtol=0.0)
-            assert np.array_equal(a.choice_sizes, b.choice_sizes)
-            assert np.array_equal(a.choice_leaders, b.choice_leaders)
-            assert a.updates == b.updates
 
-    def test_full_solve_agrees(self, monkeypatch):
-        inst = generate(ScenarioConfig(n_trucks=80, et_share=0.3, seed=17,
-                                       arrival_lo=1, arrival_hi=200, horizon=500.0))
-        prepared = prepare_fleet(inst)
-        monkeypatch.setenv(BACKEND_ENV, "numba")
-        fast = solve_dp_nls(prepared, inst.route, inst.econ, 17)
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        slow = solve_dp_nls(prepared, inst.route, inst.econ, 17)
-        assert abs(fast.utility - slow.utility) <= 1e-9
-        assert [p.ranks for p in fast.platoons] == [p.ranks for p in slow.platoons]
+def _mixed_fleet(rng, n):
+    """Fuel and electric trucks on a few shared arrival instants (ties)."""
+    return [ft(k, rng.choice((0.0, 0.0, 6.0, 15.0, 40.0))) if rng.random() < 0.5
+            else et(k, rng.choice((0.0, 6.0, 6.0, 15.0)), soc=rng.uniform(20.0, 95.0))
+            for k in range(n)]
+
+
+def _all_et_fleet(rng, n):
+    return [et(k, rng.choice((0.0, 3.0, 3.0, 10.0)), soc=rng.uniform(20.0, 90.0),
+               vrate=UNLEADABLE_VRATE if rng.random() < 0.4 else ET_VRATE)
+            for k in range(n)]
+
+
+def _fleets():
+    rng = random.Random(2024)
+    fleets = [
+        # The ET's alone-safe departure (204.8) misses the 200-min horizon,
+        # so it can only leave inside a platoon.
+        [ft(0, 150.0), et(1, 170.0, soc=30.0)],
+        # Prefix 1 has no safe schedule; later prefixes do.
+        [et(0, 0.0, soc=50.0, vrate=UNLEADABLE_VRATE), et(1, 0.0, soc=80.0),
+         et(2, 5.0, soc=40.0, vrate=UNLEADABLE_VRATE)],
+        # Nobody can lead: no schedule at all.
+        [et(0, 0.0, soc=50.0, vrate=UNLEADABLE_VRATE),
+         et(1, 2.0, soc=60.0, vrate=UNLEADABLE_VRATE)],
+    ]
+    fleets += [_mixed_fleet(rng, rng.randint(3, 10)) for _ in range(6)]
+    fleets += [_all_et_fleet(rng, rng.randint(3, 10)) for _ in range(6)]
+    return fleets
+
+
+def _compositions(n, nbar):
+    """Every split of the first n trucks into consecutive blocks of at most
+    nbar, each block given as (end, size) with end its 1-based last truck."""
+    if n == 0:
+        return [[]]
+    return [head + [(n, size)]
+            for size in range(1, min(n, nbar) + 1)
+            for head in _compositions(n - size, nbar)]
+
+
+def _safe_blocks(prepared, route, econ):
+    """Utility of every safe leader kind of every block, keyed (end, size)."""
+    blocks = {}
+    for end in range(1, len(prepared) + 1):
+        for size in range(1, min(end, route.max_platoon_size) + 1):
+            members = prepared[end - size:end]
+            safe = {}
+            for leader in (LeaderType.ELECTRIC, LeaderType.FUEL):
+                if all(leader_type_for_kind(m.kind) is not leader for m in members):
+                    continue
+                p = evaluate_platoon(members, leader, route, econ)
+                if not leader_feasible(p, leader):
+                    continue
+                if size == 1 and p.departure_time > route.horizon + TIME_TOL:
+                    continue
+                safe[leader] = p.utility
+            blocks[end, size] = safe
+    return blocks
+
+
+def _best_total(blocks, n, nbar, price):
+    """Best sum of `price(end, size, safe)` over compositions whose every
+    block has a safe leader kind, or None when there is no such composition."""
+    totals = [sum(price(end, size, blocks[end, size]) for end, size in comp)
+              for comp in _compositions(n, nbar)
+              if all(blocks[b] for b in comp)]
+    return max(totals) if totals else None
+
+
+def _drawn(seed):
+    def price(end, size, safe):
+        if len(safe) == 2:
+            bit = leader_draw_bit(seed, end, size)
+            return safe[LeaderType.ELECTRIC if bit else LeaderType.FUEL]
+        return next(iter(safe.values()))
+    return price
+
+
+class TestAgainstEnumeration:
+    """The recursion against every consecutive composition of small fleets,
+    each block priced by `evaluate_platoon`."""
+
+    @pytest.mark.parametrize("nbar", [1, 2, 8])
+    def test_values_and_work(self, nbar):
+        route = replace(REF_ROUTE, horizon=200.0, max_platoon_size=nbar)
+        for trucks in _fleets():
+            prepared = prepare(trucks, route=route)
+            n = len(prepared)
+            blocks = _safe_blocks(prepared, route, REF_ECON)
+            reachable = [_best_total(blocks, p, nbar, lambda *b: 0.0) is not None
+                         for p in range(n + 1)]
+            usable = [safe for (end, size), safe in blocks.items()
+                      if reachable[end - size]]
+            assert run_dp(prepared, route, REF_ECON, mode=0).updates == \
+                sum(len(safe) for safe in usable)
+            assert run_dp(prepared, route, REF_ECON, mode=1, seed=3).updates == \
+                sum(1 for safe in usable if safe)
+
+            best = _best_total(blocks, n, nbar, lambda e, s, safe: max(safe.values()))
+            if best is None:
+                with pytest.raises(NoFeasibleScheduleError):
+                    solve_dp_ls(prepared, route, REF_ECON)
+                with pytest.raises(NoFeasibleScheduleError):
+                    solve_dp_nls(prepared, route, REF_ECON, 0)
+                continue
+            assert solve_dp_ls(prepared, route, REF_ECON).utility == \
+                pytest.approx(best, abs=1e-9)
+            for seed in range(4):
+                drawn = _best_total(blocks, n, nbar, _drawn(seed))
+                assert solve_dp_nls(prepared, route, REF_ECON, seed).utility == \
+                    pytest.approx(drawn, abs=1e-9)
