@@ -17,7 +17,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .discretize import PreparedTruck
-from .kernels import fleet_arrays, leader_draw_bits, run_dp_kernel
+from .kernels import FleetArrays, fleet_arrays, leader_draw_bits, run_dp_kernel
 from .model import (
     MONEY_TOL,
     ContractViolation,
@@ -26,12 +26,12 @@ from .model import (
     RouteParams,
 )
 from .solution import Diagnostics, Solution
-from .utility import LeaderType, PlatoonAssignment, evaluate_platoon
+from .utility import PlatoonAssignment, price_platoons
+# Not called here; solvebench/spans.py traces `dp.evaluate_platoon` by this name.
+from .utility import evaluate_platoon  # noqa: F401
 
 DP_LS = "DP-LS"
 DP_NLS = "DP-NLS"
-
-_LEADER_BY_CODE = {0: LeaderType.ELECTRIC, 1: LeaderType.FUEL}
 
 
 @dataclass
@@ -42,44 +42,49 @@ class DpState:
     choice_sizes: np.ndarray  # winning platoon size per prefix, 0 when none
     choice_leaders: np.ndarray  # 0 electric, 1 fuel, -1 when none
     updates: int              # candidate evaluations performed
+    arrays: FleetArrays       # the fleet columns both passes read
 
 
-def _check_prepared(prepared: Sequence[PreparedTruck]) -> None:
-    for k, m in enumerate(prepared):
-        if m.rank != k:
-            raise ContractViolation("prepared fleet must be rank-ordered")
-        if k and m.earliest_departure < prepared[k - 1].earliest_departure:
-            raise ContractViolation("prepared fleet must be sorted by earliest departure")
+def _check_prepared(prepared: Sequence[PreparedTruck], tau_delta: np.ndarray) -> None:
+    if [m.rank for m in prepared] != list(range(len(prepared))):
+        raise ContractViolation("prepared fleet must be rank-ordered")
+    if (tau_delta[1:] < tau_delta[:-1]).any():
+        raise ContractViolation("prepared fleet must be sorted by earliest departure")
 
 
 def run_dp(prepared: Sequence[PreparedTruck], route: RouteParams,
            econ: EconomicParams, mode: int, seed: int = 0) -> DpState:
     """Fill the value table for the given fleet. mode 0 = best leader, 1 = drawn."""
-    _check_prepared(prepared)
     arr = fleet_arrays(prepared, route)
+    _check_prepared(prepared, arr.tau_delta)
     if mode == 1:
         bits = leader_draw_bits(seed, arr.size, route.max_platoon_size)
     else:
         bits = np.zeros((1, 1), np.uint8)
     return DpState(*run_dp_kernel(arr, econ, route.max_platoon_size,
-                                  route.horizon, mode, bits))
+                                  route.horizon, mode, bits), arrays=arr)
 
 
 def _backtrack(state: DpState, prepared: Sequence[PreparedTruck],
                route: RouteParams, econ: EconomicParams) -> List[PlatoonAssignment]:
-    platoons: List[PlatoonAssignment] = []
+    """Walk the winning choices back from the full fleet, then price every
+    chosen platoon in one columnar pass."""
+    choice_sizes = state.choice_sizes.tolist()
+    choice_leaders = state.choice_leaders.tolist()
+    starts, sizes, leaders = [], [], []
     i = len(prepared)
     while i > 0:
-        size = int(state.choice_sizes[i])
+        size = choice_sizes[i]
         if size <= 0:
             raise NoFeasibleScheduleError(
                 f"no safe schedule covers the first {i} trucks"
             )
-        leader = _LEADER_BY_CODE[int(state.choice_leaders[i])]
-        platoons.append(evaluate_platoon(prepared[i - size:i], leader, route, econ))
+        sizes.append(size)
+        leaders.append(choice_leaders[i])
         i -= size
-    platoons.reverse()
-    return platoons
+        starts.append(i)
+    return price_platoons(prepared, state.arrays, starts[::-1], sizes[::-1],
+                          leaders[::-1], route, econ)
 
 
 def _solve(prepared, route, econ, mode, seed, method) -> Solution:

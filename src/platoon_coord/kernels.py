@@ -13,10 +13,11 @@ evaluation order and reproducible across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .model import SOC_TOL, TIME_TOL
+from .model import SOC_TOL, TIME_TOL, TruckKind
 
 _U64 = (1 << 64) - 1
 _KEY_I = 0x9E3779B97F4A7C15
@@ -55,7 +56,8 @@ def leader_draw_bits(seed: int, n_trucks: int, max_size: int) -> np.ndarray:
 
 @dataclass
 class FleetArrays:
-    """Column-wise view of a prepared fleet, ready for the kernels.
+    """Column-wise view of a prepared fleet, ready for the kernels and the
+    batch pricer.
 
     Fuel trucks carry zeros in the battery columns; `alone_ok` marks trucks
     that can ever drive the route alone (fuel trucks always can).
@@ -71,6 +73,10 @@ class FleetArrays:
     alone_charge: np.ndarray  # charge minutes for a safe solo departure
     alone_depart: np.ndarray  # arrival + alone_charge, minutes
     alone_ok: np.ndarray      # uint8: the solo role is reachable at all
+    arrival: np.ndarray       # hub arrival time, minutes
+    init_soc: np.ndarray      # SoC at hub arrival, percent
+    max_soc: np.ndarray       # battery capacity, percent
+    vrate: np.ndarray         # discharge rate driving alone, percent per km
 
     @property
     def size(self) -> int:
@@ -78,38 +84,61 @@ class FleetArrays:
 
 
 def fleet_arrays(prepared, route) -> FleetArrays:
-    from .utility import alone_charge_time  # local import to avoid a cycle
+    """Columns of a prepared fleet in rank order.
 
-    n = len(prepared)
-    tau_delta = np.empty(n)
-    tau_cmin = np.zeros(n)
-    is_et = np.zeros(n, np.uint8)
-    sd_min = np.zeros(n)
-    fill_time = np.zeros(n)
-    rate = np.zeros(n)
-    need_lead = np.zeros(n)
-    alone_charge = np.zeros(n)
-    alone_depart = np.empty(n)
+    The battery arithmetic runs once over the electric trucks' columns and is
+    scattered into zero-filled fleet columns; it repeats the scalar formulas
+    of `discretize` and `utility.alone_charge_time` operation for operation,
+    so every entry equals its scalar counterpart bit for bit.
+    """
+    specs = [m.spec for m in prepared]
+    flags = [s.kind is TruckKind.ELECTRIC for s in specs]
+    ets = list(compress(prepared, flags))
+    et_specs = list(compress(specs, flags))
+    tau_delta = np.array([m.earliest_departure for m in prepared], dtype=float)
+    arrival = np.array([s.arrival_time for s in specs], dtype=float)
+    cmin = np.array([m.min_charge_time for m in ets], dtype=float)
+    sd_min = np.array([m.min_departure_soc for m in ets], dtype=float)
+    init = np.array([s.initial_soc for s in et_specs], dtype=float)
+    rate = np.array([s.charge_rate for s in et_specs], dtype=float)
+    vrate = np.array([s.discharge_rate for s in et_specs], dtype=float)
+    safe = np.array([s.safe_soc for s in et_specs], dtype=float)
+    cap = np.array([s.max_soc for s in et_specs], dtype=float)
+
+    need_lead = safe + vrate * route.distance
+    alone_charge = np.maximum(
+        np.maximum(cmin, (np.minimum(need_lead, cap) - init) / rate), 0.0)
+
+    n = len(specs)
+    et = np.flatnonzero(flags)
+
+    def column(values):
+        out = np.zeros(n)
+        out[et] = values
+        return out
+
+    alone_depart = tau_delta.copy()
+    alone_depart[et] = arrival[et] + alone_charge
     alone_ok = np.ones(n, np.uint8)
-
-    for k, m in enumerate(prepared):
-        tau_delta[k] = m.earliest_departure
-        alone_depart[k] = m.earliest_departure
-        if not m.is_electric:
-            continue
-        spec = m.spec
-        is_et[k] = 1
-        tau_cmin[k] = m.min_charge_time
-        sd_min[k] = m.min_departure_soc
-        fill_time[k] = (spec.max_soc - m.min_departure_soc) / spec.charge_rate
-        rate[k] = spec.charge_rate
-        need_lead[k] = spec.safe_soc + spec.discharge_rate * route.distance
-        alone_charge[k] = alone_charge_time(m, route)
-        alone_depart[k] = m.arrival_time + alone_charge[k]
-        alone_ok[k] = 1 if need_lead[k] <= spec.max_soc + SOC_TOL else 0
-
-    return FleetArrays(tau_delta, tau_cmin, is_et, sd_min, fill_time, rate,
-                       need_lead, alone_charge, alone_depart, alone_ok)
+    alone_ok[et] = need_lead <= cap + SOC_TOL
+    is_et = np.zeros(n, np.uint8)
+    is_et[et] = 1
+    return FleetArrays(
+        tau_delta=tau_delta,
+        tau_cmin=column(cmin),
+        is_et=is_et,
+        sd_min=column(sd_min),
+        fill_time=column((cap - sd_min) / rate),
+        rate=column(rate),
+        need_lead=column(need_lead),
+        alone_charge=column(alone_charge),
+        alone_depart=alone_depart,
+        alone_ok=alone_ok,
+        arrival=arrival,
+        init_soc=column(init),
+        max_soc=column(cap),
+        vrate=column(vrate),
+    )
 
 
 def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .discretize import PreparedTruck
+from .kernels import FleetArrays
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -251,6 +254,121 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
         loss=loss,
         utility=profit - loss,
     )
+
+
+_LEADER_BY_CODE = (LeaderType.ELECTRIC, LeaderType.FUEL)
+_ROLE_BY_CODE = np.array([Role.LEADER, Role.FOLLOWER, Role.ALONE], dtype=object)
+_KIND_BY_FLAG = np.array([TruckKind.FUEL, TruckKind.ELECTRIC], dtype=object)
+
+
+def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
+                   starts, sizes, leaders, route: RouteParams,
+                   econ: EconomicParams) -> List[PlatoonAssignment]:
+    """Price many consecutive platoons at once from the fleet's columns.
+
+    Block b holds ranks `starts[b]` .. `starts[b] + sizes[b] - 1` and is led
+    by the kind `leaders[b]` (0 electric, 1 fuel); it departs when its latest
+    member is ready. `prepared` must be rank-ordered (`prepared[k].rank ==
+    k`) and `arr` must be `fleet_arrays(prepared, route)`. Each result equals,
+    field for field, what `evaluate_platoon` returns for the same members and
+    leader kind: the numpy expressions repeat its scalar arithmetic operation
+    for operation, and each loss is summed in rank order from 0.0 as it does.
+    """
+    starts = np.asarray(starts, dtype=np.intp)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    fuel_led = np.asarray(leaders) == 1
+    if starts.size == 0:
+        return []
+    if sizes.min() < 1:
+        raise ContractViolation("platoon needs at least one member")
+    if sizes.max() > route.max_platoon_size:
+        raise ContractViolation(
+            f"platoon of {sizes.max()} exceeds the size cap {route.max_platoon_size}"
+        )
+    if starts.min() < 0 or (starts + sizes).max() > arr.size:
+        raise ContractViolation("platoon ranks run outside the fleet")
+
+    # One entry per member, blocks back to back: `block` names the platoon,
+    # `pos` the member's place in it, `idx` its rank.
+    offsets = np.cumsum(sizes) - sizes
+    block = np.repeat(np.arange(sizes.size), sizes)
+    pos = np.arange(block.size) - offsets[block]
+    idx = starts[block] + pos
+    et = arr.is_et[idx].astype(bool)
+    et_count = np.add.reduceat(et.astype(np.intp), offsets)
+    ft_count = sizes - et_count
+    solo = sizes == 1
+    if (solo & (fuel_led == et[offsets])).any():
+        raise ContractViolation("solo truck must lead as its own kind")
+    if (np.where(fuel_led, ft_count, et_count) < 1).any():
+        raise ContractViolation("no member of the leader's kind to lead this platoon")
+
+    # A solo ET leaves no earlier than its alone-safe departure.
+    depart = np.maximum.reduceat(arr.tau_delta[idx], offsets)
+    solo_et = solo & et[offsets]
+    depart[solo_et] = np.maximum(depart[solo_et], arr.alone_depart[starts[solo_et]])
+
+    t = depart[block]
+    slack = np.maximum(t - arr.tau_delta[idx], 0.0)
+    charge = np.where(et, arr.tau_cmin[idx] + np.minimum(arr.fill_time[idx], slack), 0.0)
+    wait = t - arr.arrival[idx] - charge
+    dep_soc = np.minimum(arr.max_soc[idx], arr.init_soc[idx] + arr.rate[idx] * charge)
+    can_lead = ~et | (dep_soc >= arr.need_lead[idx] - SOC_TOL)
+
+    # Leader: the first fuel truck, or the ET with the highest departure SoC
+    # among those that can lead (among all ETs when none can), first on ties.
+    last = np.iinfo(np.intp).max
+    first_ft = np.minimum.reduceat(np.where(et, last, pos), offsets)
+    leadable = et & can_lead
+    eligible = np.where(np.logical_or.reduceat(leadable, offsets)[block], leadable, et)
+    score = np.where(eligible, dep_soc, -np.inf)
+    top = eligible & (score == np.maximum.reduceat(score, offsets)[block])
+    best_et = np.minimum.reduceat(np.where(top, pos, last), offsets)
+    leader_pos = np.where(solo, 0, np.where(fuel_led, first_ft, best_et))
+
+    leads = pos == leader_pos[block]
+    coeff = np.where(leads, LEAD_COEFF, route.follower_coeff)
+    arr_soc = dep_soc - coeff * arr.vrate[idx] * route.distance
+    role = np.where(solo[block], 2, np.where(leads, 0, 1))
+
+    cost = econ.charge_cost * charge + econ.wait_cost * wait  # charge is 0 for FTs
+    loss = np.zeros(sizes.size)
+    for k in range(int(sizes.max())):  # rank order, as the scalar sum runs
+        live = np.flatnonzero(sizes > k)
+        loss[live] += cost[offsets[live] + k]
+    xi_e, xi_f = econ.et_follower_profit, econ.ft_follower_profit
+    profit = np.where(fuel_led, xi_f * (ft_count - 1) + xi_e * et_count,
+                      xi_f * ft_count + xi_e * (et_count - 1))
+    profit[solo] = 0.0
+
+    ranks = idx.tolist()
+    ledger = list(map(  # positional, in MemberLedger's field order
+        MemberLedger,
+        [prepared[k].spec.id for k in ranks],
+        ranks,
+        _KIND_BY_FLAG[et.astype(np.intp)].tolist(),
+        _ROLE_BY_CODE[role].tolist(),
+        charge.tolist(),
+        wait.tolist(),
+        np.where(et, dep_soc, None).tolist(),
+        np.where(et, arr_soc, None).tolist(),
+        can_lead.tolist(),
+    ))
+    return [
+        PlatoonAssignment(
+            ranks=tuple(ranks[o:o + n]),
+            leader_type=_LEADER_BY_CODE[f],
+            leader_rank=ranks[o + lp],
+            departure_time=dep,
+            ledger=tuple(ledger[o:o + n]),
+            profit=pr,
+            loss=lo,
+            utility=pr - lo,
+        )
+        for o, n, f, lp, dep, pr, lo in zip(
+            offsets.tolist(), sizes.tolist(), fuel_led.tolist(),
+            leader_pos.tolist(), depart.tolist(), profit.tolist(), loss.tolist())
+    ]
 
 
 def leader_feasible(platoon: PlatoonAssignment, leader: LeaderType) -> bool:

@@ -155,6 +155,19 @@ class TestSolveDpNls:
             assert_solution_valid(nls, prepared, inst.route)
 
 
+class TestCheckPrepared:
+    def test_rank_order_required(self):
+        prepared = prepare([ft(1, 0.0), ft(2, 5.0)])
+        with pytest.raises(ContractViolation, match="rank-ordered"):
+            run_dp(prepared[::-1], REF_ROUTE, REF_ECON, mode=0)
+
+    def test_departure_order_required(self):
+        a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
+        swapped = [replace(b, rank=0), replace(a, rank=1)]
+        with pytest.raises(ContractViolation, match="sorted by earliest departure"):
+            run_dp(swapped, REF_ROUTE, REF_ECON, mode=0)
+
+
 class TestValueInvariant:
     @pytest.mark.parametrize("solve", [
         solve_dp_ls, lambda p, r, e: solve_dp_nls(p, r, e, 3)])
@@ -164,12 +177,12 @@ class TestValueInvariant:
         inst = generate(cfg)
         prepared = prepare_fleet(inst)
         solve(prepared, inst.route, inst.econ)
-        real = dp.evaluate_platoon
+        real = dp.price_platoons
 
         def drifted(*args, **kwargs):
-            p = real(*args, **kwargs)
-            return replace(p, loss=p.loss + 1e-3, utility=p.utility - 1e-3)
+            return [replace(p, loss=p.loss + 1e-3, utility=p.utility - 1e-3)
+                    for p in real(*args, **kwargs)]
 
-        monkeypatch.setattr(dp, "evaluate_platoon", drifted)
+        monkeypatch.setattr(dp, "price_platoons", drifted)
         with pytest.raises(ContractViolation, match="recursion value"):
             solve(prepared, inst.route, inst.econ)

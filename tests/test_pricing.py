@@ -1,0 +1,256 @@
+"""The columnar fast path against its scalar reference.
+
+`utility.price_platoons` prices many platoons at once from the fleet columns
+that `kernels.fleet_arrays` builds; `utility.evaluate_platoon` and the
+per-truck formulas of `discretize` and `utility` stay the reference. The two
+must agree exactly: `==` on every field, and `repr` so that float bits, the
+sign of zero and plain-`float` types match too.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from platoon_coord import (
+    ContractViolation,
+    LeaderType,
+    ScenarioConfig,
+    evaluate_platoon,
+    generate,
+    leader_feasible,
+    prepare_fleet,
+    solve_dp_ls,
+    solve_dp_nls,
+)
+from platoon_coord.kernels import fleet_arrays
+from platoon_coord.model import LEAD_COEFF, SOC_TOL, departure_soc_bounds
+from platoon_coord.utility import (
+    alone_charge_time,
+    alone_departure,
+    leader_type_for_kind,
+    price_platoons,
+)
+from conftest import ET_VRATE, REF_ECON, REF_ROUTE, et, ft, prepare
+
+# Discharging 0.5 %/km, an ET needs 110 % to lead the 200 km leg: it can
+# follow but never lead or drive alone.
+UNLEADABLE = 0.5
+LEADER_CODE = {LeaderType.ELECTRIC: 0, LeaderType.FUEL: 1}
+
+
+def assert_same(batch, scalar):
+    assert batch == scalar
+    assert repr(batch) == repr(scalar)
+
+
+def assert_schedule_matches_reference(sol, prepared, route, econ):
+    """Every platoon of a dp schedule equals `evaluate_platoon` on its block."""
+    for p in sol.platoons:
+        members = prepared[p.ranks[0]:p.ranks[-1] + 1]
+        assert_same(p, evaluate_platoon(members, p.leader_type, route, econ))
+
+
+def solve_both(prepared, route, econ):
+    yield solve_dp_ls(prepared, route, econ)
+    for seed in (0, 5):
+        yield solve_dp_nls(prepared, route, econ, seed)
+
+
+# Degenerate fleets, each with the route and prices it is solved under.
+DEGENERATE = {
+    "exact ties": (
+        [ft(k, 10.0) for k in range(5)] + [et(5 + k, 10.0, soc=70.0) for k in range(5)],
+        REF_ROUTE, REF_ECON),
+    "all-ET with unleadable members": (
+        [et(0, 0.0, soc=50.0, vrate=UNLEADABLE), et(1, 0.0, soc=80.0),
+         et(2, 3.0, soc=40.0, vrate=UNLEADABLE), et(3, 3.0, soc=95.0),
+         et(4, 3.0, soc=60.0, vrate=UNLEADABLE), et(5, 9.0, soc=75.0)],
+        REF_ROUTE, REF_ECON),
+    "solo ETs postponed to alone-safe": (
+        [et(0, 0.0, soc=30.0), et(1, 400.0, soc=40.0), et(2, 900.0, soc=20.0)],
+        REF_ROUTE, REF_ECON),
+    "nbar = 1": (
+        [ft(0, 0.0), et(1, 0.0, soc=90.0), et(2, 5.0, soc=30.0), ft(3, 5.0)],
+        replace(REF_ROUTE, max_platoon_size=1), REF_ECON),
+    "ec == ew": (
+        [ft(0, 0.0), et(1, 2.0, soc=25.0), et(2, 6.0, soc=65.0), ft(3, 30.0),
+         et(4, 31.0, soc=55.0)],
+        REF_ROUTE, replace(REF_ECON, charge_cost=REF_ECON.wait_cost)),
+}
+
+
+class TestScheduleAgainstReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reference_fleets(self, seed):
+        inst = generate(ScenarioConfig(seed=seed))
+        prepared = prepare_fleet(inst)
+        for sol in solve_both(prepared, inst.route, inst.econ):
+            assert_schedule_matches_reference(sol, prepared, inst.route, inst.econ)
+
+    def test_dense_et_fleet(self):
+        inst = generate(ScenarioConfig(n_trucks=400, et_share=0.7, soc_lo=10.0,
+                                       soc_hi=60.0, arrival_hi=29, horizon=89.0,
+                                       max_platoon_size=16, seed=4))
+        prepared = prepare_fleet(inst)
+        for sol in solve_both(prepared, inst.route, inst.econ):
+            assert_schedule_matches_reference(sol, prepared, inst.route, inst.econ)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_fleets(self, name):
+        trucks, route, econ = DEGENERATE[name]
+        prepared = prepare(trucks, route=route, econ=econ)
+        for sol in solve_both(prepared, route, econ):
+            assert_schedule_matches_reference(sol, prepared, route, econ)
+
+    def test_solo_ets_are_postponed(self):
+        trucks, route, econ = DEGENERATE["solo ETs postponed to alone-safe"]
+        prepared = prepare(trucks, route=route, econ=econ)
+        sol = solve_dp_ls(prepared, route, econ)
+        assert all(p.size == 1 for p in sol.platoons)
+        for p in sol.platoons:
+            m = prepared[p.ranks[0]]
+            assert p.departure_time == alone_departure(m, route) > m.earliest_departure
+
+    def test_empty_fleet(self):
+        assert price_platoons([], fleet_arrays([], REF_ROUTE), [], [], [],
+                              REF_ROUTE, REF_ECON) == []
+        assert solve_dp_ls([], REF_ROUTE, REF_ECON).platoons == []
+
+
+class TestPriceErrors:
+    def setup_method(self):
+        self.prepared = prepare([ft(0, 0.0), et(1, 0.0, soc=90.0), et(2, 1.0, soc=90.0)])
+        self.arr = fleet_arrays(self.prepared, REF_ROUTE)
+
+    def price(self, starts, sizes, leaders, route=REF_ROUTE):
+        return price_platoons(self.prepared, self.arr, starts, sizes, leaders,
+                              route, REF_ECON)
+
+    @pytest.mark.parametrize("starts, sizes, leaders", [
+        ([0], [1], [0]),      # a solo fuel truck led by an electric one
+        ([1], [1], [1]),      # a solo ET led by a fuel truck
+        ([1], [2], [1]),      # a fuel leader for an all-ET block
+        ([0], [0], [1]),      # an empty block
+        ([2], [2], [0]),      # a block past the last truck
+    ])
+    def test_invalid_blocks_raise(self, starts, sizes, leaders):
+        with pytest.raises(ContractViolation):
+            self.price(starts, sizes, leaders)
+
+    def test_size_cap(self):
+        with pytest.raises(ContractViolation):
+            self.price([0], [3], [1], route=replace(REF_ROUTE, max_platoon_size=2))
+
+
+@st.composite
+def small_fleets(draw):
+    """One to 8 trucks on a few shared arrival instants, leadable and
+    unleadable ETs with drawn charge and discharge rates, nbar in {1, 2, 8},
+    and prices with ec <= ew."""
+    trucks = []
+    for k in range(draw(st.integers(1, 8))):
+        arrival = draw(st.sampled_from((0.0, 0.0, 4.0, 12.5, 40.0)))
+        if draw(st.booleans()):
+            trucks.append(ft(k, arrival))
+        else:
+            vrate = draw(st.one_of(st.sampled_from((ET_VRATE, UNLEADABLE)),
+                                   st.floats(0.05, 0.45)))
+            trucks.append(et(k, arrival, soc=draw(st.floats(0.0, 100.0)),
+                             rate=draw(st.floats(0.2, 3.0)), vrate=vrate))
+    route = replace(REF_ROUTE, max_platoon_size=draw(st.sampled_from((1, 2, 8))),
+                    follower_coeff=draw(st.sampled_from((0.82, 0.8713))))
+    wait = draw(st.sampled_from((0.0, 0.4, 1.0)))
+    econ = replace(REF_ECON, wait_cost=wait,
+                   charge_cost=draw(st.sampled_from((0.0, wait / 2, wait))),
+                   et_follower_profit=draw(st.sampled_from((0.0, 10.0, 14.0))))
+    return prepare(trucks, route=route, econ=econ), route, econ
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fleets())
+def test_every_block_and_leader_kind(case):
+    """One batch call over every consecutive block and every leader kind its
+    members allow equals `evaluate_platoon` block by block; so does the same
+    batch restricted to the kinds `leader_feasible` admits."""
+    prepared, route, econ = case
+    blocks, expected = [], []
+    for start in range(len(prepared)):
+        for size in range(1, min(route.max_platoon_size, len(prepared) - start) + 1):
+            members = prepared[start:start + size]
+            kinds = {leader_type_for_kind(m.kind) for m in members}
+            for leader in sorted(kinds, key=LEADER_CODE.get):
+                blocks.append((start, size, LEADER_CODE[leader]))
+                expected.append(evaluate_platoon(members, leader, route, econ))
+    arr = fleet_arrays(prepared, route)
+    starts, sizes, leaders = zip(*blocks)
+    assert_same(price_platoons(prepared, arr, starts, sizes, leaders, route, econ),
+                expected)
+    admitted = [k for k, p in enumerate(expected) if leader_feasible(p, p.leader_type)]
+    assert_same(price_platoons(prepared, arr, [starts[k] for k in admitted],
+                               [sizes[k] for k in admitted],
+                               [leaders[k] for k in admitted], route, econ),
+                [expected[k] for k in admitted])
+
+
+def _scalar_columns(m, route):
+    """The `fleet_arrays` entries of one truck, from the scalar formulas."""
+    if not m.is_electric:
+        zero = dict.fromkeys(("tau_cmin", "sd_min", "fill_time", "rate", "need_lead",
+                              "alone_charge", "init_soc", "max_soc", "vrate"), 0.0)
+        return dict(zero, tau_delta=m.earliest_departure, is_et=0,
+                    alone_depart=m.earliest_departure, alone_ok=1,
+                    arrival=m.arrival_time)
+    spec = m.spec
+    need, cap = departure_soc_bounds(spec, route, LEAD_COEFF)
+    return dict(
+        tau_delta=m.earliest_departure,
+        tau_cmin=m.min_charge_time,
+        is_et=1,
+        sd_min=m.min_departure_soc,
+        fill_time=(spec.max_soc - m.min_departure_soc) / spec.charge_rate,
+        rate=spec.charge_rate,
+        need_lead=need,
+        alone_charge=alone_charge_time(m, route),
+        alone_depart=alone_departure(m, route),
+        alone_ok=int(need <= cap + SOC_TOL),
+        arrival=m.arrival_time,
+        init_soc=spec.initial_soc,
+        max_soc=spec.max_soc,
+        vrate=spec.discharge_rate,
+    )
+
+
+class TestFleetArrays:
+    @pytest.mark.parametrize("fleet", [
+        dict(seed=3),
+        dict(n_trucks=300, et_share=0.9, soc_lo=10.0, soc_hi=100.0, seed=8),
+        dict(n_trucks=50, et_share=0.0, seed=1),
+    ])
+    def test_columns_equal_scalar_formulas(self, fleet):
+        inst = generate(ScenarioConfig(**fleet))
+        self.check(prepare_fleet(inst), inst.route)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_columns(self, name):
+        trucks, route, econ = DEGENERATE[name]
+        self.check(prepare(trucks, route=route, econ=econ), route)
+
+    def test_empty_fleet(self):
+        arr = fleet_arrays([], REF_ROUTE)
+        assert arr.size == 0
+        assert all(col.shape == (0,) for col in vars(arr).values())
+
+    @staticmethod
+    def check(prepared, route):
+        arr = fleet_arrays(prepared, route)
+        columns = vars(arr)
+        for name, col in columns.items():
+            assert isinstance(col, np.ndarray) and col.shape == (len(prepared),), name
+        for m in prepared:
+            scalar = _scalar_columns(m, route)
+            assert set(scalar) == set(columns)
+            for name, value in scalar.items():
+                got = columns[name][m.rank].item()
+                assert got == value and repr(got) == repr(value), (name, m.rank)
