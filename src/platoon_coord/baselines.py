@@ -16,7 +16,13 @@ from typing import List, Sequence
 
 from .discretize import PreparedTruck
 from .kernels import leader_draw_bit
-from .model import ContractViolation, EconomicParams, RouteParams, TIME_TOL
+from .model import (
+    ContractViolation,
+    EconomicParams,
+    NoFeasibleScheduleError,
+    RouteParams,
+    TIME_TOL,
+)
 from .solution import Diagnostics, Solution
 from .utility import (
     LeaderType,
@@ -34,10 +40,17 @@ def _schedule_block(block: Sequence[PreparedTruck], depart_at: float,
                     route: RouteParams, econ: EconomicParams,
                     seed: int) -> List[PlatoonAssignment]:
     """Schedule one block departing together; fall back to solos when no
-    member could safely lead it."""
+    member could safely lead it. An ET that cannot drive alone safely even on
+    a full battery has no schedule here, which is an error, not a solo."""
     if len(block) == 1:
         kind_leader = leader_type_for_kind(block[0].kind)
-        return [evaluate_platoon(block, kind_leader, route, econ, depart_at=depart_at)]
+        solo = evaluate_platoon(block, kind_leader, route, econ, depart_at=depart_at)
+        if not solo.ledger[0].can_lead:
+            raise NoFeasibleScheduleError(
+                f"truck {block[0].id}: cannot drive alone safely and has no "
+                "platoon to follow"
+            )
+        return [solo]
 
     probe_type = (LeaderType.FUEL if any(not m.is_electric for m in block)
                   else LeaderType.ELECTRIC)

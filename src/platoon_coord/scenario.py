@@ -9,7 +9,9 @@ sorted keys, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -168,6 +170,20 @@ def _require(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
+def _object(obj: dict, key: str, ctx: str) -> dict:
+    value = _require(obj, key, ctx)
+    if not isinstance(value, dict):
+        raise InstanceFormatError(f"{ctx}: '{key}' must be an object, got {value!r}")
+    return value
+
+
+def _number(obj: dict, key: str, ctx: str):
+    value = _require(obj, key, ctx)
+    if not isinstance(value, (int, float)):
+        raise InstanceFormatError(f"{ctx}: field '{key}' must be a number, got {value!r}")
+    return value
+
+
 def save_instance(instance: ProblemInstance, path: str,
                   config: Optional[ScenarioConfig] = None) -> None:
     doc = {
@@ -189,9 +205,66 @@ def save_instance(instance: ProblemInstance, path: str,
         },
         "trucks": [_truck_to_json(t) for t in instance.trucks],
     }
+    # json.dump would hand the file thousands of small chunks; one string is
+    # the same bytes in one write.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+# Fields a truck row of each kind must carry for the positional fast path.
+_ET_KEYS = frozenset(("id", "kind", "arrival", "soc0", "rate", "vrate", "safe", "max"))
+_FT_KEYS = frozenset(("id", "kind", "arrival"))
+
+
+def _truck_from_row(row, ctx: str) -> TruckSpec:
+    """One truck row, field by field, naming the first fault it finds."""
+    if not isinstance(row, dict):
+        raise InstanceFormatError(f"{ctx}: must be an object, got {row!r}")
+    kind_tag = _require(row, "kind", ctx)
+    try:
+        kind = TruckKind(kind_tag)
+    except ValueError:
+        raise InstanceFormatError(f"{ctx}: unknown kind {kind_tag!r}") from None
+    if kind is TruckKind.ELECTRIC:
+        return TruckSpec(
+            id=_require(row, "id", ctx),
+            kind=kind,
+            arrival_time=_number(row, "arrival", ctx),
+            initial_soc=_number(row, "soc0", ctx),
+            charge_rate=_number(row, "rate", ctx),
+            discharge_rate=_number(row, "vrate", ctx),
+            safe_soc=_number(row, "safe", ctx),
+            max_soc=_number(row, "max", ctx),
+        )
+    return TruckSpec(
+        id=_require(row, "id", ctx),
+        kind=kind,
+        arrival_time=_number(row, "arrival", ctx),
+    )
+
+
+def _load_trucks(rows: list, path: str) -> tuple:
+    """Truck rows of an instance file. A well-formed row goes straight to
+    `TruckSpec`; any other row, and one whose values `TruckSpec` cannot
+    compare, takes `_truck_from_row`, which names the fault."""
+    electric, fuel = TruckKind.ELECTRIC, TruckKind.FUEL
+    trucks = []
+    for k, row in enumerate(rows):
+        if type(row) is dict:
+            kind_tag = row.get("kind")
+            try:
+                if kind_tag == "ET" and row.keys() >= _ET_KEYS:
+                    trucks.append(TruckSpec(row["id"], electric, row["arrival"],
+                                            row["soc0"], row["rate"], row["vrate"],
+                                            row["safe"], row["max"]))
+                    continue
+                if kind_tag == "FT" and row.keys() >= _FT_KEYS:
+                    trucks.append(TruckSpec(row["id"], fuel, row["arrival"]))
+                    continue
+            except TypeError:
+                pass
+        trucks.append(_truck_from_row(row, f"{path}: trucks[{k}]"))
+    return tuple(trucks)
 
 
 def load_instance(path: str) -> ProblemInstance:
@@ -209,101 +282,159 @@ def load_instance(path: str) -> ProblemInstance:
         raise InstanceFormatError(
             f"{path}: unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
         )
-    route_doc = _require(doc, "route", path)
-    econ_doc = _require(doc, "econ", path)
+    route_doc = _object(doc, "route", path)
+    econ_doc = _object(doc, "econ", path)
     trucks_doc = _require(doc, "trucks", path)
     if not isinstance(trucks_doc, list) or not trucks_doc:
         raise InstanceFormatError(f"{path}: 'trucks' must be a non-empty list")
 
     route = RouteParams(
-        distance=_require(route_doc, "d", f"{path}: route"),
-        horizon=_require(route_doc, "T", f"{path}: route"),
-        max_platoon_size=_require(route_doc, "nbar", f"{path}: route"),
-        follower_coeff=_require(route_doc, "beta_f", f"{path}: route"),
+        distance=_number(route_doc, "d", f"{path}: route"),
+        horizon=_number(route_doc, "T", f"{path}: route"),
+        max_platoon_size=_number(route_doc, "nbar", f"{path}: route"),
+        follower_coeff=_number(route_doc, "beta_f", f"{path}: route"),
     )
     econ = EconomicParams(
-        wait_cost=_require(econ_doc, "ew", f"{path}: econ"),
-        charge_cost=_require(econ_doc, "ec", f"{path}: econ"),
-        et_follower_profit=_require(econ_doc, "xiE", f"{path}: econ"),
-        ft_follower_profit=_require(econ_doc, "xiF", f"{path}: econ"),
+        wait_cost=_number(econ_doc, "ew", f"{path}: econ"),
+        charge_cost=_number(econ_doc, "ec", f"{path}: econ"),
+        et_follower_profit=_number(econ_doc, "xiE", f"{path}: econ"),
+        ft_follower_profit=_number(econ_doc, "xiF", f"{path}: econ"),
     )
-    trucks = []
-    for k, row in enumerate(trucks_doc):
-        ctx = f"{path}: trucks[{k}]"
-        kind_tag = _require(row, "kind", ctx)
-        try:
-            kind = TruckKind(kind_tag)
-        except ValueError:
-            raise InstanceFormatError(f"{ctx}: unknown kind {kind_tag!r}") from None
-        if kind is TruckKind.ELECTRIC:
-            trucks.append(TruckSpec(
-                id=_require(row, "id", ctx),
-                kind=kind,
-                arrival_time=_require(row, "arrival", ctx),
-                initial_soc=_require(row, "soc0", ctx),
-                charge_rate=_require(row, "rate", ctx),
-                discharge_rate=_require(row, "vrate", ctx),
-                safe_soc=_require(row, "safe", ctx),
-                max_soc=_require(row, "max", ctx),
-            ))
-        else:
-            trucks.append(TruckSpec(
-                id=_require(row, "id", ctx),
-                kind=kind,
-                arrival_time=_require(row, "arrival", ctx),
-            ))
-    return ProblemInstance(
-        trucks=tuple(trucks),
-        route=route,
-        econ=econ,
-        seed=_require(doc, "seed", path),
+    trucks = _load_trucks(trucks_doc, path)
+    seed = _number(doc, "seed", path)
+    try:
+        return ProblemInstance(trucks=trucks, route=route, econ=econ, seed=seed)
+    except TypeError as exc:  # the uniqueness check hashes every truck id
+        raise InstanceFormatError(f"{path}: truck ids must be scalars ({exc})") from None
+
+
+def _scalar(value) -> str:
+    """JSON text of one value, as `json.dump` writes it. The dispatch is on
+    the exact type, as in `json`: float subclasses such as `np.float64`,
+    whose repr is not JSON, non-finite floats and anything else go through
+    `json.dumps`."""
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return repr(value)
+    elif kind is int:
+        return repr(value)
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    elif value is None:
+        return "null"
+    elif value is True:
+        return "true"
+    elif value is False:
+        return "false"
+    return json.dumps(value)
+
+
+def _container(brackets: str, items: list, depth: int) -> str:
+    """A JSON array or object of rendered items at nesting `depth`, laid out
+    as `json.dump(indent=2)` lays it out."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return (brackets[0] + pad + ("," + pad).join(items)
+            + "\n" + "  " * depth + brackets[1])
+
+
+# Ledger rows, platoons and the file, keys in sorted order and indented as at
+# their nesting depth; `_container` places the opening brace of each item.
+_ET_ROW = """{
+          "charge": %s,
+          "id": %s,
+          "role": %s,
+          "soc_arr": %s,
+          "soc_dep": %s,
+          "wait": %s
+        }"""
+_FT_ROW = """{
+          "charge": %s,
+          "id": %s,
+          "role": %s,
+          "wait": %s
+        }"""
+_PLATOON = """{
+      "depart": %s,
+      "leader_id": %s,
+      "leader_type": %s,
+      "ledger": %s,
+      "members": %s
+    }"""
+_SOLUTION = """{
+  "diagnostics": {
+    "backend": %s,
+    "dp_updates": %s,
+    "dp_value": %s,
+    "et_led": %s,
+    "ft_led": %s,
+    "horizon_violation": %s,
+    "platoon_sizes": %s,
+    "solve_ms": %s
+  },
+  "method": %s,
+  "platoons": %s,
+  "totals": {
+    "J": %s,
+    "L": %s,
+    "R": %s
+  },
+  "version": %s
+}
+"""
+
+
+def _ledger_row(row) -> str:
+    if row.departure_soc is None:
+        return _FT_ROW % (_scalar(row.charge_time), _scalar(row.truck_id),
+                          _scalar(row.role.value), _scalar(row.wait_time))
+    return _ET_ROW % (_scalar(row.charge_time), _scalar(row.truck_id),
+                      _scalar(row.role.value), _scalar(row.arrival_soc),
+                      _scalar(row.departure_soc), _scalar(row.wait_time))
+
+
+def _platoon(p) -> str:
+    return _PLATOON % (
+        _scalar(p.departure_time),
+        _scalar(p.leader_id),
+        _scalar(p.leader_type.value),
+        _container("[]", [_ledger_row(row) for row in p.ledger], 3),
+        _container("[]", [_scalar(row.truck_id) for row in p.ledger], 3),
+    )
+
+
+def solution_text(solution: Solution, include_timing: bool = False) -> str:
+    """The solution file: the bytes `json.dump(doc, fh, indent=2,
+    sort_keys=True)` and a newline give for the schema document. This is the
+    one statement of the solution layout. Wall-clock timing is volatile, so
+    it is written as null unless explicitly requested."""
+    diag = solution.diagnostics
+    sizes = {str(k): v for k, v in diag.platoon_sizes.items()}
+    return _SOLUTION % (
+        _scalar(diag.backend),
+        _scalar(diag.dp_updates),
+        _scalar(diag.dp_value),
+        _scalar(diag.et_led),
+        _scalar(diag.ft_led),
+        _scalar(diag.horizon_violation),
+        _container("{}", [f"{_scalar(k)}: {_scalar(v)}" for k, v in sorted(sizes.items())], 2),
+        _scalar(diag.solve_ms if include_timing else None),
+        _scalar(solution.method),
+        _container("[]", [_platoon(p) for p in solution.platoons], 1),
+        _scalar(solution.utility),
+        _scalar(solution.loss),
+        _scalar(solution.profit),
+        _scalar(SCHEMA_VERSION),
     )
 
 
 def solution_to_json(solution: Solution, include_timing: bool = False) -> dict:
-    """Schema dict of a solution. Wall-clock timing is volatile, so it is
-    written as null unless explicitly requested."""
-    diag = solution.diagnostics
-    return {
-        "version": SCHEMA_VERSION,
-        "method": solution.method,
-        "totals": {"R": solution.profit, "L": solution.loss, "J": solution.utility},
-        "platoons": [
-            {
-                "members": [row.truck_id for row in p.ledger],
-                "leader_id": p.leader_id,
-                "leader_type": p.leader_type.value,
-                "depart": p.departure_time,
-                "ledger": [
-                    {
-                        "id": row.truck_id,
-                        "role": row.role.value,
-                        "charge": row.charge_time,
-                        "wait": row.wait_time,
-                        **(
-                            {"soc_dep": row.departure_soc, "soc_arr": row.arrival_soc}
-                            if row.departure_soc is not None else {}
-                        ),
-                    }
-                    for row in p.ledger
-                ],
-            }
-            for p in solution.platoons
-        ],
-        "diagnostics": {
-            "platoon_sizes": {str(k): v for k, v in diag.platoon_sizes.items()},
-            "et_led": diag.et_led,
-            "ft_led": diag.ft_led,
-            "dp_updates": diag.dp_updates,
-            "dp_value": diag.dp_value,
-            "solve_ms": diag.solve_ms if include_timing else None,
-            "horizon_violation": diag.horizon_violation,
-            "backend": diag.backend,
-        },
-    }
+    """Schema dict of a solution, parsed from `solution_text`."""
+    return json.loads(solution_text(solution, include_timing))
 
 
 def save_solution(solution: Solution, path: str, include_timing: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution_to_json(solution, include_timing), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(solution_text(solution, include_timing))

@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import strategies as st
 
 from platoon_coord import (
     EconomicParams,
@@ -51,3 +54,38 @@ def route():
 @pytest.fixture
 def econ():
     return REF_ECON
+
+
+# Discharging 0.5 %/km, an ET needs 110 % to lead the 200 km leg: it can
+# follow but never lead or drive alone.
+UNLEADABLE = 0.5
+
+
+@st.composite
+def fleet_instances(draw):
+    """Instances of one to 8 trucks: exact ties on a few shared arrival
+    instants (some of them integers), all-ET fleets, ETs that can follow but
+    never lead, nbar in {1, 2, 8}, zero follower profits, ec == ew, and a
+    tight horizon that some ETs cannot charge within."""
+    all_et = draw(st.booleans())
+    trucks = []
+    for k in range(draw(st.integers(1, 8))):
+        arrival = draw(st.sampled_from((0.0, 0.0, 4, 4.0, 12.5, 40)))
+        if not all_et and draw(st.booleans()):
+            trucks.append(ft(k + 1, arrival))
+        else:
+            vrate = draw(st.one_of(st.sampled_from((ET_VRATE, UNLEADABLE)),
+                                   st.floats(0.05, 0.45)))
+            trucks.append(et(k + 1, arrival, soc=draw(st.floats(0.0, 100.0)),
+                             rate=draw(st.floats(0.2, 3.0)), vrate=vrate))
+    route = replace(REF_ROUTE, max_platoon_size=draw(st.sampled_from((1, 2, 8))),
+                    horizon=draw(st.sampled_from((1440.0, 1440.0, 90.0))))
+    wait = draw(st.sampled_from((0.0, 0.4, 1.0)))
+    econ = EconomicParams(
+        wait_cost=wait,
+        charge_cost=draw(st.sampled_from((0.0, wait / 2, wait))),
+        et_follower_profit=draw(st.sampled_from((0.0, 10.0, 14.0))),
+        ft_follower_profit=draw(st.sampled_from((0.0, 14.0))),
+    )
+    return ProblemInstance(trucks=tuple(trucks), route=route, econ=econ,
+                           seed=draw(st.integers(0, 3)))

@@ -32,11 +32,8 @@ from platoon_coord.utility import (
     leader_type_for_kind,
     price_platoons,
 )
-from conftest import ET_VRATE, REF_ECON, REF_ROUTE, et, ft, prepare
+from conftest import ET_VRATE, REF_ECON, REF_ROUTE, UNLEADABLE, et, ft, prepare
 
-# Discharging 0.5 %/km, an ET needs 110 % to lead the 200 km leg: it can
-# follow but never lead or drive alone.
-UNLEADABLE = 0.5
 LEADER_CODE = {LeaderType.ELECTRIC: 0, LeaderType.FUEL: 1}
 
 

@@ -1,19 +1,31 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from platoon_coord import (
     GenerationError,
+    HorizonExceededError,
     InstanceFormatError,
+    NoFeasibleScheduleError,
+    ProblemInstance,
     ScenarioConfig,
+    Solution,
     generate,
     load_instance,
     prepare_fleet,
     save_instance,
     save_solution,
     solve_dp_ls,
+    solve_dp_nls,
+    solve_fixed_interval,
+    solve_spontaneous,
 )
-from platoon_coord.scenario import solution_to_json
+from platoon_coord.cli import main
+from platoon_coord.scenario import _truck_from_row, solution_text, solution_to_json
+from conftest import REF_ECON, REF_ROUTE, et, fleet_instances, ft
 
 
 class TestGenerate:
@@ -163,3 +175,251 @@ class TestSolutionFiles:
         save_solution(sol, a)
         save_solution(sol, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def reference_doc(solution, include_timing=False):
+    """The solution file's schema document, built field by field."""
+    diag = solution.diagnostics
+    return {
+        "version": 1,
+        "method": solution.method,
+        "totals": {"R": solution.profit, "L": solution.loss, "J": solution.utility},
+        "platoons": [
+            {
+                "members": [row.truck_id for row in p.ledger],
+                "leader_id": p.leader_id,
+                "leader_type": p.leader_type.value,
+                "depart": p.departure_time,
+                "ledger": [
+                    {
+                        "id": row.truck_id,
+                        "role": row.role.value,
+                        "charge": row.charge_time,
+                        "wait": row.wait_time,
+                        **(
+                            {"soc_dep": row.departure_soc, "soc_arr": row.arrival_soc}
+                            if row.departure_soc is not None else {}
+                        ),
+                    }
+                    for row in p.ledger
+                ],
+            }
+            for p in solution.platoons
+        ],
+        "diagnostics": {
+            "platoon_sizes": {str(k): v for k, v in diag.platoon_sizes.items()},
+            "et_led": diag.et_led,
+            "ft_led": diag.ft_led,
+            "dp_updates": diag.dp_updates,
+            "dp_value": diag.dp_value,
+            "solve_ms": diag.solve_ms if include_timing else None,
+            "horizon_violation": diag.horizon_violation,
+            "backend": diag.backend,
+        },
+    }
+
+
+def reference_text(solution, include_timing=False):
+    """What `json` writes for the schema document, with the final newline."""
+    return json.dumps(reference_doc(solution, include_timing), indent=2,
+                      sort_keys=True) + "\n"
+
+
+def solve_all(instance):
+    prepared = prepare_fleet(instance)
+    route, econ, seed = instance.route, instance.econ, instance.seed
+    yield solve_dp_ls(prepared, route, econ)
+    yield solve_dp_nls(prepared, route, econ, seed)
+    yield solve_spontaneous(prepared, route, econ, seed)
+    yield solve_fixed_interval(prepared, route, econ, 30.0, seed)
+
+
+def assert_text_matches_reference(solution):
+    for timing in (False, True):
+        assert solution_text(solution, timing) == reference_text(solution, timing)
+
+
+DENSE = ScenarioConfig(n_trucks=2000, et_share=0.7, soc_lo=10.0, soc_hi=60.0,
+                       arrival_hi=144, horizon=204.0, max_platoon_size=16, seed=3)
+
+
+class TestSolutionText:
+    @pytest.mark.parametrize("cfg", [ScenarioConfig(seed=0), DENSE],
+                             ids=["ref", "dense"])
+    def test_every_method_matches_reference(self, cfg, tmp_path):
+        for sol in solve_all(generate(cfg)):
+            assert_text_matches_reference(sol)
+            path = tmp_path / "sol.json"
+            save_solution(sol, path)
+            assert path.read_text(encoding="utf-8") == reference_text(sol)
+
+    def test_integer_arrivals_stay_integers(self):
+        trucks = [ft(1, 3), ft(2, 3), et(3, 5, soc=80.0), ft(4, 9.0)]
+        inst = ProblemInstance(trucks=tuple(trucks), route=REF_ROUTE, econ=REF_ECON)
+        sols = list(solve_all(inst))
+        for sol in sols:
+            assert_text_matches_reference(sol)
+        assert '"depart": 3,' in solution_text(sols[2])  # spontaneous
+
+    def test_platoon_sizes_sort_as_strings(self):
+        trucks = [ft(k, 0.0) for k in range(10)] + [ft(10, 600.0), ft(11, 600.0)]
+        route = replace(REF_ROUTE, max_platoon_size=16)
+        inst = ProblemInstance(trucks=tuple(trucks), route=route, econ=REF_ECON)
+        sol = solve_dp_ls(prepare_fleet(inst), route, REF_ECON)
+        assert sol.diagnostics.platoon_sizes == {2: 1, 10: 1}
+        assert_text_matches_reference(sol)
+        assert '"10": 1,\n      "2": 1\n' in solution_text(sol)
+
+    def test_baseline_diagnostics_are_null(self):
+        sol = solve_spontaneous(prepare_fleet(generate(ScenarioConfig(n_trucks=30, seed=2))),
+                                REF_ROUTE, REF_ECON, 0)
+        text = solution_text(sol)
+        for field in ("backend", "dp_updates", "dp_value"):
+            assert f'"{field}": null,' in text
+        assert_text_matches_reference(sol)
+
+    def test_horizon_violation(self):
+        inst = ProblemInstance(trucks=(ft(1, 1430.0), ft(2, 1435.0)), route=REF_ROUTE,
+                               econ=REF_ECON)
+        sol = solve_fixed_interval(prepare_fleet(inst), REF_ROUTE, REF_ECON, 100.0, 0)
+        assert sol.diagnostics.horizon_violation
+        assert '"horizon_violation": true,' in solution_text(sol)
+        assert_text_matches_reference(sol)
+
+    def test_no_platoons(self):
+        sol = Solution.from_platoons("DP-LS", [])
+        text = solution_text(sol)
+        assert '"platoons": [],' in text and '"platoon_sizes": {},' in text
+        assert_text_matches_reference(sol)
+
+    def test_numpy_and_non_finite_values(self):
+        inst = ProblemInstance(trucks=(et(1, 0.0, soc=80.0), ft(2, 0.0)),
+                               route=REF_ROUTE, econ=REF_ECON)
+        sol = solve_dp_ls(prepare_fleet(inst), REF_ROUTE, REF_ECON)
+        (p,) = sol.platoons
+        electric, fuel = sorted(p.ledger, key=lambda row: row.departure_soc is None)
+        ledger = (replace(electric, charge_time=np.float64(1.25), departure_soc=float("inf"),
+                          arrival_soc=np.float64(-0.0)),
+                  replace(fuel, wait_time=float("nan")))
+        sol = replace(sol, platoons=[replace(p, ledger=ledger, departure_time=np.float64(7.5))],
+                      profit=np.float64(sol.profit), loss=float("-inf"))
+        sol.diagnostics.dp_value = float("nan")
+        sol.diagnostics.solve_ms = np.float64(2.5)
+        text = solution_text(sol, include_timing=True)
+        for fragment in ('"charge": 1.25,', '"soc_dep": Infinity,', '"soc_arr": -0.0,',
+                         '"wait": NaN\n', '"depart": 7.5,', '"L": -Infinity,',
+                         '"dp_value": NaN,', '"solve_ms": 2.5\n'):
+            assert fragment in text
+        assert_text_matches_reference(sol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets(self, instance):
+        try:
+            prepared = prepare_fleet(instance)
+        except HorizonExceededError:
+            return
+        route, econ, seed = instance.route, instance.econ, instance.seed
+        for solve in (lambda: solve_dp_ls(prepared, route, econ),
+                      lambda: solve_dp_nls(prepared, route, econ, seed),
+                      lambda: solve_spontaneous(prepared, route, econ, seed),
+                      lambda: solve_fixed_interval(prepared, route, econ, 30.0, seed)):
+            try:
+                sol = solve()
+            except NoFeasibleScheduleError:
+                continue
+            assert_text_matches_reference(sol)
+
+    def test_solution_to_json_parses_the_text(self):
+        sol = solve_dp_ls(prepare_fleet(generate(ScenarioConfig(n_trucks=40, seed=1))),
+                          REF_ROUTE, REF_ECON)
+        assert solution_to_json(sol, True) == reference_doc(sol, True)
+
+
+class TestLoaderFastPath:
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(n_trucks=200, seed=5),
+        ScenarioConfig(n_trucks=60, et_share=1.0, seed=2),
+        ScenarioConfig(n_trucks=60, et_share=0.0, seed=2),
+        replace(DENSE, n_trucks=300),
+    ], ids=["ref", "all-et", "all-ft", "dense"])
+    def test_round_trip_equals_slow_path(self, cfg, tmp_path):
+        inst = generate(cfg)
+        path = tmp_path / "fleet.json"
+        save_instance(inst, path, config=cfg)
+        loaded = load_instance(path)
+        assert loaded == inst and repr(loaded) == repr(inst)
+        rows = json.loads(path.read_text())["trucks"]
+        for k, row in enumerate(rows):
+            slow = _truck_from_row(row, f"trucks[{k}]")
+            assert slow == loaded.trucks[k] and repr(slow) == repr(loaded.trucks[k])
+
+    def edit(self, tmp_path, change):
+        inst = generate(ScenarioConfig(n_trucks=6, et_share=0.5, seed=4))
+        path = tmp_path / "fleet.json"
+        save_instance(inst, path)
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        return path, doc
+
+    def test_unhashable_kind_is_unknown(self, tmp_path):
+        path, _ = self.edit(tmp_path, lambda d: d["trucks"][2].update(kind=["ET"]))
+        with pytest.raises(InstanceFormatError, match=r"trucks\[2\]: unknown kind \['ET'\]"):
+            load_instance(path)
+
+    def test_fuel_row_ignores_battery_keys(self, tmp_path):
+        def add_battery(doc):
+            row = next(r for r in doc["trucks"] if r["kind"] == "FT")
+            row.update(soc0=50.0, rate=1.0, vrate=0.2, safe=10.0, max=100.0)
+        path, doc = self.edit(tmp_path, add_battery)
+        k = next(k for k, r in enumerate(doc["trucks"]) if "soc0" in r and r["kind"] == "FT")
+        truck = load_instance(path).trucks[k]
+        assert not truck.is_electric and truck.initial_soc is None
+
+    @pytest.mark.parametrize("kind, field", [("ET", "soc0"), ("FT", "arrival"),
+                                             ("FT", "id")])
+    def test_row_missing_field(self, tmp_path, kind, field):
+        def drop(doc):
+            next(r for r in doc["trucks"] if r["kind"] == kind).pop(field)
+        path, doc = self.edit(tmp_path, drop)
+        k = next(k for k, r in enumerate(doc["trucks"])
+                 if r["kind"] == kind and field not in r)
+        with pytest.raises(InstanceFormatError) as err:
+            load_instance(path)
+        assert str(err.value).endswith(f"trucks[{k}]: missing field '{field}'")
+
+
+MALFORMED = {
+    "row is a string": (lambda d: d["trucks"].__setitem__(0, "kind"), "trucks[0]"),
+    "row is a number": (lambda d: d["trucks"].__setitem__(0, 5), "trucks[0]"),
+    "route is a string": (lambda d: d.__setitem__("route", "d T"), "'route'"),
+    "econ is a string": (lambda d: d.__setitem__("econ", "ew ec"), "'econ'"),
+    "arrival is a string": (lambda d: d["trucks"][1].update(arrival="5"), "trucks[1]"),
+    "arrival is null": (lambda d: d["trucks"][1].update(arrival=None), "trucks[1]"),
+    "soc0 is a string": (lambda d: d["trucks"][0].update(soc0="x"), "trucks[0]"),
+    "distance is a string": (lambda d: d["route"].update(d="200"), "route"),
+    "charge cost is null": (lambda d: d["econ"].update(ec=None), "econ"),
+    "seed is a string": (lambda d: d.__setitem__("seed", "5"), "'seed'"),
+    "id is a list": (lambda d: d["trucks"][1].update(id=[2]), "truck ids"),
+}
+
+
+class TestMalformedInstances:
+    @pytest.fixture
+    def instance_doc(self):
+        trucks = (et(1, 0.0, soc=40.0), ft(2, 3.0), ft(3, 3.0))
+        return ProblemInstance(trucks=trucks, route=REF_ROUTE, econ=REF_ECON)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_reported_with_context(self, name, instance_doc, tmp_path, capsys):
+        change, context = MALFORMED[name]
+        path = tmp_path / "bad.json"
+        save_instance(instance_doc, path)
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError, match=context.replace("[", r"\[")):
+            load_instance(path)
+        assert main(["solve", str(path), "--method", "dp-ls"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
