@@ -9,8 +9,7 @@ downstream solvers search over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .model import (
     ContractViolation,
@@ -26,8 +25,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class PreparedTruck:
+class PreparedTruck(NamedTuple):
     """A truck augmented with its mandatory-charge schedule and sort rank."""
 
     spec: TruckSpec

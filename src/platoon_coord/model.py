@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # Discharge multiplier for a truck leading a platoon or driving alone.
 LEAD_COEFF = 1.0
@@ -58,14 +58,8 @@ class TruckKind(Enum):
     ELECTRIC = "ET"
 
 
-@dataclass(frozen=True)
-class TruckSpec:
-    """Immutable inputs of one truck.
-
-    Battery fields are required for ELECTRIC trucks and must be left as None
-    for FUEL trucks. SoC quantities are percentages of battery capacity,
-    times are minutes, distances kilometres.
-    """
+class _TruckFields(NamedTuple):
+    """The fields of `TruckSpec`, in order; build trucks through `TruckSpec`."""
 
     id: int
     kind: TruckKind
@@ -76,40 +70,45 @@ class TruckSpec:
     safe_soc: Optional[float] = None        # minimum percent allowed en route
     max_soc: Optional[float] = None         # battery capacity in percent
 
-    def __post_init__(self):
-        if self.arrival_time < 0:
-            raise ContractViolation(f"truck {self.id}: arrival_time must be >= 0")
-        battery = (
-            self.initial_soc,
-            self.charge_rate,
-            self.discharge_rate,
-            self.safe_soc,
-            self.max_soc,
-        )
-        if self.kind is TruckKind.FUEL:
+
+class TruckSpec(_TruckFields):
+    """Immutable inputs of one truck.
+
+    Battery fields are required for ELECTRIC trucks and must be left as None
+    for FUEL trucks. SoC quantities are percentages of battery capacity,
+    times are minutes, distances kilometres.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, kind: TruckKind, arrival_time: float,
+                initial_soc: Optional[float] = None, charge_rate: Optional[float] = None,
+                discharge_rate: Optional[float] = None, safe_soc: Optional[float] = None,
+                max_soc: Optional[float] = None):
+        if arrival_time < 0:
+            raise ContractViolation(f"truck {id}: arrival_time must be >= 0")
+        battery = (initial_soc, charge_rate, discharge_rate, safe_soc, max_soc)
+        if kind is TruckKind.FUEL:
             if any(v is not None for v in battery):
-                raise ContractViolation(
-                    f"truck {self.id}: fuel trucks carry no battery fields"
-                )
-            return
-        if any(v is None for v in battery):
-            raise ContractViolation(
-                f"truck {self.id}: electric trucks need all battery fields"
-            )
-        if self.charge_rate <= 0:
-            raise ContractViolation(f"truck {self.id}: charge_rate must be > 0")
-        if self.discharge_rate < 0:
-            raise ContractViolation(f"truck {self.id}: discharge_rate must be >= 0")
-        if not 0 <= self.safe_soc < 100:
-            raise ContractViolation(f"truck {self.id}: safe_soc must be in [0, 100)")
-        if not self.safe_soc < self.max_soc <= 100:
-            raise ContractViolation(
-                f"truck {self.id}: max_soc must be in (safe_soc, 100]"
-            )
-        if not 0 <= self.initial_soc <= self.max_soc:
-            raise ContractViolation(
-                f"truck {self.id}: initial_soc must be in [0, max_soc]"
-            )
+                raise ContractViolation(f"truck {id}: fuel trucks carry no battery fields")
+        elif None in battery:
+            raise ContractViolation(f"truck {id}: electric trucks need all battery fields")
+        elif charge_rate <= 0:
+            raise ContractViolation(f"truck {id}: charge_rate must be > 0")
+        elif discharge_rate < 0:
+            raise ContractViolation(f"truck {id}: discharge_rate must be >= 0")
+        elif not 0 <= safe_soc < 100:
+            raise ContractViolation(f"truck {id}: safe_soc must be in [0, 100)")
+        elif not safe_soc < max_soc <= 100:
+            raise ContractViolation(f"truck {id}: max_soc must be in (safe_soc, 100]")
+        elif not 0 <= initial_soc <= max_soc:
+            raise ContractViolation(f"truck {id}: initial_soc must be in [0, max_soc]")
+        return tuple.__new__(cls, (id, kind, arrival_time) + battery)
+
+    @classmethod
+    def _make(cls, iterable):
+        # The tuple's own `_make`, which `_replace` calls, skips `__new__`.
+        return cls(*iterable)
 
     @property
     def is_electric(self) -> bool:

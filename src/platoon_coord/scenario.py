@@ -330,18 +330,23 @@ def _scalar(value) -> str:
     return json.dumps(value)
 
 
+def _frame(brackets: str, depth: int):
+    """The text that opens, separates and closes the items of a JSON array
+    or object at nesting `depth`, as `json.dump(indent=2)` lays them out."""
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad, "," + pad, "\n" + "  " * depth + brackets[1]
+
+
 def _container(brackets: str, items: list, depth: int) -> str:
-    """A JSON array or object of rendered items at nesting `depth`, laid out
-    as `json.dump(indent=2)` lays it out."""
+    """A JSON array or object of rendered items at nesting `depth`."""
     if not items:
         return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return (brackets[0] + pad + ("," + pad).join(items)
-            + "\n" + "  " * depth + brackets[1])
+    opening, sep, closing = _frame(brackets, depth)
+    return opening + sep.join(items) + closing
 
 
 # Ledger rows, platoons and the file, keys in sorted order and indented as at
-# their nesting depth; `_container` places the opening brace of each item.
+# their nesting depth; `_frame` places the opening brace of each item.
 _ET_ROW = """{
           "charge": %s,
           "id": %s,
@@ -363,7 +368,7 @@ _PLATOON = """{
       "ledger": %s,
       "members": %s
     }"""
-_SOLUTION = """{
+_HEAD = """{
   "diagnostics": {
     "backend": %s,
     "dp_updates": %s,
@@ -375,7 +380,8 @@ _SOLUTION = """{
     "solve_ms": %s
   },
   "method": %s,
-  "platoons": %s,
+  "platoons": """
+_TAIL = """,
   "totals": {
     "J": %s,
     "L": %s,
@@ -405,14 +411,15 @@ def _platoon(p) -> str:
     )
 
 
-def solution_text(solution: Solution, include_timing: bool = False) -> str:
-    """The solution file: the bytes `json.dump(doc, fh, indent=2,
-    sort_keys=True)` and a newline give for the schema document. This is the
-    one statement of the solution layout. Wall-clock timing is volatile, so
-    it is written as null unless explicitly requested."""
+def _solution_chunks(solution: Solution, include_timing: bool):
+    """The solution file in chunks of one platoon each: the bytes
+    `json.dump(doc, fh, indent=2, sort_keys=True)` and a newline give for the
+    schema document. This is the one statement of the solution layout.
+    Wall-clock timing is volatile, so it is written as null unless
+    explicitly requested."""
     diag = solution.diagnostics
     sizes = {str(k): v for k, v in diag.platoon_sizes.items()}
-    return _SOLUTION % (
+    yield _HEAD % (
         _scalar(diag.backend),
         _scalar(diag.dp_updates),
         _scalar(diag.dp_value),
@@ -422,12 +429,25 @@ def solution_text(solution: Solution, include_timing: bool = False) -> str:
         _container("{}", [f"{_scalar(k)}: {_scalar(v)}" for k, v in sorted(sizes.items())], 2),
         _scalar(diag.solve_ms if include_timing else None),
         _scalar(solution.method),
-        _container("[]", [_platoon(p) for p in solution.platoons], 1),
+    )
+    if not solution.platoons:
+        yield "[]"
+    else:  # `_container("[]", platoons, 1)`, rendered a platoon at a time
+        opening, sep, closing = _frame("[]", 1)
+        for k, p in enumerate(solution.platoons):
+            yield (sep if k else opening) + _platoon(p)
+        yield closing
+    yield _TAIL % (
         _scalar(solution.utility),
         _scalar(solution.loss),
         _scalar(solution.profit),
         _scalar(SCHEMA_VERSION),
     )
+
+
+def solution_text(solution: Solution, include_timing: bool = False) -> str:
+    """The solution file as one string: the bytes `save_solution` writes."""
+    return "".join(_solution_chunks(solution, include_timing))
 
 
 def solution_to_json(solution: Solution, include_timing: bool = False) -> dict:
@@ -436,5 +456,7 @@ def solution_to_json(solution: Solution, include_timing: bool = False) -> dict:
 
 
 def save_solution(solution: Solution, path: str, include_timing: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(solution_text(solution, include_timing))
+    # Each chunk is one platoon, a few kB: a 1 MiB buffer gathers them into
+    # few system calls while holding at most 1 MiB of the file.
+    with open(path, "w", encoding="utf-8", buffering=1 << 20) as fh:
+        fh.writelines(_solution_chunks(solution, include_timing))

@@ -8,9 +8,8 @@ profit minus the charging and waiting cost of every member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +44,7 @@ def leader_type_for_kind(kind: TruckKind) -> LeaderType:
     return LeaderType.ELECTRIC if kind is TruckKind.ELECTRIC else LeaderType.FUEL
 
 
-@dataclass(frozen=True)
-class MemberLedger:
+class MemberLedger(NamedTuple):
     """Per-member schedule entry inside one platoon."""
 
     truck_id: int
@@ -60,8 +58,7 @@ class MemberLedger:
     can_lead: bool               # departure SoC covers the lead-role trip
 
 
-@dataclass(frozen=True)
-class PlatoonAssignment:
+class PlatoonAssignment(NamedTuple):
     """One scheduled platoon: members, leader, departure, and its money totals."""
 
     ranks: Tuple[int, ...]

@@ -163,7 +163,7 @@ class TestCheckPrepared:
 
     def test_departure_order_required(self):
         a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
-        swapped = [replace(b, rank=0), replace(a, rank=1)]
+        swapped = [b._replace(rank=0), a._replace(rank=1)]
         with pytest.raises(ContractViolation, match="sorted by earliest departure"):
             run_dp(swapped, REF_ROUTE, REF_ECON, mode=0)
 
@@ -180,7 +180,7 @@ class TestValueInvariant:
         real = dp.price_platoons
 
         def drifted(*args, **kwargs):
-            return [replace(p, loss=p.loss + 1e-3, utility=p.utility - 1e-3)
+            return [p._replace(loss=p.loss + 1e-3, utility=p.utility - 1e-3)
                     for p in real(*args, **kwargs)]
 
         monkeypatch.setattr(dp, "price_platoons", drifted)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -176,6 +177,21 @@ class TestSolutionFiles:
         save_solution(sol, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_save_holds_a_platoon_at_a_time(self, tmp_path):
+        """Writing a file holds its write buffer, not the whole text."""
+        inst = generate(ScenarioConfig(seed=0))
+        sol = solve_dp_ls(prepare_fleet(inst), inst.route, inst.econ)
+        sol = replace(sol, platoons=sol.platoons * 40)  # about 8 MB of text
+        path = tmp_path / "sol.json"
+        tracemalloc.start()
+        try:
+            save_solution(sol, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+        assert path.read_text(encoding="utf-8") == solution_text(sol)
+
 
 def reference_doc(solution, include_timing=False):
     """The solution file's schema document, built field by field."""
@@ -298,10 +314,10 @@ class TestSolutionText:
         sol = solve_dp_ls(prepare_fleet(inst), REF_ROUTE, REF_ECON)
         (p,) = sol.platoons
         electric, fuel = sorted(p.ledger, key=lambda row: row.departure_soc is None)
-        ledger = (replace(electric, charge_time=np.float64(1.25), departure_soc=float("inf"),
-                          arrival_soc=np.float64(-0.0)),
-                  replace(fuel, wait_time=float("nan")))
-        sol = replace(sol, platoons=[replace(p, ledger=ledger, departure_time=np.float64(7.5))],
+        ledger = (electric._replace(charge_time=np.float64(1.25), departure_soc=float("inf"),
+                                    arrival_soc=np.float64(-0.0)),
+                  fuel._replace(wait_time=float("nan")))
+        sol = replace(sol, platoons=[p._replace(ledger=ledger, departure_time=np.float64(7.5))],
                       profit=np.float64(sol.profit), loss=float("-inf"))
         sol.diagnostics.dp_value = float("nan")
         sol.diagnostics.solve_ms = np.float64(2.5)
