@@ -411,8 +411,12 @@ def _platoon(p) -> str:
     )
 
 
+# Platoons rendered per chunk: tens of kB of text, few enough writes.
+_PLATOONS_PER_CHUNK = 16
+
+
 def _solution_chunks(solution: Solution, include_timing: bool):
-    """The solution file in chunks of one platoon each: the bytes
+    """The solution file in chunks of a few platoons each: the bytes
     `json.dump(doc, fh, indent=2, sort_keys=True)` and a newline give for the
     schema document. This is the one statement of the solution layout.
     Wall-clock timing is volatile, so it is written as null unless
@@ -430,12 +434,14 @@ def _solution_chunks(solution: Solution, include_timing: bool):
         _scalar(diag.solve_ms if include_timing else None),
         _scalar(solution.method),
     )
-    if not solution.platoons:
+    platoons = solution.platoons
+    if not platoons:
         yield "[]"
-    else:  # `_container("[]", platoons, 1)`, rendered a platoon at a time
+    else:  # `_container("[]", platoons, 1)`, a few platoons per chunk
         opening, sep, closing = _frame("[]", 1)
-        for k, p in enumerate(solution.platoons):
-            yield (sep if k else opening) + _platoon(p)
+        for k in range(0, len(platoons), _PLATOONS_PER_CHUNK):
+            chunk = platoons[k:k + _PLATOONS_PER_CHUNK]
+            yield (sep if k else opening) + sep.join(map(_platoon, chunk))
         yield closing
     yield _TAIL % (
         _scalar(solution.utility),
@@ -456,7 +462,7 @@ def solution_to_json(solution: Solution, include_timing: bool = False) -> dict:
 
 
 def save_solution(solution: Solution, path: str, include_timing: bool = False) -> None:
-    # Each chunk is one platoon, a few kB: a 1 MiB buffer gathers them into
-    # few system calls while holding at most 1 MiB of the file.
+    # The chunks are tens of kB: a 1 MiB buffer gathers them into few system
+    # calls while holding at most 1 MiB of the file.
     with open(path, "w", encoding="utf-8", buffering=1 << 20) as fh:
         fh.writelines(_solution_chunks(solution, include_timing))

@@ -177,7 +177,7 @@ class TestSolutionFiles:
         save_solution(sol, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_save_holds_a_platoon_at_a_time(self, tmp_path):
+    def test_save_does_not_hold_the_whole_file(self, tmp_path):
         """Writing a file holds its write buffer, not the whole text."""
         inst = generate(ScenarioConfig(seed=0))
         sol = solve_dp_ls(prepare_fleet(inst), inst.route, inst.econ)
