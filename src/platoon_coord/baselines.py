@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import groupby
 from typing import List, Sequence
 
 from .discretize import PreparedTruck
@@ -75,13 +76,18 @@ def _schedule_block(block: Sequence[PreparedTruck], depart_at: float,
     return [evaluate_platoon(block, chosen, route, econ, depart_at=depart_at)]
 
 
-def _chunked(group: Sequence[PreparedTruck], cap: int):
-    for start in range(0, len(group), cap):
-        yield group[start:start + cap]
-
-
-def _finish(method: str, platoons: List[PlatoonAssignment], route: RouteParams,
-            start: float) -> Solution:
+def _solve_grouped(method: str, prepared: Sequence[PreparedTruck], slot,
+                   route: RouteParams, econ: EconomicParams, seed: int) -> Solution:
+    """Send out each run of trucks whose earliest departures share a slot at
+    that slot's instant, `slot(earliest_departure)`, in blocks of at most
+    nbar trucks."""
+    start = time.perf_counter()
+    cap = route.max_platoon_size
+    platoons: List[PlatoonAssignment] = []
+    for depart_at, group in groupby(prepared, key=lambda m: slot(m.earliest_departure)):
+        group = list(group)
+        for k in range(0, len(group), cap):
+            platoons.extend(_schedule_block(group[k:k + cap], depart_at, route, econ, seed))
     diag = Diagnostics(
         solve_ms=(time.perf_counter() - start) * 1e3,
         horizon_violation=any(
@@ -94,21 +100,8 @@ def _finish(method: str, platoons: List[PlatoonAssignment], route: RouteParams,
 def solve_spontaneous(prepared: Sequence[PreparedTruck], route: RouteParams,
                       econ: EconomicParams, seed: int) -> Solution:
     """Depart at the earliest departure; platoon only on exact ties."""
-    start = time.perf_counter()
-    platoons: List[PlatoonAssignment] = []
-    i = 0
-    while i < len(prepared):
-        j = i
-        while (j + 1 < len(prepared)
-               and prepared[j + 1].earliest_departure == prepared[i].earliest_departure):
-            j += 1
-        group = prepared[i:j + 1]
-        for block in _chunked(group, route.max_platoon_size):
-            platoons.extend(
-                _schedule_block(block, group[0].earliest_departure, route, econ, seed)
-            )
-        i = j + 1
-    return _finish(SPONTANEOUS, platoons, route, start)
+    # The identity, not `float`: an integer arrival stays an integer.
+    return _solve_grouped(SPONTANEOUS, prepared, lambda t: t, route, econ, seed)
 
 
 def _slot_end(ready: float, interval: float) -> float:
@@ -127,17 +120,5 @@ def solve_fixed_interval(prepared: Sequence[PreparedTruck], route: RouteParams,
     """
     if interval <= 0:
         raise ContractViolation("interval must be > 0")
-    start = time.perf_counter()
-    platoons: List[PlatoonAssignment] = []
-    i = 0
-    while i < len(prepared):
-        end = _slot_end(prepared[i].earliest_departure, interval)
-        j = i
-        while (j + 1 < len(prepared)
-               and _slot_end(prepared[j + 1].earliest_departure, interval) == end):
-            j += 1
-        group = prepared[i:j + 1]
-        for block in _chunked(group, route.max_platoon_size):
-            platoons.extend(_schedule_block(block, end, route, econ, seed))
-        i = j + 1
-    return _finish(FIXED_INTERVAL, platoons, route, start)
+    return _solve_grouped(FIXED_INTERVAL, prepared,
+                          lambda t: _slot_end(t, interval), route, econ, seed)

@@ -1,4 +1,6 @@
-"""The value-recursion kernel and the fleet columns it reads.
+"""The value-recursion kernel, the fleet columns it reads, and the
+per-member arithmetic that it and the batch pricer `utility.price_platoons`
+share: `member_terms`, `solo_departure` and `block_profit`.
 
 The recursion scans every (prefix, platoon size, leader kind) candidate,
 which dominates runtime at fleet scale. It runs in two steps: numpy prices
@@ -56,23 +58,20 @@ def leader_draw_bits(seed: int, n_trucks: int, max_size: int) -> np.ndarray:
 
 @dataclass
 class FleetArrays:
-    """Column-wise view of a prepared fleet, ready for the kernels and the
+    """Column-wise view of a prepared fleet, ready for the kernel and the
     batch pricer.
 
-    Fuel trucks carry zeros in the battery columns; `alone_ok` marks trucks
-    that can ever drive the route alone (fuel trucks always can).
+    Fuel trucks carry zeros in the battery columns, so `member_terms` gives
+    them no charge and lets them lead without a special case.
     """
 
     tau_delta: np.ndarray     # earliest departure per rank, minutes
     tau_cmin: np.ndarray      # mandatory charge minutes
     is_et: np.ndarray         # uint8 flags
-    sd_min: np.ndarray        # departure SoC after the mandatory charge
-    fill_time: np.ndarray     # minutes from sd_min to a full battery
+    fill_time: np.ndarray     # minutes from the mandatory-charge SoC to full
     rate: np.ndarray          # charge rate, percent per minute
     need_lead: np.ndarray     # departure SoC required to lead or drive alone
-    alone_charge: np.ndarray  # charge minutes for a safe solo departure
-    alone_depart: np.ndarray  # arrival + alone_charge, minutes
-    alone_ok: np.ndarray      # uint8: the solo role is reachable at all
+    alone_depart: np.ndarray  # arrival + alone-safe charge minutes
     arrival: np.ndarray       # hub arrival time, minutes
     init_soc: np.ndarray      # SoC at hub arrival, percent
     max_soc: np.ndarray       # battery capacity, percent
@@ -119,26 +118,53 @@ def fleet_arrays(prepared, route) -> FleetArrays:
 
     alone_depart = tau_delta.copy()
     alone_depart[et] = arrival[et] + alone_charge
-    alone_ok = np.ones(n, np.uint8)
-    alone_ok[et] = need_lead <= cap + SOC_TOL
     is_et = np.zeros(n, np.uint8)
     is_et[et] = 1
     return FleetArrays(
         tau_delta=tau_delta,
         tau_cmin=column(cmin),
         is_et=is_et,
-        sd_min=column(sd_min),
         fill_time=column((cap - sd_min) / rate),
         rate=column(rate),
         need_lead=column(need_lead),
-        alone_charge=column(alone_charge),
         alone_depart=alone_depart,
-        alone_ok=alone_ok,
         arrival=arrival,
         init_soc=column(init),
         max_soc=column(cap),
         vrate=column(vrate),
     )
+
+
+def member_terms(arr: FleetArrays, idx, depart):
+    """Charge and wait minutes, departure SoC and `can_lead` of the trucks at
+    ranks `idx` leaving at `depart` (arrays that broadcast together).
+
+    After the mandatory charge a member charges until full or until the
+    platoon leaves, and waits for the rest of its gap; the operations run in
+    `utility.evaluate_platoon`'s order, so each entry equals the scalar
+    figure bit for bit. Fuel trucks come out with no charge and able to lead.
+    `depart` must not precede any member's earliest departure.
+    """
+    charge = arr.tau_cmin[idx] + np.minimum(arr.fill_time[idx], depart - arr.tau_delta[idx])
+    wait = depart - arr.arrival[idx] - charge
+    dep_soc = np.minimum(arr.max_soc[idx], arr.init_soc[idx] + arr.rate[idx] * charge)
+    can_lead = dep_soc >= arr.need_lead[idx] - SOC_TOL
+    return charge, wait, dep_soc, can_lead
+
+
+def solo_departure(arr: FleetArrays, idx, depart):
+    """Departure of the truck at rank `idx` leaving alone no earlier than
+    `depart`: a lone ET first charges to the alone-safe level."""
+    return np.where(arr.is_et[idx] == 1, np.maximum(depart, arr.alone_depart[idx]), depart)
+
+
+def block_profit(econ, et_count, ft_count, fuel_led):
+    """Follower savings of blocks with these member counts and leader kinds:
+    every member but the leader earns its kind's follower profit, so a
+    one-truck block earns 0.0."""
+    fuel = np.asarray(fuel_led, dtype=np.intp)
+    return (econ.ft_follower_profit * (ft_count - fuel)
+            + econ.et_follower_profit * (et_count - (1 - fuel)))
 
 
 def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
@@ -152,42 +178,31 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
     prefix length each candidate extends.
     """
     ew, ec = econ.wait_cost, econ.charge_cost
-    xi_e, xi_f = econ.et_follower_profit, econ.ft_follower_profit
     n = arr.size
     k = np.arange(nbar)
-    rows = np.arange(n)[:, None]
-    idx = rows - k[None, :]
+    rows = np.arange(n)
+    idx = rows[:, None] - k[None, :]
     valid = idx >= 0
     idxc = np.where(valid, idx, 0)
 
-    t = arr.tau_delta[:, None]
-    dt = t - arr.tau_delta[idxc]
+    charge, wait, _, can_lead = member_terms(arr, idxc, arr.tau_delta[:, None])
+    cum_loss = np.cumsum(np.where(valid, ec * charge + ew * wait, 0.0), axis=1)
     etw = arr.is_et[idxc].astype(bool) & valid
-    xc = np.minimum(arr.fill_time[idxc], dt)
-    member_loss = np.where(
-        etw,
-        ec * arr.tau_cmin[idxc] + ew * dt - (ew - ec) * xc,
-        ew * dt,
-    )
-    cum_loss = np.cumsum(np.where(valid, member_loss, 0.0), axis=1)
     et_cnt = np.cumsum(etw, axis=1)
-    sizes = np.arange(1, nbar + 1)[None, :]
-    ft_cnt = sizes - et_cnt
+    ft_cnt = np.arange(1, nbar + 1)[None, :] - et_cnt
+    lead_ok = np.logical_or.accumulate(etw & can_lead, axis=1)
 
-    s_dep = arr.sd_min[idxc] + arr.rate[idxc] * xc
-    lead_ok = np.logical_or.accumulate(etw & (s_dep >= arr.need_lead[idxc] - SOC_TOL), axis=1)
-
-    j_e = (xi_f * ft_cnt + xi_e * (et_cnt - 1)) - cum_loss
-    j_f = (xi_f * (ft_cnt - 1) + xi_e * et_cnt) - cum_loss
+    j_e = block_profit(econ, et_cnt, ft_cnt, False) - cum_loss
+    j_f = block_profit(econ, et_cnt, ft_cnt, True) - cum_loss
     val_e = valid & lead_ok
     val_f = valid & (ft_cnt >= 1)
 
-    # Size-1 candidates: a lone ET charges to the alone-safe level instead.
-    et_b = arr.is_et.astype(bool)
-    j_e[:, 0] = np.where(et_b, -ec * arr.alone_charge, -np.inf)
-    val_e[:, 0] = et_b & (arr.alone_ok == 1) & (arr.alone_depart <= horizon + TIME_TOL)
-    j_f[:, 0] = 0.0
-    val_f[:, 0] = ~et_b
+    # Size-1 candidates leave at the solo departure. Column 0 above stays
+    # priced at the row's own departure, since every larger block sums it.
+    t0 = solo_departure(arr, rows, arr.tau_delta)
+    charge, wait, _, can_lead = member_terms(arr, rows, t0)
+    j_e[:, 0] = 0.0 - (ec * charge + ew * wait)
+    val_e[:, 0] = (arr.is_et == 1) & can_lead & (t0 <= horizon + TIME_TOL)
 
     if mode == 0:
         pick_e = val_e & (~val_f | (j_e >= j_f))

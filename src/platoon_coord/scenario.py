@@ -44,8 +44,7 @@ class ScenarioConfig:
 
     Defaults describe the reference scenario used throughout the test suite:
     1000 trucks, 30% electric, arrivals uniform over a 24 h horizon, one
-    200 km hub-to-hub leg. Speed is carried as metadata only; no computed
-    quantity depends on it.
+    200 km hub-to-hub leg.
     """
 
     n_trucks: int = 1000
@@ -67,7 +66,6 @@ class ScenarioConfig:
     soc_lo: Optional[float] = None   # default: safe_soc
     soc_hi: Optional[float] = None   # default: max_soc
     interval: float = 30.0           # fixed-interval baseline slot length
-    speed_kmh: float = 80.0          # metadata only
     seed: int = 0
 
     def route(self) -> RouteParams:

@@ -14,7 +14,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .discretize import PreparedTruck
-from .kernels import FleetArrays
+from .kernels import FleetArrays, block_profit, member_terms, solo_departure
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -300,17 +300,9 @@ def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
     if (np.where(fuel_led, ft_count, et_count) < 1).any():
         raise ContractViolation("no member of the leader's kind to lead this platoon")
 
-    # A solo ET leaves no earlier than its alone-safe departure.
     depart = np.maximum.reduceat(arr.tau_delta[idx], offsets)
-    solo_et = solo & et[offsets]
-    depart[solo_et] = np.maximum(depart[solo_et], arr.alone_depart[starts[solo_et]])
-
-    t = depart[block]
-    slack = np.maximum(t - arr.tau_delta[idx], 0.0)
-    charge = np.where(et, arr.tau_cmin[idx] + np.minimum(arr.fill_time[idx], slack), 0.0)
-    wait = t - arr.arrival[idx] - charge
-    dep_soc = np.minimum(arr.max_soc[idx], arr.init_soc[idx] + arr.rate[idx] * charge)
-    can_lead = ~et | (dep_soc >= arr.need_lead[idx] - SOC_TOL)
+    depart[solo] = solo_departure(arr, starts[solo], depart[solo])
+    charge, wait, dep_soc, can_lead = member_terms(arr, idx, depart[block])
 
     # Leader: the first fuel truck, or the ET with the highest departure SoC
     # among those that can lead (among all ETs when none can), first on ties.
@@ -333,10 +325,7 @@ def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
     for k in range(int(sizes.max())):  # rank order, as the scalar sum runs
         live = np.flatnonzero(sizes > k)
         loss[live] += cost[offsets[live] + k]
-    xi_e, xi_f = econ.et_follower_profit, econ.ft_follower_profit
-    profit = np.where(fuel_led, xi_f * (ft_count - 1) + xi_e * et_count,
-                      xi_f * ft_count + xi_e * (et_count - 1))
-    profit[solo] = 0.0
+    profit = block_profit(econ, et_count, ft_count, fuel_led)
 
     ranks = idx.tolist()
     ledger = list(map(  # positional, in MemberLedger's field order

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from platoon_coord import (
+    HorizonExceededError,
     LeaderType,
     NoFeasibleScheduleError,
     ScenarioConfig,
@@ -14,10 +16,16 @@ from platoon_coord import (
     prepare_fleet,
 )
 from platoon_coord.dp import run_dp, solve_dp_ls, solve_dp_nls
-from platoon_coord.kernels import leader_draw_bit, leader_draw_bits
-from platoon_coord.model import TIME_TOL
+from platoon_coord.kernels import (
+    _candidate_table,
+    fleet_arrays,
+    leader_draw_bit,
+    leader_draw_bits,
+)
+from platoon_coord.model import MONEY_TOL, TIME_TOL
 from platoon_coord.utility import leader_type_for_kind
-from conftest import ET_VRATE, REF_ECON, REF_ROUTE, et, ft, prepare
+from conftest import ET_VRATE, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
+from test_pricing import DEGENERATE
 
 
 class TestBackendSelection:
@@ -165,3 +173,52 @@ class TestAgainstEnumeration:
                 drawn = _best_total(blocks, n, nbar, _drawn(seed))
                 assert solve_dp_nls(prepared, route, REF_ECON, seed).utility == \
                     pytest.approx(drawn, abs=1e-9)
+
+
+def _check_table_against_reference(prepared, route, econ, seed):
+    """The candidate table, in both recursion modes, against `_safe_blocks`:
+    an entry is finite exactly when its block has a safe leader kind; its
+    kind is one of those, and its utility is what `evaluate_platoon` gives
+    the block under that kind. One- and two-truck blocks match bit for bit;
+    larger ones sum member costs in another order, so they match to
+    `MONEY_TOL` relative to R + L."""
+    arr = fleet_arrays(prepared, route)
+    nbar = route.max_platoon_size
+    blocks = _safe_blocks(prepared, route, econ)
+    draws = leader_draw_bits(seed, arr.size, nbar)
+    for mode, bits in ((0, np.zeros((1, 1), np.uint8)), (1, draws)):
+        utility, leader, _, _ = _candidate_table(arr, econ, nbar, route.horizon,
+                                                 mode, bits)
+        assert np.isfinite(utility).sum() == sum(1 for safe in blocks.values() if safe)
+        for (end, size), safe in blocks.items():
+            got = utility[end - 1, size - 1].item()
+            if not safe:
+                assert got == -np.inf, (mode, end, size)
+                continue
+            kind = LeaderType.FUEL if leader[end - 1, size - 1] else LeaderType.ELECTRIC
+            assert kind in safe, (mode, end, size)
+            ref = evaluate_platoon(prepared[end - size:end], kind, route, econ)
+            if size <= 2:
+                assert got == ref.utility and repr(got) == repr(ref.utility), \
+                    (mode, end, size, got, ref.utility)
+            else:
+                assert abs(got - ref.utility) <= MONEY_TOL * (1 + ref.profit + ref.loss)
+
+
+class TestCandidateTableAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets(self, instance):
+        try:
+            prepared = prepare_fleet(instance)
+        except HorizonExceededError:
+            return
+        _check_table_against_reference(prepared, instance.route, instance.econ,
+                                       instance.seed)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_fleets(self, name):
+        trucks, route, econ = DEGENERATE[name]
+        prepared = prepare(trucks, route=route, econ=econ)
+        for seed in (0, 5):
+            _check_table_against_reference(prepared, route, econ, seed)

@@ -25,9 +25,8 @@ from platoon_coord import (
     solve_dp_nls,
 )
 from platoon_coord.kernels import fleet_arrays
-from platoon_coord.model import LEAD_COEFF, SOC_TOL, departure_soc_bounds
+from platoon_coord.model import LEAD_COEFF, departure_soc_bounds
 from platoon_coord.utility import (
-    alone_charge_time,
     alone_departure,
     leader_type_for_kind,
     price_platoons,
@@ -194,24 +193,20 @@ def test_every_block_and_leader_kind(case):
 def _scalar_columns(m, route):
     """The `fleet_arrays` entries of one truck, from the scalar formulas."""
     if not m.is_electric:
-        zero = dict.fromkeys(("tau_cmin", "sd_min", "fill_time", "rate", "need_lead",
-                              "alone_charge", "init_soc", "max_soc", "vrate"), 0.0)
+        zero = dict.fromkeys(("tau_cmin", "fill_time", "rate", "need_lead",
+                              "init_soc", "max_soc", "vrate"), 0.0)
         return dict(zero, tau_delta=m.earliest_departure, is_et=0,
-                    alone_depart=m.earliest_departure, alone_ok=1,
-                    arrival=m.arrival_time)
+                    alone_depart=m.earliest_departure, arrival=m.arrival_time)
     spec = m.spec
-    need, cap = departure_soc_bounds(spec, route, LEAD_COEFF)
+    need, _ = departure_soc_bounds(spec, route, LEAD_COEFF)
     return dict(
         tau_delta=m.earliest_departure,
         tau_cmin=m.min_charge_time,
         is_et=1,
-        sd_min=m.min_departure_soc,
         fill_time=(spec.max_soc - m.min_departure_soc) / spec.charge_rate,
         rate=spec.charge_rate,
         need_lead=need,
-        alone_charge=alone_charge_time(m, route),
         alone_depart=alone_departure(m, route),
-        alone_ok=int(need <= cap + SOC_TOL),
         arrival=m.arrival_time,
         init_soc=spec.initial_soc,
         max_soc=spec.max_soc,

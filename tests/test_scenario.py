@@ -81,6 +81,20 @@ class TestInstanceFiles:
         assert doc["rng"] == "numpy-philox4x64"
         assert doc["config"]["n_trucks"] == 30
 
+    def test_config_with_speed_kmh_loads(self, tmp_path):
+        """Instance files written while `ScenarioConfig` still had a
+        `speed_kmh` knob carry it in `config`; they load unchanged."""
+        cfg = ScenarioConfig(n_trucks=12, et_share=0.5, seed=3)
+        inst = generate(cfg)
+        path = tmp_path / "instance.json"
+        save_instance(inst, path, config=cfg)
+        doc = json.loads(path.read_text())
+        assert "speed_kmh" not in doc["config"]
+        doc["config"]["speed_kmh"] = 80.0
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        loaded = load_instance(path)
+        assert loaded == inst and repr(loaded) == repr(inst)
+
     def test_byte_identical_writes(self, tmp_path):
         inst = generate(ScenarioConfig(n_trucks=20, seed=5))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
