@@ -118,7 +118,7 @@ def solve_fixed_interval(prepared: Sequence[PreparedTruck], route: RouteParams,
     A nonempty slot ending past the horizon is still scheduled, but the
     solution is flagged in its diagnostics.
     """
-    if interval <= 0:
-        raise ContractViolation("interval must be > 0")
+    if not 0 < interval < math.inf:
+        raise ContractViolation(f"interval must be positive and finite, got {interval!r}")
     return _solve_grouped(FIXED_INTERVAL, prepared,
                           lambda t: _slot_end(t, interval), route, econ, seed)

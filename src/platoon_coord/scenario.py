@@ -154,14 +154,6 @@ def generate(config: ScenarioConfig) -> ProblemInstance:
     )
 
 
-def _truck_to_json(t: TruckSpec) -> dict:
-    row = {"id": t.id, "kind": t.kind.value, "arrival": t.arrival_time}
-    if t.is_electric:
-        row.update(soc0=t.initial_soc, rate=t.charge_rate, vrate=t.discharge_rate,
-                   safe=t.safe_soc, max=t.max_soc)
-    return row
-
-
 def _require(obj: dict, key: str, ctx: str):
     if key not in obj:
         raise InstanceFormatError(f"{ctx}: missing field '{key}'")
@@ -182,31 +174,11 @@ def _number(obj: dict, key: str, ctx: str):
     return value
 
 
-def save_instance(instance: ProblemInstance, path: str,
-                  config: Optional[ScenarioConfig] = None) -> None:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "rng": RNG_NAME,
-        "config": asdict(config) if config is not None else None,
-        "seed": instance.seed,
-        "route": {
-            "d": instance.route.distance,
-            "T": instance.route.horizon,
-            "nbar": instance.route.max_platoon_size,
-            "beta_f": instance.route.follower_coeff,
-        },
-        "econ": {
-            "ew": instance.econ.wait_cost,
-            "ec": instance.econ.charge_cost,
-            "xiE": instance.econ.et_follower_profit,
-            "xiF": instance.econ.ft_follower_profit,
-        },
-        "trucks": [_truck_to_json(t) for t in instance.trucks],
-    }
-    # json.dump would hand the file thousands of small chunks; one string is
-    # the same bytes in one write.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _integer(obj: dict, key: str, ctx: str) -> int:
+    value = _require(obj, key, ctx)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceFormatError(f"{ctx}: field '{key}' must be an integer, got {value!r}")
+    return value
 
 
 # Fields a truck row of each kind must carry for the positional fast path.
@@ -289,7 +261,7 @@ def load_instance(path: str) -> ProblemInstance:
     route = RouteParams(
         distance=_number(route_doc, "d", f"{path}: route"),
         horizon=_number(route_doc, "T", f"{path}: route"),
-        max_platoon_size=_number(route_doc, "nbar", f"{path}: route"),
+        max_platoon_size=_integer(route_doc, "nbar", f"{path}: route"),
         follower_coeff=_number(route_doc, "beta_f", f"{path}: route"),
     )
     econ = EconomicParams(
@@ -299,7 +271,7 @@ def load_instance(path: str) -> ProblemInstance:
         ft_follower_profit=_number(econ_doc, "xiF", f"{path}: econ"),
     )
     trucks = _load_trucks(trucks_doc, path)
-    seed = _number(doc, "seed", path)
+    seed = _integer(doc, "seed", path)
     try:
         return ProblemInstance(trucks=trucks, route=route, econ=econ, seed=seed)
     except TypeError as exc:  # the uniqueness check hashes every truck id
@@ -341,6 +313,110 @@ def _container(brackets: str, items: list, depth: int) -> str:
         return brackets
     opening, sep, closing = _frame(brackets, depth)
     return opening + sep.join(items) + closing
+
+
+def _scalar_object(mapping: dict, depth: int) -> str:
+    """A JSON object of scalar values at nesting `depth`, keys sorted."""
+    return _container("{}", [f"{_scalar(k)}: {_scalar(v)}" for k, v in sorted(mapping.items())],
+                      depth)
+
+
+def _array_chunks(items, render, depth: int, per_chunk: int):
+    """`_container("[]", [render(x) for x in items], depth)` in pieces of
+    `per_chunk` items, so that a writer holds one piece, not the array."""
+    if not items:
+        yield "[]"
+        return
+    opening, sep, closing = _frame("[]", depth)
+    for k in range(0, len(items), per_chunk):
+        yield (sep if k else opening) + sep.join(map(render, items[k:k + per_chunk]))
+    yield closing
+
+
+# The instance file up to its truck array and after it, and a truck row of
+# each kind, keys in sorted order and indented as at their nesting depth.
+_INSTANCE_HEAD = """{
+  "config": %s,
+  "econ": {
+    "ec": %s,
+    "ew": %s,
+    "xiE": %s,
+    "xiF": %s
+  },
+  "rng": %s,
+  "route": {
+    "T": %s,
+    "beta_f": %s,
+    "d": %s,
+    "nbar": %s
+  },
+  "seed": %s,
+  "trucks": """
+_INSTANCE_TAIL = """,
+  "version": %s
+}
+"""
+_ET_TRUCK = """{
+      "arrival": %s,
+      "id": %s,
+      "kind": "ET",
+      "max": %s,
+      "rate": %s,
+      "safe": %s,
+      "soc0": %s,
+      "vrate": %s
+    }"""
+_FT_TRUCK = """{
+      "arrival": %s,
+      "id": %s,
+      "kind": "FT"
+    }"""
+
+
+def _truck(t: TruckSpec) -> str:
+    truck_id, kind, arrival, soc0, rate, vrate, safe, cap = t
+    if kind is TruckKind.FUEL:
+        return _FT_TRUCK % (_scalar(arrival), _scalar(truck_id))
+    return _ET_TRUCK % (_scalar(arrival), _scalar(truck_id), _scalar(cap), _scalar(rate),
+                        _scalar(safe), _scalar(soc0), _scalar(vrate))
+
+
+# Trucks rendered per chunk: about the text of `_PLATOONS_PER_CHUNK` platoons.
+_TRUCKS_PER_CHUNK = 128
+
+
+def _instance_chunks(instance: ProblemInstance, config: Optional[ScenarioConfig]):
+    """The instance file in chunks of a few trucks each: the bytes
+    `json.dump(doc, fh, indent=2, sort_keys=True)` and a newline give for the
+    schema document. This is the one statement of the instance layout."""
+    route, econ = instance.route, instance.econ
+    yield _INSTANCE_HEAD % (
+        "null" if config is None else _scalar_object(asdict(config), 1),
+        _scalar(econ.charge_cost),
+        _scalar(econ.wait_cost),
+        _scalar(econ.et_follower_profit),
+        _scalar(econ.ft_follower_profit),
+        _scalar(RNG_NAME),
+        _scalar(route.horizon),
+        _scalar(route.follower_coeff),
+        _scalar(route.distance),
+        _scalar(route.max_platoon_size),
+        _scalar(instance.seed),
+    )
+    yield from _array_chunks(instance.trucks, _truck, 1, _TRUCKS_PER_CHUNK)
+    yield _INSTANCE_TAIL % _scalar(SCHEMA_VERSION)
+
+
+def instance_text(instance: ProblemInstance, config: Optional[ScenarioConfig] = None) -> str:
+    """The instance file as one string: the bytes `save_instance` writes."""
+    return "".join(_instance_chunks(instance, config))
+
+
+def save_instance(instance: ProblemInstance, path: str,
+                  config: Optional[ScenarioConfig] = None) -> None:
+    # As in `save_solution`: chunks of tens of kB through a 1 MiB buffer.
+    with open(path, "w", encoding="utf-8", buffering=1 << 20) as fh:
+        fh.writelines(_instance_chunks(instance, config))
 
 
 # Ledger rows, platoons and the file, keys in sorted order and indented as at
@@ -428,19 +504,11 @@ def _solution_chunks(solution: Solution, include_timing: bool):
         _scalar(diag.et_led),
         _scalar(diag.ft_led),
         _scalar(diag.horizon_violation),
-        _container("{}", [f"{_scalar(k)}: {_scalar(v)}" for k, v in sorted(sizes.items())], 2),
+        _scalar_object(sizes, 2),
         _scalar(diag.solve_ms if include_timing else None),
         _scalar(solution.method),
     )
-    platoons = solution.platoons
-    if not platoons:
-        yield "[]"
-    else:  # `_container("[]", platoons, 1)`, a few platoons per chunk
-        opening, sep, closing = _frame("[]", 1)
-        for k in range(0, len(platoons), _PLATOONS_PER_CHUNK):
-            chunk = platoons[k:k + _PLATOONS_PER_CHUNK]
-            yield (sep if k else opening) + sep.join(map(_platoon, chunk))
-        yield closing
+    yield from _array_chunks(solution.platoons, _platoon, 1, _PLATOONS_PER_CHUNK)
     yield _TAIL % (
         _scalar(solution.utility),
         _scalar(solution.loss),

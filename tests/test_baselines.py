@@ -108,6 +108,10 @@ class TestFixedInterval:
                 assert row.wait_time >= -1e-9
 
     def test_interval_must_be_positive(self):
+        prepared = prepare([ft(1, 5.0), et(2, 3.0, soc=40.0)])
+        for interval in (0.0, -30.0, float("nan"), float("inf")):
+            with pytest.raises(ContractViolation, match="positive and finite"):
+                solve_fixed_interval(prepared, REF_ROUTE, REF_ECON, interval, seed=0)
         with pytest.raises(ContractViolation):
             solve_fixed_interval([], REF_ROUTE, REF_ECON, 0.0, seed=0)
 

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -24,8 +24,13 @@ from platoon_coord import (
     solve_fixed_interval,
     solve_spontaneous,
 )
-from platoon_coord.cli import main
-from platoon_coord.scenario import _truck_from_row, solution_text, solution_to_json
+from platoon_coord.cli import METHODS, main
+from platoon_coord.scenario import (
+    _truck_from_row,
+    instance_text,
+    solution_text,
+    solution_to_json,
+)
 from conftest import REF_ECON, REF_ROUTE, et, fleet_instances, ft
 
 
@@ -366,6 +371,98 @@ class TestSolutionText:
         assert solution_to_json(sol, True) == reference_doc(sol, True)
 
 
+def reference_instance_doc(instance, config=None):
+    """The instance file's schema document, built field by field."""
+    def truck(t):
+        row = {"id": t.id, "kind": t.kind.value, "arrival": t.arrival_time}
+        if t.is_electric:
+            row.update(soc0=t.initial_soc, rate=t.charge_rate, vrate=t.discharge_rate,
+                       safe=t.safe_soc, max=t.max_soc)
+        return row
+
+    return {
+        "version": 1,
+        "rng": "numpy-philox4x64",
+        "config": asdict(config) if config is not None else None,
+        "seed": instance.seed,
+        "route": {
+            "d": instance.route.distance,
+            "T": instance.route.horizon,
+            "nbar": instance.route.max_platoon_size,
+            "beta_f": instance.route.follower_coeff,
+        },
+        "econ": {
+            "ew": instance.econ.wait_cost,
+            "ec": instance.econ.charge_cost,
+            "xiE": instance.econ.et_follower_profit,
+            "xiF": instance.econ.ft_follower_profit,
+        },
+        "trucks": [truck(t) for t in instance.trucks],
+    }
+
+
+def reference_instance_text(instance, config=None):
+    """What `json` writes for the instance document, with the final newline."""
+    return json.dumps(reference_instance_doc(instance, config), indent=2,
+                      sort_keys=True) + "\n"
+
+
+def assert_instance_matches_reference(instance, config=None):
+    assert instance_text(instance, config) == reference_instance_text(instance, config)
+
+
+class TestInstanceText:
+    @pytest.mark.parametrize("cfg", [ScenarioConfig(seed=0), DENSE],
+                             ids=["ref", "dense"])
+    def test_generated_fleets_match_reference(self, cfg, tmp_path):
+        inst = generate(cfg)
+        path = tmp_path / "fleet.json"
+        for config in (cfg, None):
+            assert_instance_matches_reference(inst, config)
+            save_instance(inst, path, config=config)
+            assert path.read_text(encoding="utf-8") == reference_instance_text(inst, config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets(self, instance):
+        assert_instance_matches_reference(instance)
+        assert_instance_matches_reference(
+            instance, ScenarioConfig(n_trucks=len(instance.trucks), seed=instance.seed))
+
+    def test_integer_arrivals_stay_integers(self):
+        inst = ProblemInstance(trucks=(ft(1, 3), et(2, 5, soc=80.0), ft(3, 9.0)),
+                               route=REF_ROUTE, econ=REF_ECON, seed=2)
+        assert_instance_matches_reference(inst)
+        text = instance_text(inst)
+        assert '"arrival": 3,' in text and '"arrival": 5,' in text
+        assert '"arrival": 9.0,' in text and '"seed": 2,' in text
+
+    def test_string_ids_numpy_and_non_finite_values(self):
+        trucks = (et("e\u00e9", 0.0, soc=np.float64(55.5), rate=np.float64(1.25)),
+                  ft("f-2", float("inf")), ft(3, 7.0))
+        inst = ProblemInstance(trucks=trucks, route=REF_ROUTE, econ=REF_ECON)
+        assert_instance_matches_reference(inst)
+        text = instance_text(inst)
+        for fragment in ('"id": "e\\u00e9",', '"soc0": 55.5,', '"rate": 1.25,',
+                         '"arrival": Infinity,', '"id": "f-2",'):
+            assert fragment in text
+
+    def test_save_does_not_hold_the_whole_file(self, tmp_path):
+        """Writing an instance holds its write buffer, not the whole text."""
+        base = generate(ScenarioConfig(seed=0)).trucks * 80  # 80k trucks, about 8 MB
+        inst = ProblemInstance(trucks=tuple(t._replace(id=k) for k, t in enumerate(base, 1)),
+                               route=REF_ROUTE, econ=REF_ECON)
+        path = tmp_path / "fleet.json"
+        tracemalloc.start()
+        try:
+            save_instance(inst, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+        assert path.read_text(encoding="utf-8") == instance_text(inst)
+
+
 class TestLoaderFastPath:
     @pytest.mark.parametrize("cfg", [
         ScenarioConfig(n_trucks=200, seed=5),
@@ -432,6 +529,10 @@ MALFORMED = {
     "charge cost is null": (lambda d: d["econ"].update(ec=None), "econ"),
     "seed is a string": (lambda d: d.__setitem__("seed", "5"), "'seed'"),
     "id is a list": (lambda d: d["trucks"][1].update(id=[2]), "truck ids"),
+    "nbar is a float": (lambda d: d["route"].update(nbar=8.0), "route: field 'nbar'"),
+    "nbar is a boolean": (lambda d: d["route"].update(nbar=True), "route: field 'nbar'"),
+    "seed is a float": (lambda d: d.__setitem__("seed", 3.0), "field 'seed'"),
+    "seed is a boolean": (lambda d: d.__setitem__("seed", False), "field 'seed'"),
 }
 
 
@@ -451,5 +552,6 @@ class TestMalformedInstances:
         path.write_text(json.dumps(doc))
         with pytest.raises(InstanceFormatError, match=context.replace("[", r"\[")):
             load_instance(path)
-        assert main(["solve", str(path), "--method", "dp-ls"]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        for method in METHODS:
+            assert main(["solve", str(path), "--method", method]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: ")
