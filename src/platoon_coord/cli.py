@@ -26,6 +26,7 @@ from .scenario import (
     load_instance,
     save_instance,
     save_solution,
+    solution_csv_rows,
 )
 from .verification import (
     check_dp_vs_consecutive,
@@ -87,7 +88,7 @@ def _print_summary(solution, stream=None) -> None:
     print(f"profit   (R)    {solution.profit:.4f}", file=stream)
     print(f"loss     (L)    {solution.loss:.4f}", file=stream)
     print(f"utility  (J)    {solution.utility:.4f}", file=stream)
-    print(f"platoons        {len(solution.platoons)}  [{sizes}]", file=stream)
+    print(f"platoons        {len(solution.table)}  [{sizes}]", file=stream)
     print(f"leaders         ET-led {d.et_led}, FT-led {d.ft_led}", file=stream)
     if d.dp_updates is not None:
         print(f"value updates   {d.dp_updates}", file=stream)
@@ -106,18 +107,6 @@ def _cmd_generate(args) -> int:
     print(f"seed {cfg.seed}: wrote {len(instance.trucks)} trucks "
           f"({len(instance.trucks) - n_et} FT, {n_et} ET) to {args.out}")
     return 0
-
-
-def _solution_rows_csv(solution):
-    yield ["platoon", "depart", "leader_id", "leader_type", "id", "role",
-           "charge", "wait", "soc_dep", "soc_arr"]
-    for k, p in enumerate(solution.platoons):
-        for row in p.ledger:
-            yield [k, repr(p.departure_time), p.leader_id, p.leader_type.value,
-                   row.truck_id, row.role.value, repr(row.charge_time),
-                   repr(row.wait_time),
-                   "" if row.departure_soc is None else repr(row.departure_soc),
-                   "" if row.arrival_soc is None else repr(row.arrival_soc)]
 
 
 def _cmd_solve(args) -> int:
@@ -141,7 +130,7 @@ def _cmd_solve(args) -> int:
             save_solution(solution, args.out, include_timing=args.timing)
         else:
             with open(args.out, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(_solution_rows_csv(solution))
+                csv.writer(fh).writerows(solution_csv_rows(solution))
         print(f"wrote {args.out}")
     return 0
 
@@ -189,7 +178,7 @@ def _cmd_compare(args) -> int:
             for method in METHODS:
                 sol = row[method]
                 d = sol.diagnostics
-                n_platoons = len(sol.platoons)
+                n_platoons = len(sol.table)
                 big = sum(v for k, v in d.platoon_sizes.items() if 6 <= k <= 8)
                 pct = 100.0 * big / n_platoons if n_platoons else 0.0
                 w.writerow([

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .model import (
     RouteParams,
 )
 from .solution import Diagnostics, Solution
-from .utility import PlatoonAssignment, price_platoons
+from .utility import PlatoonTable, price_platoons
 # Not called here; solvebench/spans.py traces `dp.evaluate_platoon` by this name.
 from .utility import evaluate_platoon  # noqa: F401
 
@@ -66,7 +66,7 @@ def run_dp(prepared: Sequence[PreparedTruck], route: RouteParams,
 
 
 def _backtrack(state: DpState, prepared: Sequence[PreparedTruck],
-               route: RouteParams, econ: EconomicParams) -> List[PlatoonAssignment]:
+               route: RouteParams, econ: EconomicParams) -> PlatoonTable:
     """Walk the winning choices back from the full fleet, then price every
     chosen platoon in one columnar pass."""
     choice_sizes = state.choice_sizes.tolist()
@@ -95,7 +95,7 @@ def _solve(prepared, route, econ, mode, seed, method) -> Solution:
         raise NoFeasibleScheduleError(
             "no combination of platoons and leaders is safe for this fleet"
         )
-    platoons = _backtrack(state, prepared, route, econ)
+    table = _backtrack(state, prepared, route, econ)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     diag = Diagnostics(
         dp_updates=state.updates,
@@ -103,7 +103,7 @@ def _solve(prepared, route, econ, mode, seed, method) -> Solution:
         solve_ms=elapsed_ms,
         backend="numpy",  # kernel label carried in solution files
     )
-    solution = Solution.from_platoons(method, platoons, diag)
+    solution = Solution.from_table(method, table, diag)
     # The recursion and the backtracked pricing must agree; summation order
     # alone moves J by a few ulps of R + L at fleet scale.
     gap = abs(diag.dp_value - solution.utility)

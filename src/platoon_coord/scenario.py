@@ -11,7 +11,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cache
+from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import not_
 from typing import Optional
 
 import numpy as np
@@ -24,6 +27,7 @@ from .model import (
     TruckSpec,
 )
 from .solution import Solution
+from .utility import LEADER_BY_CODE, ROLE_BY_CODE, PlatoonTable
 
 SCHEMA_VERSION = 1
 RNG_NAME = "numpy-philox4x64"
@@ -169,7 +173,7 @@ def _object(obj: dict, key: str, ctx: str) -> dict:
 
 def _number(obj: dict, key: str, ctx: str):
     value = _require(obj, key, ctx)
-    if not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceFormatError(f"{ctx}: field '{key}' must be a number, got {value!r}")
     return value
 
@@ -213,14 +217,15 @@ def _truck_from_row(row, ctx: str) -> TruckSpec:
     )
 
 
-def _load_trucks(rows: list, path: str) -> tuple:
-    """Truck rows of an instance file. A well-formed row goes straight to
-    `TruckSpec`; any other row, and one whose values `TruckSpec` cannot
-    compare, takes `_truck_from_row`, which names the fault."""
+def _load_trucks(rows: list, path: str, fast: bool) -> tuple:
+    """Truck rows of an instance file. With `fast`, a well-formed row goes
+    straight to `TruckSpec`; any other row, one whose values `TruckSpec`
+    cannot compare, and every row without `fast` take `_truck_from_row`,
+    which checks each field and names the fault."""
     electric, fuel = TruckKind.ELECTRIC, TruckKind.FUEL
     trucks = []
     for k, row in enumerate(rows):
-        if type(row) is dict:
+        if fast and type(row) is dict:
             kind_tag = row.get("kind")
             try:
                 if kind_tag == "ET" and row.keys() >= _ET_KEYS:
@@ -240,7 +245,8 @@ def _load_trucks(rows: list, path: str) -> tuple:
 def load_instance(path: str) -> ProblemInstance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})"
@@ -270,7 +276,10 @@ def load_instance(path: str) -> ProblemInstance:
         et_follower_profit=_number(econ_doc, "xiE", f"{path}: econ"),
         ft_follower_profit=_number(econ_doc, "xiF", f"{path}: econ"),
     )
-    trucks = _load_trucks(trucks_doc, path)
+    # `TruckSpec` compares numbers, and a JSON boolean compares as one. A
+    # file that spells neither `true` nor `false` holds no boolean, so its
+    # rows may skip the per-field type check.
+    trucks = _load_trucks(trucks_doc, path, "true" not in text and "false" not in text)
     seed = _integer(doc, "seed", path)
     try:
         return ProblemInstance(trucks=trucks, route=route, econ=econ, seed=seed)
@@ -300,6 +309,7 @@ def _scalar(value) -> str:
     return json.dumps(value)
 
 
+@cache
 def _frame(brackets: str, depth: int):
     """The text that opens, separates and closes the items of a JSON array
     or object at nesting `depth`, as `json.dump(indent=2)` lays them out."""
@@ -321,15 +331,16 @@ def _scalar_object(mapping: dict, depth: int) -> str:
                       depth)
 
 
-def _array_chunks(items, render, depth: int, per_chunk: int):
-    """`_container("[]", [render(x) for x in items], depth)` in pieces of
-    `per_chunk` items, so that a writer holds one piece, not the array."""
-    if not items:
+def _array_chunks(count: int, render, depth: int, per_chunk: int):
+    """A JSON array of `count` items at nesting `depth`, in pieces of
+    `per_chunk` items, so that a writer holds one piece, not the array.
+    `render(lo, hi)` gives the texts of items `lo` .. `hi - 1`."""
+    if not count:
         yield "[]"
         return
     opening, sep, closing = _frame("[]", depth)
-    for k in range(0, len(items), per_chunk):
-        yield (sep if k else opening) + sep.join(map(render, items[k:k + per_chunk]))
+    for k in range(0, count, per_chunk):
+        yield (sep if k else opening) + sep.join(render(k, min(k + per_chunk, count)))
     yield closing
 
 
@@ -403,7 +414,9 @@ def _instance_chunks(instance: ProblemInstance, config: Optional[ScenarioConfig]
         _scalar(route.max_platoon_size),
         _scalar(instance.seed),
     )
-    yield from _array_chunks(instance.trucks, _truck, 1, _TRUCKS_PER_CHUNK)
+    trucks = instance.trucks
+    yield from _array_chunks(len(trucks), lambda lo, hi: map(_truck, trucks[lo:hi]), 1,
+                             _TRUCKS_PER_CHUNK)
     yield _INSTANCE_TAIL % _scalar(SCHEMA_VERSION)
 
 
@@ -466,23 +479,48 @@ _TAIL = """,
 """
 
 
-def _ledger_row(row) -> str:
-    if row.departure_soc is None:
-        return _FT_ROW % (_scalar(row.charge_time), _scalar(row.truck_id),
-                          _scalar(row.role.value), _scalar(row.wait_time))
-    return _ET_ROW % (_scalar(row.charge_time), _scalar(row.truck_id),
-                      _scalar(row.role.value), _scalar(row.arrival_soc),
-                      _scalar(row.departure_soc), _scalar(row.wait_time))
+_FLOAT, _INT = {float}, {int}
 
 
-def _platoon(p) -> str:
-    return _PLATOON % (
-        _scalar(p.departure_time),
-        _scalar(p.leader_id),
-        _scalar(p.leader_type.value),
-        _container("[]", [_ledger_row(row) for row in p.ledger], 3),
-        _container("[]", [_scalar(row.truck_id) for row in p.ledger], 3),
-    )
+def _texts(values) -> list:
+    """`_scalar` of every value. When every value is exactly a finite float,
+    or exactly an int, `repr` renders them at C speed. A sum of finite floats
+    is finite unless it overflows, and that only costs the slow path."""
+    kinds = set(map(type, values))
+    if kinds == _FLOAT and math.isfinite(sum(values)):
+        return list(map(float.__repr__, values))
+    if kinds == _INT:
+        return list(map(int.__repr__, values))
+    return list(map(_scalar, values))
+
+
+_ROLE_VALUE = tuple(role.value for role in ROLE_BY_CODE)
+_LEADER_VALUE = tuple(kind.value for kind in LEADER_BY_CODE)
+_ROLE_TEXT = tuple(map(_scalar, _ROLE_VALUE))
+_LEADER_TEXT = tuple(map(_scalar, _LEADER_VALUE))
+
+
+def _platoon_texts(t: PlatoonTable, lo: int, hi: int):
+    """The texts of platoons `lo` .. `hi - 1`, rendered column by column."""
+    m0, m1 = t.start[lo], t.start[hi - 1] + t.size[hi - 1]
+    fuel = t.fuel[m0:m1]
+    electric = list(map(not_, fuel))
+    ids = _texts(t.truck_id[m0:m1])
+    soc_dep = iter(_texts(list(compress(t.departure_soc[m0:m1], electric))))
+    soc_arr = iter(_texts(list(compress(t.arrival_soc[m0:m1], electric))))
+    rows = [
+        _FT_ROW % (charge, i, role, wait) if f
+        else _ET_ROW % (charge, i, role, next(soc_arr), next(soc_dep), wait)
+        for charge, i, role, wait, f in zip(
+            _texts(t.charge[m0:m1]), ids, map(_ROLE_TEXT.__getitem__, t.role[m0:m1]),
+            _texts(t.wait[m0:m1]), fuel)
+    ]
+    for s, n, code, lp, depart in zip(t.start[lo:hi], t.size[lo:hi], t.leader[lo:hi],
+                                      t.leader_pos[lo:hi], _texts(t.departure[lo:hi])):
+        o = s - m0
+        yield _PLATOON % (depart, ids[o + lp], _LEADER_TEXT[code],
+                          _container("[]", rows[o:o + n], 3),
+                          _container("[]", ids[o:o + n], 3))
 
 
 # Platoons rendered per chunk: tens of kB of text, few enough writes.
@@ -508,13 +546,41 @@ def _solution_chunks(solution: Solution, include_timing: bool):
         _scalar(diag.solve_ms if include_timing else None),
         _scalar(solution.method),
     )
-    yield from _array_chunks(solution.platoons, _platoon, 1, _PLATOONS_PER_CHUNK)
+    table = solution.table
+    yield from _array_chunks(len(table), lambda lo, hi: _platoon_texts(table, lo, hi), 1,
+                             _PLATOONS_PER_CHUNK)
     yield _TAIL % (
         _scalar(solution.utility),
         _scalar(solution.loss),
         _scalar(solution.profit),
         _scalar(SCHEMA_VERSION),
     )
+
+
+def solution_csv_rows(solution: Solution):
+    """The rows of the CSV form of a solution: a header, then one row per
+    platoon member, rendered from the columns a few platoons at a time."""
+    yield ["platoon", "depart", "leader_id", "leader_type", "id", "role",
+           "charge", "wait", "soc_dep", "soc_arr"]
+    t = solution.table
+    for lo in range(0, len(t), _PLATOONS_PER_CHUNK):
+        hi = min(lo + _PLATOONS_PER_CHUNK, len(t))
+        m0, m1 = t.start[lo], t.start[hi - 1] + t.size[hi - 1]
+        fuel = t.fuel[m0:m1]
+        members = list(zip(
+            t.truck_id[m0:m1],
+            map(_ROLE_VALUE.__getitem__, t.role[m0:m1]),
+            map(repr, t.charge[m0:m1]),
+            map(repr, t.wait[m0:m1]),
+            ["" if f else repr(soc) for f, soc in zip(fuel, t.departure_soc[m0:m1])],
+            ["" if f else repr(soc) for f, soc in zip(fuel, t.arrival_soc[m0:m1])],
+        ))
+        for k, s, n, code, lp, depart in zip(range(lo, hi), t.start[lo:hi], t.size[lo:hi],
+                                             t.leader[lo:hi], t.leader_pos[lo:hi],
+                                             t.departure[lo:hi]):
+            head = (k, repr(depart), t.truck_id[s + lp], _LEADER_VALUE[code])
+            for row in members[s - m0:s - m0 + n]:
+                yield head + row
 
 
 def solution_text(solution: Solution, include_timing: bool = False) -> str:

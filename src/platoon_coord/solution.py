@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
-from .utility import LeaderType, PlatoonAssignment, aggregate
+import numpy as np
+
+from .utility import PlatoonAssignment, PlatoonTable, check_cover
 
 
 @dataclass
@@ -22,42 +26,76 @@ class Diagnostics:
 
 @dataclass
 class Solution:
-    """A complete schedule: partition of the fleet into platoons plus totals."""
+    """A complete schedule: partition of the fleet into platoons plus totals.
+
+    The platoons are held as a `PlatoonTable` in departure order; `platoons`
+    gives them as records, built on first access.
+    """
 
     method: str
-    platoons: List[PlatoonAssignment]
+    table: PlatoonTable
     profit: float
     loss: float
     utility: float
     diagnostics: Diagnostics
 
+    @cached_property
+    def platoons(self) -> List[PlatoonAssignment]:
+        """The platoons as records, in departure order."""
+        return self.table.records()
+
     @classmethod
-    def from_platoons(cls, method: str, platoons: Sequence[PlatoonAssignment],
-                      diagnostics: Optional[Diagnostics] = None) -> "Solution":
+    def from_table(cls, method: str, table: PlatoonTable,
+                   diagnostics: Optional[Diagnostics] = None) -> "Solution":
         """Assemble a solution, ordering platoons by departure time.
 
         Ordering key is (departure, first rank) so output order is stable even
         when a postponed solo leaves after the block that follows it in rank.
         """
-        ordered = sorted(platoons, key=lambda p: (p.departure_time, p.ranks[0]))
-        profit, loss, utility = aggregate(ordered)
+        order = _departure_order(table.departure, [table.rank[s] for s in table.start])
+        if order is not None:
+            table = table.take(order)
+        return cls._totalled(method, table, diagnostics)
+
+    @classmethod
+    def from_platoons(cls, method: str, platoons: Sequence[PlatoonAssignment],
+                      diagnostics: Optional[Diagnostics] = None) -> "Solution":
+        """Assemble a solution from platoon records, as `from_table` does. The
+        records are ordered before they are turned into a table, which moves
+        one record per platoon instead of every member column."""
+        order = _departure_order([p.departure_time for p in platoons],
+                                 [p.ranks[0] for p in platoons])
+        if order is not None:
+            platoons = [platoons[k] for k in order]
+        return cls._totalled(method, PlatoonTable.from_records(platoons), diagnostics)
+
+    @classmethod
+    def _totalled(cls, method: str, table: PlatoonTable,
+                  diagnostics: Optional[Diagnostics]) -> "Solution":
+        """The solution of a table in departure order, its totals summed one
+        platoon after the other in that order."""
+        check_cover(table.rank)
+        profit = sum(table.profit)
+        loss = sum(table.loss)
         diag = diagnostics if diagnostics is not None else Diagnostics()
-        sizes: Dict[int, int] = {}
-        et_led = ft_led = 0
-        for p in ordered:
-            sizes[p.size] = sizes.get(p.size, 0) + 1
-            if p.leader_type is LeaderType.ELECTRIC:
-                et_led += 1
-            else:
-                ft_led += 1
-        diag.platoon_sizes = dict(sorted(sizes.items()))
-        diag.et_led = et_led
-        diag.ft_led = ft_led
+        diag.platoon_sizes = dict(sorted(Counter(table.size).items()))
+        diag.et_led = table.leader.count(0)
+        diag.ft_led = len(table) - diag.et_led
         return cls(
             method=method,
-            platoons=list(ordered),
+            table=table,
             profit=profit,
             loss=loss,
-            utility=utility,
+            utility=profit - loss,
             diagnostics=diag,
         )
+
+
+def _departure_order(departure: Sequence[float],
+                     first_rank: Sequence[int]) -> Optional[List[int]]:
+    """Positions of the platoons in (departure, first rank) order, or None
+    when they are in that order already."""
+    order = np.lexsort((first_rank, departure))
+    if (order == np.arange(order.size)).all():
+        return None
+    return order.tolist()

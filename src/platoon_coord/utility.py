@@ -8,7 +8,10 @@ profit minus the charging and waiting cost of every member.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -253,29 +256,149 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
     )
 
 
-_LEADER_BY_CODE = (LeaderType.ELECTRIC, LeaderType.FUEL)
-_ROLE_BY_CODE = np.array([Role.LEADER, Role.FOLLOWER, Role.ALONE], dtype=object)
-_KIND_BY_FLAG = np.array([TruckKind.FUEL, TruckKind.ELECTRIC], dtype=object)
+LEADER_BY_CODE = (LeaderType.ELECTRIC, LeaderType.FUEL)
+ROLE_BY_CODE = (Role.LEADER, Role.FOLLOWER, Role.ALONE)
+
+
+@dataclass(frozen=True)
+class PlatoonTable:
+    """Scheduled platoons as columns: the form a `Solution` holds.
+
+    Block columns hold one entry per platoon. Member columns hold one entry
+    per member, platoon after platoon in block order and by rank within a
+    platoon, so platoon b's members sit at `start[b]` .. `start[b] + size[b]
+    - 1`. Each value is the object it was computed as: a float of numpy's
+    `.tolist()`, or a record's own field, so a writer renders a table as it
+    would render the records. The SoC columns are read only where `fuel` is
+    False.
+    """
+
+    # one entry per platoon
+    start: Sequence[int]
+    size: Sequence[int]
+    leader: Sequence[int]       # 0 electric, 1 fuel (`LEADER_BY_CODE`)
+    leader_pos: Sequence[int]   # the leader's place among the platoon's members
+    departure: Sequence[float]
+    profit: Sequence[float]
+    loss: Sequence[float]
+    # one entry per member
+    rank: Sequence[int]
+    truck_id: Sequence
+    role: Sequence[int]         # 0 leader, 1 follower, 2 alone (`ROLE_BY_CODE`)
+    charge: Sequence[float]
+    wait: Sequence[float]
+    departure_soc: Sequence[float]
+    arrival_soc: Sequence[float]
+    can_lead: Sequence[bool]
+    fuel: Sequence[bool]
+
+    def __len__(self) -> int:
+        return len(self.size)
+
+    @classmethod
+    def from_records(cls, platoons: Sequence[PlatoonAssignment]) -> "PlatoonTable":
+        """The table of these records, in their order: one transposition of
+        the platoons and one of their ledgers."""
+        if not platoons:
+            return cls(*([] for _ in fields(cls)))
+        ranks, leader_types, leader_ranks, departure, ledgers, profit, loss, _ = zip(*platoons)
+        size = list(map(len, ledgers))
+        if 0 in size:
+            raise ContractViolation("platoon needs at least one member")
+        (truck_id, rank, kind, role, charge, wait, departure_soc, arrival_soc,
+         can_lead) = zip(*chain.from_iterable(ledgers))
+        fuel_kind = TruckKind.FUEL
+        return cls(
+            start=list(accumulate(size[:-1], initial=0)),
+            size=size,
+            leader=list(map(LEADER_BY_CODE.index, leader_types)),
+            leader_pos=[r.index(lead) for r, lead in zip(ranks, leader_ranks)],
+            departure=departure,
+            profit=profit,
+            loss=loss,
+            rank=rank,
+            truck_id=truck_id,
+            role=list(map(ROLE_BY_CODE.index, role)),
+            charge=charge,
+            wait=wait,
+            departure_soc=departure_soc,
+            arrival_soc=arrival_soc,
+            can_lead=can_lead,
+            fuel=[k is fuel_kind for k in kind],
+        )
+
+    def records(self) -> List[PlatoonAssignment]:
+        """The platoons as records, built positionally from the columns."""
+        fuel, rank = self.fuel, self.rank
+        kinds = (TruckKind.ELECTRIC, TruckKind.FUEL)
+        ledger = list(map(
+            MemberLedger,
+            self.truck_id,
+            rank,
+            map(kinds.__getitem__, fuel),
+            map(ROLE_BY_CODE.__getitem__, self.role),
+            self.charge,
+            self.wait,
+            [None if f else soc for f, soc in zip(fuel, self.departure_soc)],
+            [None if f else soc for f, soc in zip(fuel, self.arrival_soc)],
+            self.can_lead,
+        ))
+        return [
+            PlatoonAssignment(tuple(rank[s:s + n]), LEADER_BY_CODE[code], rank[s + lp],
+                              dep, tuple(ledger[s:s + n]), pr, lo, pr - lo)
+            for s, n, code, lp, dep, pr, lo in zip(
+                self.start, self.size, self.leader, self.leader_pos, self.departure,
+                self.profit, self.loss)
+        ]
+
+    def take(self, order: Sequence[int]) -> "PlatoonTable":
+        """The table with its platoons in `order`, a permutation of at least
+        two platoons; members move with their platoon."""
+        block = itemgetter(*order)
+        size = block(self.size)
+        start = np.cumsum(size) - size
+        # Each member's index in the old member columns.
+        moved = np.repeat(np.asarray(block(self.start)) - start, size)
+        member = itemgetter(*(moved + np.arange(moved.size)).tolist())
+        return PlatoonTable(
+            start=start.tolist(),
+            size=size,
+            leader=block(self.leader),
+            leader_pos=block(self.leader_pos),
+            departure=block(self.departure),
+            profit=block(self.profit),
+            loss=block(self.loss),
+            rank=member(self.rank),
+            truck_id=member(self.truck_id),
+            role=member(self.role),
+            charge=member(self.charge),
+            wait=member(self.wait),
+            departure_soc=member(self.departure_soc),
+            arrival_soc=member(self.arrival_soc),
+            can_lead=member(self.can_lead),
+            fuel=member(self.fuel),
+        )
 
 
 def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
                    starts, sizes, leaders, route: RouteParams,
-                   econ: EconomicParams) -> List[PlatoonAssignment]:
+                   econ: EconomicParams) -> PlatoonTable:
     """Price many consecutive platoons at once from the fleet's columns.
 
     Block b holds ranks `starts[b]` .. `starts[b] + sizes[b] - 1` and is led
     by the kind `leaders[b]` (0 electric, 1 fuel); it departs when its latest
     member is ready. `prepared` must be rank-ordered (`prepared[k].rank ==
-    k`) and `arr` must be `fleet_arrays(prepared, route)`. Each result equals,
-    field for field, what `evaluate_platoon` returns for the same members and
-    leader kind: the numpy expressions repeat its scalar arithmetic operation
-    for operation, and each loss is summed in rank order from 0.0 as it does.
+    k`) and `arr` must be `fleet_arrays(prepared, route)`. The table holds
+    the blocks in the given order, and each of its records equals, field for
+    field, what `evaluate_platoon` returns for the same members and leader
+    kind: the numpy expressions repeat its scalar arithmetic operation for
+    operation, and each loss is summed in rank order from 0.0 as it does.
     """
     starts = np.asarray(starts, dtype=np.intp)
     sizes = np.asarray(sizes, dtype=np.intp)
     fuel_led = np.asarray(leaders) == 1
     if starts.size == 0:
-        return []
+        return PlatoonTable.from_records([])
     if sizes.min() < 1:
         raise ContractViolation("platoon needs at least one member")
     if sizes.max() > route.max_platoon_size:
@@ -328,33 +451,25 @@ def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
     profit = block_profit(econ, et_count, ft_count, fuel_led)
 
     ranks = idx.tolist()
-    ledger = list(map(  # positional, in MemberLedger's field order
-        MemberLedger,
-        [prepared[k].spec.id for k in ranks],
-        ranks,
-        _KIND_BY_FLAG[et.astype(np.intp)].tolist(),
-        _ROLE_BY_CODE[role].tolist(),
-        charge.tolist(),
-        wait.tolist(),
-        np.where(et, dep_soc, None).tolist(),
-        np.where(et, arr_soc, None).tolist(),
-        can_lead.tolist(),
-    ))
-    return [
-        PlatoonAssignment(
-            ranks=tuple(ranks[o:o + n]),
-            leader_type=_LEADER_BY_CODE[f],
-            leader_rank=ranks[o + lp],
-            departure_time=dep,
-            ledger=tuple(ledger[o:o + n]),
-            profit=pr,
-            loss=lo,
-            utility=pr - lo,
-        )
-        for o, n, f, lp, dep, pr, lo in zip(
-            offsets.tolist(), sizes.tolist(), fuel_led.tolist(),
-            leader_pos.tolist(), depart.tolist(), profit.tolist(), loss.tolist())
-    ]
+    truck_ids = [m.spec.id for m in prepared]  # the fleet's id column, by rank
+    return PlatoonTable(
+        start=offsets.tolist(),
+        size=sizes.tolist(),
+        leader=fuel_led.astype(np.intp).tolist(),
+        leader_pos=leader_pos.tolist(),
+        departure=depart.tolist(),
+        profit=profit.tolist(),
+        loss=loss.tolist(),
+        rank=ranks,
+        truck_id=list(map(truck_ids.__getitem__, ranks)),
+        role=role.tolist(),
+        charge=charge.tolist(),
+        wait=wait.tolist(),
+        departure_soc=dep_soc.tolist(),
+        arrival_soc=arr_soc.tolist(),
+        can_lead=can_lead.tolist(),
+        fuel=(~et).tolist(),
+    )
 
 
 def leader_feasible(platoon: PlatoonAssignment, leader: LeaderType) -> bool:
@@ -368,6 +483,14 @@ def leader_feasible(platoon: PlatoonAssignment, leader: LeaderType) -> bool:
     return any(row.departure_soc is not None and row.can_lead for row in platoon.ledger)
 
 
+def check_cover(ranks: Sequence[int], n_trucks: Optional[int] = None) -> None:
+    """Raise unless the platoons' member ranks cover 0 .. n_trucks - 1 (all
+    their own ranks by default) exactly once."""
+    expected = len(ranks) if n_trucks is None else n_trucks
+    if sorted(ranks) != list(range(expected)):
+        raise ContractViolation("platoons must cover every rank exactly once")
+
+
 def aggregate(platoons: Sequence[PlatoonAssignment],
               n_trucks: Optional[int] = None) -> Tuple[float, float, float]:
     """Fleet totals (profit, loss, utility) of platoons covering each rank once.
@@ -375,10 +498,7 @@ def aggregate(platoons: Sequence[PlatoonAssignment],
     Pass `n_trucks` to additionally reject partitions that drop trailing
     trucks; without it only overlaps and gaps are detectable.
     """
-    ranks = sorted(r for p in platoons for r in p.ranks)
-    expected = len(ranks) if n_trucks is None else n_trucks
-    if ranks != list(range(expected)):
-        raise ContractViolation("platoons must cover every rank exactly once")
+    check_cover([r for p in platoons for r in p.ranks], n_trucks)
     profit = sum(p.profit for p in platoons)
     loss = sum(p.loss for p in platoons)
     return profit, loss, profit - loss

@@ -180,8 +180,8 @@ class TestValueInvariant:
         real = dp.price_platoons
 
         def drifted(*args, **kwargs):
-            return [p._replace(loss=p.loss + 1e-3, utility=p.utility - 1e-3)
-                    for p in real(*args, **kwargs)]
+            table = real(*args, **kwargs)
+            return replace(table, loss=[loss + 1e-3 for loss in table.loss])
 
         monkeypatch.setattr(dp, "price_platoons", drifted)
         with pytest.raises(ContractViolation, match="recursion value"):

@@ -1,0 +1,44 @@
+"""Output bytes pinned across changes.
+
+`tests/data` holds two instance files and the SHA-256 of every file
+`platoon-coord solve` wrote for them when they were made: each method as
+JSON, as CSV, and as `--timing` JSON with its `solve_ms` line removed (wall
+clock). The writer tests elsewhere compare against reference builders that
+change with the code; these digests do not. `dense-ties-300` is a 300-truck
+fleet at 14 arrivals a minute with exact ties, nbar 16 and ETs that can
+follow but never lead; `integer-arrivals-200` has integer arrival times, so
+baseline departures and fuel trucks' waits stay integers. A change that
+alters these outputs on purpose rewrites `golden-digests.json` from what it
+writes, and says which outputs moved and why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from platoon_coord.cli import METHODS, main
+
+DATA = Path(__file__).parent / "data"
+DIGESTS = json.loads((DATA / "golden-digests.json").read_text(encoding="utf-8"))
+FORMATS = {"json": [], "csv": ["--format", "csv"], "timing": ["--timing"]}
+
+
+def digest(path, fmt):
+    data = path.read_bytes()
+    if fmt == "timing":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if b'"solve_ms"' not in line)
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_solve_outputs_keep_their_bytes(name, method, tmp_path, capsys):
+    for fmt, flags in FORMATS.items():
+        out = tmp_path / f"solution.{fmt}"
+        assert main(["solve", str(DATA / f"{name}.json"), "--method", method,
+                     "--out", str(out), *flags]) == 0
+        assert digest(out, fmt) == DIGESTS[name][method][fmt], fmt
+    capsys.readouterr()

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from platoon_coord import (
     ContractViolation,
+    HorizonExceededError,
     LeaderType,
+    NoFeasibleScheduleError,
     ScenarioConfig,
     evaluate_platoon,
     generate,
@@ -31,7 +33,7 @@ from platoon_coord.utility import (
     leader_type_for_kind,
     price_platoons,
 )
-from conftest import ET_VRATE, REF_ECON, REF_ROUTE, UNLEADABLE, et, ft, prepare
+from conftest import ET_VRATE, REF_ECON, REF_ROUTE, UNLEADABLE, et, fleet_instances, ft, prepare
 
 LEADER_CODE = {LeaderType.ELECTRIC: 0, LeaderType.FUEL: 1}
 
@@ -41,11 +43,16 @@ def assert_same(batch, scalar):
     assert repr(batch) == repr(scalar)
 
 
-def assert_schedule_matches_reference(sol, prepared, route, econ):
-    """Every platoon of a dp schedule equals `evaluate_platoon` on its block."""
+def assert_schedule_matches_reference(sol, prepared, route, econ, same_types=True):
+    """Every platoon of a dp schedule equals `evaluate_platoon` on its block;
+    with `same_types`, also by `repr`."""
     for p in sol.platoons:
         members = prepared[p.ranks[0]:p.ranks[-1] + 1]
-        assert_same(p, evaluate_platoon(members, p.leader_type, route, econ))
+        scalar = evaluate_platoon(members, p.leader_type, route, econ)
+        if same_types:
+            assert_same(p, scalar)
+        else:
+            assert p == scalar
 
 
 def solve_both(prepared, route, econ):
@@ -100,6 +107,26 @@ class TestScheduleAgainstReference:
         for sol in solve_both(prepared, route, econ):
             assert_schedule_matches_reference(sol, prepared, route, econ)
 
+    @settings(max_examples=150, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets(self, instance):
+        """`Solution.platoons`, built from the solution's table, on the
+        hypothesis fleets of `conftest`. The pricer computes in float64, so an
+        integer arrival gives a float departure where `evaluate_platoon`
+        keeps the int: those fleets compare by `==`, and again by `repr` with
+        float arrivals."""
+        floats = replace(instance, trucks=tuple(
+            t._replace(arrival_time=float(t.arrival_time)) for t in instance.trucks))
+        for inst in (instance, floats):
+            try:
+                prepared = prepare_fleet(inst)
+                solutions = list(solve_both(prepared, inst.route, inst.econ))
+            except (HorizonExceededError, NoFeasibleScheduleError):
+                return
+            for sol in solutions:
+                assert_schedule_matches_reference(sol, prepared, inst.route, inst.econ,
+                                                  same_types=inst is floats)
+
     def test_solo_ets_are_postponed(self):
         trucks, route, econ = DEGENERATE["solo ETs postponed to alone-safe"]
         prepared = prepare(trucks, route=route, econ=econ)
@@ -110,8 +137,9 @@ class TestScheduleAgainstReference:
             assert p.departure_time == alone_departure(m, route) > m.earliest_departure
 
     def test_empty_fleet(self):
-        assert price_platoons([], fleet_arrays([], REF_ROUTE), [], [], [],
-                              REF_ROUTE, REF_ECON) == []
+        table = price_platoons([], fleet_arrays([], REF_ROUTE), [], [], [],
+                               REF_ROUTE, REF_ECON)
+        assert len(table) == 0 and table.records() == []
         assert solve_dp_ls([], REF_ROUTE, REF_ECON).platoons == []
 
 
@@ -181,12 +209,12 @@ def test_every_block_and_leader_kind(case):
                 expected.append(evaluate_platoon(members, leader, route, econ))
     arr = fleet_arrays(prepared, route)
     starts, sizes, leaders = zip(*blocks)
-    assert_same(price_platoons(prepared, arr, starts, sizes, leaders, route, econ),
+    assert_same(price_platoons(prepared, arr, starts, sizes, leaders, route, econ).records(),
                 expected)
     admitted = [k for k, p in enumerate(expected) if leader_feasible(p, p.leader_type)]
     assert_same(price_platoons(prepared, arr, [starts[k] for k in admitted],
                                [sizes[k] for k in admitted],
-                               [leaders[k] for k in admitted], route, econ),
+                               [leaders[k] for k in admitted], route, econ).records(),
                 [expected[k] for k in admitted])
 
 

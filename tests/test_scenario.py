@@ -26,6 +26,8 @@ from platoon_coord import (
 )
 from platoon_coord.cli import METHODS, main
 from platoon_coord.scenario import (
+    _scalar,
+    _texts,
     _truck_from_row,
     instance_text,
     solution_text,
@@ -200,7 +202,13 @@ class TestSolutionFiles:
         """Writing a file holds its write buffer, not the whole text."""
         inst = generate(ScenarioConfig(seed=0))
         sol = solve_dp_ls(prepare_fleet(inst), inst.route, inst.econ)
-        sol = replace(sol, platoons=sol.platoons * 40)  # about 8 MB of text
+        n = len(inst.trucks)
+        copies = [  # the fleet 40 times over, about 8 MB of text
+            p._replace(ranks=tuple(r + k * n for r in p.ranks), leader_rank=p.leader_rank + k * n,
+                       ledger=tuple(row._replace(rank=row.rank + k * n) for row in p.ledger))
+            for k in range(40) for p in sol.platoons
+        ]
+        sol = Solution.from_platoons(sol.method, copies, sol.diagnostics)
         path = tmp_path / "sol.json"
         tracemalloc.start()
         try:
@@ -336,8 +344,9 @@ class TestSolutionText:
         ledger = (electric._replace(charge_time=np.float64(1.25), departure_soc=float("inf"),
                                     arrival_soc=np.float64(-0.0)),
                   fuel._replace(wait_time=float("nan")))
-        sol = replace(sol, platoons=[p._replace(ledger=ledger, departure_time=np.float64(7.5))],
-                      profit=np.float64(sol.profit), loss=float("-inf"))
+        sol = Solution.from_platoons(sol.method, [p._replace(
+            ledger=ledger, departure_time=np.float64(7.5), profit=np.float64(p.profit),
+            loss=float("-inf"))], sol.diagnostics)
         sol.diagnostics.dp_value = float("nan")
         sol.diagnostics.solve_ms = np.float64(2.5)
         text = solution_text(sol, include_timing=True)
@@ -346,6 +355,15 @@ class TestSolutionText:
                          '"dp_value": NaN,', '"solve_ms": 2.5\n'):
             assert fragment in text
         assert_text_matches_reference(sol)
+
+    @pytest.mark.parametrize("values", [
+        [], [1.5, -0.0, 1e-07], [1.5, float("nan")], [2.0, float("-inf")], [1e308, 1e308],
+        [1, 2, 3], [1, True], [False], [1, 2.0], [np.float64(2.5), 1.0], ["a", None],
+    ])
+    def test_columns_render_as_scalars(self, values):
+        """A column renders as its values one by one would: the fast paths
+        take only exact finite floats and exact ints."""
+        assert _texts(values) == [_scalar(v) for v in values]
 
     @settings(max_examples=60, deadline=None)
     @given(fleet_instances())
@@ -490,6 +508,15 @@ class TestLoaderFastPath:
         path.write_text(json.dumps(doc))
         return path, doc
 
+    def test_file_spelling_true_loads_through_the_checked_path(self, tmp_path):
+        """A file that spells `true` takes the per-field path for every row,
+        and loads the trucks the fast path loads."""
+        path, _ = self.edit(tmp_path, lambda d: d["trucks"][1].update(id="true"))
+        trucks = list(generate(ScenarioConfig(n_trucks=6, et_share=0.5, seed=4)).trucks)
+        trucks[1] = trucks[1]._replace(id="true")
+        loaded = load_instance(path).trucks
+        assert loaded == tuple(trucks) and repr(loaded) == repr(tuple(trucks))
+
     def test_unhashable_kind_is_unknown(self, tmp_path):
         path, _ = self.edit(tmp_path, lambda d: d["trucks"][2].update(kind=["ET"]))
         with pytest.raises(InstanceFormatError, match=r"trucks\[2\]: unknown kind \['ET'\]"):
@@ -533,6 +560,17 @@ MALFORMED = {
     "nbar is a boolean": (lambda d: d["route"].update(nbar=True), "route: field 'nbar'"),
     "seed is a float": (lambda d: d.__setitem__("seed", 3.0), "field 'seed'"),
     "seed is a boolean": (lambda d: d.__setitem__("seed", False), "field 'seed'"),
+    **{f"route {key} is a boolean": (lambda d, key=key: d["route"].update({key: True}),
+                                     f"route: field '{key}'")
+       for key in ("d", "T", "beta_f")},
+    **{f"econ {key} is a boolean": (lambda d, key=key: d["econ"].update({key: False}),
+                                    f"econ: field '{key}'")
+       for key in ("ec", "ew", "xiE", "xiF")},
+    **{f"ET {key} is a boolean": (lambda d, key=key: d["trucks"][0].update({key: True}),
+                                  f"trucks[0]: field '{key}'")
+       for key in ("arrival", "soc0", "rate", "vrate", "safe", "max")},
+    "FT arrival is a boolean": (lambda d: d["trucks"][2].update(arrival=True),
+                                "trucks[2]: field 'arrival'"),
 }
 
 

@@ -1,0 +1,151 @@
+"""`Solution` holds its platoons as a `PlatoonTable` and builds the records on
+first access. The reference here is the record-based assembly the table
+replaced: sort the records by (departure, first rank), sum the totals in that
+order, count sizes and leader kinds platoon by platoon.
+"""
+
+import pytest
+from hypothesis import given, settings
+
+from platoon_coord import (
+    ContractViolation,
+    HorizonExceededError,
+    LeaderType,
+    NoFeasibleScheduleError,
+    ScenarioConfig,
+    Solution,
+    evaluate_platoon,
+    generate,
+    prepare_fleet,
+    solve_dp_ls,
+    solve_dp_nls,
+    solve_fixed_interval,
+    solve_spontaneous,
+)
+from platoon_coord.kernels import fleet_arrays
+from platoon_coord.utility import PlatoonTable, check_cover, price_platoons
+from conftest import REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
+
+
+def reference_assembly(platoons):
+    """Ordered records, totals and diagnostics, as records were assembled."""
+    ordered = sorted(platoons, key=lambda p: (p.departure_time, p.ranks[0]))
+    profit = sum(p.profit for p in ordered)
+    loss = sum(p.loss for p in ordered)
+    sizes = {}
+    et_led = ft_led = 0
+    for p in ordered:
+        sizes[p.size] = sizes.get(p.size, 0) + 1
+        if p.leader_type is LeaderType.ELECTRIC:
+            et_led += 1
+        else:
+            ft_led += 1
+    return ordered, (profit, loss, profit - loss), dict(sorted(sizes.items())), et_led, ft_led
+
+
+def assert_assembled_from(sol, platoons):
+    ordered, totals, sizes, et_led, ft_led = reference_assembly(platoons)
+    assert sol.platoons == ordered and repr(sol.platoons) == repr(ordered)
+    assert repr((sol.profit, sol.loss, sol.utility)) == repr(totals)
+    d = sol.diagnostics
+    assert (d.platoon_sizes, d.et_led, d.ft_led) == (sizes, et_led, ft_led)
+    assert list(d.platoon_sizes) == list(sizes)
+    counts = [*d.platoon_sizes, *d.platoon_sizes.values(), d.et_led, d.ft_led]
+    assert all(type(v) is int for v in counts)
+
+
+def solve_all(prepared, route, econ, seed):
+    for solve in (lambda: solve_dp_ls(prepared, route, econ),
+                  lambda: solve_dp_nls(prepared, route, econ, seed),
+                  lambda: solve_spontaneous(prepared, route, econ, seed),
+                  lambda: solve_fixed_interval(prepared, route, econ, 30.0, seed)):
+        try:
+            yield solve()
+        except NoFeasibleScheduleError:
+            continue
+
+
+def assert_round_trips(sol):
+    """The records rebuild the same solution, in any order they come in."""
+    assert_assembled_from(sol, sol.platoons)
+    for records in (sol.platoons, sol.platoons[::-1]):
+        again = Solution.from_platoons(sol.method, records)
+        assert again.platoons == sol.platoons
+        assert repr(again.platoons) == repr(sol.platoons)
+        assert repr((again.profit, again.loss, again.utility)) == repr(
+            (sol.profit, sol.loss, sol.utility))
+        assert again.diagnostics.platoon_sizes == sol.diagnostics.platoon_sizes
+        assert (again.diagnostics.et_led, again.diagnostics.ft_led) == (
+            sol.diagnostics.et_led, sol.diagnostics.ft_led)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(seed=0),
+        ScenarioConfig(n_trucks=400, et_share=0.7, soc_lo=10.0, soc_hi=60.0,
+                       arrival_hi=29, horizon=89.0, max_platoon_size=16, seed=4),
+    ], ids=["ref", "dense"])
+    def test_every_method(self, cfg):
+        inst = generate(cfg)
+        sols = list(solve_all(prepare_fleet(inst), inst.route, inst.econ, inst.seed))
+        assert len(sols) == 4
+        for sol in sols:
+            assert_round_trips(sol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets(self, instance):
+        try:
+            prepared = prepare_fleet(instance)
+        except HorizonExceededError:
+            return
+        for sol in solve_all(prepared, instance.route, instance.econ, instance.seed):
+            assert_round_trips(sol)
+
+    def test_priced_table_is_ordered_by_departure(self):
+        """A table priced out of departure order, as a postponed solo ET
+        leaves after the block behind it, is reordered with its members."""
+        # The ET is ready at 25.1 but may leave alone only at 34.8.
+        prepared = prepare([et(1, 0.0, soc=30.0), ft(2, 28.0), ft(3, 30.0), ft(4, 31.0),
+                            et(5, 32.0, soc=95.0)])
+        blocks = [(3, 2, 1), (1, 2, 1), (0, 1, 0)]  # (start, size, leader kind)
+        starts, sizes, leaders = zip(*blocks)
+        table = price_platoons(prepared, fleet_arrays(prepared, REF_ROUTE), starts, sizes,
+                               leaders, REF_ROUTE, REF_ECON)
+        sol = Solution.from_table("DP-LS", table)
+        records = [evaluate_platoon(prepared[s:s + n], (LeaderType.ELECTRIC, LeaderType.FUEL)[k],
+                                    REF_ROUTE, REF_ECON) for s, n, k in blocks]
+        assert [p.ranks for p in sol.platoons] == [(1, 2), (3, 4), (0,)]
+        assert_assembled_from(sol, records)
+        assert sol.table.start == [0, 2, 4]
+
+    def test_no_platoons(self):
+        sol = Solution.from_platoons("DP-LS", [])
+        assert sol.platoons == [] and len(sol.table) == 0
+        assert (sol.profit, sol.loss, sol.utility) == (0, 0, 0)
+
+
+class TestCoverage:
+    def setup_method(self):
+        self.prepared = prepare([ft(1, 0.0), ft(2, 10.0), ft(3, 11.0)])
+
+    def block(self, lo, hi):
+        return evaluate_platoon(self.prepared[lo:hi], LeaderType.FUEL, REF_ROUTE, REF_ECON)
+
+    def test_overlap_raises(self):
+        with pytest.raises(ContractViolation, match="exactly once"):
+            Solution.from_platoons("X", [self.block(0, 2), self.block(1, 3)])
+
+    def test_gap_raises(self):
+        with pytest.raises(ContractViolation, match="exactly once"):
+            Solution.from_platoons("X", [self.block(0, 1), self.block(2, 3)])
+
+    def test_dropped_trailing_trucks_raise(self):
+        sol = Solution.from_platoons("X", [self.block(0, 2)])
+        with pytest.raises(ContractViolation, match="exactly once"):
+            check_cover(sol.table.rank, n_trucks=len(self.prepared))
+
+    def test_empty_platoon_raises(self):
+        empty = self.block(0, 1)._replace(ranks=(), ledger=())
+        with pytest.raises(ContractViolation, match="at least one member"):
+            PlatoonTable.from_records([self.block(0, 1), empty])
