@@ -66,8 +66,7 @@ def _config_from_args(args, seed: int) -> ScenarioConfig:
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _run_method(method: str, instance, seed: int, interval: float):
-    prepared = prepare_fleet(instance)
+def _run_method(method: str, prepared, instance, seed: int, interval: float):
     route, econ = instance.route, instance.econ
     if method == "dp-ls":
         return solve_dp_ls(prepared, route, econ)
@@ -112,13 +111,13 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     seed = instance.seed if args.seed is None else args.seed
-    solution = _run_method(args.method, instance, seed, args.interval)
+    prepared = prepare_fleet(instance)
+    solution = _run_method(args.method, prepared, instance, seed, args.interval)
     _print_summary(solution)
     if args.oracle_check:
         if args.method != "dp-ls":
             print("--oracle-check only applies to --method dp-ls", file=sys.stderr)
             return 2
-        prepared = prepare_fleet(instance)
         exact = oracle_consecutive(prepared, instance.route, instance.econ)
         diff = abs(solution.utility - exact.utility)
         print(f"oracle check    exhaustive J {exact.utility:.6f}, diff {diff:.3e}")
@@ -154,10 +153,9 @@ def _compare_one(seed: int, args, fixed_instance):
         instance = fixed_instance
     else:
         instance = generate(_config_from_args(args, seed))
-    row = {}
-    for method in METHODS:
-        row[method] = _run_method(method, instance, seed, args.interval)
-    return row
+    prepared = prepare_fleet(instance)
+    return {method: _run_method(method, prepared, instance, seed, args.interval)
+            for method in METHODS}
 
 
 def _cmd_compare(args) -> int:

@@ -5,11 +5,21 @@ Every ET is charged at least enough to finish the trip in the cheapest role
 mandatory charge; fuel trucks can leave the moment they arrive. Sorting the
 fleet by earliest departure yields the ordered candidate instants that the
 downstream solvers search over.
+
+`prepare_fleet` does this in one numpy pass over the fleet's columns and
+returns a `PreparedFleet`: the columns in rank order, which the kernel reads
+directly, behind a sequence of `PreparedTruck` records that are built only
+when a record is first asked for.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import List, NamedTuple, Optional
+
+import numpy as np
 
 from .model import (
     ContractViolation,
@@ -21,8 +31,10 @@ from .model import (
     TIME_TOL,
     TruckKind,
     TruckSpec,
-    soc_after_charge,
 )
+
+# Integers below this magnitude convert to float64 exactly.
+_EXACT_INT = 2.0 ** 53
 
 
 class PreparedTruck(NamedTuple):
@@ -51,6 +63,30 @@ class PreparedTruck(NamedTuple):
         return self.spec.arrival_time
 
 
+def _mandatory_charge(route: RouteParams, init, rate, vrate, safe, cap):
+    """The follower-safe departure SoC of ETs from their battery columns
+    (`_battery`), which of them cannot reach it even on a full battery, and
+    the minutes of charge that reach it from `init` (0.0 when `init` already
+    covers it)."""
+    required = safe + route.follower_coeff * vrate * route.distance
+    infeasible = required - cap > SOC_TOL
+    gap = (required - init) / rate
+    return required, infeasible, np.where(gap > 0.0, gap, 0.0)  # max(0.0, gap)
+
+
+def _charged_soc(init, rate, charge):
+    """`model.soc_after_charge` over columns."""
+    return init + rate * charge
+
+
+def _infeasible(truck: TruckSpec, required: float) -> InfeasibleTruckError:
+    return InfeasibleTruckError(
+        truck.id,
+        f"needs departure SoC {required:.6g}% to follow safely but capacity "
+        f"is {truck.max_soc:.6g}%",
+    )
+
+
 def min_charge_time(truck: TruckSpec, route: RouteParams) -> float:
     """Minutes of charging needed before the truck could follow safely.
 
@@ -59,46 +95,207 @@ def min_charge_time(truck: TruckSpec, route: RouteParams) -> float:
     """
     if not truck.is_electric:
         raise ContractViolation(f"truck {truck.id}: fuel trucks do not charge")
-    required = truck.safe_soc + route.follower_coeff * truck.discharge_rate * route.distance
-    if required - truck.max_soc > SOC_TOL:
-        raise InfeasibleTruckError(
-            truck.id,
-            f"needs departure SoC {required:.6g}% to follow safely but capacity "
-            f"is {truck.max_soc:.6g}%",
+    required, infeasible, charge = _mandatory_charge(route, *_battery([truck], 1))
+    if infeasible[0]:
+        raise _infeasible(truck, float(required[0]))
+    return float(charge[0])
+
+
+def _battery(et_specs, count: int):
+    """The five battery fields of these ETs, in `TruckSpec` order, as float
+    columns."""
+    return [np.fromiter(map(itemgetter(k), et_specs), float, count) for k in range(3, 8)]
+
+
+def _zeros_except(n: int, where: np.ndarray, values) -> np.ndarray:
+    out = np.zeros(n)
+    out[where] = values
+    return out
+
+
+def _rank_order(earliest: np.ndarray, ids, earliest_of) -> np.ndarray:
+    """Positions of the trucks sorted by (earliest departure, id) exactly as
+    Python sorts those pairs, where `earliest_of(k)` is truck k's departure
+    as the object its record holds.
+
+    Float conversion keeps order, so only trucks whose float64 departures
+    tie need their ids compared; their ids are compared as Python compares
+    them, whatever their types.
+    """
+    if earliest.max() < _EXACT_INT and set(map(type, ids)) == {int}:
+        keys = np.array(ids)
+        if keys.dtype.kind in "iu":
+            return np.lexsort((keys, earliest))
+    order = np.argsort(earliest, kind="stable")
+    ranked = earliest[order]
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if not tied.size:
+        return order
+    order = order.tolist()
+    cut = np.flatnonzero(np.diff(tied) != 1)
+    for lo, hi in zip(tied[np.r_[0, cut + 1]].tolist(),
+                      (tied[np.r_[cut, tied.size - 1]] + 2).tolist()):
+        order[lo:hi] = sorted(order[lo:hi], key=lambda k: (earliest_of(k), ids[k]))
+    return np.array(order)
+
+
+class PreparedFleet(Sequence):
+    """A prepared fleet in rank order: an immutable sequence of
+    `PreparedTruck` records, held as columns.
+
+    The columns are those `kernels.FleetArrays` reads at prepare time, plus
+    each ET's safety floor, the ids and the `TruckSpec`s, all by rank; fuel
+    trucks hold zeros in the battery columns. The arrays are read-only,
+    since every solve's `FleetArrays` shares them. The records are built on
+    first access and then kept; slicing returns a list of them.
+    """
+
+    __slots__ = ("specs", "ids", "tau_delta", "tau_cmin", "is_et", "fill_time",
+                 "rate", "arrival", "init_soc", "max_soc", "vrate", "safe_soc",
+                 "_records")
+
+    def __init__(self, specs, ids, is_et, earliest, charge, departure_soc, arrival,
+                 init_soc, rate, vrate, safe_soc, max_soc, records=None):
+        """Columns by rank; the battery columns hold each ET's value at its
+        rank and zeros elsewhere. `departure_soc`, the SoC after the
+        mandatory charge, gives the minutes to a full battery and is not
+        kept. `records`, when given, are these trucks' records and are kept
+        as they are."""
+        et = np.flatnonzero(is_et)
+        fill_time = _zeros_except(
+            is_et.size, et, (max_soc[et] - departure_soc[et]) / rate[et])
+        columns = dict(
+            tau_delta=earliest, tau_cmin=charge, is_et=is_et, fill_time=fill_time,
+            rate=rate, arrival=arrival, init_soc=init_soc, max_soc=max_soc,
+            vrate=vrate, safe_soc=safe_soc)
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "specs", tuple(specs))
+        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "_records", records)
+
+    @classmethod
+    def from_records(cls, records) -> "PreparedFleet":
+        """The fleet of these rank-ordered records, which it keeps: the one
+        place columns are built from records."""
+        records = list(records)
+        if [m.rank for m in records] != list(range(len(records))):
+            raise ContractViolation("prepared fleet must be rank-ordered")
+        earliest = np.array([m.earliest_departure for m in records], dtype=float)
+        if (earliest[1:] < earliest[:-1]).any():
+            raise ContractViolation("prepared fleet must be sorted by earliest departure")
+        specs = [m.spec for m in records]
+        electric = TruckKind.ELECTRIC
+        flags = [s.kind is electric for s in specs]
+        ets = list(compress(records, flags))
+        is_et = np.array(flags, dtype=np.uint8)
+        et = np.flatnonzero(is_et)
+        n = len(records)
+
+        def column(values):
+            return _zeros_except(n, et, values)
+
+        init, rate, vrate, safe, cap = map(column, _battery([m.spec for m in ets], et.size))
+        return cls(
+            specs, [s.id for s in specs], is_et, earliest,
+            column([m.min_charge_time for m in ets]),
+            column([m.min_departure_soc for m in ets]),
+            np.array([s.arrival_time for s in specs], dtype=float),
+            init, rate, vrate, safe, cap, records=records,
         )
-    return max(0.0, (required - truck.initial_soc) / truck.charge_rate)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _rows(self) -> List[PreparedTruck]:
+        if self._records is None:
+            et = self.is_et.tolist()
+            soc = _charged_soc(self.init_soc, self.rate, self.tau_cmin)
+            object.__setattr__(self, "_records", [
+                PreparedTruck(spec, charge, soc if e else None,
+                              earliest if e else spec.arrival_time, rank)
+                for rank, (spec, e, charge, soc, earliest) in enumerate(zip(
+                    self.specs, et, self.tau_cmin.tolist(), soc.tolist(),
+                    self.tau_delta.tolist()))
+            ])
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.specs)
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __iter__(self):
+        return iter(self._rows())
+
+    def __eq__(self, other):
+        if not isinstance(other, PreparedFleet):
+            return NotImplemented
+        return self._rows() == other._rows()
+
+    def __repr__(self) -> str:
+        return f"PreparedFleet({self._rows()!r})"
 
 
-def prepare_fleet(instance: ProblemInstance) -> List[PreparedTruck]:
+def as_fleet(prepared) -> PreparedFleet:
+    """`prepared` itself when it is a `PreparedFleet`, else the fleet of its
+    records (`PreparedFleet.from_records`)."""
+    if isinstance(prepared, PreparedFleet):
+        return prepared
+    return PreparedFleet.from_records(prepared)
+
+
+def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
     """Attach mandatory-charge data to every truck and order the fleet.
 
     Trucks are sorted by earliest departure, ties broken by ascending id so
     repeated runs give identical ranks. A truck whose mandatory charge alone
     pushes it past the planning horizon is rejected outright rather than
-    silently scheduled late.
+    silently scheduled late; the first failing truck in instance order is
+    named, and an ET that can neither follow safely nor leave in time fails
+    as infeasible.
     """
-    rows = []
-    for truck in instance.trucks:
-        if truck.is_electric:
-            charge = min_charge_time(truck, instance.route)
-            dep_soc = soc_after_charge(truck.initial_soc, truck.charge_rate, charge)
-            earliest = truck.arrival_time + charge
-        else:
-            charge = 0.0
-            dep_soc = None
-            earliest = truck.arrival_time
-        if earliest > instance.route.horizon + TIME_TOL:
-            raise HorizonExceededError(truck.id, earliest, instance.route.horizon)
-        rows.append((truck, charge, dep_soc, earliest))
+    trucks, route = instance.trucks, instance.route
+    n = len(trucks)
+    ids = list(map(attrgetter("id"), trucks))
+    arrivals = list(map(attrgetter("arrival_time"), trucks))
+    electric = TruckKind.ELECTRIC
+    flags = [k is electric for k in map(attrgetter("kind"), trucks)]
+    is_et = np.fromiter(flags, bool, n)
+    et = np.flatnonzero(is_et)
+    battery = _battery(list(compress(trucks, flags)), et.size)
+    init, rate, vrate, safe, cap = battery
 
-    rows.sort(key=lambda r: (r[3], r[0].id))
-    return [
-        PreparedTruck(
-            spec=truck,
-            min_charge_time=charge,
-            min_departure_soc=dep_soc,
-            earliest_departure=earliest,
-            rank=rank,
-        )
-        for rank, (truck, charge, dep_soc, earliest) in enumerate(rows)
-    ]
+    required, infeasible, charge = _mandatory_charge(route, *battery)
+    departure_soc = _charged_soc(init, rate, charge)
+    arrival = np.array(arrivals, dtype=float)
+    earliest = arrival.copy()
+    earliest[et] = arrival[et] + charge
+
+    def earliest_of(k):
+        # A fuel truck leaves at its arrival, kept as given: an integer
+        # arrival stays an integer.
+        return float(earliest[k]) if flags[k] else arrivals[k]
+
+    failed = earliest > route.horizon + TIME_TOL
+    failed[et] |= infeasible
+    if failed.any():
+        k = int(failed.argmax())
+        j = int(np.searchsorted(et, k))  # truck k's place among the ETs
+        if flags[k] and infeasible[j]:
+            raise _infeasible(trucks[k], float(required[j]))
+        raise HorizonExceededError(ids[k], earliest_of(k), route.horizon)
+
+    order = _rank_order(earliest, ids, earliest_of)
+
+    def ranked(values):
+        return _zeros_except(n, et, values)[order]
+
+    ranks = order.tolist()
+    return PreparedFleet(
+        map(trucks.__getitem__, ranks), map(ids.__getitem__, ranks),
+        is_et[order].astype(np.uint8), earliest[order],
+        ranked(charge), ranked(departure_soc), arrival[order], ranked(init),
+        ranked(rate), ranked(vrate), ranked(safe), ranked(cap))

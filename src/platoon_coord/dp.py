@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .discretize import PreparedTruck
+from .discretize import PreparedTruck, as_fleet
 from .kernels import FleetArrays, fleet_arrays, leader_draw_bits, run_dp_kernel
 from .model import (
     MONEY_TOL,
@@ -45,18 +45,13 @@ class DpState:
     arrays: FleetArrays       # the fleet columns both passes read
 
 
-def _check_prepared(prepared: Sequence[PreparedTruck], tau_delta: np.ndarray) -> None:
-    if [m.rank for m in prepared] != list(range(len(prepared))):
-        raise ContractViolation("prepared fleet must be rank-ordered")
-    if (tau_delta[1:] < tau_delta[:-1]).any():
-        raise ContractViolation("prepared fleet must be sorted by earliest departure")
-
-
 def run_dp(prepared: Sequence[PreparedTruck], route: RouteParams,
            econ: EconomicParams, mode: int, seed: int = 0) -> DpState:
-    """Fill the value table for the given fleet. mode 0 = best leader, 1 = drawn."""
+    """Fill the value table for the given fleet. mode 0 = best leader, 1 = drawn.
+
+    A plain sequence of records must be rank-ordered and sorted by earliest
+    departure (`PreparedFleet.from_records` checks both)."""
     arr = fleet_arrays(prepared, route)
-    _check_prepared(prepared, arr.tau_delta)
     if mode == 1:
         bits = leader_draw_bits(seed, arr.size, route.max_platoon_size)
     else:
@@ -89,6 +84,7 @@ def _backtrack(state: DpState, prepared: Sequence[PreparedTruck],
 
 def _solve(prepared, route, econ, mode, seed, method) -> Solution:
     start = time.perf_counter()
+    prepared = as_fleet(prepared)  # both passes read the same columns
     state = run_dp(prepared, route, econ, mode, seed)
     n = len(prepared)
     if n and not np.isfinite(state.values[n]):

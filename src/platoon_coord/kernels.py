@@ -15,11 +15,11 @@ evaluation order and reproducible across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from .model import SOC_TOL, TIME_TOL, TruckKind
+from .discretize import as_fleet
+from .model import SOC_TOL, TIME_TOL
 
 _U64 = (1 << 64) - 1
 _KEY_I = 0x9E3779B97F4A7C15
@@ -85,53 +85,36 @@ class FleetArrays:
 def fleet_arrays(prepared, route) -> FleetArrays:
     """Columns of a prepared fleet in rank order.
 
-    The battery arithmetic runs once over the electric trucks' columns and is
-    scattered into zero-filled fleet columns; it repeats the scalar formulas
-    of `discretize` and `utility.alone_charge_time` operation for operation,
-    so every entry equals its scalar counterpart bit for bit.
+    The prepare-time columns are the fleet's own (`discretize.as_fleet`),
+    shared and read-only; only the two route-dependent columns are computed
+    here, over the electric trucks, repeating `utility.alone_charge_time`
+    operation for operation so every entry equals its scalar counterpart bit
+    for bit.
     """
-    specs = [m.spec for m in prepared]
-    flags = [s.kind is TruckKind.ELECTRIC for s in specs]
-    ets = list(compress(prepared, flags))
-    et_specs = list(compress(specs, flags))
-    tau_delta = np.array([m.earliest_departure for m in prepared], dtype=float)
-    arrival = np.array([s.arrival_time for s in specs], dtype=float)
-    cmin = np.array([m.min_charge_time for m in ets], dtype=float)
-    sd_min = np.array([m.min_departure_soc for m in ets], dtype=float)
-    init = np.array([s.initial_soc for s in et_specs], dtype=float)
-    rate = np.array([s.charge_rate for s in et_specs], dtype=float)
-    vrate = np.array([s.discharge_rate for s in et_specs], dtype=float)
-    safe = np.array([s.safe_soc for s in et_specs], dtype=float)
-    cap = np.array([s.max_soc for s in et_specs], dtype=float)
-
-    need_lead = safe + vrate * route.distance
+    fleet = as_fleet(prepared)
+    et = np.flatnonzero(fleet.is_et)
+    cmin, cap, init, rate = (col[et] for col in (
+        fleet.tau_cmin, fleet.max_soc, fleet.init_soc, fleet.rate))
+    need_lead = fleet.safe_soc[et] + fleet.vrate[et] * route.distance
     alone_charge = np.maximum(
         np.maximum(cmin, (np.minimum(need_lead, cap) - init) / rate), 0.0)
 
-    n = len(specs)
-    et = np.flatnonzero(flags)
-
-    def column(values):
-        out = np.zeros(n)
-        out[et] = values
-        return out
-
-    alone_depart = tau_delta.copy()
-    alone_depart[et] = arrival[et] + alone_charge
-    is_et = np.zeros(n, np.uint8)
-    is_et[et] = 1
+    alone_depart = fleet.tau_delta.copy()
+    alone_depart[et] = fleet.arrival[et] + alone_charge
+    need = np.zeros(len(fleet))
+    need[et] = need_lead
     return FleetArrays(
-        tau_delta=tau_delta,
-        tau_cmin=column(cmin),
-        is_et=is_et,
-        fill_time=column((cap - sd_min) / rate),
-        rate=column(rate),
-        need_lead=column(need_lead),
+        tau_delta=fleet.tau_delta,
+        tau_cmin=fleet.tau_cmin,
+        is_et=fleet.is_et,
+        fill_time=fleet.fill_time,
+        rate=fleet.rate,
+        need_lead=need,
         alone_depart=alone_depart,
-        arrival=arrival,
-        init_soc=column(init),
-        max_soc=column(cap),
-        vrate=column(vrate),
+        arrival=fleet.arrival,
+        init_soc=fleet.init_soc,
+        max_soc=fleet.max_soc,
+        vrate=fleet.vrate,
     )
 
 

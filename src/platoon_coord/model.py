@@ -11,6 +11,7 @@ discharging, and the battery window a departing ET must respect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -85,7 +86,8 @@ class TruckSpec(_TruckFields):
                 initial_soc: Optional[float] = None, charge_rate: Optional[float] = None,
                 discharge_rate: Optional[float] = None, safe_soc: Optional[float] = None,
                 max_soc: Optional[float] = None):
-        if arrival_time < 0:
+        # Each check is written so that NaN fails it.
+        if not arrival_time >= 0:
             raise ContractViolation(f"truck {id}: arrival_time must be >= 0")
         battery = (initial_soc, charge_rate, discharge_rate, safe_soc, max_soc)
         if kind is TruckKind.FUEL:
@@ -93,9 +95,9 @@ class TruckSpec(_TruckFields):
                 raise ContractViolation(f"truck {id}: fuel trucks carry no battery fields")
         elif None in battery:
             raise ContractViolation(f"truck {id}: electric trucks need all battery fields")
-        elif charge_rate <= 0:
+        elif not charge_rate > 0:
             raise ContractViolation(f"truck {id}: charge_rate must be > 0")
-        elif discharge_rate < 0:
+        elif not discharge_rate >= 0:
             raise ContractViolation(f"truck {id}: discharge_rate must be >= 0")
         elif not 0 <= safe_soc < 100:
             raise ContractViolation(f"truck {id}: safe_soc must be in [0, 100)")
@@ -125,11 +127,12 @@ class RouteParams:
     follower_coeff: float = DEFAULT_FOLLOWER_COEFF
 
     def __post_init__(self):
-        if self.distance <= 0:
+        if not self.distance > 0:
             raise ContractViolation("distance must be > 0")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ContractViolation("horizon must be > 0")
-        if int(self.max_platoon_size) != self.max_platoon_size or self.max_platoon_size < 1:
+        size = self.max_platoon_size
+        if not (1 <= size < math.inf and int(size) == size):
             raise ContractViolation("max_platoon_size must be an integer >= 1")
         if not 0 < self.follower_coeff <= 1:
             raise ContractViolation("follower_coeff must be in (0, 1]")
@@ -150,7 +153,7 @@ class EconomicParams:
 
     def __post_init__(self):
         for name in ("wait_cost", "charge_cost", "et_follower_profit", "ft_follower_profit"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ContractViolation(f"{name} must be >= 0")
         if self.charge_cost > self.wait_cost:
             raise ContractViolation("charge_cost must not exceed wait_cost")

@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discretize import PreparedTruck
+from .discretize import PreparedTruck, as_fleet
 from .kernels import FleetArrays, block_profit, member_terms, solo_departure
 from .model import (
     ContractViolation,
@@ -388,11 +388,12 @@ def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
     Block b holds ranks `starts[b]` .. `starts[b] + sizes[b] - 1` and is led
     by the kind `leaders[b]` (0 electric, 1 fuel); it departs when its latest
     member is ready. `prepared` must be rank-ordered (`prepared[k].rank ==
-    k`) and `arr` must be `fleet_arrays(prepared, route)`. The table holds
-    the blocks in the given order, and each of its records equals, field for
-    field, what `evaluate_platoon` returns for the same members and leader
-    kind: the numpy expressions repeat its scalar arithmetic operation for
-    operation, and each loss is summed in rank order from 0.0 as it does.
+    k`); only its id column is read. `arr` must be `fleet_arrays(prepared,
+    route)`. The table holds the blocks in the given order, and each of its
+    records equals, field for field, what `evaluate_platoon` returns for the
+    same members and leader kind: the numpy expressions repeat its scalar
+    arithmetic operation for operation, and each loss is summed in rank
+    order from 0.0 as it does.
     """
     starts = np.asarray(starts, dtype=np.intp)
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -451,7 +452,7 @@ def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
     profit = block_profit(econ, et_count, ft_count, fuel_led)
 
     ranks = idx.tolist()
-    truck_ids = [m.spec.id for m in prepared]  # the fleet's id column, by rank
+    truck_ids = as_fleet(prepared).ids
     return PlatoonTable(
         start=offsets.tolist(),
         size=sizes.tolist(),

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from platoon_coord import cli, prepare_fleet
 from platoon_coord.cli import main
 
 
@@ -51,6 +52,30 @@ class TestSolve:
     def test_oracle_check_passes(self, small_instance, capsys):
         assert run(["solve", small_instance, "--method", "dp-ls", "--oracle-check"]) == 0
         assert "oracle check" in capsys.readouterr().out
+
+    def test_oracle_check_reuses_the_prepared_fleet(self, small_instance, monkeypatch):
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return prepare_fleet(instance)
+
+        monkeypatch.setattr(cli, "prepare_fleet", counted)
+        assert run(["solve", small_instance, "--method", "dp-ls", "--oracle-check"]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_nan_field_is_an_error(self, small_instance, tmp_path, capsys, method):
+        doc = json.loads(small_instance.read_text())
+        next(t for t in doc["trucks"] if t["kind"] == "ET")["rate"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert '"rate": NaN' in path.read_text()
+        out = tmp_path / "sol.json"
+        assert run(["solve", path, "--method", method, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "charge_rate must be > 0" in err
+        assert not out.exists()
 
     def test_oracle_check_rejects_other_methods(self, small_instance):
         assert run(["solve", small_instance, "--method", "spontaneous",

@@ -1,14 +1,40 @@
+"""Mandatory charging and fleet ordering.
+
+`prepare_fleet` computes in columns. `reference_prepare_fleet` below is the
+scalar loop it replaced, kept as the reference: every record must equal the
+reference's by `==` and `repr`, and every error must match in type, truck
+and message.
+"""
+
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from platoon_coord import (
     ContractViolation,
     HorizonExceededError,
     InfeasibleTruckError,
+    PreparedFleet,
+    PreparedTruck,
+    ProblemInstance,
     RouteParams,
+    ScenarioConfig,
+    generate,
     min_charge_time,
+    prepare_fleet,
+    soc_after_charge,
     soc_after_trip,
+    solve_dp_ls,
+    solve_dp_nls,
+    solve_fixed_interval,
+    solve_spontaneous,
 )
-from conftest import FOLLOW_NEED, REF_ROUTE, et, ft, prepare
+from platoon_coord import cli, discretize
+from platoon_coord.kernels import fleet_arrays
+from platoon_coord.model import SOC_TOL, TIME_TOL
+from conftest import FOLLOW_NEED, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 
 APPROX = dict(abs=1e-9)
 
@@ -93,3 +119,262 @@ class TestPrepareFleet:
             arrival_soc = soc_after_trip(p.min_departure_soc, p.spec.discharge_rate,
                                          REF_ROUTE.distance, REF_ROUTE.follower_coeff)
             assert arrival_soc >= p.spec.safe_soc - 1e-9
+
+
+def reference_min_charge_time(truck, route):
+    required = truck.safe_soc + route.follower_coeff * truck.discharge_rate * route.distance
+    if required - truck.max_soc > SOC_TOL:
+        raise InfeasibleTruckError(
+            truck.id,
+            f"needs departure SoC {required:.6g}% to follow safely but capacity "
+            f"is {truck.max_soc:.6g}%",
+        )
+    return max(0.0, (required - truck.initial_soc) / truck.charge_rate)
+
+
+def reference_prepare_fleet(instance):
+    """The scalar loop: one truck at a time, then one sort by (earliest, id)."""
+    rows = []
+    for truck in instance.trucks:
+        if truck.is_electric:
+            charge = reference_min_charge_time(truck, instance.route)
+            dep_soc = soc_after_charge(truck.initial_soc, truck.charge_rate, charge)
+            earliest = truck.arrival_time + charge
+        else:
+            charge = 0.0
+            dep_soc = None
+            earliest = truck.arrival_time
+        if earliest > instance.route.horizon + TIME_TOL:
+            raise HorizonExceededError(truck.id, earliest, instance.route.horizon)
+        rows.append((truck, charge, dep_soc, earliest))
+
+    rows.sort(key=lambda r: (r[3], r[0].id))
+    return [
+        PreparedTruck(spec=truck, min_charge_time=charge, min_departure_soc=dep_soc,
+                      earliest_departure=earliest, rank=rank)
+        for rank, (truck, charge, dep_soc, earliest) in enumerate(rows)
+    ]
+
+
+def plain(record):
+    """The record with its electric figures as Python floats: the scalar
+    loop keeps numpy scalars that numpy battery fields bring in, the columns
+    give Python floats of the same value."""
+    if not record.is_electric:
+        return record
+    return record._replace(min_charge_time=float(record.min_charge_time),
+                           min_departure_soc=float(record.min_departure_soc),
+                           earliest_departure=float(record.earliest_departure))
+
+
+def assert_bits_equal(a, b):
+    for name, col in vars(a).items():
+        other = getattr(b, name)
+        assert col.dtype == other.dtype and col.tobytes() == other.tobytes(), name
+
+
+def assert_matches_reference(instance):
+    """prepare_fleet against the scalar loop: the same records, or the same
+    error; and the fleet's columns give the `FleetArrays` its records give."""
+    try:
+        expected = reference_prepare_fleet(instance)
+    except (InfeasibleTruckError, HorizonExceededError, TypeError) as exc:
+        with pytest.raises(type(exc)) as err:
+            prepare_fleet(instance)
+        assert str(err.value) == str(exc)
+        assert getattr(err.value, "truck_id", None) == getattr(exc, "truck_id", None)
+        return None
+    fleet = prepare_fleet(instance)
+    records = list(fleet)
+    assert records == expected
+    assert repr(records) == repr([plain(r) for r in expected])
+    for r in records:
+        if r.is_electric:
+            assert {type(r.min_charge_time), type(r.min_departure_soc),
+                    type(r.earliest_departure)} == {float}
+        else:
+            assert r.min_departure_soc is None and type(r.min_charge_time) is float
+            assert r.earliest_departure is r.spec.arrival_time
+    columns = fleet_arrays(fleet, instance.route)
+    assert_bits_equal(columns, fleet_arrays(records, instance.route))
+    assert_bits_equal(columns, fleet_arrays(expected, instance.route))
+    return fleet
+
+
+def instance_of(trucks, route=REF_ROUTE):
+    return ProblemInstance(trucks=tuple(trucks), route=route, econ=REF_ECON)
+
+
+class TestAgainstScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets(self, instance):
+        assert_matches_reference(instance)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generated_fleets(self, seed):
+        dense = ScenarioConfig(n_trucks=400, et_share=0.7, soc_lo=10.0, soc_hi=60.0,
+                               arrival_hi=30, horizon=200.0, max_platoon_size=16,
+                               seed=seed)
+        assert_matches_reference(generate(ScenarioConfig(seed=seed)))
+        assert_matches_reference(generate(dense))
+
+    @pytest.mark.parametrize("trucks", [
+        [ft(3, 4.0), ft(1, 0.0), ft(2, 4.0)],
+        [et(3, 4.0, soc=30.0), et(1, 0.0, soc=90.0), et(2, 1.0, soc=45.0)],
+        [et(1, 2.5, soc=20.0)],
+        [ft(1, 7)],
+    ], ids=["all-ft", "all-et", "one-et", "one-ft"])
+    def test_small_fleets(self, trucks):
+        assert_matches_reference(instance_of(trucks))
+
+    def test_ties_on_earliest_departure(self):
+        # ETs that charge to the same instant tie with FTs arriving then.
+        tied = (FOLLOW_NEED - 30.0) / 1.07
+        trucks = [et(9, 0.0, soc=30.0), ft(4, tied), et(2, 0.0, soc=30.0), ft(7, 0),
+                  et(5, 0.0, soc=30.0), ft(1, 0), ft(8, tied), ft(3, 0.0)]
+        fleet = assert_matches_reference(instance_of(trucks))
+        assert [m.id for m in fleet] == [1, 3, 7, 2, 4, 5, 8, 9]
+
+    def test_integer_arrivals_stay_integers(self):
+        fleet = assert_matches_reference(instance_of([ft(2, 4), ft(1, 4.0), ft(3, 2),
+                                                      et(4, 4, soc=80.0)]))
+        assert [type(m.earliest_departure) for m in fleet] == [int, float, int, float]
+
+    def test_string_ids(self):
+        fleet = assert_matches_reference(instance_of(
+            [ft("b", 3.0), ft("a", 3.0), ft("A", 3.0), et("c", 0.0, soc=30.0), ft("", 3)]))
+        assert [m.id for m in fleet] == ["", "A", "a", "b", "c"]
+
+    def test_mixed_ids_that_never_tie(self):
+        fleet = assert_matches_reference(instance_of(
+            [ft("f-2", 5.0), ft(3, 7.0), ft("f-1", 5.0), ft(1, 7.0), ft(None, 1.0),
+             ft(2.5, 7.0)]))
+        assert [m.id for m in fleet] == [None, "f-1", "f-2", 1, 2.5, 3]
+
+    def test_mixed_ids_that_tie_fail_as_before(self):
+        assert_matches_reference(instance_of([ft("f-2", 5.0), ft(3, 5.0)]))
+        with pytest.raises(TypeError):
+            prepare_fleet(instance_of([ft("f-2", 5.0), ft(3, 5.0)]))
+
+    def test_ids_beyond_int64_and_bools(self):
+        big = 2 ** 70
+        assert_matches_reference(instance_of([ft(big, 1.0), ft(-big, 1.0), ft(5, 1.0)]))
+        assert_matches_reference(instance_of([ft(True, 1.0), ft(0, 1.0), ft(2, 1.0)]))
+
+    def test_arrivals_that_float64_cannot_tell_apart(self):
+        # 2**53 + 1 and 2**53 are one float64 but two Python numbers.
+        route = replace(REF_ROUTE, horizon=1e17)
+        fleet = assert_matches_reference(instance_of(
+            [ft(1, 2 ** 53 + 1), ft(2, float(2 ** 53)), ft(3, 2 ** 53 + 1), ft(4, 0)],
+            route))
+        assert [m.id for m in fleet] == [4, 2, 1, 3]
+
+    def test_numpy_battery_fields(self):
+        trucks = [et(1, 3.0, soc=np.float64(30.0), rate=np.float64(1.25),
+                     vrate=np.float64(0.2), safe=np.float64(10.0), max_soc=np.float64(95.0)),
+                  et(2, np.float64(1.0), soc=np.float64(70.0)), ft(3, np.float64(2.0))]
+        fleet = assert_matches_reference(instance_of(trucks))
+        (fuel,) = [m for m in fleet if not m.is_electric]
+        assert type(fuel.earliest_departure) is np.float64  # the FT's own arrival
+
+    def test_first_failing_truck_in_instance_order_wins(self):
+        route = RouteParams(distance=200.0, horizon=100.0, max_platoon_size=8)
+        late, infeasible = ft(5, 150.0), et(2, 0.0, soc=30.0, max_soc=40.0)
+        assert_matches_reference(instance_of([ft(1, 0.0), late, infeasible], route))
+        assert_matches_reference(instance_of([ft(1, 0.0), infeasible, late], route))
+        with pytest.raises(HorizonExceededError) as err:
+            prepare_fleet(instance_of([ft(1, 0.0), late, infeasible], route))
+        assert err.value.truck_id == 5
+
+    def test_infeasible_and_late_is_infeasible(self):
+        route = RouteParams(distance=200.0, horizon=100.0, max_platoon_size=8)
+        both = et(6, 99.0, soc=5.0, max_soc=40.0)
+        assert_matches_reference(instance_of([both], route))
+        with pytest.raises(InfeasibleTruckError, match="truck 6"):
+            prepare_fleet(instance_of([both], route))
+
+    @pytest.mark.parametrize("soc", [0.0, 30.0, 56.904, 60.0, 100.0])
+    def test_min_charge_time(self, soc):
+        truck = et(1, 0.0, soc=soc, rate=0.7)
+        assert min_charge_time(truck, REF_ROUTE) == reference_min_charge_time(truck, REF_ROUTE)
+
+
+def fleet_and_records():
+    inst = generate(ScenarioConfig(n_trucks=30, seed=3))
+    return inst, prepare_fleet(inst), reference_prepare_fleet(inst)
+
+
+class TestPreparedFleet:
+    def test_sequence_of_records(self):
+        _, fleet, records = fleet_and_records()
+        assert isinstance(fleet, PreparedFleet) and len(fleet) == len(records) == 30
+        assert fleet[0] == records[0] and fleet[-1] == records[-1]
+        assert fleet[-3] == records[-3]
+        with pytest.raises(IndexError):
+            fleet[30]
+        assert type(fleet[2:5]) is list and fleet[2:5] == records[2:5]
+        assert fleet[::-1] == records[::-1]
+        assert list(fleet) == records and list(reversed(fleet)) == records[::-1]
+        assert fleet.index(records[4]) == 4 and records[7] in fleet
+
+    def test_equality(self):
+        inst, fleet, records = fleet_and_records()
+        assert fleet == prepare_fleet(inst)
+        assert fleet == PreparedFleet.from_records(records)
+        assert fleet != prepare_fleet(generate(ScenarioConfig(n_trucks=30, seed=4)))
+        assert fleet != records  # a fleet is not a list, as a tuple is not
+
+    def test_records_are_built_once(self, monkeypatch):
+        _, fleet, _ = fleet_and_records()
+        built = []
+        real = discretize.PreparedTruck
+        monkeypatch.setattr(discretize, "PreparedTruck",
+                            lambda *fields: built.append(fields) or real(*fields))
+        first = fleet[0]
+        assert len(built) == 30
+        assert fleet[0] is first and all(a is b for a, b in zip(fleet, list(fleet)))
+        assert len(built) == 30
+
+    def test_dp_solves_build_no_records(self, monkeypatch, tmp_path):
+        inst, fleet, _ = fleet_and_records()
+        built = []
+        real = discretize.PreparedTruck
+        monkeypatch.setattr(discretize, "PreparedTruck",
+                            lambda *fields: built.append(fields) or real(*fields))
+        solve_dp_ls(fleet, inst.route, inst.econ)
+        solve_dp_nls(fleet, inst.route, inst.econ, 2)
+        path = tmp_path / "inst.json"
+        assert cli.main(["generate", "--seed", "3", "--n", "30", "--out", str(path)]) == 0
+        assert cli.main(["solve", str(path), "--method", "dp-ls",
+                         "--out", str(tmp_path / "sol.json")]) == 0
+        assert built == []
+        solve_spontaneous(fleet, inst.route, inst.econ, 0)
+        solve_fixed_interval(fleet, inst.route, inst.econ, 30.0, 0)
+        assert len(built) == 30
+
+    def test_columns_cannot_be_written(self):
+        _, fleet, _ = fleet_and_records()
+        arr = fleet_arrays(fleet, REF_ROUTE)
+        for name in ("tau_delta", "tau_cmin", "is_et", "fill_time", "rate", "arrival",
+                     "init_soc", "max_soc", "vrate", "safe_soc"):
+            column = getattr(fleet, name)
+            with pytest.raises(ValueError):
+                column[0] = 1
+            if hasattr(arr, name):
+                assert getattr(arr, name) is column
+        with pytest.raises(AttributeError):
+            fleet.tau_delta = np.zeros(30)
+        with pytest.raises(AttributeError):
+            fleet.note = "extra"
+
+    def test_from_records_checks_order(self):
+        a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
+        with pytest.raises(ContractViolation, match="rank-ordered"):
+            PreparedFleet.from_records([b, a])
+        with pytest.raises(ContractViolation, match="sorted by earliest departure"):
+            PreparedFleet.from_records([b._replace(rank=0), a._replace(rank=1)])
+
+    def test_empty_fleet_has_empty_columns(self):
+        arr = fleet_arrays([], REF_ROUTE)
+        assert arr.size == 0 and all(col.size == 0 for col in vars(arr).values())

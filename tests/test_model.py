@@ -1,3 +1,8 @@
+import math
+import re
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +12,7 @@ from platoon_coord import (
     ProblemInstance,
     RouteParams,
     TruckKind,
+    TruckSpec,
     departure_soc_bounds,
     departure_time,
     soc_after_charge,
@@ -156,3 +162,59 @@ class TestValidation:
     def test_instance_nonempty(self):
         with pytest.raises(ContractViolation):
             ProblemInstance(trucks=(), route=REF_ROUTE, econ=REF_ECON)
+
+
+NAN = float("nan")
+
+
+class TestNaNFailsValidation:
+    """Every range check rejects NaN with the message it gives an
+    out-of-range number; a NaN that slipped through used to reach the
+    solvers as a zero mandatory charge."""
+
+    @pytest.mark.parametrize("field, message", [
+        ("arrival_time", "arrival_time must be >= 0"),
+        ("initial_soc", "initial_soc must be in [0, max_soc]"),
+        ("charge_rate", "charge_rate must be > 0"),
+        ("discharge_rate", "discharge_rate must be >= 0"),
+        ("safe_soc", "safe_soc must be in [0, 100)"),
+        ("max_soc", "max_soc must be in (safe_soc, 100]"),
+    ])
+    @pytest.mark.parametrize("value", [NAN, np.float64("nan")])
+    def test_truck_fields(self, field, message, value):
+        with pytest.raises(ContractViolation, match=re.escape(f"truck 1: {message}")):
+            et(1, 5.0, soc=50.0)._replace(**{field: value})
+
+    def test_fuel_arrival(self):
+        with pytest.raises(ContractViolation, match="arrival_time must be >= 0"):
+            ft(1, NAN)
+
+    def test_reported_truck_no_longer_builds(self):
+        with pytest.raises(ContractViolation, match="charge_rate must be > 0"):
+            TruckSpec(1, TruckKind.ELECTRIC, 5.0, 50.0, NAN, 0.1, 10.0, 100.0)
+
+    @pytest.mark.parametrize("field, message", [
+        ("distance", "distance must be > 0"),
+        ("horizon", "horizon must be > 0"),
+        ("follower_coeff", "follower_coeff must be in (0, 1]"),
+    ])
+    def test_route_fields(self, field, message):
+        with pytest.raises(ContractViolation, match=re.escape(message)):
+            replace(REF_ROUTE, **{field: NAN})
+
+    @pytest.mark.parametrize("size", [NAN, math.inf, 2.5, 0])
+    def test_platoon_size(self, size):
+        with pytest.raises(ContractViolation, match="max_platoon_size must be an integer >= 1"):
+            replace(REF_ROUTE, max_platoon_size=size)
+
+    @pytest.mark.parametrize("field", [
+        "wait_cost", "charge_cost", "et_follower_profit", "ft_follower_profit"])
+    def test_econ_fields(self, field):
+        with pytest.raises(ContractViolation, match=f"{field} must be >= 0"):
+            replace(REF_ECON, **{field: NAN})
+
+    def test_infinite_values_keep_their_verdicts(self):
+        assert ft(1, math.inf).arrival_time == math.inf
+        assert et(1, 0.0, soc=50.0, rate=math.inf).charge_rate == math.inf
+        with pytest.raises(ContractViolation, match="arrival_time must be >= 0"):
+            ft(1, -math.inf)
