@@ -33,9 +33,6 @@ from .model import (
     TruckSpec,
 )
 
-# Integers below this magnitude convert to float64 exactly.
-_EXACT_INT = 2.0 ** 53
-
 
 class PreparedTruck(NamedTuple):
     """A truck augmented with its mandatory-charge schedule and sort rank."""
@@ -118,25 +115,20 @@ def _rank_order(earliest: np.ndarray, ids, earliest_of) -> np.ndarray:
     Python sorts those pairs, where `earliest_of(k)` is truck k's departure
     as the object its record holds.
 
-    Float conversion keeps order, so only trucks whose float64 departures
-    tie need their ids compared; their ids are compared as Python compares
-    them, whatever their types.
+    Float conversion keeps order, so an argsort of the float64 departures
+    is that order except among trucks whose float64 departures tie. Those
+    are sorted in Python by (departure, id, position): ids are compared as
+    Python compares them, whatever their types, and only where departures
+    tie.
     """
-    if earliest.max() < _EXACT_INT and set(map(type, ids)) == {int}:
-        keys = np.array(ids)
-        if keys.dtype.kind in "iu":
-            return np.lexsort((keys, earliest))
-    order = np.argsort(earliest, kind="stable")
+    order = np.argsort(earliest)
     ranked = earliest[order]
-    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
-    if not tied.size:
-        return order
-    order = order.tolist()
-    cut = np.flatnonzero(np.diff(tied) != 1)
-    for lo, hi in zip(tied[np.r_[0, cut + 1]].tolist(),
-                      (tied[np.r_[cut, tied.size - 1]] + 2).tolist()):
-        order[lo:hi] = sorted(order[lo:hi], key=lambda k: (earliest_of(k), ids[k]))
-    return np.array(order)
+    tie = ranked[1:] == ranked[:-1]
+    tied = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+    members = order[tied].tolist()
+    order[tied] = [k for *_, k in sorted(zip(
+        map(earliest_of, members), map(ids.__getitem__, members), members))]
+    return order
 
 
 class PreparedFleet(Sequence):
@@ -207,6 +199,11 @@ class PreparedFleet(Sequence):
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # pickle and copy would restore the slots through __setattr__;
+        # rebuild the fleet from its records instead.
+        return type(self).from_records, (self._rows(),)
 
     def _rows(self) -> List[PreparedTruck]:
         if self._records is None:

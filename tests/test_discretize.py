@@ -6,6 +6,8 @@ reference's by `==` and `repr`, and every error must match in type, truck
 and message.
 """
 
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -367,6 +369,19 @@ class TestPreparedFleet:
             fleet.tau_delta = np.zeros(30)
         with pytest.raises(AttributeError):
             fleet.note = "extra"
+
+    @pytest.mark.parametrize("clone", [
+        lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy])
+    def test_pickle_and_copy_round_trip(self, clone):
+        inst, fleet, records = fleet_and_records()
+        again = clone(prepare_fleet(inst))
+        assert type(again) is PreparedFleet and again == fleet and list(again) == records
+        for name in ("tau_delta", "tau_cmin", "is_et", "fill_time", "rate", "arrival",
+                     "init_soc", "max_soc", "vrate", "safe_soc"):
+            column = getattr(again, name)
+            assert not column.flags.writeable
+            assert column.tobytes() == getattr(fleet, name).tobytes()
+        assert again.ids == fleet.ids and again.specs == fleet.specs
 
     def test_from_records_checks_order(self):
         a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
