@@ -60,7 +60,6 @@ def _config_from_args(args, seed: int) -> ScenarioConfig:
         "max_platoon_size": args.nbar,
         "soc_lo": args.soc_lo,
         "soc_hi": args.soc_hi,
-        "interval": getattr(args, "interval", None),
     }
     cfg = ScenarioConfig(seed=seed)
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

@@ -17,7 +17,13 @@ from typing import Sequence
 import numpy as np
 
 from .discretize import PreparedTruck, as_fleet
-from .kernels import FleetArrays, fleet_arrays, leader_draw_bits, run_dp_kernel
+from .kernels import (
+    FleetArrays,
+    block_departure,
+    fleet_arrays,
+    leader_draw_bits,
+    run_dp_kernel,
+)
 from .model import (
     MONEY_TOL,
     ContractViolation,
@@ -25,7 +31,7 @@ from .model import (
     NoFeasibleScheduleError,
     RouteParams,
 )
-from .solution import Diagnostics, Solution
+from .solution import Diagnostics, Solution, departure_order
 from .utility import PlatoonTable, price_platoons
 # Not called here; solvebench/spans.py traces `dp.evaluate_platoon` by this name.
 from .utility import evaluate_platoon  # noqa: F401
@@ -63,10 +69,9 @@ def run_dp(prepared: Sequence[PreparedTruck], route: RouteParams,
 def _backtrack(state: DpState, prepared: Sequence[PreparedTruck],
                route: RouteParams, econ: EconomicParams) -> PlatoonTable:
     """Walk the winning choices back from the full fleet, then price every
-    chosen platoon in one columnar pass."""
+    chosen platoon in one columnar pass, in (departure, first rank) order."""
     choice_sizes = state.choice_sizes.tolist()
-    choice_leaders = state.choice_leaders.tolist()
-    starts, sizes, leaders = [], [], []
+    starts, sizes = [], []
     i = len(prepared)
     while i > 0:
         size = choice_sizes[i]
@@ -75,11 +80,14 @@ def _backtrack(state: DpState, prepared: Sequence[PreparedTruck],
                 f"no safe schedule covers the first {i} trucks"
             )
         sizes.append(size)
-        leaders.append(choice_leaders[i])
         i -= size
         starts.append(i)
-    return price_platoons(prepared, state.arrays, starts[::-1], sizes[::-1],
-                          leaders[::-1], route, econ)
+    starts = np.array(starts, dtype=np.intp)
+    sizes = np.array(sizes, dtype=np.intp)
+    leaders = state.choice_leaders[starts + sizes]
+    order = departure_order(block_departure(state.arrays, starts, sizes), starts)
+    return price_platoons(prepared, state.arrays, starts[order], sizes[order],
+                          leaders[order], route, econ)
 
 
 def _solve(prepared, route, econ, mode, seed, method) -> Solution:

@@ -1,6 +1,6 @@
 """The value-recursion kernel, the fleet columns it reads, and the
 per-member arithmetic that it and the batch pricer `utility.price_platoons`
-share: `member_terms`, `solo_departure` and `block_profit`.
+share: `member_terms`, `block_departure` and `block_profit`.
 
 The recursion scans every (prefix, platoon size, leader kind) candidate,
 which dominates runtime at fleet scale. It runs in two steps: numpy prices
@@ -135,10 +135,14 @@ def member_terms(arr: FleetArrays, idx, depart):
     return charge, wait, dep_soc, can_lead
 
 
-def solo_departure(arr: FleetArrays, idx, depart):
-    """Departure of the truck at rank `idx` leaving alone no earlier than
-    `depart`: a lone ET first charges to the alone-safe level."""
-    return np.where(arr.is_et[idx] == 1, np.maximum(depart, arr.alone_depart[idx]), depart)
+def block_departure(arr: FleetArrays, starts, sizes):
+    """Departure of the blocks of `sizes` consecutive ranks from `starts`: the
+    last member's earliest departure, the latest since the fleet is sorted
+    by it, or for a lone ET the later of that and its alone-safe departure."""
+    last = starts + sizes - 1
+    depart = arr.tau_delta[last]
+    solo_et = (sizes == 1) & (arr.is_et[last] == 1)
+    return np.where(solo_et, np.maximum(depart, arr.alone_depart[last]), depart)
 
 
 def block_profit(econ, et_count, ft_count, fuel_led):
@@ -182,7 +186,7 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
 
     # Size-1 candidates leave at the solo departure. Column 0 above stays
     # priced at the row's own departure, since every larger block sums it.
-    t0 = solo_departure(arr, rows, arr.tau_delta)
+    t0 = block_departure(arr, rows, 1)
     charge, wait, _, can_lead = member_terms(arr, rows, t0)
     j_e[:, 0] = 0.0 - (ec * charge + ew * wait)
     val_e[:, 0] = (arr.is_et == 1) & can_lead & (t0 <= horizon + TIME_TOL)

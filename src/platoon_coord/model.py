@@ -11,7 +11,6 @@ discharging, and the battery window a departing ET must respect.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -132,7 +131,7 @@ class RouteParams:
         if not self.horizon > 0:
             raise ContractViolation("horizon must be > 0")
         size = self.max_platoon_size
-        if not (1 <= size < math.inf and int(size) == size):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise ContractViolation("max_platoon_size must be an integer >= 1")
         if not 0 < self.follower_coeff <= 1:
             raise ContractViolation("follower_coeff must be in (0, 1]")

@@ -69,7 +69,6 @@ class ScenarioConfig:
     max_soc: float = 100.0
     soc_lo: Optional[float] = None   # default: safe_soc
     soc_hi: Optional[float] = None   # default: max_soc
-    interval: float = 30.0           # fixed-interval baseline slot length
     seed: int = 0
 
     def route(self) -> RouteParams:
@@ -102,6 +101,8 @@ def generate(config: ScenarioConfig) -> ProblemInstance:
         raise GenerationError("arrival range must satisfy 0 <= lo <= hi")
     if config.n_trucks < 1:
         raise GenerationError("n_trucks must be >= 1")
+    if config.seed < 0:
+        raise GenerationError("seed must be >= 0")
     follower_need = config.safe_soc + config.follower_coeff * config.discharge_rate * config.distance
     if follower_need > config.max_soc:
         raise GenerationError(

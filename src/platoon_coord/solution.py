@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .model import ContractViolation
 from .utility import PlatoonAssignment, PlatoonTable, check_cover
 
 
@@ -28,8 +29,11 @@ class Diagnostics:
 class Solution:
     """A complete schedule: partition of the fleet into platoons plus totals.
 
-    The platoons are held as a `PlatoonTable` in departure order; `platoons`
-    gives them as records, built on first access.
+    The platoons are held as a `PlatoonTable` in (departure, first rank)
+    order, so output order is stable even when a postponed solo leaves after
+    the block that follows it in rank. The solver orders them: dp prices its
+    blocks in that order, `from_platoons` sorts the records it is given.
+    `platoons` gives them as records, built on first access.
     """
 
     method: str
@@ -47,34 +51,12 @@ class Solution:
     @classmethod
     def from_table(cls, method: str, table: PlatoonTable,
                    diagnostics: Optional[Diagnostics] = None) -> "Solution":
-        """Assemble a solution, ordering platoons by departure time.
-
-        Ordering key is (departure, first rank) so output order is stable even
-        when a postponed solo leaves after the block that follows it in rank.
-        """
-        order = _departure_order(table.departure, [table.rank[s] for s in table.start])
-        if order is not None:
-            table = table.take(order)
-        return cls._totalled(method, table, diagnostics)
-
-    @classmethod
-    def from_platoons(cls, method: str, platoons: Sequence[PlatoonAssignment],
-                      diagnostics: Optional[Diagnostics] = None) -> "Solution":
-        """Assemble a solution from platoon records, as `from_table` does. The
-        records are ordered before they are turned into a table, which moves
-        one record per platoon instead of every member column."""
-        order = _departure_order([p.departure_time for p in platoons],
-                                 [p.ranks[0] for p in platoons])
-        if order is not None:
-            platoons = [platoons[k] for k in order]
-        return cls._totalled(method, PlatoonTable.from_records(platoons), diagnostics)
-
-    @classmethod
-    def _totalled(cls, method: str, table: PlatoonTable,
-                  diagnostics: Optional[Diagnostics]) -> "Solution":
-        """The solution of a table in departure order, its totals summed one
-        platoon after the other in that order."""
+        """The solution of a table in (departure, first rank) order, its
+        totals summed one platoon after the other in that order."""
         check_cover(table.rank)
+        order = departure_order(table.departure, [table.rank[s] for s in table.start])
+        if (order != np.arange(order.size)).any():
+            raise ContractViolation("platoons must be in (departure, first rank) order")
         profit = sum(table.profit)
         loss = sum(table.loss)
         diag = diagnostics if diagnostics is not None else Diagnostics()
@@ -90,12 +72,18 @@ class Solution:
             diagnostics=diag,
         )
 
+    @classmethod
+    def from_platoons(cls, method: str, platoons: Sequence[PlatoonAssignment],
+                      diagnostics: Optional[Diagnostics] = None) -> "Solution":
+        """Assemble a solution from platoon records in any order: ordered,
+        then turned into a table for `from_table`."""
+        order = departure_order([p.departure_time for p in platoons],
+                                 [p.ranks[0] for p in platoons])
+        table = PlatoonTable.from_records([platoons[k] for k in order.tolist()])
+        return cls.from_table(method, table, diagnostics)
 
-def _departure_order(departure: Sequence[float],
-                     first_rank: Sequence[int]) -> Optional[List[int]]:
-    """Positions of the platoons in (departure, first rank) order, or None
-    when they are in that order already."""
-    order = np.lexsort((first_rank, departure))
-    if (order == np.arange(order.size)).all():
-        return None
-    return order.tolist()
+
+def departure_order(departure: Sequence[float], first_rank: Sequence[int]) -> np.ndarray:
+    """Positions of the platoons in (departure, first rank) order, the order
+    a `Solution` holds them in."""
+    return np.lexsort((first_rank, departure))

@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import accumulate, chain
-from operator import itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .discretize import PreparedTruck, as_fleet
-from .kernels import FleetArrays, block_profit, member_terms, solo_departure
+from .kernels import FleetArrays, block_departure, block_profit, member_terms
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -351,34 +350,6 @@ class PlatoonTable:
                 self.profit, self.loss)
         ]
 
-    def take(self, order: Sequence[int]) -> "PlatoonTable":
-        """The table with its platoons in `order`, a permutation of at least
-        two platoons; members move with their platoon."""
-        block = itemgetter(*order)
-        size = block(self.size)
-        start = np.cumsum(size) - size
-        # Each member's index in the old member columns.
-        moved = np.repeat(np.asarray(block(self.start)) - start, size)
-        member = itemgetter(*(moved + np.arange(moved.size)).tolist())
-        return PlatoonTable(
-            start=start.tolist(),
-            size=size,
-            leader=block(self.leader),
-            leader_pos=block(self.leader_pos),
-            departure=block(self.departure),
-            profit=block(self.profit),
-            loss=block(self.loss),
-            rank=member(self.rank),
-            truck_id=member(self.truck_id),
-            role=member(self.role),
-            charge=member(self.charge),
-            wait=member(self.wait),
-            departure_soc=member(self.departure_soc),
-            arrival_soc=member(self.arrival_soc),
-            can_lead=member(self.can_lead),
-            fuel=member(self.fuel),
-        )
-
 
 def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
                    starts, sizes, leaders, route: RouteParams,
@@ -386,14 +357,16 @@ def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
     """Price many consecutive platoons at once from the fleet's columns.
 
     Block b holds ranks `starts[b]` .. `starts[b] + sizes[b] - 1` and is led
-    by the kind `leaders[b]` (0 electric, 1 fuel); it departs when its latest
-    member is ready. `prepared` must be rank-ordered (`prepared[k].rank ==
-    k`); only its id column is read. `arr` must be `fleet_arrays(prepared,
-    route)`. The table holds the blocks in the given order, and each of its
-    records equals, field for field, what `evaluate_platoon` returns for the
-    same members and leader kind: the numpy expressions repeat its scalar
-    arithmetic operation for operation, and each loss is summed in rank
-    order from 0.0 as it does.
+    by the kind `leaders[b]` (0 electric, 1 fuel); it departs at
+    `kernels.block_departure`. `prepared` must be rank-ordered
+    (`prepared[k].rank == k`) and sorted by earliest departure, as
+    `prepare_fleet` and `PreparedFleet.from_records` guarantee, so a block's
+    last member is its latest; only its id column is read. `arr` must be
+    `fleet_arrays(prepared, route)`. The table holds the blocks in the given
+    order, and each of its records equals, field for field, what
+    `evaluate_platoon` returns for the same members and leader kind: the
+    numpy expressions repeat its scalar arithmetic operation for operation,
+    and each loss is summed in rank order from 0.0 as it does.
     """
     starts = np.asarray(starts, dtype=np.intp)
     sizes = np.asarray(sizes, dtype=np.intp)
@@ -424,8 +397,7 @@ def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
     if (np.where(fuel_led, ft_count, et_count) < 1).any():
         raise ContractViolation("no member of the leader's kind to lead this platoon")
 
-    depart = np.maximum.reduceat(arr.tau_delta[idx], offsets)
-    depart[solo] = solo_departure(arr, starts[solo], depart[solo])
+    depart = block_departure(arr, starts, sizes)
     charge, wait, dep_soc, can_lead = member_terms(arr, idx, depart[block])
 
     # Leader: the first fuel truck, or the ET with the highest departure SoC

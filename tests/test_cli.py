@@ -38,6 +38,14 @@ class TestGenerate:
         assert run(["generate", "--n", 5, "--arrival-lo", 90, "--arrival-hi", 99,
                     "--horizon", 10, "--out", tmp_path / "x.json"]) == 1
 
+    @pytest.mark.parametrize("argv", [["generate", "--seed", -1, "--out", "x.json"],
+                                      ["compare", "--seeds=-1", "--n", 5, "--out", "cmp"]],
+                             ids=["generate", "compare"])
+    def test_negative_seed_exits_nonzero(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
+
 
 class TestSolve:
     @pytest.mark.parametrize("method", ["dp-ls", "dp-nls", "spontaneous", "fixed-interval"])

@@ -202,7 +202,7 @@ class TestNaNFailsValidation:
         with pytest.raises(ContractViolation, match=re.escape(message)):
             replace(REF_ROUTE, **{field: NAN})
 
-    @pytest.mark.parametrize("size", [NAN, math.inf, 2.5, 0])
+    @pytest.mark.parametrize("size", [NAN, math.inf, 2.5, 0, 8.0, True])
     def test_platoon_size(self, size):
         with pytest.raises(ContractViolation, match="max_platoon_size must be an integer >= 1"):
             replace(REF_ROUTE, max_platoon_size=size)

@@ -70,6 +70,10 @@ class TestGenerate:
         with pytest.raises(GenerationError):
             generate(ScenarioConfig(n_trucks=10, et_share=0.5, max_soc=40.0, seed=0))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(GenerationError, match="seed must be >= 0"):
+            generate(ScenarioConfig(n_trucks=5, seed=-1))
+
     def test_impossible_horizon_exhausts_resampling(self):
         cfg = ScenarioConfig(n_trucks=5, et_share=0.0, arrival_lo=50,
                              arrival_hi=60, horizon=10.0, seed=0)
@@ -88,19 +92,28 @@ class TestInstanceFiles:
         assert doc["rng"] == "numpy-philox4x64"
         assert doc["config"]["n_trucks"] == 30
 
-    def test_config_with_speed_kmh_loads(self, tmp_path):
-        """Instance files written while `ScenarioConfig` still had a
-        `speed_kmh` knob carry it in `config`; they load unchanged."""
+    @staticmethod
+    def assert_dropped_knob_loads(tmp_path, knob, value):
+        """Instance files written while `ScenarioConfig` still had `knob`
+        carry it in `config`; new files do not, and old ones load unchanged."""
         cfg = ScenarioConfig(n_trucks=12, et_share=0.5, seed=3)
         inst = generate(cfg)
         path = tmp_path / "instance.json"
         save_instance(inst, path, config=cfg)
         doc = json.loads(path.read_text())
-        assert "speed_kmh" not in doc["config"]
-        doc["config"]["speed_kmh"] = 80.0
+        assert knob not in doc["config"]
+        doc["config"][knob] = value
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         loaded = load_instance(path)
         assert loaded == inst and repr(loaded) == repr(inst)
+
+    def test_config_with_speed_kmh_loads(self, tmp_path):
+        self.assert_dropped_knob_loads(tmp_path, "speed_kmh", 80.0)
+
+    def test_config_with_interval_loads(self, tmp_path):
+        """`interval` was never read by `generate`; `solve` and `compare` take
+        `--interval`."""
+        self.assert_dropped_knob_loads(tmp_path, "interval", 30.0)
 
     def test_byte_identical_writes(self, tmp_path):
         inst = generate(ScenarioConfig(n_trucks=20, seed=5))

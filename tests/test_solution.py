@@ -4,6 +4,8 @@ replaced: sort the records by (departure, first rank), sum the totals in that
 order, count sizes and leader kinds platoon by platoon.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
@@ -23,7 +25,7 @@ from platoon_coord import (
     solve_spontaneous,
 )
 from platoon_coord.kernels import fleet_arrays
-from platoon_coord.utility import PlatoonTable, check_cover, price_platoons
+from platoon_coord.utility import LEADER_BY_CODE, PlatoonTable, check_cover, price_platoons
 from conftest import REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 
 
@@ -102,22 +104,38 @@ class TestAssembly:
         for sol in solve_all(prepared, instance.route, instance.econ, instance.seed):
             assert_round_trips(sol)
 
-    def test_priced_table_is_ordered_by_departure(self):
-        """A table priced out of departure order, as a postponed solo ET
-        leaves after the block behind it, is reordered with its members."""
+    def test_table_out_of_departure_order_raises(self):
+        """A table priced out of (departure, first rank) order, as when a
+        postponed solo ET leaves after the block behind it, is refused: the
+        solver orders its blocks before it prices them."""
         # The ET is ready at 25.1 but may leave alone only at 34.8.
         prepared = prepare([et(1, 0.0, soc=30.0), ft(2, 28.0), ft(3, 30.0), ft(4, 31.0),
                             et(5, 32.0, soc=95.0)])
-        blocks = [(3, 2, 1), (1, 2, 1), (0, 1, 0)]  # (start, size, leader kind)
-        starts, sizes, leaders = zip(*blocks)
-        table = price_platoons(prepared, fleet_arrays(prepared, REF_ROUTE), starts, sizes,
-                               leaders, REF_ROUTE, REF_ECON)
-        sol = Solution.from_table("DP-LS", table)
-        records = [evaluate_platoon(prepared[s:s + n], (LeaderType.ELECTRIC, LeaderType.FUEL)[k],
-                                    REF_ROUTE, REF_ECON) for s, n, k in blocks]
-        assert [p.ranks for p in sol.platoons] == [(1, 2), (3, 4), (0,)]
+        arr = fleet_arrays(prepared, REF_ROUTE)
+
+        def priced(blocks):  # (start, size, leader kind)
+            return price_platoons(prepared, arr, *zip(*blocks), REF_ROUTE, REF_ECON)
+
+        with pytest.raises(ContractViolation, match="departure, first rank"):
+            Solution.from_table("DP-LS", priced([(3, 2, 1), (1, 2, 1), (0, 1, 0)]))
+        blocks = [(1, 2, 1), (3, 2, 1), (0, 1, 0)]
+        sol = Solution.from_table("DP-LS", priced(blocks))
+        records = [evaluate_platoon(prepared[s:s + n], LEADER_BY_CODE[k], REF_ROUTE, REF_ECON)
+                   for s, n, k in blocks]
         assert_assembled_from(sol, records)
-        assert sol.table.start == [0, 2, 4]
+
+    @pytest.mark.parametrize("solve", [solve_dp_ls, lambda p, r, e: solve_dp_nls(p, r, e, 1)],
+                             ids=["dp-ls", "dp-nls"])
+    def test_dp_orders_a_postponed_solo(self, solve):
+        """With nbar = 1 every truck leaves alone, so the ET that is ready
+        first but alone-safe only at 34.8 leaves behind the fuel trucks."""
+        prepared = prepare([et(1, 0.0, soc=30.0), ft(2, 28.0), ft(3, 30.0), ft(4, 31.0)])
+        route = replace(REF_ROUTE, max_platoon_size=1)
+        sol = solve(prepared, route, REF_ECON)
+        records = [evaluate_platoon([p], LEADER_BY_CODE[not p.is_electric], route, REF_ECON)
+                   for p in prepared]
+        assert [p.ranks for p in sol.platoons] == [(1,), (2,), (3,), (0,)]
+        assert_assembled_from(sol, records)
 
     def test_no_platoons(self):
         sol = Solution.from_platoons("DP-LS", [])
