@@ -4,8 +4,11 @@ Spontaneous platooning never waits: trucks leave the moment they are ready,
 and only those sharing the exact same earliest departure end up together.
 Fixed-interval platooning cuts the horizon into uniform slots; everything
 ready within a slot leaves together at the slot's end. Both respect the same
-platoon-size cap and leader-safety rules as the optimizing solvers, and both
-draw leader kinds from the same seeded stream keyed by block position.
+platoon-size cap and leader-safety rules as the optimizing solvers: which
+trucks could lead at their slot's instant comes from `kernels.member_terms`,
+so each block's leader kind, drawn from the same seeded stream keyed by block
+position, is settled before the block is priced, once. A plain sequence of
+records must be rank-ordered and sorted by earliest departure, as for `dp`.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import time
 from itertools import groupby
 from typing import List, Sequence
 
-from .discretize import PreparedTruck
-from .kernels import leader_draw_bit
+import numpy as np
+
+from .discretize import PreparedTruck, as_fleet
+from .kernels import fleet_arrays, leader_draw_bit, member_terms
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -29,7 +34,6 @@ from .utility import (
     LeaderType,
     PlatoonAssignment,
     evaluate_platoon,
-    leader_feasible,
     leader_type_for_kind,
 )
 
@@ -37,57 +41,49 @@ SPONTANEOUS = "SPONTANEOUS"
 FIXED_INTERVAL = "FIXED-INTERVAL"
 
 
-def _schedule_block(block: Sequence[PreparedTruck], depart_at: float,
-                    route: RouteParams, econ: EconomicParams,
-                    seed: int) -> List[PlatoonAssignment]:
-    """Schedule one block departing together; fall back to solos when no
-    member could safely lead it. An ET that cannot drive alone safely even on
-    a full battery has no schedule here, which is an error, not a solo."""
-    if len(block) == 1:
-        kind_leader = leader_type_for_kind(block[0].kind)
-        solo = evaluate_platoon(block, kind_leader, route, econ, depart_at=depart_at)
-        if not solo.ledger[0].can_lead:
-            raise NoFeasibleScheduleError(
-                f"truck {block[0].id}: cannot drive alone safely and has no "
-                "platoon to follow"
-            )
-        return [solo]
-
-    probe_type = (LeaderType.FUEL if any(not m.is_electric for m in block)
-                  else LeaderType.ELECTRIC)
-    probe = evaluate_platoon(block, probe_type, route, econ, depart_at=depart_at)
-    ok_e = leader_feasible(probe, LeaderType.ELECTRIC)
-    ok_f = leader_feasible(probe, LeaderType.FUEL)
-    if not (ok_e or ok_f):
-        # All-electric block with no lead-capable member: split rather than
-        # send out an unsafe formation.
-        return [
-            p
-            for m in block
-            for p in _schedule_block([m], depart_at, route, econ, seed)
-        ]
-    if ok_e and ok_f:
-        i = block[-1].rank + 1
-        chosen = LeaderType.ELECTRIC if leader_draw_bit(seed, i, len(block)) else LeaderType.FUEL
-    else:
-        chosen = LeaderType.ELECTRIC if ok_e else LeaderType.FUEL
-    if chosen is probe.leader_type:
-        return [probe]
-    return [evaluate_platoon(block, chosen, route, econ, depart_at=depart_at)]
-
-
 def _solve_grouped(method: str, prepared: Sequence[PreparedTruck], slot,
                    route: RouteParams, econ: EconomicParams, seed: int) -> Solution:
     """Send out each run of trucks whose earliest departures share a slot at
     that slot's instant, `slot(earliest_departure)`, in blocks of at most
-    nbar trucks."""
+    nbar trucks. A fuel truck may lead a block that has one, and an ET a
+    block in which some ET can lead (whichever kind leads); the draw picks
+    when both may, and a block neither may lead leaves as solos. An ET that
+    cannot drive alone safely even on a full battery is an error."""
     start = time.perf_counter()
+    fleet = as_fleet(prepared)
+    arr = fleet_arrays(fleet, route)
+    records = list(fleet)
+    # On the record's own value: an integer arrival stays an integer.
+    depart = [slot(m.earliest_departure) for m in records]
+    # A slot end may fall an ulp before a truck is ready; the scalar pricing
+    # clamps that slack at 0, so clamp to agree with it.
+    can_lead = member_terms(arr, np.arange(len(records)),
+                            np.maximum(depart, arr.tau_delta))[3]
+    et, et_leads = arr.is_et.tolist(), (arr.is_et & can_lead).tolist()
     cap = route.max_platoon_size
     platoons: List[PlatoonAssignment] = []
-    for depart_at, group in groupby(prepared, key=lambda m: slot(m.earliest_departure)):
+    for depart_at, group in groupby(range(len(records)), key=depart.__getitem__):
         group = list(group)
-        for k in range(0, len(group), cap):
-            platoons.extend(_schedule_block(group[k:k + cap], depart_at, route, econ, seed))
+        end = group[-1] + 1
+        for lo in range(group[0], end, cap):
+            hi = min(lo + cap, end)
+            block = records[lo:hi]
+            ok_e, ok_f = any(et_leads[lo:hi]), not all(et[lo:hi])
+            if len(block) > 1 and (ok_e or ok_f):
+                electric = ok_e and (not ok_f or leader_draw_bit(seed, hi, len(block)))
+                platoons.append(evaluate_platoon(
+                    block, LeaderType.ELECTRIC if electric else LeaderType.FUEL,
+                    route, econ, depart_at=depart_at))
+                continue
+            for m in block:
+                solo = evaluate_platoon([m], leader_type_for_kind(m.kind), route, econ,
+                                        depart_at=depart_at)
+                if not solo.ledger[0].can_lead:
+                    raise NoFeasibleScheduleError(
+                        f"truck {m.id}: cannot drive alone safely and has no "
+                        "platoon to follow"
+                    )
+                platoons.append(solo)
     diag = Diagnostics(
         solve_ms=(time.perf_counter() - start) * 1e3,
         horizon_violation=any(

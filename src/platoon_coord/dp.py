@@ -58,12 +58,14 @@ def run_dp(prepared: Sequence[PreparedTruck], route: RouteParams,
     A plain sequence of records must be rank-ordered and sorted by earliest
     departure (`PreparedFleet.from_records` checks both)."""
     arr = fleet_arrays(prepared, route)
+    # No platoon outgrows the fleet, so a larger cap must not size the tables.
+    window = min(route.max_platoon_size, max(arr.size, 1))
     if mode == 1:
-        bits = leader_draw_bits(seed, arr.size, route.max_platoon_size)
+        bits = leader_draw_bits(seed, arr.size, window)
     else:
         bits = np.zeros((1, 1), np.uint8)
-    return DpState(*run_dp_kernel(arr, econ, route.max_platoon_size,
-                                  route.horizon, mode, bits), arrays=arr)
+    return DpState(*run_dp_kernel(arr, econ, window, route.horizon, mode, bits),
+                   arrays=arr)
 
 
 def _backtrack(state: DpState, prepared: Sequence[PreparedTruck],

@@ -17,6 +17,7 @@ from .discretize import PreparedTruck, prepare_fleet
 from .model import (
     ContractViolation,
     EconomicParams,
+    NoFeasibleScheduleError,
     ProblemInstance,
     RouteParams,
     TIME_TOL,
@@ -99,7 +100,7 @@ def oracle_consecutive(prepared: Sequence[PreparedTruck], route: RouteParams,
 
     explore(n, 0.0)
     if n and best_split is None:
-        raise ContractViolation("no safe schedule exists for this fleet")
+        raise NoFeasibleScheduleError("no safe schedule exists for this fleet")
 
     platoons = []
     i = n
@@ -198,7 +199,7 @@ def oracle_full(instance: ProblemInstance, time_grid_step: float) -> Solution:
             best_platoons = assignments
 
     if best_platoons is None:
-        raise ContractViolation("no safe schedule exists for this fleet")
+        raise NoFeasibleScheduleError("no safe schedule exists for this fleet")
     diag = Diagnostics(solve_ms=(time.perf_counter() - start) * 1e3,
                        dp_value=best_total)
     return Solution.from_platoons(ORACLE, best_platoons, diag)

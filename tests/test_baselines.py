@@ -1,17 +1,133 @@
+from itertools import groupby
+
 import pytest
+from hypothesis import given, settings
 
 from platoon_coord import (
+    FIXED_INTERVAL,
+    SPONTANEOUS,
     ContractViolation,
+    HorizonExceededError,
+    InfeasibleTruckError,
+    NoFeasibleScheduleError,
     ScenarioConfig,
     generate,
     prepare_fleet,
     solve_fixed_interval,
     solve_spontaneous,
 )
-from conftest import LEAD_NEED, REF_ECON, REF_ROUTE, et, ft, prepare
+from platoon_coord import baselines
+from platoon_coord.baselines import _slot_end
+from platoon_coord.kernels import leader_draw_bit
+from platoon_coord.model import SOC_TOL, TIME_TOL
+from platoon_coord.scenario import solution_text
+from platoon_coord.solution import Diagnostics, Solution
+from platoon_coord.utility import (
+    LeaderType,
+    evaluate_platoon,
+    leader_feasible,
+    leader_type_for_kind,
+)
+from conftest import LEAD_NEED, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 from checks import assert_solution_valid
 
 APPROX = dict(abs=1e-9)
+
+
+def reference_block(block, depart_at, route, econ, seed):
+    """One block departing together, scheduled from scalar prices alone:
+    price the block with a probe leader, ask `leader_feasible` about both
+    kinds, price it again when the draw picks the other kind, and fall back
+    to solos when no member could lead."""
+    if len(block) == 1:
+        kind_leader = leader_type_for_kind(block[0].kind)
+        solo = evaluate_platoon(block, kind_leader, route, econ, depart_at=depart_at)
+        if not solo.ledger[0].can_lead:
+            raise NoFeasibleScheduleError(
+                f"truck {block[0].id}: cannot drive alone safely and has no "
+                "platoon to follow"
+            )
+        return [solo]
+
+    probe_type = (LeaderType.FUEL if any(not m.is_electric for m in block)
+                  else LeaderType.ELECTRIC)
+    probe = evaluate_platoon(block, probe_type, route, econ, depart_at=depart_at)
+    ok_e = leader_feasible(probe, LeaderType.ELECTRIC)
+    ok_f = leader_feasible(probe, LeaderType.FUEL)
+    if not (ok_e or ok_f):
+        return [
+            p
+            for m in block
+            for p in reference_block([m], depart_at, route, econ, seed)
+        ]
+    if ok_e and ok_f:
+        i = block[-1].rank + 1
+        chosen = LeaderType.ELECTRIC if leader_draw_bit(seed, i, len(block)) else LeaderType.FUEL
+    else:
+        chosen = LeaderType.ELECTRIC if ok_e else LeaderType.FUEL
+    if chosen is probe.leader_type:
+        return [probe]
+    return [evaluate_platoon(block, chosen, route, econ, depart_at=depart_at)]
+
+
+def reference_grouped(method, prepared, slot, route, econ, seed):
+    """The scalar grouping loop the baselines are checked against: each run
+    of trucks sharing `slot(earliest_departure)` leaves at that instant in
+    blocks of at most nbar, each block scheduled by `reference_block`."""
+    cap = route.max_platoon_size
+    platoons = []
+    for depart_at, group in groupby(prepared, key=lambda m: slot(m.earliest_departure)):
+        group = list(group)
+        for k in range(0, len(group), cap):
+            platoons.extend(reference_block(group[k:k + cap], depart_at, route, econ, seed))
+    diag = Diagnostics(horizon_violation=any(
+        p.departure_time > route.horizon + TIME_TOL for p in platoons))
+    return Solution.from_platoons(method, platoons, diag)
+
+
+def assert_matches_reference(prepared, route, econ, seed, interval=None):
+    """Spontaneous (no `interval`) or fixed-interval equals the reference
+    record for record and byte for byte, or raises what it raises."""
+    if interval is None:
+        method, slot = SPONTANEOUS, (lambda t: t)
+
+        def solve():
+            return solve_spontaneous(prepared, route, econ, seed)
+    else:
+        method, slot = FIXED_INTERVAL, (lambda t: _slot_end(t, interval))
+
+        def solve():
+            return solve_fixed_interval(prepared, route, econ, interval, seed)
+    try:
+        expected = reference_grouped(method, prepared, slot, route, econ, seed)
+    except NoFeasibleScheduleError as exc:
+        with pytest.raises(NoFeasibleScheduleError) as raised:
+            solve()
+        assert str(raised.value) == str(exc)
+        return
+    got = solve()
+    assert got.platoons == expected.platoons
+    assert solution_text(got) == solution_text(expected)
+
+
+# A 1000-truck reference fleet, and a dense 2000-truck one: 14 arrivals a
+# minute, 70 % low-SoC ETs, platoons of up to 16.
+LARGE_FLEETS = {
+    "ref-1k": dict(seed=0),
+    "dense-2k": dict(n_trucks=2000, et_share=0.7, soc_lo=10.0, soc_hi=60.0,
+                     arrival_hi=144, horizon=204.0, max_platoon_size=16, seed=0),
+}
+BASELINES = {
+    "spontaneous": solve_spontaneous,
+    "fixed-interval": lambda p, route, econ, seed: solve_fixed_interval(
+        p, route, econ, 30.0, seed),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LARGE_FLEETS))
+def large_fleet(request):
+    instance = generate(ScenarioConfig(**LARGE_FLEETS[request.param]))
+    return instance, prepare_fleet(instance)
 
 
 class TestSpontaneous:
@@ -163,3 +279,75 @@ def test_methods_tagged():
     prepared = prepare([ft(1, 1.0)])
     assert solve_spontaneous(prepared, REF_ROUTE, REF_ECON, 0).method == "SPONTANEOUS"
     assert solve_fixed_interval(prepared, REF_ROUTE, REF_ECON, 30.0, 0).method == "FIXED-INTERVAL"
+
+
+class TestAgainstScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets(self, instance):
+        try:
+            prepared = prepare_fleet(instance)
+        except (HorizonExceededError, InfeasibleTruckError):
+            return
+        for interval in (None, 30.0, 0.1):
+            assert_matches_reference(prepared, instance.route, instance.econ,
+                                     instance.seed, interval)
+
+    def test_large_fleets(self, large_fleet):
+        instance, prepared = large_fleet
+        for interval in (None, 30.0):
+            assert_matches_reference(prepared, instance.route, instance.econ,
+                                     instance.seed, interval)
+
+    def test_slot_end_an_ulp_before_ready(self):
+        # 0.1 * ceil(edge / 0.1) is 500.3, an ulp before edge. The ETs hold
+        # just the SoC to lead with no charge, so they may lead only if the
+        # slack before the slot end is clamped at 0, as the scalar pricing
+        # clamps it.
+        edge = 500.30000000000007
+        lead_soc = LEAD_NEED - SOC_TOL
+        fleets = [
+            [et(1, edge, soc=lead_soc), et(2, edge, soc=lead_soc)],
+            [ft(1, edge), et(2, edge, soc=lead_soc)],
+            [et(1, 500.2, soc=30.0), et(2, edge, soc=lead_soc), ft(3, edge), ft(4, 501.0)],
+        ]
+        early = 0
+        for seed, trucks in enumerate(fleets):
+            prepared = prepare(trucks)
+            early += sum(_slot_end(m.earliest_departure, 0.1) < m.earliest_departure
+                         for m in prepared)
+            assert_matches_reference(prepared, REF_ROUTE, REF_ECON, seed, 0.1)
+        assert early > 0
+        sol = solve_fixed_interval(prepare(fleets[0]), REF_ROUTE, REF_ECON, 0.1, seed=0)
+        assert [(p.size, p.leader_type) for p in sol.platoons] == [(2, LeaderType.ELECTRIC)]
+
+
+@pytest.mark.parametrize("method", sorted(BASELINES))
+def test_every_platoon_priced_once(large_fleet, method, monkeypatch):
+    instance, prepared = large_fleet
+    real = baselines.evaluate_platoon
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "evaluate_platoon", counting)
+    sol = BASELINES[method](prepared, instance.route, instance.econ, instance.seed)
+    assert len(calls) == len(sol.platoons)
+    assert max(p.size for p in sol.platoons) > 1
+
+
+class TestInputOrder:
+    @pytest.mark.parametrize("method", sorted(BASELINES))
+    def test_rank_order_required(self, method):
+        prepared = prepare([ft(1, 0.0), ft(2, 5.0)])
+        with pytest.raises(ContractViolation, match="rank-ordered"):
+            BASELINES[method](prepared[::-1], REF_ROUTE, REF_ECON, 0)
+
+    @pytest.mark.parametrize("method", sorted(BASELINES))
+    def test_departure_order_required(self, method):
+        a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
+        swapped = [b._replace(rank=0), a._replace(rank=1)]
+        with pytest.raises(ContractViolation, match="sorted by earliest departure"):
+            BASELINES[method](swapped, REF_ROUTE, REF_ECON, 0)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -166,6 +167,31 @@ class TestCheckPrepared:
         swapped = [b._replace(rank=0), a._replace(rank=1)]
         with pytest.raises(ContractViolation, match="sorted by earliest departure"):
             run_dp(swapped, REF_ROUTE, REF_ECON, mode=0)
+
+
+class TestCapAboveFleetSize:
+    @pytest.mark.parametrize("solve", [
+        solve_dp_ls, lambda p, r, e: solve_dp_nls(p, r, e, 3)])
+    def test_cap_beyond_fleet_size_changes_nothing(self, solve):
+        # No platoon outgrows the fleet, so a cap of 10**5 must give the
+        # schedule of a cap equal to the fleet size, without tables sized by
+        # the cap (4 x 10**5 float64 entries alone would take 3.2 MB).
+        trucks = [ft(1, 0.0), et(2, 0.0, soc=70.0), et(3, 4.0, soc=45.0), ft(4, 9.0)]
+        fit = replace(REF_ROUTE, max_platoon_size=4)
+        huge = replace(REF_ROUTE, max_platoon_size=10 ** 5)
+        expected = solve(prepare(trucks, route=fit), fit, REF_ECON)
+        prepared = prepare(trucks, route=huge)
+        tracemalloc.start()
+        try:
+            got = solve(prepared, huge, REF_ECON)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert got.platoons == expected.platoons
+        assert got.diagnostics.dp_updates == expected.diagnostics.dp_updates
+        assert got.diagnostics.dp_value == expected.diagnostics.dp_value
+        assert max(p.size for p in got.platoons) > 1
 
 
 class TestValueInvariant:

@@ -2,6 +2,7 @@ import pytest
 
 from platoon_coord import (
     ContractViolation,
+    NoFeasibleScheduleError,
     ProblemInstance,
     RouteParams,
     ScenarioConfig,
@@ -10,8 +11,9 @@ from platoon_coord import (
     oracle_full,
     prepare_fleet,
     solve_dp_ls,
+    solve_spontaneous,
 )
-from conftest import REF_ECON, REF_ROUTE, et, ft, prepare
+from conftest import REF_ECON, REF_ROUTE, UNLEADABLE, et, ft, prepare
 
 APPROX = dict(abs=1e-9)
 
@@ -116,3 +118,22 @@ class TestOracleFull:
                                 econ=REF_ECON)
         with pytest.raises(ContractViolation):
             oracle_full(small, 1.0)  # 1440 grid points is beyond the cap
+
+
+def test_unschedulable_fleet_is_no_feasible_schedule():
+    # Two ETs that can follow but never lead or drive alone: no method has a
+    # safe schedule, and the oracles say so as the solvers do, not as a
+    # broken precondition.
+    inst = ProblemInstance(
+        trucks=(et(1, 0.0, soc=60.0, vrate=UNLEADABLE),
+                et(2, 0.0, soc=60.0, vrate=UNLEADABLE)),
+        route=RouteParams(distance=200.0, horizon=90.0, max_platoon_size=4),
+        econ=REF_ECON,
+    )
+    prepared = prepare_fleet(inst)
+    for solve in (lambda: oracle_consecutive(prepared, inst.route, inst.econ),
+                  lambda: oracle_full(inst, 3.0),
+                  lambda: solve_dp_ls(prepared, inst.route, inst.econ),
+                  lambda: solve_spontaneous(prepared, inst.route, inst.econ, 0)):
+        with pytest.raises(NoFeasibleScheduleError):
+            solve()

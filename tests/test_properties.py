@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 
 from platoon_coord import (
-    ContractViolation,
     HorizonExceededError,
     NoFeasibleScheduleError,
     load_instance,
@@ -83,7 +82,7 @@ def test_every_method_end_to_end(instance):
         return
     try:
         exact = oracle_consecutive(prepared, instance.route, instance.econ)
-    except ContractViolation:  # no safe consecutive schedule exists
+    except NoFeasibleScheduleError:  # no safe consecutive schedule exists
         with pytest.raises(NoFeasibleScheduleError):
             solve_dp_ls(prepared, instance.route, instance.econ)
         return
