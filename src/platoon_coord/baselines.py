@@ -44,7 +44,7 @@ FIXED_INTERVAL = "FIXED-INTERVAL"
 def _solve_grouped(method: str, prepared: Sequence[PreparedTruck], slot,
                    route: RouteParams, econ: EconomicParams, seed: int) -> Solution:
     """Send out each run of trucks whose earliest departures share a slot at
-    that slot's instant, `slot(earliest_departure)`, in blocks of at most
+    that slot's instant, `slot(tau_delta)`, in blocks of at most
     nbar trucks. A fuel truck may lead a block that has one, and an ET a
     block in which some ET can lead (whichever kind leads); the draw picks
     when both may, and a block neither may lead leaves as solos. An ET that
@@ -53,8 +53,7 @@ def _solve_grouped(method: str, prepared: Sequence[PreparedTruck], slot,
     fleet = as_fleet(prepared)
     arr = fleet_arrays(fleet, route)
     records = list(fleet)
-    # On the record's own value: an integer arrival stays an integer.
-    depart = [slot(m.earliest_departure) for m in records]
+    depart = slot(arr.tau_delta).tolist()
     # A slot end may fall an ulp before a truck is ready; the scalar pricing
     # clamps that slack at 0, so clamp to agree with it.
     can_lead = member_terms(arr, np.arange(len(records)),
@@ -96,14 +95,13 @@ def _solve_grouped(method: str, prepared: Sequence[PreparedTruck], slot,
 def solve_spontaneous(prepared: Sequence[PreparedTruck], route: RouteParams,
                       econ: EconomicParams, seed: int) -> Solution:
     """Depart at the earliest departure; platoon only on exact ties."""
-    # The identity, not `float`: an integer arrival stays an integer.
     return _solve_grouped(SPONTANEOUS, prepared, lambda t: t, route, econ, seed)
 
 
-def _slot_end(ready: float, interval: float) -> float:
+def _slot_end(ready: np.ndarray, interval: float) -> np.ndarray:
     # A truck ready exactly on a slot edge departs immediately: slots are
     # half-open (lo, hi].
-    return interval * math.ceil(ready / interval)
+    return interval * np.ceil(ready / interval)
 
 
 def solve_fixed_interval(prepared: Sequence[PreparedTruck], route: RouteParams,

@@ -107,9 +107,17 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> int:
+    """`seed`, or `ContractViolation` when it is negative, as instance files
+    and `generate` refuse it."""
+    if seed < 0:
+        raise ContractViolation("seed must be >= 0")
+    return seed
+
+
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    seed = instance.seed if args.seed is None else args.seed
+    seed = instance.seed if args.seed is None else _check_seed(args.seed)
     prepared = prepare_fleet(instance)
     solution = _run_method(args.method, prepared, instance, seed, args.interval)
     _print_summary(solution)
@@ -137,14 +145,17 @@ def _parse_seeds(text: str):
     seeds = []
     for part in text.split(","):
         part = part.strip()
-        if ":" in part:
-            lo, hi = part.split(":", 1)
-            seeds.extend(range(int(lo), int(hi)))
-        elif part:
-            seeds.append(int(part))
+        try:
+            if ":" in part:
+                lo, hi = part.split(":", 1)
+                seeds.extend(range(int(lo), int(hi)))
+            elif part:
+                seeds.append(int(part))
+        except ValueError:
+            raise ContractViolation(f"bad seed {part!r} in {text!r}") from None
     if not seeds:
         raise ContractViolation(f"no seeds in {text!r}")
-    return seeds
+    return list(map(_check_seed, seeds))
 
 
 def _compare_one(seed: int, args, fixed_instance):
@@ -210,6 +221,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, trials in (("--trials", args.trials), ("--full-trials", args.full_trials)):
+        if trials < 1:
+            raise ContractViolation(f"{flag} must be >= 1, got {trials}")
     checks = [
         check_dp_vs_consecutive(trials=args.trials, seed=args.seed),
         check_ft_only_exact(trials=args.full_trials, seed=args.seed),

@@ -110,16 +110,13 @@ def _zeros_except(n: int, where: np.ndarray, values) -> np.ndarray:
     return out
 
 
-def _rank_order(earliest: np.ndarray, ids, earliest_of) -> np.ndarray:
-    """Positions of the trucks sorted by (earliest departure, id) exactly as
-    Python sorts those pairs, where `earliest_of(k)` is truck k's departure
-    as the object its record holds.
+def _rank_order(earliest: np.ndarray, ids) -> np.ndarray:
+    """Positions of the trucks sorted by (earliest departure, id).
 
-    Float conversion keeps order, so an argsort of the float64 departures
-    is that order except among trucks whose float64 departures tie. Those
-    are sorted in Python by (departure, id, position): ids are compared as
-    Python compares them, whatever their types, and only where departures
-    tie.
+    An argsort of the float64 departures is that order except among trucks
+    whose departures tie. Those are sorted in Python by (departure, id,
+    position): ids are compared as Python compares them, whatever their
+    types, and only where departures tie.
     """
     order = np.argsort(earliest)
     ranked = earliest[order]
@@ -127,7 +124,7 @@ def _rank_order(earliest: np.ndarray, ids, earliest_of) -> np.ndarray:
     tied = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
     members = order[tied].tolist()
     order[tied] = [k for *_, k in sorted(zip(
-        map(earliest_of, members), map(ids.__getitem__, members), members))]
+        earliest[members].tolist(), map(ids.__getitem__, members), members))]
     return order
 
 
@@ -210,8 +207,7 @@ class PreparedFleet(Sequence):
             et = self.is_et.tolist()
             soc = _charged_soc(self.init_soc, self.rate, self.tau_cmin)
             object.__setattr__(self, "_records", [
-                PreparedTruck(spec, charge, soc if e else None,
-                              earliest if e else spec.arrival_time, rank)
+                PreparedTruck(spec, charge, soc if e else None, earliest, rank)
                 for rank, (spec, e, charge, soc, earliest) in enumerate(zip(
                     self.specs, et, self.tau_cmin.tolist(), soc.tolist(),
                     self.tau_delta.tolist()))
@@ -257,7 +253,6 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
     trucks, route = instance.trucks, instance.route
     n = len(trucks)
     ids = list(map(attrgetter("id"), trucks))
-    arrivals = list(map(attrgetter("arrival_time"), trucks))
     electric = TruckKind.ELECTRIC
     flags = [k is electric for k in map(attrgetter("kind"), trucks)]
     is_et = np.fromiter(flags, bool, n)
@@ -267,14 +262,9 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
 
     required, infeasible, charge = _mandatory_charge(route, *battery)
     departure_soc = _charged_soc(init, rate, charge)
-    arrival = np.array(arrivals, dtype=float)
+    arrival = np.array(list(map(attrgetter("arrival_time"), trucks)), dtype=float)
     earliest = arrival.copy()
     earliest[et] = arrival[et] + charge
-
-    def earliest_of(k):
-        # A fuel truck leaves at its arrival, kept as given: an integer
-        # arrival stays an integer.
-        return float(earliest[k]) if flags[k] else arrivals[k]
 
     failed = earliest > route.horizon + TIME_TOL
     failed[et] |= infeasible
@@ -283,9 +273,9 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
         j = int(np.searchsorted(et, k))  # truck k's place among the ETs
         if flags[k] and infeasible[j]:
             raise _infeasible(trucks[k], float(required[j]))
-        raise HorizonExceededError(ids[k], earliest_of(k), route.horizon)
+        raise HorizonExceededError(ids[k], float(earliest[k]), route.horizon)
 
-    order = _rank_order(earliest, ids, earliest_of)
+    order = _rank_order(earliest, ids)
 
     def ranked(values):
         return _zeros_except(n, et, values)[order]

@@ -39,26 +39,29 @@ FULL_MAX_TRUCKS = 5
 FULL_MAX_GRID = 40
 
 
-def _best_block(members: Sequence[PreparedTruck], route, econ) -> Optional[PlatoonAssignment]:
-    """Best safe assignment of one block departing when its last member is
-    ready, or None when no leader kind is safe. Electric leaders win ties."""
-    if len(members) == 1:
-        m = members[0]
-        cand = evaluate_platoon(members, leader_type_for_kind(m.kind), route, econ)
-        if m.is_electric and not leader_feasible(cand, LeaderType.ELECTRIC):
-            return None
-        if cand.departure_time > route.horizon + TIME_TOL:
-            return None
-        return cand
+def _best_assignment(group: Sequence[PreparedTruck], instants: Sequence[float],
+                     route, econ) -> Optional[PlatoonAssignment]:
+    """Best safe assignment of one group departing at one of `instants`
+    (those before the group is ready are skipped), or None when none is
+    safe. Earlier instants, then electric leaders, win ties."""
+    ready = max(m.earliest_departure for m in group)
+    kinds = {leader_type_for_kind(m.kind) for m in group}
     best = None
-    for leader in (LeaderType.ELECTRIC, LeaderType.FUEL):
-        if not any(leader_type_for_kind(m.kind) is leader for m in members):
+    for t in instants:
+        if t < ready - TIME_TOL:
             continue
-        cand = evaluate_platoon(members, leader, route, econ)
-        if not leader_feasible(cand, leader):
-            continue
-        if best is None or cand.utility > best.utility:
-            best = cand
+        for leader in (LeaderType.ELECTRIC, LeaderType.FUEL):
+            if len(group) > 1 and leader not in kinds:
+                continue
+            if len(group) == 1 and leader is not leader_type_for_kind(group[0].kind):
+                continue
+            cand = evaluate_platoon(group, leader, route, econ, depart_at=t)
+            if cand.departure_time > route.horizon + TIME_TOL:
+                continue
+            if not leader_feasible(cand, leader):
+                continue
+            if best is None or cand.utility > best.utility:
+                best = cand
     return best
 
 
@@ -77,7 +80,9 @@ def oracle_consecutive(prepared: Sequence[PreparedTruck], route: RouteParams,
     blocks = [[None] * (min(i, nbar) + 1) for i in range(n + 1)]
     for i in range(1, n + 1):
         for size in range(1, min(i, nbar) + 1):
-            blocks[i][size] = _best_block(prepared[i - size:i], route, econ)
+            members = prepared[i - size:i]
+            blocks[i][size] = _best_assignment(
+                members, [max(m.earliest_departure for m in members)], route, econ)
 
     best_total = -float("inf")
     best_split: Optional[List[int]] = None
@@ -161,34 +166,13 @@ def oracle_full(instance: ProblemInstance, time_grid_step: float) -> Solution:
         k += 1
     grid = sorted(t for t in grid if t <= route.horizon + TIME_TOL)
 
-    def best_group(group: Sequence[PreparedTruck]) -> Optional[PlatoonAssignment]:
-        ready = max(m.earliest_departure for m in group)
-        kinds = {leader_type_for_kind(m.kind) for m in group}
-        best = None
-        for t in grid:
-            if t < ready - TIME_TOL:
-                continue
-            for leader in (LeaderType.ELECTRIC, LeaderType.FUEL):
-                if len(group) > 1 and leader not in kinds:
-                    continue
-                if len(group) == 1 and leader is not leader_type_for_kind(group[0].kind):
-                    continue
-                cand = evaluate_platoon(group, leader, route, econ, depart_at=t)
-                if cand.departure_time > route.horizon + TIME_TOL:
-                    continue
-                if not leader_feasible(cand, leader):
-                    continue
-                if best is None or cand.utility > best.utility:
-                    best = cand
-        return best
-
     best_total = -float("inf")
     best_platoons: Optional[List[PlatoonAssignment]] = None
     for partition in _partitions(prepared, route.max_platoon_size):
         assignments = []
         total = 0.0
         for group in partition:
-            choice = best_group(group)
+            choice = _best_assignment(group, grid, route, econ)
             if choice is None:
                 assignments = None
                 break

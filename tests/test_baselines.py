@@ -1,3 +1,4 @@
+import math
 from itertools import groupby
 
 import pytest
@@ -17,7 +18,6 @@ from platoon_coord import (
     solve_spontaneous,
 )
 from platoon_coord import baselines
-from platoon_coord.baselines import _slot_end
 from platoon_coord.kernels import leader_draw_bit
 from platoon_coord.model import SOC_TOL, TIME_TOL
 from platoon_coord.scenario import solution_text
@@ -32,6 +32,12 @@ from conftest import LEAD_NEED, REF_ECON, REF_ROUTE, et, fleet_instances, ft, pr
 from checks import assert_solution_valid
 
 APPROX = dict(abs=1e-9)
+
+
+def reference_slot_end(ready, interval):
+    """The end of the half-open slot (lo, hi] that holds `ready`, one truck
+    at a time."""
+    return interval * math.ceil(ready / interval)
 
 
 def reference_block(block, depart_at, route, econ, seed):
@@ -87,14 +93,15 @@ def reference_grouped(method, prepared, slot, route, econ, seed):
 
 def assert_matches_reference(prepared, route, econ, seed, interval=None):
     """Spontaneous (no `interval`) or fixed-interval equals the reference
-    record for record and byte for byte, or raises what it raises."""
+    record for record (by `==` and `repr`) and byte for byte, or raises what
+    it raises."""
     if interval is None:
         method, slot = SPONTANEOUS, (lambda t: t)
 
         def solve():
             return solve_spontaneous(prepared, route, econ, seed)
     else:
-        method, slot = FIXED_INTERVAL, (lambda t: _slot_end(t, interval))
+        method, slot = FIXED_INTERVAL, (lambda t: reference_slot_end(t, interval))
 
         def solve():
             return solve_fixed_interval(prepared, route, econ, interval, seed)
@@ -107,6 +114,7 @@ def assert_matches_reference(prepared, route, econ, seed, interval=None):
         return
     got = solve()
     assert got.platoons == expected.platoons
+    assert repr(got.platoons) == repr(expected.platoons)
     assert solution_text(got) == solution_text(expected)
 
 
@@ -314,7 +322,7 @@ class TestAgainstScalarReference:
         early = 0
         for seed, trucks in enumerate(fleets):
             prepared = prepare(trucks)
-            early += sum(_slot_end(m.earliest_departure, 0.1) < m.earliest_departure
+            early += sum(reference_slot_end(m.earliest_departure, 0.1) < m.earliest_departure
                          for m in prepared)
             assert_matches_reference(prepared, REF_ROUTE, REF_ECON, seed, 0.1)
         assert early > 0

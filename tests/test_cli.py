@@ -1,10 +1,14 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from platoon_coord import cli, prepare_fleet
 from platoon_coord.cli import main
+
+
+INTEGER_ARRIVALS = Path(__file__).parent / "data" / "integer-arrivals-200.json"
 
 
 def run(argv):
@@ -38,13 +42,17 @@ class TestGenerate:
         assert run(["generate", "--n", 5, "--arrival-lo", 90, "--arrival-hi", 99,
                     "--horizon", 10, "--out", tmp_path / "x.json"]) == 1
 
-    @pytest.mark.parametrize("argv", [["generate", "--seed", -1, "--out", "x.json"],
-                                      ["compare", "--seeds=-1", "--n", 5, "--out", "cmp"]],
-                             ids=["generate", "compare"])
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--seed", -1, "--out", "x.json"],
+        ["compare", "--seeds=-1", "--n", 5, "--out", "cmp"],
+        ["compare", INTEGER_ARRIVALS, "--seeds=-2:1", "--out", "cmp"],
+        ["solve", INTEGER_ARRIVALS, "--method", "dp-nls", "--seed", -1, "--out", "x.json"],
+    ], ids=["generate", "compare", "compare-instance", "solve"])
     def test_negative_seed_exits_nonzero(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert run(argv) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSolve:
@@ -141,12 +149,30 @@ class TestCompare:
         rows = list(csv.DictReader(open(f"{prefix}_summary.csv")))
         assert sorted({r["seed"] for r in rows}) == ["5", "7"]
 
+    @pytest.mark.parametrize("seeds, part", [("x", "x"), ("1:x", "1:x"), ("0, 2:", "2:")])
+    def test_bad_seed_exits_nonzero(self, tmp_path, capsys, seeds, part):
+        prefix = tmp_path / "cmp"
+        assert run(["compare", f"--seeds={seeds}", "--n", 5, "--out", prefix]) == 1
+        assert capsys.readouterr().err == f"error: bad seed {part!r} in {seeds!r}\n"
+        assert not (tmp_path / "cmp_summary.csv").exists()
+
 
 class TestVerify:
     def test_small_verification_sweep(self, capsys):
         assert run(["verify", "--trials", 8, "--full-trials", 4]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize("trials, full_trials, message", [
+        (-1, 0, "--trials must be >= 1, got -1"),
+        (0, 4, "--trials must be >= 1, got 0"),
+        (8, 0, "--full-trials must be >= 1, got 0"),
+    ], ids=["negative", "zero", "zero-full"])
+    def test_trial_counts_below_one_exit_nonzero(self, capsys, trials, full_trials,
+                                                  message):
+        assert run(["verify", "--trials", trials, "--full-trials", full_trials]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
 
 class TestDeterminism:

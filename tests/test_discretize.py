@@ -135,17 +135,18 @@ def reference_min_charge_time(truck, route):
 
 
 def reference_prepare_fleet(instance):
-    """The scalar loop: one truck at a time, then one sort by (earliest, id)."""
+    """The scalar loop: one truck at a time, then one sort by (earliest, id),
+    with every earliest departure a float."""
     rows = []
     for truck in instance.trucks:
         if truck.is_electric:
             charge = reference_min_charge_time(truck, instance.route)
             dep_soc = soc_after_charge(truck.initial_soc, truck.charge_rate, charge)
-            earliest = truck.arrival_time + charge
+            earliest = float(truck.arrival_time + charge)
         else:
             charge = 0.0
             dep_soc = None
-            earliest = truck.arrival_time
+            earliest = float(truck.arrival_time)
         if earliest > instance.route.horizon + TIME_TOL:
             raise HorizonExceededError(truck.id, earliest, instance.route.horizon)
         rows.append((truck, charge, dep_soc, earliest))
@@ -165,8 +166,7 @@ def plain(record):
     if not record.is_electric:
         return record
     return record._replace(min_charge_time=float(record.min_charge_time),
-                           min_departure_soc=float(record.min_departure_soc),
-                           earliest_departure=float(record.earliest_departure))
+                           min_departure_soc=float(record.min_departure_soc))
 
 
 def assert_bits_equal(a, b):
@@ -191,12 +191,12 @@ def assert_matches_reference(instance):
     assert records == expected
     assert repr(records) == repr([plain(r) for r in expected])
     for r in records:
+        assert type(r.earliest_departure) is float and type(r.min_charge_time) is float
         if r.is_electric:
-            assert {type(r.min_charge_time), type(r.min_departure_soc),
-                    type(r.earliest_departure)} == {float}
+            assert type(r.min_departure_soc) is float
         else:
-            assert r.min_departure_soc is None and type(r.min_charge_time) is float
-            assert r.earliest_departure is r.spec.arrival_time
+            assert r.min_departure_soc is None
+            assert r.earliest_departure == float(r.spec.arrival_time)
     columns = fleet_arrays(fleet, instance.route)
     assert_bits_equal(columns, fleet_arrays(records, instance.route))
     assert_bits_equal(columns, fleet_arrays(expected, instance.route))
@@ -238,10 +238,11 @@ class TestAgainstScalarReference:
         fleet = assert_matches_reference(instance_of(trucks))
         assert [m.id for m in fleet] == [1, 3, 7, 2, 4, 5, 8, 9]
 
-    def test_integer_arrivals_stay_integers(self):
+    def test_integer_arrivals_become_floats(self):
         fleet = assert_matches_reference(instance_of([ft(2, 4), ft(1, 4.0), ft(3, 2),
                                                       et(4, 4, soc=80.0)]))
-        assert [type(m.earliest_departure) for m in fleet] == [int, float, int, float]
+        assert [m.id for m in fleet] == [3, 1, 2, 4]
+        assert [repr(m.earliest_departure) for m in fleet] == ["2.0", "4.0", "4.0", "4.0"]
 
     def test_string_ids(self):
         fleet = assert_matches_reference(instance_of(
@@ -265,12 +266,14 @@ class TestAgainstScalarReference:
         assert_matches_reference(instance_of([ft(True, 1.0), ft(0, 1.0), ft(2, 1.0)]))
 
     def test_arrivals_that_float64_cannot_tell_apart(self):
-        # 2**53 + 1 and 2**53 are one float64 but two Python numbers.
+        # 2**53 + 1 and 2**53 are one float64 but two Python numbers: they
+        # tie, and the tie breaks by id.
         route = replace(REF_ROUTE, horizon=1e17)
         fleet = assert_matches_reference(instance_of(
             [ft(1, 2 ** 53 + 1), ft(2, float(2 ** 53)), ft(3, 2 ** 53 + 1), ft(4, 0)],
             route))
-        assert [m.id for m in fleet] == [4, 2, 1, 3]
+        assert [m.id for m in fleet] == [4, 1, 2, 3]
+        assert {m.earliest_departure for m in fleet[1:]} == {float(2 ** 53)}
 
     def test_numpy_battery_fields(self):
         trucks = [et(1, 3.0, soc=np.float64(30.0), rate=np.float64(1.25),
@@ -278,7 +281,7 @@ class TestAgainstScalarReference:
                   et(2, np.float64(1.0), soc=np.float64(70.0)), ft(3, np.float64(2.0))]
         fleet = assert_matches_reference(instance_of(trucks))
         (fuel,) = [m for m in fleet if not m.is_electric]
-        assert type(fuel.earliest_departure) is np.float64  # the FT's own arrival
+        assert type(fuel.earliest_departure) is float and fuel.earliest_departure == 2.0
 
     def test_first_failing_truck_in_instance_order_wins(self):
         route = RouteParams(distance=200.0, horizon=100.0, max_platoon_size=8)

@@ -6,10 +6,11 @@ JSON, as CSV, and as `--timing` JSON with its `solve_ms` line removed (wall
 clock). The writer tests elsewhere compare against reference builders that
 change with the code; these digests do not. `dense-ties-300` is a 300-truck
 fleet at 14 arrivals a minute with exact ties, nbar 16 and ETs that can
-follow but never lead; `integer-arrivals-200` has integer arrival times, so
-baseline departures and fuel trucks' waits stay integers. A change that
-alters these outputs on purpose rewrites `golden-digests.json` from what it
-writes, and says which outputs moved and why.
+follow but never lead; `integer-arrivals-200` has integer arrival times,
+which every method writes back as floats: times are float64 once a fleet
+is prepared. A change that alters these outputs on purpose rewrites
+`golden-digests.json` from what it writes, and says which outputs moved and
+why.
 """
 
 import hashlib

@@ -7,7 +7,10 @@ must agree exactly: `==` on every field, and `repr` so that float bits, the
 sign of zero and plain-`float` types match too.
 """
 
+import re
+from collections import defaultdict
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,9 +28,12 @@ from platoon_coord import (
     prepare_fleet,
     solve_dp_ls,
     solve_dp_nls,
+    solve_fixed_interval,
+    solve_spontaneous,
 )
 from platoon_coord.kernels import fleet_arrays
 from platoon_coord.model import LEAD_COEFF, departure_soc_bounds
+from platoon_coord.scenario import load_instance, solution_text
 from platoon_coord.utility import (
     alone_departure,
     leader_type_for_kind,
@@ -43,16 +49,12 @@ def assert_same(batch, scalar):
     assert repr(batch) == repr(scalar)
 
 
-def assert_schedule_matches_reference(sol, prepared, route, econ, same_types=True):
-    """Every platoon of a dp schedule equals `evaluate_platoon` on its block;
-    with `same_types`, also by `repr`."""
+def assert_schedule_matches_reference(sol, prepared, route, econ):
+    """Every platoon of a dp schedule equals `evaluate_platoon` on its block,
+    by `==` and by `repr`."""
     for p in sol.platoons:
         members = prepared[p.ranks[0]:p.ranks[-1] + 1]
-        scalar = evaluate_platoon(members, p.leader_type, route, econ)
-        if same_types:
-            assert_same(p, scalar)
-        else:
-            assert p == scalar
+        assert_same(p, evaluate_platoon(members, p.leader_type, route, econ))
 
 
 def solve_both(prepared, route, econ):
@@ -111,21 +113,15 @@ class TestScheduleAgainstReference:
     @given(fleet_instances())
     def test_random_fleets(self, instance):
         """`Solution.platoons`, built from the solution's table, on the
-        hypothesis fleets of `conftest`. The pricer computes in float64, so an
-        integer arrival gives a float departure where `evaluate_platoon`
-        keeps the int: those fleets compare by `==`, and again by `repr` with
-        float arrivals."""
-        floats = replace(instance, trucks=tuple(
-            t._replace(arrival_time=float(t.arrival_time)) for t in instance.trucks))
-        for inst in (instance, floats):
-            try:
-                prepared = prepare_fleet(inst)
-                solutions = list(solve_both(prepared, inst.route, inst.econ))
-            except (HorizonExceededError, NoFeasibleScheduleError):
-                return
-            for sol in solutions:
-                assert_schedule_matches_reference(sol, prepared, inst.route, inst.econ,
-                                                  same_types=inst is floats)
+        hypothesis fleets of `conftest`, integer arrivals included: the
+        prepared records hold float64 departures, as the pricer does."""
+        try:
+            prepared = prepare_fleet(instance)
+            solutions = list(solve_both(prepared, instance.route, instance.econ))
+        except (HorizonExceededError, NoFeasibleScheduleError):
+            return
+        for sol in solutions:
+            assert_schedule_matches_reference(sol, prepared, instance.route, instance.econ)
 
     def test_solo_ets_are_postponed(self):
         trucks, route, econ = DEGENERATE["solo ETs postponed to alone-safe"]
@@ -141,6 +137,29 @@ class TestScheduleAgainstReference:
                                REF_ROUTE, REF_ECON)
         assert len(table) == 0 and table.records() == []
         assert solve_dp_ls([], REF_ROUTE, REF_ECON).platoons == []
+
+
+TIME_FIELD = re.compile(r'"(depart|wait)": ([^,\n]+)')
+
+
+def test_every_method_spells_an_instant_alike():
+    """On an instance whose arrivals are integers, all four methods write one
+    JSON spelling for one departure instant or wait: the baselines price the
+    prepared float64 departures, as the dp pricer does."""
+    inst = load_instance(Path(__file__).parent / "data" / "integer-arrivals-200.json")
+    assert all(type(t.arrival_time) is int for t in inst.trucks)
+    prepared = prepare_fleet(inst)
+    route, econ, seed = inst.route, inst.econ, inst.seed
+    spellings, methods = defaultdict(set), defaultdict(set)
+    for sol in (solve_dp_ls(prepared, route, econ), solve_dp_nls(prepared, route, econ, seed),
+                solve_spontaneous(prepared, route, econ, seed),
+                solve_fixed_interval(prepared, route, econ, 30.0, seed)):
+        for field, text in TIME_FIELD.findall(solution_text(sol)):
+            spellings[field, float(text)].add(text)
+            methods[field, float(text)].add(sol.method)
+    shared = [key for key, seen in methods.items() if key[0] == "depart" and len(seen) > 2]
+    assert len(shared) > 10
+    assert {key: texts for key, texts in spellings.items() if len(texts) > 1} == {}
 
 
 class TestPriceErrors:

@@ -309,13 +309,15 @@ class TestSolutionText:
             save_solution(sol, path)
             assert path.read_text(encoding="utf-8") == reference_text(sol)
 
-    def test_integer_arrivals_stay_integers(self):
+    def test_integer_arrivals_are_written_as_floats(self):
         trucks = [ft(1, 3), ft(2, 3), et(3, 5, soc=80.0), ft(4, 9.0)]
         inst = ProblemInstance(trucks=tuple(trucks), route=REF_ROUTE, econ=REF_ECON)
         sols = list(solve_all(inst))
         for sol in sols:
             assert_text_matches_reference(sol)
-        assert '"depart": 3,' in solution_text(sols[2])  # spontaneous
+        text = solution_text(sols[2])  # spontaneous
+        assert '"depart": 3.0,' in text and '"wait": 0.0\n' in text
+        assert '"depart": 3,' not in text and '"wait": 0\n' not in text
 
     def test_platoon_sizes_sort_as_strings(self):
         trucks = [ft(k, 0.0) for k in range(10)] + [ft(10, 600.0), ft(11, 600.0)]
