@@ -15,14 +15,15 @@ when a record is first asked for.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cmp_to_key
 from itertools import compress
-from operator import attrgetter, itemgetter
 from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from .model import (
     ContractViolation,
+    FleetColumns,
     HorizonExceededError,
     InfeasibleTruckError,
     ProblemInstance,
@@ -62,9 +63,9 @@ class PreparedTruck(NamedTuple):
 
 def _mandatory_charge(route: RouteParams, init, rate, vrate, safe, cap):
     """The follower-safe departure SoC of ETs from their battery columns
-    (`_battery`), which of them cannot reach it even on a full battery, and
-    the minutes of charge that reach it from `init` (0.0 when `init` already
-    covers it)."""
+    (`FleetColumns.battery_f`), which of them cannot reach it even on a full
+    battery, and the minutes of charge that reach it from `init` (0.0 when
+    `init` already covers it)."""
     required = safe + route.follower_coeff * vrate * route.distance
     infeasible = required - cap > SOC_TOL
     gap = (required - init) / rate
@@ -76,11 +77,11 @@ def _charged_soc(init, rate, charge):
     return init + rate * charge
 
 
-def _infeasible(truck: TruckSpec, required: float) -> InfeasibleTruckError:
+def _infeasible(truck_id, capacity, required: float) -> InfeasibleTruckError:
     return InfeasibleTruckError(
-        truck.id,
+        truck_id,
         f"needs departure SoC {required:.6g}% to follow safely but capacity "
-        f"is {truck.max_soc:.6g}%",
+        f"is {capacity:.6g}%",
     )
 
 
@@ -92,16 +93,11 @@ def min_charge_time(truck: TruckSpec, route: RouteParams) -> float:
     """
     if not truck.is_electric:
         raise ContractViolation(f"truck {truck.id}: fuel trucks do not charge")
-    required, infeasible, charge = _mandatory_charge(route, *_battery([truck], 1))
+    battery = FleetColumns.from_trucks([truck]).battery_f
+    required, infeasible, charge = _mandatory_charge(route, *battery)
     if infeasible[0]:
-        raise _infeasible(truck, float(required[0]))
+        raise _infeasible(truck.id, truck.max_soc, float(required[0]))
     return float(charge[0])
-
-
-def _battery(et_specs, count: int):
-    """The five battery fields of these ETs, in `TruckSpec` order, as float
-    columns."""
-    return [np.fromiter(map(itemgetter(k), et_specs), float, count) for k in range(3, 8)]
 
 
 def _zeros_except(n: int, where: np.ndarray, values) -> np.ndarray:
@@ -110,21 +106,40 @@ def _zeros_except(n: int, where: np.ndarray, values) -> np.ndarray:
     return out
 
 
+def _compare_ids(a, b) -> int:
+    """-1, 0 or 1 as id `a` sorts before, with or after id `b`, or
+    `ContractViolation` naming both when Python cannot order them."""
+    try:
+        return (a > b) - (a < b)
+    except TypeError:
+        raise ContractViolation(
+            f"trucks {a!r} and {b!r} are ready at the same instant, and their ids "
+            "cannot be ordered to break the tie") from None
+
+
 def _rank_order(earliest: np.ndarray, ids) -> np.ndarray:
     """Positions of the trucks sorted by (earliest departure, id).
 
     An argsort of the float64 departures is that order except among trucks
     whose departures tie. Those are sorted in Python by (departure, id,
     position): ids are compared as Python compares them, whatever their
-    types, and only where departures tie.
+    types, and only where departures tie. Two tied ids that Python cannot
+    order are a `ContractViolation` that names them.
     """
     order = np.argsort(earliest)
     ranked = earliest[order]
     tie = ranked[1:] == ranked[:-1]
     tied = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
     members = order[tied].tolist()
-    order[tied] = [k for *_, k in sorted(zip(
-        earliest[members].tolist(), map(ids.__getitem__, members), members))]
+    departures = earliest[members].tolist()
+    tied_ids = list(map(ids.__getitem__, members))
+    try:
+        keys = sorted(zip(departures, tied_ids, members))
+    except TypeError:
+        # Sort again, comparing ids through `_compare_ids` to name two of them.
+        sorted(zip(departures, map(cmp_to_key(_compare_ids), tied_ids), members))
+        raise
+    order[tied] = [k for *_, k in keys]
     return order
 
 
@@ -133,23 +148,25 @@ class PreparedFleet(Sequence):
     `PreparedTruck` records, held as columns.
 
     The columns are those `kernels.FleetArrays` reads at prepare time, plus
-    each ET's safety floor, the ids and the `TruckSpec`s, all by rank; fuel
-    trucks hold zeros in the battery columns. The arrays are read-only,
-    since every solve's `FleetArrays` shares them. The records are built on
-    first access and then kept; slicing returns a list of them.
+    each ET's safety floor and the ids, all by rank; fuel trucks hold zeros
+    in the battery columns. The arrays are read-only, since every solve's
+    `FleetArrays` shares them. The `TruckSpec`s by rank (`specs`) and the
+    records are built on first access and then kept; slicing returns a list
+    of records.
     """
 
-    __slots__ = ("specs", "ids", "tau_delta", "tau_cmin", "is_et", "fill_time",
+    __slots__ = ("ids", "tau_delta", "tau_cmin", "is_et", "fill_time",
                  "rate", "arrival", "init_soc", "max_soc", "vrate", "safe_soc",
-                 "_records")
+                 "_specs", "_records")
 
     def __init__(self, specs, ids, is_et, earliest, charge, departure_soc, arrival,
                  init_soc, rate, vrate, safe_soc, max_soc, records=None):
         """Columns by rank; the battery columns hold each ET's value at its
-        rank and zeros elsewhere. `departure_soc`, the SoC after the
-        mandatory charge, gives the minutes to a full battery and is not
-        kept. `records`, when given, are these trucks' records and are kept
-        as they are."""
+        rank and zeros elsewhere. `specs` is the tuple of `TruckSpec`s by
+        rank, or a function that gives them, called on first access.
+        `departure_soc`, the SoC after the mandatory charge, gives the
+        minutes to a full battery and is not kept. `records`, when given,
+        are these trucks' records and are kept as they are."""
         et = np.flatnonzero(is_et)
         fill_time = _zeros_except(
             is_et.size, et, (max_soc[et] - departure_soc[et]) / rate[et])
@@ -160,7 +177,7 @@ class PreparedFleet(Sequence):
         for name, column in columns.items():
             column.flags.writeable = False
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "specs", tuple(specs))
+        object.__setattr__(self, "_specs", specs)
         object.__setattr__(self, "ids", tuple(ids))
         object.__setattr__(self, "_records", records)
 
@@ -174,24 +191,22 @@ class PreparedFleet(Sequence):
         earliest = np.array([m.earliest_departure for m in records], dtype=float)
         if (earliest[1:] < earliest[:-1]).any():
             raise ContractViolation("prepared fleet must be sorted by earliest departure")
-        specs = [m.spec for m in records]
-        electric = TruckKind.ELECTRIC
-        flags = [s.kind is electric for s in specs]
-        ets = list(compress(records, flags))
-        is_et = np.array(flags, dtype=np.uint8)
+        specs = tuple(m.spec for m in records)
+        fleet = FleetColumns.from_trucks(specs)
+        ets = list(compress(records, fleet.electric))
+        is_et = np.array(fleet.electric, dtype=np.uint8)
         et = np.flatnonzero(is_et)
         n = len(records)
 
         def column(values):
             return _zeros_except(n, et, values)
 
-        init, rate, vrate, safe, cap = map(column, _battery([m.spec for m in ets], et.size))
+        init, rate, vrate, safe, cap = map(column, fleet.battery_f)
         return cls(
-            specs, [s.id for s in specs], is_et, earliest,
+            specs, fleet.ids, is_et, earliest,
             column([m.min_charge_time for m in ets]),
             column([m.min_departure_soc for m in ets]),
-            np.array([s.arrival_time for s in specs], dtype=float),
-            init, rate, vrate, safe, cap, records=records,
+            fleet.arrival_f, init, rate, vrate, safe, cap, records=records,
         )
 
     def __setattr__(self, name, value):
@@ -201,6 +216,13 @@ class PreparedFleet(Sequence):
         # pickle and copy would restore the slots through __setattr__;
         # rebuild the fleet from its records instead.
         return type(self).from_records, (self._rows(),)
+
+    @property
+    def specs(self) -> tuple:
+        """The `TruckSpec`s by rank."""
+        if callable(self._specs):
+            object.__setattr__(self, "_specs", tuple(self._specs()))
+        return self._specs
 
     def _rows(self) -> List[PreparedTruck]:
         if self._records is None:
@@ -215,7 +237,7 @@ class PreparedFleet(Sequence):
         return self._records
 
     def __len__(self) -> int:
-        return len(self.specs)
+        return len(self.ids)
 
     def __getitem__(self, index):
         return self._rows()[index]
@@ -250,19 +272,15 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
     named, and an ET that can neither follow safely nor leave in time fails
     as infeasible.
     """
-    trucks, route = instance.trucks, instance.route
-    n = len(trucks)
-    ids = list(map(attrgetter("id"), trucks))
-    electric = TruckKind.ELECTRIC
-    flags = [k is electric for k in map(attrgetter("kind"), trucks)]
+    fleet, route = instance.columns, instance.route
+    ids, flags, arrival = fleet.ids, fleet.electric, fleet.arrival_f
+    n = len(ids)
     is_et = np.fromiter(flags, bool, n)
     et = np.flatnonzero(is_et)
-    battery = _battery(list(compress(trucks, flags)), et.size)
-    init, rate, vrate, safe, cap = battery
+    init, rate, vrate, safe, cap = fleet.battery_f
 
-    required, infeasible, charge = _mandatory_charge(route, *battery)
+    required, infeasible, charge = _mandatory_charge(route, *fleet.battery_f)
     departure_soc = _charged_soc(init, rate, charge)
-    arrival = np.array(list(map(attrgetter("arrival_time"), trucks)), dtype=float)
     earliest = arrival.copy()
     earliest[et] = arrival[et] + charge
 
@@ -272,7 +290,7 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
         k = int(failed.argmax())
         j = int(np.searchsorted(et, k))  # truck k's place among the ETs
         if flags[k] and infeasible[j]:
-            raise _infeasible(trucks[k], float(required[j]))
+            raise _infeasible(ids[k], fleet.battery[4][j], float(required[j]))
         raise HorizonExceededError(ids[k], float(earliest[k]), route.horizon)
 
     order = _rank_order(earliest, ids)
@@ -282,7 +300,7 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
 
     ranks = order.tolist()
     return PreparedFleet(
-        map(trucks.__getitem__, ranks), map(ids.__getitem__, ranks),
+        lambda: map(instance.trucks.__getitem__, ranks), map(ids.__getitem__, ranks),
         is_et[order].astype(np.uint8), earliest[order],
         ranked(charge), ranked(departure_soc), arrival[order], ranked(init),
         ranked(rate), ranked(vrate), ranked(safe), ranked(cap))

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple, Optional
+
+import numpy as np
 
 # Discharge multiplier for a truck leading a platoon or driving alone.
 LEAD_COEFF = 1.0
@@ -158,29 +162,135 @@ class EconomicParams:
             raise ContractViolation("charge_cost must not exceed wait_cost")
 
 
-@dataclass(frozen=True)
+class FleetColumns:
+    """A fleet as columns in instance order: the form `prepare_fleet` reads.
+
+    `ids` and `arrival` hold every truck's value as it was given (an integer
+    arrival stays an integer), `electric` which trucks are ETs, and `battery`
+    the five battery fields of the ETs alone, in `TruckSpec` order; the
+    `*_f` columns are the same numbers as read-only float64 arrays.
+    """
+
+    __slots__ = ("ids", "electric", "arrival", "battery", "arrival_f", "battery_f")
+
+    def __init__(self, ids: list, electric: list, arrival: list, battery: tuple):
+        floats = [np.array(column, dtype=float) for column in (arrival, *battery)]
+        for column in floats:
+            column.flags.writeable = False
+        for name, value in zip(self.__slots__, (ids, electric, arrival, tuple(battery),
+                                                floats[0], tuple(floats[1:]))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_trucks(cls, trucks) -> "FleetColumns":
+        """The columns of these `TruckSpec`s: the one place `TruckSpec`s
+        are transposed into columns."""
+        electric = [kind is TruckKind.ELECTRIC for kind in map(itemgetter(1), trucks)]
+        ets = list(compress(trucks, electric))
+        return cls(list(map(itemgetter(0), trucks)), electric,
+                   list(map(itemgetter(2), trucks)),
+                   tuple(list(map(itemgetter(k), ets)) for k in range(3, 8)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def pass_truck_checks(self) -> bool:
+        """Whether every truck passes the checks of `TruckSpec.__new__`,
+        stated over the float64 columns; NaN fails them, as there. Where the
+        numbers are ints and floats the verdict is `TruckSpec`'s: float64
+        keeps an int's sign, and its value up to 2**53, and every check that
+        does not compare with 0 involves a field that must lie in [0, 100]."""
+        init, rate, vrate, safe, cap = self.battery_f
+        return bool((self.arrival_f >= 0).all()
+                    and (rate > 0).all() and (vrate >= 0).all()
+                    and ((0 <= safe) & (safe < 100)).all()
+                    and ((safe < cap) & (cap <= 100)).all()
+                    and ((0 <= init) & (init <= cap)).all())
+
+    def to_trucks(self) -> tuple:
+        """The `TruckSpec` of every truck, in instance order."""
+        battery = zip(*self.battery)
+        electric, fuel = TruckKind.ELECTRIC, TruckKind.FUEL
+        return tuple(TruckSpec(i, electric, a, *next(battery)) if e else TruckSpec(i, fuel, a)
+                     for i, e, a in zip(self.ids, self.electric, self.arrival))
+
+
 class ProblemInstance:
     """One solvable unit: a fleet plus route, prices, and a base seed.
 
     The seed feeds only the randomized solvers (leader draws); deterministic
-    solvers ignore it.
+    solvers ignore it. The fleet is held as `TruckSpec` records, as columns
+    (`FleetColumns`), or both: each form is built from the other on first
+    access and then kept, so an instance built from records transposes them
+    once, and a loaded one builds records only when they are asked for.
+    Instances are immutable and compare, hash, print and pickle by value.
     """
 
-    trucks: tuple
-    route: RouteParams
-    econ: EconomicParams
-    seed: int = 0
+    __slots__ = ("route", "econ", "seed", "_trucks", "_columns")
 
-    def __post_init__(self):
-        trucks = tuple(self.trucks)
-        object.__setattr__(self, "trucks", trucks)
-        if not trucks:
+    def __init__(self, trucks, route: RouteParams, econ: EconomicParams, seed: int = 0):
+        trucks = tuple(trucks)
+        self._set(trucks, None, [t.id for t in trucks], route, econ, seed)
+
+    @classmethod
+    def _from_columns(cls, columns: FleetColumns, route: RouteParams,
+                      econ: EconomicParams, seed: int = 0) -> "ProblemInstance":
+        """The instance of a fleet given as columns whose trucks pass the
+        checks of `TruckSpec` (`FleetColumns.pass_truck_checks`)."""
+        instance = object.__new__(cls)
+        instance._set(None, columns, columns.ids, route, econ, seed)
+        return instance
+
+    def _set(self, trucks, columns, ids, route, econ, seed):
+        if not ids:
             raise ContractViolation("instance needs at least one truck")
-        ids = [t.id for t in trucks]
         if len(set(ids)) != len(ids):
             raise ContractViolation("truck ids must be unique")
-        if self.seed < 0:
+        if seed < 0:
             raise ContractViolation("seed must be >= 0")
+        for name, value in zip(self.__slots__, (route, econ, seed, trucks, columns)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def trucks(self) -> tuple:
+        """The `TruckSpec`s in instance order."""
+        if self._trucks is None:
+            object.__setattr__(self, "_trucks", self._columns.to_trucks())
+        return self._trucks
+
+    @property
+    def columns(self) -> FleetColumns:
+        """The fleet as columns in instance order."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", FleetColumns.from_trucks(self._trucks))
+        return self._columns
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        # The columns as given, which are equal exactly when the `TruckSpec`s
+        # are, so that comparing builds no records.
+        c = self.columns
+        return c.ids, c.electric, c.arrival, c.battery, self.route, self.econ, self.seed
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((self.trucks, self.route, self.econ, self.seed))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(trucks={self.trucks!r}, route={self.route!r}, "
+                f"econ={self.econ!r}, seed={self.seed!r})")
+
+    def __reduce__(self):
+        return type(self), (self.trucks, self.route, self.econ, self.seed)
 
 
 def departure_time(truck, charge: float, wait: float) -> float:

@@ -14,13 +14,14 @@ from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import not_
+from operator import itemgetter, not_
 from typing import Optional
 
 import numpy as np
 
 from .model import (
     EconomicParams,
+    FleetColumns,
     ProblemInstance,
     RouteParams,
     TruckKind,
@@ -186,11 +187,6 @@ def _integer(obj: dict, key: str, ctx: str) -> int:
     return value
 
 
-# Fields a truck row of each kind must carry for the positional fast path.
-_ET_KEYS = frozenset(("id", "kind", "arrival", "soc0", "rate", "vrate", "safe", "max"))
-_FT_KEYS = frozenset(("id", "kind", "arrival"))
-
-
 def _truck_from_row(row, ctx: str) -> TruckSpec:
     """One truck row, field by field, naming the first fault it finds."""
     if not isinstance(row, dict):
@@ -218,43 +214,49 @@ def _truck_from_row(row, ctx: str) -> TruckSpec:
     )
 
 
-def _load_trucks(rows: list, path: str, fast: bool) -> tuple:
-    """Truck rows of an instance file. With `fast`, a well-formed row goes
-    straight to `TruckSpec`; any other row, one whose values `TruckSpec`
-    cannot compare, and every row without `fast` take `_truck_from_row`,
-    which checks each field and names the fault."""
-    electric, fuel = TruckKind.ELECTRIC, TruckKind.FUEL
-    trucks = []
-    for k, row in enumerate(rows):
-        if fast and type(row) is dict:
-            kind_tag = row.get("kind")
-            try:
-                if kind_tag == "ET" and row.keys() >= _ET_KEYS:
-                    trucks.append(TruckSpec(row["id"], electric, row["arrival"],
-                                            row["soc0"], row["rate"], row["vrate"],
-                                            row["safe"], row["max"]))
-                    continue
-                if kind_tag == "FT" and row.keys() >= _FT_KEYS:
-                    trucks.append(TruckSpec(row["id"], fuel, row["arrival"]))
-                    continue
-            except TypeError:
-                pass
-        trucks.append(_truck_from_row(row, f"{path}: trucks[{k}]"))
-    return tuple(trucks)
+# The battery fields of an ET row, in `TruckSpec` order.
+_BATTERY_KEYS = ("soc0", "rate", "vrate", "safe", "max")
+_NUMBER_TYPES = {int, float}
+
+
+def _fleet_columns(rows: list) -> Optional[FleetColumns]:
+    """The columns of these truck rows, read one field at a time, or None
+    unless every row is an object of a known kind with its fields, every
+    numeric field an int or a float, and every truck passes the checks of
+    `TruckSpec`. Rows that are not read here take `_truck_from_row`, which
+    names the first fault; a field that no such check reads is ignored by
+    both, such as battery fields on a fuel truck."""
+    try:
+        kinds = list(map(itemgetter("kind"), rows))
+        electric = [kind == "ET" for kind in kinds]
+        ets = list(compress(rows, electric))
+        if len(ets) + kinds.count("FT") != len(rows):
+            return None
+        ids = list(map(itemgetter("id"), rows))
+        arrival = list(map(itemgetter("arrival"), rows))
+        battery = tuple(list(map(itemgetter(key), ets)) for key in _BATTERY_KEYS)
+    except (TypeError, KeyError):  # a row that is not an object, or lacks a field
+        return None
+    if not all(set(map(type, column)) <= _NUMBER_TYPES for column in (arrival, *battery)):
+        return None
+    try:
+        columns = FleetColumns(ids, electric, arrival, battery)
+    except OverflowError:  # an int beyond float64; `TruckSpec` accepts it
+        return None
+    return columns if columns.pass_truck_checks() else None
 
 
 def load_instance(path: str) -> ProblemInstance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc = json.loads(text)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})"
         ) from exc
     if not isinstance(doc, dict):
         raise InstanceFormatError(f"{path}: top level must be an object")
-    version = _require(doc, "version", path)
+    version = _integer(doc, "version", path)
     if version != SCHEMA_VERSION:
         raise InstanceFormatError(
             f"{path}: unsupported schema version {version!r} (expected {SCHEMA_VERSION})"
@@ -277,13 +279,15 @@ def load_instance(path: str) -> ProblemInstance:
         et_follower_profit=_number(econ_doc, "xiE", f"{path}: econ"),
         ft_follower_profit=_number(econ_doc, "xiF", f"{path}: econ"),
     )
-    # `TruckSpec` compares numbers, and a JSON boolean compares as one. A
-    # file that spells neither `true` nor `false` holds no boolean, so its
-    # rows may skip the per-field type check.
-    trucks = _load_trucks(trucks_doc, path, "true" not in text and "false" not in text)
+    columns = _fleet_columns(trucks_doc)
+    if columns is None:
+        trucks = tuple(_truck_from_row(row, f"{path}: trucks[{k}]")
+                       for k, row in enumerate(trucks_doc))
     seed = _integer(doc, "seed", path)
     try:
-        return ProblemInstance(trucks=trucks, route=route, econ=econ, seed=seed)
+        if columns is None:
+            return ProblemInstance(trucks=trucks, route=route, econ=econ, seed=seed)
+        return ProblemInstance._from_columns(columns, route, econ, seed)
     except TypeError as exc:  # the uniqueness check hashes every truck id
         raise InstanceFormatError(f"{path}: truck ids must be scalars ({exc})") from None
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .discretize import prepare_fleet
 from .dp import solve_dp_ls
-from .model import MONEY_TOL
+from .model import MONEY_TOL, ContractViolation
 from .oracle import oracle_consecutive, oracle_full
 from .scenario import ScenarioConfig, generate
 
@@ -51,9 +51,17 @@ def tiny_grid_config(seed: int, n_trucks: int, et_share: float) -> ScenarioConfi
     )
 
 
+def _check_trials(trials: int) -> None:
+    """`ContractViolation` for a trial count below 1, which would pass
+    without checking a fleet."""
+    if trials < 1:
+        raise ContractViolation(f"trials must be >= 1, got {trials}")
+
+
 def check_dp_vs_consecutive(trials: int = 200, seed: int = 0) -> CheckResult:
     """Solver value and recovered schedule must match the exhaustive optimum
     over its own search space exactly."""
+    _check_trials(trials)
     worst = 0.0
     for k in range(trials):
         cfg = small_mixed_config(
@@ -84,6 +92,7 @@ def check_dp_vs_consecutive(trials: int = 200, seed: int = 0) -> CheckResult:
 def check_ft_only_exact(trials: int = 50, seed: int = 0,
                         grid_step: float = 2.0) -> CheckResult:
     """On fuel-only fleets the solver must match the unrestricted optimum."""
+    _check_trials(trials)
     worst = 0.0
     for k in range(trials):
         cfg = tiny_grid_config(seed=seed + k, n_trucks=2 + k % 4, et_share=0.0)
@@ -109,6 +118,7 @@ def check_mixed_upper_bound(trials: int = 50, seed: int = 0,
                             grid_step: float = 2.0) -> CheckResult:
     """On mixed fleets the solver may be suboptimal but never above the full
     search; the observed gap is reported, not bounded."""
+    _check_trials(trials)
     worst_gap = 0.0
     for k in range(trials):
         cfg = tiny_grid_config(seed=seed + k, n_trucks=2 + k % 4, et_share=0.5)

@@ -93,6 +93,21 @@ class TestSolve:
         assert err.startswith("error: ") and "charge_rate must be > 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_tied_ids_that_cannot_be_ordered_are_an_error(self, tmp_path, capsys, method):
+        doc = json.loads(INTEGER_ARRIVALS.read_text())
+        a, b = doc["trucks"][20], doc["trucks"][169]  # the two fuel trucks arriving at 60
+        assert a["kind"] == b["kind"] == "FT" and a["arrival"] == b["arrival"] == 60
+        a["id"], b["id"] = "a", 2.5
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sol.json"
+        assert run(["solve", path, "--method", method, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: trucks 'a' and 2.5 are ready at the same instant, and their ids "
+            "cannot be ordered to break the tie\n")
+        assert not out.exists()
+
     def test_oracle_check_rejects_other_methods(self, small_instance):
         assert run(["solve", small_instance, "--method", "spontaneous",
                     "--oracle-check"]) == 2

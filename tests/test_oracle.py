@@ -13,6 +13,11 @@ from platoon_coord import (
     solve_dp_ls,
     solve_spontaneous,
 )
+from platoon_coord.verification import (
+    check_dp_vs_consecutive,
+    check_ft_only_exact,
+    check_mixed_upper_bound,
+)
 from conftest import REF_ECON, REF_ROUTE, UNLEADABLE, et, ft, prepare
 
 APPROX = dict(abs=1e-9)
@@ -137,3 +142,12 @@ def test_unschedulable_fleet_is_no_feasible_schedule():
                   lambda: solve_spontaneous(prepared, inst.route, inst.econ, 0)):
         with pytest.raises(NoFeasibleScheduleError):
             solve()
+
+
+@pytest.mark.parametrize("check", [check_dp_vs_consecutive, check_ft_only_exact,
+                                   check_mixed_upper_bound])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verification_refuses_trial_counts_below_one(check, trials):
+    """A check of no fleet would pass without checking anything."""
+    with pytest.raises(ContractViolation, match=f"^trials must be >= 1, got {trials}$"):
+        check(trials=trials)

@@ -1,12 +1,16 @@
+import copy
 import json
+import pickle
 import tracemalloc
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from platoon_coord import (
+    ContractViolation,
     GenerationError,
     HorizonExceededError,
     InstanceFormatError,
@@ -14,6 +18,7 @@ from platoon_coord import (
     ProblemInstance,
     ScenarioConfig,
     Solution,
+    TruckSpec,
     generate,
     load_instance,
     prepare_fleet,
@@ -496,7 +501,76 @@ class TestInstanceText:
         assert path.read_text(encoding="utf-8") == instance_text(inst)
 
 
+DATA = Path(__file__).parent / "data"
+INSTANCE_FILES = sorted(p for p in DATA.glob("*.json") if p.name != "golden-digests.json")
+
+
+def per_row_trucks(path):
+    """The trucks of an instance file read by `_truck_from_row`, one row at
+    a time: the reference the columnar loader must equal."""
+    rows = json.loads(Path(path).read_text(encoding="utf-8"))["trucks"]
+    return tuple(_truck_from_row(row, f"{path}: trucks[{k}]") for k, row in enumerate(rows))
+
+
+def assert_loads_as_per_row(path):
+    """The loaded instance's trucks equal the per-row path's field for field,
+    by `repr`, and in the type of every field (an int arrival stays an int)."""
+    loaded = load_instance(path)
+    expected = per_row_trucks(path)
+    assert loaded.trucks == expected and repr(loaded.trucks) == repr(expected)
+    assert [list(map(type, t)) for t in loaded.trucks] == [list(map(type, t)) for t in expected]
+    return loaded
+
+
 class TestLoaderFastPath:
+    @pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.stem)
+    def test_committed_files_equal_the_per_row_path(self, path):
+        assert len(INSTANCE_FILES) == 2
+        assert_loads_as_per_row(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets_equal_the_per_row_path(self, tmp_path_factory, instance):
+        path = tmp_path_factory.mktemp("fleet") / "fleet.json"
+        save_instance(instance, path)
+        loaded = assert_loads_as_per_row(path)
+        assert loaded == instance and repr(loaded) == repr(instance)
+        assert hash(loaded) == hash(instance)
+
+    def test_dp_solve_builds_no_truck_records(self, monkeypatch, tmp_path):
+        """From the file to the solution file, a dp solve reads the fleet's
+        columns only; the `TruckSpec`s are built when they are asked for."""
+        path, out = DATA / "dense-ties-300.json", tmp_path / "solution.json"
+        real = TruckSpec.__new__
+        built = []
+        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
+            built.append(args or kwargs) or real(cls, *args, **kwargs)))
+        instance = load_instance(path)
+        prepared = prepare_fleet(instance)
+        save_solution(solve_dp_ls(prepared, instance.route, instance.econ), out)
+        save_solution(solve_dp_nls(prepared, instance.route, instance.econ, 3), out)
+        assert main(["solve", str(path), "--method", "dp-ls", "--out", str(out)]) == 0
+        assert built == []
+        assert instance.trucks == per_row_trucks(path) and len(built) == 2 * 300
+
+    @pytest.mark.parametrize("clone", [
+        lambda i: pickle.loads(pickle.dumps(i)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("source", ["loaded", "constructed"])
+    def test_instances_pickle_and_copy(self, clone, source):
+        path = DATA / "integer-arrivals-200.json"
+        instance = load_instance(path)
+        if source == "constructed":
+            instance = ProblemInstance(trucks=per_row_trucks(path), route=instance.route,
+                                       econ=instance.econ, seed=instance.seed)
+        again = clone(instance)
+        assert type(again) is ProblemInstance and again is not instance
+        assert again == instance and hash(again) == hash(instance)
+        assert repr(again) == repr(instance) == repr(load_instance(path))
+        assert prepare_fleet(again) == prepare_fleet(instance)
+        with pytest.raises(AttributeError):
+            again.seed = 5
+
     @pytest.mark.parametrize("cfg", [
         ScenarioConfig(n_trucks=200, seed=5),
         ScenarioConfig(n_trucks=60, et_share=1.0, seed=2),
@@ -523,14 +597,45 @@ class TestLoaderFastPath:
         path.write_text(json.dumps(doc))
         return path, doc
 
-    def test_file_spelling_true_loads_through_the_checked_path(self, tmp_path):
-        """A file that spells `true` takes the per-field path for every row,
-        and loads the trucks the fast path loads."""
-        path, _ = self.edit(tmp_path, lambda d: d["trucks"][1].update(id="true"))
+    @pytest.mark.parametrize("truck_id", ["true", False, None, 2.5])
+    def test_any_scalar_id_loads_as_on_the_per_row_path(self, tmp_path, truck_id):
+        """Ids are not numeric fields: a boolean, a string that spells one,
+        null and a float load as they are, on both paths."""
+        path, _ = self.edit(tmp_path, lambda d: d["trucks"][1].update(id=truck_id))
         trucks = list(generate(ScenarioConfig(n_trucks=6, et_share=0.5, seed=4)).trucks)
-        trucks[1] = trucks[1]._replace(id="true")
-        loaded = load_instance(path).trucks
+        trucks[1] = trucks[1]._replace(id=truck_id)
+        loaded = assert_loads_as_per_row(path).trucks
         assert loaded == tuple(trucks) and repr(loaded) == repr(tuple(trucks))
+        assert type(loaded[1].id) is type(truck_id)
+
+    def test_boolean_id_equal_to_another_is_a_duplicate(self, tmp_path):
+        """`true` equals the id 1 of another truck, on both paths."""
+        path, _ = self.edit(tmp_path, lambda d: d["trucks"][1].update(id=True))
+        with pytest.raises(ContractViolation, match="^truck ids must be unique$"):
+            load_instance(path)
+        inst = generate(ScenarioConfig(n_trucks=6, et_share=0.5, seed=4))
+        with pytest.raises(ContractViolation, match="^truck ids must be unique$"):
+            ProblemInstance(trucks=per_row_trucks(path), route=inst.route, econ=inst.econ)
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("ET", "rate", "5"), ("FT", "arrival", "5"), ("ET", "soc0", None),
+        ("FT", "arrival", None), ("FT", "arrival", float("nan")),
+        ("ET", "max", float("nan")), ("ET", "vrate", -0.5), ("ET", "safe", True),
+    ])
+    def test_faults_give_the_per_row_message(self, tmp_path, kind, field, value):
+        """A file whose columns fail a check is read row by row, so the
+        first faulty row is reported with the per-row path's message: its
+        place in the file for a field of the wrong type, its id for a value
+        out of range."""
+        def change(doc):
+            next(r for r in doc["trucks"] if r["kind"] == kind)[field] = value
+        path, doc = self.edit(tmp_path, change)
+        k = next(k for k, r in enumerate(doc["trucks"]) if r["kind"] == kind)
+        with pytest.raises(ValueError) as expected:
+            _truck_from_row(doc["trucks"][k], f"{path}: trucks[{k}]")
+        with pytest.raises(type(expected.value)) as err:
+            load_instance(path)
+        assert str(err.value) == str(expected.value)
 
     def test_unhashable_kind_is_unknown(self, tmp_path):
         path, _ = self.edit(tmp_path, lambda d: d["trucks"][2].update(kind=["ET"]))
@@ -575,6 +680,8 @@ MALFORMED = {
     "nbar is a boolean": (lambda d: d["route"].update(nbar=True), "route: field 'nbar'"),
     "seed is a float": (lambda d: d.__setitem__("seed", 3.0), "field 'seed'"),
     "seed is a boolean": (lambda d: d.__setitem__("seed", False), "field 'seed'"),
+    "version is a boolean": (lambda d: d.__setitem__("version", True), "field 'version'"),
+    "version is a float": (lambda d: d.__setitem__("version", 1.0), "field 'version'"),
     **{f"route {key} is a boolean": (lambda d, key=key: d["route"].update({key: True}),
                                      f"route: field '{key}'")
        for key in ("d", "T", "beta_f")},
