@@ -101,9 +101,10 @@ def _cmd_generate(args) -> int:
     cfg = _config_from_args(args, args.seed)
     instance = generate(cfg)
     save_instance(instance, args.out, config=cfg)
-    n_et = sum(1 for t in instance.trucks if t.is_electric)
-    print(f"seed {cfg.seed}: wrote {len(instance.trucks)} trucks "
-          f"({len(instance.trucks) - n_et} FT, {n_et} ET) to {args.out}")
+    electric = instance.columns.electric
+    n_et = electric.count(True)
+    print(f"seed {cfg.seed}: wrote {len(electric)} trucks "
+          f"({len(electric) - n_et} FT, {n_et} ET) to {args.out}")
     return 0
 
 

@@ -181,15 +181,21 @@ class FleetColumns:
                                                 floats[0], tuple(floats[1:]))):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def from_trucks(cls, trucks) -> "FleetColumns":
-        """The columns of these `TruckSpec`s: the one place `TruckSpec`s
-        are transposed into columns."""
+    @staticmethod
+    def transpose(trucks) -> tuple:
+        """The ids, ET flags, arrivals and ET battery columns of these
+        `TruckSpec`s, as lists: the one place `TruckSpec`s are transposed
+        into columns."""
         electric = [kind is TruckKind.ELECTRIC for kind in map(itemgetter(1), trucks)]
         ets = list(compress(trucks, electric))
-        return cls(list(map(itemgetter(0), trucks)), electric,
-                   list(map(itemgetter(2), trucks)),
-                   tuple(list(map(itemgetter(k), ets)) for k in range(3, 8)))
+        return (list(map(itemgetter(0), trucks)), electric,
+                list(map(itemgetter(2), trucks)),
+                tuple(list(map(itemgetter(k), ets)) for k in range(3, 8)))
+
+    @classmethod
+    def from_trucks(cls, trucks) -> "FleetColumns":
+        """The columns of these `TruckSpec`s."""
+        return cls(*cls.transpose(trucks))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -222,7 +228,8 @@ class ProblemInstance:
     solvers ignore it. The fleet is held as `TruckSpec` records, as columns
     (`FleetColumns`), or both: each form is built from the other on first
     access and then kept, so an instance built from records transposes them
-    once, and a loaded one builds records only when they are asked for.
+    once, and a loaded or generated one builds records only when they are
+    asked for.
     Instances are immutable and compare, hash, print and pickle by value.
     """
 

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cache
-from itertools import compress
+from itertools import accumulate, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, not_
 from typing import Optional
@@ -93,13 +93,24 @@ def generate(config: ScenarioConfig) -> ProblemInstance:
     """Draw a fleet deterministically from (config, config.seed).
 
     Exactly round(n_trucks * et_share) trucks are electric, at positions
-    drawn once up front. A truck whose mandatory charge would push it past
-    the horizon is redrawn, with a bounded retry budget.
+    drawn once up front. Each truck then draws its arrival minute and, if
+    electric, its initial SoC; a truck whose mandatory charge would push it
+    past the horizon is redrawn, with a bounded retry budget. The fleet is
+    filled as columns (`_draw_fleet`), so no `TruckSpec` is built.
     """
+    for name in ("n_trucks", "arrival_lo", "arrival_hi", "seed"):
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise GenerationError(f"{name} must be an integer, got {value!r}")
     if not 0 <= config.et_share <= 1:
         raise GenerationError("et_share must be in [0, 1]")
-    if config.arrival_lo > config.arrival_hi or config.arrival_lo < 0:
-        raise GenerationError("arrival range must satisfy 0 <= lo <= hi")
+    lo, hi = config.arrival_lo, config.arrival_hi
+    # 2**63 - 1 is numpy's largest int64; a span of 2**32 or more would
+    # take numpy's 64-bit draw, which `_draw_fleet` does not decode.
+    if not 0 <= lo <= hi < 2**63:
+        raise GenerationError("arrival range must satisfy 0 <= lo <= hi < 2**63")
+    if hi - lo >= 2**32:
+        raise GenerationError("arrival_hi - arrival_lo must be below 2**32")
     if config.n_trucks < 1:
         raise GenerationError("n_trucks must be >= 1")
     if config.seed < 0:
@@ -116,48 +127,148 @@ def generate(config: ScenarioConfig) -> ProblemInstance:
     if not config.safe_soc <= soc_lo <= soc_hi <= config.max_soc:
         raise GenerationError("SoC range must lie within [safe_soc, max_soc]")
 
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    n_et = int(round(config.n_trucks * config.et_share))
-    et_positions = set(rng.permutation(config.n_trucks)[:n_et].tolist())
+    bitgen = np.random.Philox(config.seed)
+    n = config.n_trucks
+    n_et = int(round(n * config.et_share))
+    electric = np.zeros(n, dtype=bool)
+    electric[np.random.Generator(bitgen).permutation(n)[:n_et]] = True
+    fixed = (config.charge_rate, config.discharge_rate, config.safe_soc, config.max_soc)
+    if n_et:
+        # Every ET shares these fields, and its SoC lies in [safe_soc, max_soc],
+        # so a fault in them is the first ET's; drawing would divide by the rate.
+        first = int(electric.argmax())
+        _checked(FleetColumns([first + 1], [True], [lo], ([soc_lo], *([v] for v in fixed))))
+    arrival, soc = _draw_fleet(bitgen, electric, lo, hi - lo, soc_lo, soc_hi, follower_need,
+                               config.charge_rate, config.horizon)
+    columns = _checked(FleetColumns(list(range(1, n + 1)), electric.tolist(), arrival.tolist(),
+                                    (soc[electric].tolist(), *([v] * n_et for v in fixed))))
+    return ProblemInstance._from_columns(columns, config.route(), config.econ(), config.seed)
 
-    trucks = []
-    for pos in range(config.n_trucks):
-        electric = pos in et_positions
-        for attempt in range(_RESAMPLE_BUDGET):
-            arrival = float(rng.integers(config.arrival_lo, config.arrival_hi + 1))
-            if electric:
-                soc = float(rng.uniform(soc_lo, soc_hi))
-                charge = max(0.0, (follower_need - soc) / config.charge_rate)
-            else:
-                soc = None
-                charge = 0.0
-            if arrival + charge <= config.horizon:
-                break
-        else:
-            raise GenerationError(
-                f"could not draw truck {pos + 1} with earliest departure inside "
-                f"the horizon after {_RESAMPLE_BUDGET} attempts"
-            )
-        if electric:
-            trucks.append(TruckSpec(
-                id=pos + 1,
-                kind=TruckKind.ELECTRIC,
-                arrival_time=arrival,
-                initial_soc=soc,
-                charge_rate=config.charge_rate,
-                discharge_rate=config.discharge_rate,
-                safe_soc=config.safe_soc,
-                max_soc=config.max_soc,
-            ))
-        else:
-            trucks.append(TruckSpec(id=pos + 1, kind=TruckKind.FUEL, arrival_time=arrival))
 
-    return ProblemInstance(
-        trucks=tuple(trucks),
-        route=config.route(),
-        econ=config.econ(),
-        seed=config.seed,
-    )
+def _checked(columns: FleetColumns) -> FleetColumns:
+    """`columns`, unless a truck fails the checks of `TruckSpec`: then the
+    `ContractViolation` it raises for the first such truck."""
+    if not columns.pass_truck_checks():
+        columns.to_trucks()
+    return columns
+
+
+# How numpy's `Generator` turns Philox's 64-bit words into the scalar draws
+# of `_draw_fleet` (tests/test_scenario.py checks it against those draws):
+# - `integers(lo, lo + span + 1)` with 0 < span < 2**32 takes a 32-bit half u
+#   through Lemire's method: with m = u * (span + 1), it rejects u and takes
+#   another half while m mod 2**32 < (2**32 - 1 - span) mod (span + 1), and
+#   otherwise returns lo + (m >> 32). A span of 0 takes nothing. The halves
+#   come from the bit generator's `next_uint32`, which takes the low half of
+#   a fresh word and keeps the high half for its next call.
+# - `uniform(a, b)` takes a whole fresh word w, leaving a kept half alone,
+#   as a + (b - a) * ((w >> 11) * 2**-53).
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+_UNIT = 2.0**-53
+# The fewest slots one window lays out after a window that ended early.
+_MIN_WINDOW = 64
+
+
+def _draw_fleet(bitgen, electric, lo: int, span: int, soc_lo, soc_hi, need, rate, horizon):
+    """Each truck's arrival minute and, for an ET, initial SoC (zero for an
+    FT), as float64 columns: the values of the scalar loop
+
+        for each truck, for up to `_RESAMPLE_BUDGET` attempts:
+            arrival = float(rng.integers(lo, lo + span + 1))
+            if electric: soc = float(rng.uniform(soc_lo, soc_hi))
+            charge = max(0.0, (need - soc) / rate) if electric else 0.0
+            stop if arrival + charge <= horizon
+
+    on a `Generator` over `bitgen`, decoded in numpy from its raw words.
+    Every word is decoded up front in each role it can take: its two halves
+    as arrival draws (NaN where Lemire's method rejects them) and the whole
+    word as a SoC draw and its charge. Where each truck's draws lie follows
+    from the ET flags as long as no draw fails, so a window of trucks is
+    laid out at once, one slot of draws per truck. A truck whose draw fails
+    draws again from the next slot, which holds the right words while the
+    trucks the slots were laid out for are of its kind; the next window
+    starts where they are not, past the words the draws before used."""
+    n = electric.size
+    arrival, soc = np.empty(n), np.zeros(n)
+    excl, threshold = np.uint64(span + 1), (2**32 - 1 - span) % (span + 1)
+    base = float(soc_lo)
+    scale = float(soc_hi) - base
+
+    def decode(words):
+        halves = np.stack((words & _LOW_HALF, words >> np.uint64(32)), axis=1).ravel()
+        scaled = halves * excl
+        value = ((scaled >> np.uint64(32)).astype(np.int64) + lo).astype(float)
+        value[(scaled & _LOW_HALF) < threshold] = np.nan
+        s = base + scale * ((words >> np.uint64(11)).astype(float) * _UNIT)
+        over = (need - s) / rate
+        return value, s, np.where(over > 0.0, over, 0.0)
+
+    # Word 0 stands for the half `next_uint32` keeps, as its high half; an FT
+    # takes it as its SoC word, with SoC and charge zero.
+    state = bitgen.state
+    kept = 0 if state["has_uint32"] else None  # the word whose high half is kept
+    value, socs, charge = decode(np.array([state["uinteger"] << 32], dtype=np.uint64))
+    socs[0] = charge[0] = 0.0
+    # Which arrival draws take a fresh word: every other one, as halves alternate.
+    alternate = np.arange(n + 1) % 2 == 0 if span else np.zeros(n + 1, dtype=bool)
+    soc_taken = electric.astype(np.int64)  # the words an attempt's SoC draw takes
+    pos, cursor, attempts = 0, 1, 0  # next truck, next unused word, its failed draws
+    window = n
+    while pos < n:
+        et = electric[pos:pos + window]
+        m = et.size
+        fresh = alternate[kept is not None:][:m]
+        taken = fresh + soc_taken[pos:pos + m]
+        first = cursor + np.cumsum(taken) - taken  # each slot's first word
+        end = cursor + int(taken.sum())
+        if end > socs.size:  # one SoC per word decoded so far
+            more = decode(bitgen.random_raw(max(end - socs.size, socs.size)))
+            value, socs, charge = (np.concatenate(pair) for pair in zip((value, socs, charge), more))
+        if span:
+            # A fresh draw takes its word's low half, the next draw the high one
+            # (the kept word's for the first truck; any word if its draw is fresh).
+            owner = np.concatenate(([kept or 0], first[:-1]))
+            a = value[np.where(fresh, 2 * first, 2 * owner + 1)]
+        else:
+            a = np.full(m, float(lo))
+        soc_word = np.where(et, first + fresh, 0)
+        fits = a + charge[soc_word] <= horizon  # False for a rejected draw's NaN
+        rejected = np.isnan(a)
+        # A truck that fails draws again in the next slot, which is laid out
+        # for the next truck: right while that truck is of the same kind, as
+        # a retry takes an ET's words or an FT's half again. A rejected ET
+        # draw is retried without its SoC draw, so it ends the window too.
+        truck = np.cumsum(fits) - fits  # the truck each slot serves, from pos
+        bad = (et[truck] != et) | (rejected & et)
+        k = int(bad.argmax())
+        if not bad[k]:
+            k = m
+        served = np.flatnonzero(fits[:k])
+        done = served.size
+        arrival[pos:pos + done], soc[pos:pos + done] = a[served], socs[soc_word[served]]
+        if done < k:  # some draw failed or was rejected
+            failures = np.bincount(truck[:k][~(fits[:k] | rejected[:k])], minlength=done + 1)
+            failures[0] += attempts
+            exhausted = failures >= _RESAMPLE_BUDGET
+            if exhausted.any():
+                raise GenerationError(
+                    f"could not draw truck {pos + int(exhausted.argmax()) + 1} with earliest "
+                    f"departure inside the horizon after {_RESAMPLE_BUDGET} attempts"
+                )
+            attempts = int(failures[done])
+        elif done:  # the truck after them has not drawn yet
+            attempts = 0
+        if k == m:
+            last, cursor, window = m - 1, end, 2 * window
+        elif rejected[k]:
+            # The rejected draw's half is spent.
+            last, cursor, window = k, int(first[k] + fresh[k]), max(_MIN_WINDOW, 2 * k)
+        else:
+            last, cursor, window = k - 1, int(first[k]), max(_MIN_WINDOW, 2 * k)
+        if span:
+            kept = int(first[last]) if fresh[last] else None
+        pos += done
+    return arrival, soc
 
 
 def _require(obj: dict, key: str, ctx: str):
@@ -389,12 +500,13 @@ _FT_TRUCK = """{
     }"""
 
 
-def _truck(t: TruckSpec) -> str:
-    truck_id, kind, arrival, soc0, rate, vrate, safe, cap = t
-    if kind is TruckKind.FUEL:
-        return _FT_TRUCK % (_scalar(arrival), _scalar(truck_id))
-    return _ET_TRUCK % (_scalar(arrival), _scalar(truck_id), _scalar(cap), _scalar(rate),
-                        _scalar(safe), _scalar(soc0), _scalar(vrate))
+def _truck_texts(ids: list, electric: list, arrival: list, battery) -> list:
+    """The texts of these trucks' rows, rendered column by column; `battery`
+    holds the five battery columns of the ETs among them."""
+    soc0, rate, vrate, safe, cap = map(_texts, battery)
+    et_fields = zip(cap, rate, safe, soc0, vrate)
+    return [_ET_TRUCK % (a, i, *next(et_fields)) if e else _FT_TRUCK % (a, i)
+            for i, e, a in zip(_texts(ids), electric, _texts(arrival))]
 
 
 # Trucks rendered per chunk: about the text of `_PLATOONS_PER_CHUNK` platoons.
@@ -419,9 +531,26 @@ def _instance_chunks(instance: ProblemInstance, config: Optional[ScenarioConfig]
         _scalar(route.max_platoon_size),
         _scalar(instance.seed),
     )
-    trucks = instance.trucks
-    yield from _array_chunks(len(trucks), lambda lo, hi: map(_truck, trucks[lo:hi]), 1,
-                             _TRUCKS_PER_CHUNK)
+    columns = instance._columns
+    if columns is None:
+        # Records are transposed a chunk at a time, not the whole fleet at once.
+        trucks = instance.trucks
+        n = len(trucks)
+
+        def render(lo, hi):
+            return _truck_texts(*FleetColumns.transpose(trucks[lo:hi]))
+    else:
+        ids, electric, arrival = columns.ids, columns.electric, columns.arrival
+        n, per_chunk = len(ids), _TRUCKS_PER_CHUNK
+        # The place of each chunk's first ET among the ETs.
+        et_start = list(accumulate((electric[lo:lo + per_chunk].count(True)
+                                    for lo in range(0, n, per_chunk)), initial=0))
+
+        def render(lo, hi):
+            e0, e1 = et_start[lo // per_chunk], et_start[lo // per_chunk + 1]
+            return _truck_texts(ids[lo:hi], electric[lo:hi], arrival[lo:hi],
+                                [column[e0:e1] for column in columns.battery])
+    yield from _array_chunks(n, render, 1, _TRUCKS_PER_CHUNK)
     yield _INSTANCE_TAIL % _scalar(SCHEMA_VERSION)
 
 

@@ -11,6 +11,10 @@ which every method writes back as floats: times are float64 once a fleet
 is prepared. A change that alters these outputs on purpose rewrites
 `golden-digests.json` from what it writes, and says which outputs moved and
 why.
+
+Under `generate`, the same file pins the instance files `platoon-coord
+generate` writes: the reference fleet of seed 3, a dense one (2000 trucks,
+70 % low-SoC ETs) and a tight-horizon one whose ETs are often redrawn.
 """
 
 import hashlib
@@ -23,7 +27,15 @@ from platoon_coord.cli import METHODS, main
 
 DATA = Path(__file__).parent / "data"
 DIGESTS = json.loads((DATA / "golden-digests.json").read_text(encoding="utf-8"))
+GENERATED = DIGESTS.pop("generate")
 FORMATS = {"json": [], "csv": ["--format", "csv"], "timing": ["--timing"]}
+GENERATE_FLAGS = {
+    "seed-3": [],
+    "dense": ["--n", "2000", "--et-share", "0.7", "--soc-lo", "10", "--soc-hi", "60",
+              "--arrival-hi", "144", "--horizon", "204", "--nbar", "16"],
+    "tight": ["--n", "1000", "--et-share", "0.5", "--soc-lo", "10", "--soc-hi", "20",
+              "--arrival-hi", "100", "--horizon", "120"],
+}
 
 
 def digest(path, fmt):
@@ -42,4 +54,12 @@ def test_solve_outputs_keep_their_bytes(name, method, tmp_path, capsys):
         assert main(["solve", str(DATA / f"{name}.json"), "--method", method,
                      "--out", str(out), *flags]) == 0
         assert digest(out, fmt) == DIGESTS[name][method][fmt], fmt
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_instances_keep_their_bytes(name, tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    assert main(["generate", "--seed", "3", "--out", str(out), *GENERATE_FLAGS[name]]) == 0
+    assert digest(out, "json") == GENERATED[name]
     capsys.readouterr()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from platoon_coord import (
     ContractViolation,
@@ -18,6 +18,7 @@ from platoon_coord import (
     ProblemInstance,
     ScenarioConfig,
     Solution,
+    TruckKind,
     TruckSpec,
     generate,
     load_instance,
@@ -30,6 +31,7 @@ from platoon_coord import (
     solve_spontaneous,
 )
 from platoon_coord.cli import METHODS, main
+from platoon_coord.model import FleetColumns
 from platoon_coord.scenario import (
     _scalar,
     _texts,
@@ -39,6 +41,10 @@ from platoon_coord.scenario import (
     solution_to_json,
 )
 from conftest import REF_ECON, REF_ROUTE, et, fleet_instances, ft
+
+
+DENSE = ScenarioConfig(n_trucks=2000, et_share=0.7, soc_lo=10.0, soc_hi=60.0,
+                       arrival_hi=144, horizon=204.0, max_platoon_size=16, seed=3)
 
 
 class TestGenerate:
@@ -84,6 +90,234 @@ class TestGenerate:
                              arrival_hi=60, horizon=10.0, seed=0)
         with pytest.raises(GenerationError):
             generate(cfg)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(n_trucks=10.0), "n_trucks must be an integer, got 10.0"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(n_trucks=True), "n_trucks must be an integer, got True"),
+        (dict(arrival_hi=1440.5), "arrival_hi must be an integer, got 1440.5"),
+        (dict(arrival_lo=False), "arrival_lo must be an integer, got False"),
+        (dict(arrival_lo=0, arrival_hi=2**32), "arrival_hi - arrival_lo must be below 2**32"),
+        (dict(arrival_lo=2**63, arrival_hi=2**63),
+         "arrival range must satisfy 0 <= lo <= hi < 2**63"),
+    ], ids=["float-n", "float-seed", "bool-n", "float-arrival-hi", "bool-arrival-lo",
+            "span-2**32", "beyond-int64"])
+    def test_config_types_and_span_checked_up_front(self, change, message):
+        with pytest.raises(GenerationError) as err:
+            generate(replace(ScenarioConfig(n_trucks=10), **change))
+        assert str(err.value) == message
+
+
+def scalar_generate(config, redraws=None):
+    """The fleet of `config` drawn truck by truck, with one scalar
+    `rng.integers` and, for an ET, one `rng.uniform` call per attempt and a
+    `TruckSpec` per truck: the loop `generate` decodes in columns, kept as
+    its reference. Appends to `redraws` the number of attempts past the
+    first, over all trucks."""
+    follower_need = config.safe_soc + config.follower_coeff * config.discharge_rate * config.distance
+    soc_lo = config.safe_soc if config.soc_lo is None else config.soc_lo
+    soc_hi = config.max_soc if config.soc_hi is None else config.soc_hi
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    n_et = int(round(config.n_trucks * config.et_share))
+    et_positions = set(rng.permutation(config.n_trucks)[:n_et].tolist())
+    trucks, extra = [], 0
+    for pos in range(config.n_trucks):
+        electric = pos in et_positions
+        for attempt in range(1000):
+            arrival = float(rng.integers(config.arrival_lo, config.arrival_hi + 1))
+            if electric:
+                soc = float(rng.uniform(soc_lo, soc_hi))
+                charge = max(0.0, (follower_need - soc) / config.charge_rate)
+            else:
+                soc = None
+                charge = 0.0
+            if arrival + charge <= config.horizon:
+                break
+        else:
+            raise GenerationError(
+                f"could not draw truck {pos + 1} with earliest departure inside "
+                f"the horizon after 1000 attempts"
+            )
+        extra += attempt
+        if electric:
+            trucks.append(TruckSpec(pos + 1, TruckKind.ELECTRIC, arrival, soc,
+                                    config.charge_rate, config.discharge_rate,
+                                    config.safe_soc, config.max_soc))
+        else:
+            trucks.append(TruckSpec(pos + 1, TruckKind.FUEL, arrival))
+    if redraws is not None:
+        redraws.append(extra)
+    return ProblemInstance(trucks=tuple(trucks), route=config.route(), econ=config.econ(),
+                           seed=config.seed)
+
+
+def assert_generates_as_scalar_loop(cfg):
+    """`generate` equals the scalar loop by `==`, by `repr`, in the type of
+    every field and in the bytes of its instance file."""
+    columnar, scalar = generate(cfg), scalar_generate(cfg)
+    assert columnar == scalar and repr(columnar.trucks) == repr(scalar.trucks)
+    assert ([list(map(type, t)) for t in columnar.trucks]
+            == [list(map(type, t)) for t in scalar.trucks])
+    assert instance_text(columnar, cfg) == reference_instance_text(scalar, cfg)
+
+
+# ETs that arrive by minute 100 with 10-20 % need 35-44 min of charge before
+# a 120-min horizon: about one ET draw in five is redrawn.
+TIGHT = ScenarioConfig(n_trucks=1000, et_share=0.5, soc_lo=10.0, soc_hi=20.0,
+                       arrival_hi=100, horizon=120.0, seed=3)
+# With 2**31 + 1 arrival minutes, Lemire's method rejects about half the
+# 32-bit draws, each of which moves every later draw in the stream.
+LEMIRE = ScenarioConfig(n_trucks=300, arrival_lo=0, arrival_hi=2**31, horizon=2.0**32)
+SCALAR_CASES = {
+    **{f"ref-1k-{s}": ScenarioConfig(seed=s) for s in range(10)},
+    **{f"dense-{s}": replace(DENSE, seed=s) for s in range(10)},
+    **{f"tight-{s}": replace(TIGHT, n_trucks=300, seed=s) for s in range(3)},
+    **{f"lemire-{s}": replace(LEMIRE, seed=s) for s in range(3)},
+    # One kind only: a failed draw's retry takes the next truck's slot.
+    "all-et-tight": replace(TIGHT, n_trucks=300, et_share=1.0, horizon=105.0),
+    "all-ft-lemire": replace(LEMIRE, et_share=0.0),
+    # An ET fits about one draw in 900 and an FT always, so ETs take
+    # hundreds of draws across several windows; each starts a fresh count.
+    "rare-et-fits": ScenarioConfig(n_trucks=200, et_share=0.02, charge_rate=0.01,
+                                   soc_lo=12.904, soc_hi=13.004, arrival_lo=0,
+                                   arrival_hi=4400, horizon=4400.0, seed=244),
+    **{f"one-truck-{e}-{s}": ScenarioConfig(n_trucks=1, et_share=e, seed=s)
+       for e in (0.0, 1.0) for s in range(3)},
+    "all-ft": ScenarioConfig(n_trucks=300, et_share=0.0, seed=1),
+    "all-et": ScenarioConfig(n_trucks=300, et_share=1.0, seed=1),
+    "one-minute": ScenarioConfig(n_trucks=300, arrival_lo=5, arrival_hi=5, seed=2),
+    "widest-span": ScenarioConfig(n_trucks=300, arrival_lo=0, arrival_hi=2**32 - 1,
+                                  horizon=2.0**33, seed=2),
+    "integer-fields": ScenarioConfig(n_trucks=300, et_share=0.6, charge_rate=2, safe_soc=5,
+                                     max_soc=100, soc_lo=5, soc_hi=70, seed=4),
+}
+
+
+@st.composite
+def scenario_configs(draw):
+    """Small configs: any seed, spans from one minute to about 2**32, some
+    horizons tight enough to force redraws or to exhaust them, integer and
+    float battery fields."""
+    lo = draw(st.integers(0, 100))
+    span = draw(st.one_of(st.integers(0, 300), st.sampled_from((2**31, 3 * 2**30, 2**32 - 1))))
+    horizon = lo + span + draw(st.sampled_from((0.5, 30.0, 60.0, 1000.0)))
+    safe, cap = draw(st.sampled_from(((10.0, 100.0), (0, 100), (5.5, 90.0))))
+    soc = sorted(draw(st.lists(st.floats(safe, cap), min_size=2, max_size=2)))
+    soc_lo, soc_hi = draw(st.sampled_from(((None, None), tuple(soc))))
+    return ScenarioConfig(n_trucks=draw(st.integers(1, 60)), et_share=draw(st.floats(0, 1)),
+                          arrival_lo=lo, arrival_hi=lo + span, horizon=horizon,
+                          charge_rate=draw(st.sampled_from((1.07, 2, 0.3))), safe_soc=safe,
+                          max_soc=cap, soc_lo=soc_lo, soc_hi=soc_hi,
+                          seed=draw(st.one_of(st.integers(0, 20), st.integers(0, 2**64))))
+
+
+def outcome(draw_fleet, cfg):
+    try:
+        return draw_fleet(cfg), None
+    except GenerationError as exc:
+        return None, str(exc)
+
+
+class TestColumnarGenerate:
+    @pytest.mark.parametrize("cfg", SCALAR_CASES.values(), ids=SCALAR_CASES)
+    def test_equals_the_scalar_loop(self, cfg):
+        assert_generates_as_scalar_loop(cfg)
+
+    @pytest.mark.parametrize("cfg", [ScenarioConfig(seed=0), TIGHT, LEMIRE],
+                             ids=["ref-1k", "tight", "lemire"])
+    def test_cases_reach_redraws(self, cfg):
+        """The sweep above redraws trucks; Lemire rejections are not counted
+        as redraws, so the Lemire case is pinned by its rejection threshold."""
+        redraws = []
+        scalar_generate(cfg, redraws)
+        span = cfg.arrival_hi - cfg.arrival_lo
+        assert redraws[0] > 0 or (2**32 - 1 - span) % (span + 1) > 2**30
+
+    @settings(max_examples=80, deadline=None)
+    @given(scenario_configs())
+    def test_random_configs_equal_the_scalar_loop(self, cfg):
+        columnar, error = outcome(generate, cfg)
+        scalar, expected = outcome(scalar_generate, cfg)
+        assert error == expected
+        if columnar is not None:
+            assert columnar == scalar and repr(columnar.trucks) == repr(scalar.trucks)
+            assert instance_text(columnar, cfg) == reference_instance_text(scalar, cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(n_trucks=5, et_share=0.0, arrival_lo=50, arrival_hi=60, horizon=10.0),
+        # FTs leave at once; no ET can charge inside the horizon.
+        ScenarioConfig(n_trucks=10, et_share=0.5, arrival_lo=0, arrival_hi=5, horizon=10.0,
+                       soc_lo=10.0, soc_hi=10.0, seed=1),
+        ScenarioConfig(n_trucks=10, et_share=0.5, arrival_lo=0, arrival_hi=0, horizon=10.0,
+                       soc_lo=10.0, soc_hi=10.0, seed=1),
+        # Few arrivals fit, so trucks take hundreds of draws each, and truck
+        # 5, 8 and 26 (in turn) runs out after earlier trucks succeeded.
+        ScenarioConfig(n_trucks=30, et_share=1.0, soc_lo=10.0, soc_hi=20.0, arrival_lo=0,
+                       arrival_hi=3000, horizon=41.0, seed=5),
+        ScenarioConfig(n_trucks=30, et_share=0.0, arrival_lo=0, arrival_hi=3000, horizon=2.0,
+                       seed=3),
+        ScenarioConfig(n_trucks=30, et_share=0.5, soc_lo=10.0, soc_hi=20.0, arrival_lo=0,
+                       arrival_hi=1500, horizon=41.0, seed=5),
+    ], ids=["first-truck", "first-et", "first-et-one-minute", "late-et", "late-ft",
+            "late-mixed"])
+    def test_resample_budget_message_unchanged(self, cfg):
+        with pytest.raises(GenerationError) as err:
+            generate(cfg)
+        _, expected = outcome(scalar_generate, cfg)
+        assert str(err.value) == expected
+        assert expected.endswith("with earliest departure inside the horizon after "
+                                 "1000 attempts")
+
+    # Truck 1 of this fleet is an FT, so naming the first ET is a real check.
+    BATTERY_FLEET = ScenarioConfig(n_trucks=20, et_share=0.5, seed=6)
+
+    def first_et(self):
+        return generate(self.BATTERY_FLEET).columns.electric.index(True) + 1
+
+    def test_battery_fleet_starts_with_an_ft(self):
+        assert self.first_et() > 1
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(max_soc=120.0), "max_soc must be in (safe_soc, 100]"),
+        (dict(safe_soc=-1.0), "safe_soc must be in [0, 100)"),
+        (dict(discharge_rate=-0.1), "discharge_rate must be >= 0"),
+        (dict(charge_rate=-1.0), "charge_rate must be > 0"),
+        (dict(charge_rate=float("nan")), "charge_rate must be > 0"),
+    ], ids=["max-soc", "safe-soc", "discharge-rate", "charge-rate", "nan-charge-rate"])
+    def test_battery_faults_name_the_first_et(self, change, message):
+        cfg = replace(self.BATTERY_FLEET, **change)
+        with pytest.raises(ContractViolation) as expected:
+            scalar_generate(cfg)
+        with pytest.raises(ContractViolation) as err:
+            generate(cfg)
+        assert str(err.value) == str(expected.value) == f"truck {self.first_et()}: {message}"
+
+    def test_zero_charge_rate_is_a_battery_fault(self):
+        """The scalar loop divided by the rate before `TruckSpec` saw it."""
+        cfg = replace(self.BATTERY_FLEET, charge_rate=0.0)
+        with pytest.raises(ZeroDivisionError):
+            scalar_generate(cfg)
+        with pytest.raises(ContractViolation) as err:
+            generate(cfg)
+        assert str(err.value) == f"truck {self.first_et()}: charge_rate must be > 0"
+
+    def test_generate_and_save_build_no_truck_records(self, monkeypatch, tmp_path, capsys):
+        real = TruckSpec.__new__
+        built = []
+        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
+            built.append(args or kwargs) or real(cls, *args, **kwargs)))
+        inst = generate(DENSE)
+        save_instance(inst, tmp_path / "dense.json", config=DENSE)
+        out = tmp_path / "seed3.json"
+        assert main(["generate", "--seed", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"seed 3: wrote 1000 trucks (700 FT, 300 ET) to {out}\n"
+        prepared = prepare_fleet(inst)
+        solve_dp_ls(prepared, inst.route, inst.econ)
+        solve_dp_nls(prepared, inst.route, inst.econ, inst.seed)
+        assert built == []
+        assert (tmp_path / "dense.json").read_text(encoding="utf-8") == reference_instance_text(
+            inst, DENSE)
+        assert len(built) == 2000
 
 
 class TestInstanceFiles:
@@ -300,10 +534,6 @@ def assert_text_matches_reference(solution):
         assert solution_text(solution, timing) == reference_text(solution, timing)
 
 
-DENSE = ScenarioConfig(n_trucks=2000, et_share=0.7, soc_lo=10.0, soc_hi=60.0,
-                       arrival_hi=144, horizon=204.0, max_platoon_size=16, seed=3)
-
-
 class TestSolutionText:
     @pytest.mark.parametrize("cfg", [ScenarioConfig(seed=0), DENSE],
                              ids=["ref", "dense"])
@@ -499,6 +729,40 @@ class TestInstanceText:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 4
         assert path.read_text(encoding="utf-8") == instance_text(inst)
+
+    def test_save_from_columns_does_not_hold_the_whole_file(self, tmp_path):
+        """A generated instance is written from slices of its columns; a
+        record-built one is transposed a chunk at a time, never whole."""
+        cfg = ScenarioConfig(n_trucks=80_000, arrival_hi=115_200, horizon=115_260.0)
+        inst = generate(cfg)
+        path = tmp_path / "fleet.json"
+        tracemalloc.start()
+        try:
+            save_instance(inst, path, config=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
+        assert inst._trucks is None
+        records = ProblemInstance(trucks=inst.trucks, route=inst.route, econ=inst.econ,
+                                  seed=inst.seed)
+        assert instance_text(records, cfg) == path.read_text(encoding="utf-8")
+        assert records._columns is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets_render_from_columns(self, instance):
+        columnar = ProblemInstance._from_columns(FleetColumns.from_trucks(instance.trucks),
+                                                 instance.route, instance.econ, instance.seed)
+        assert instance_text(columnar) == reference_instance_text(instance)
+
+    def test_columns_of_any_scalar_render_as_records(self):
+        trucks = (et("eé", 0.0, soc=np.float64(55.5), rate=np.float64(1.25)),
+                  ft("f-2", float("inf")), ft(3, 7), et(4, 2, soc=80, max_soc=100))
+        columnar = ProblemInstance._from_columns(FleetColumns.from_trucks(trucks), REF_ROUTE,
+                                                 REF_ECON)
+        inst = ProblemInstance(trucks=trucks, route=REF_ROUTE, econ=REF_ECON)
+        assert instance_text(columnar) == reference_instance_text(inst) == instance_text(inst)
 
 
 DATA = Path(__file__).parent / "data"
