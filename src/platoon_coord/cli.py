@@ -6,6 +6,7 @@ import argparse
 import csv
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .baselines import solve_fixed_interval, solve_spontaneous
 from .discretize import prepare_fleet
@@ -117,15 +118,19 @@ def _check_seed(seed: int) -> int:
 
 
 def _cmd_solve(args) -> int:
+    # Flags that cannot be honoured are refused before the instance is read.
+    if args.oracle_check and args.method != "dp-ls":
+        print("--oracle-check only applies to --method dp-ls", file=sys.stderr)
+        return 2
+    if args.timing and args.format != "json":
+        print("--timing only applies to --format json", file=sys.stderr)
+        return 2
     instance = load_instance(args.instance)
     seed = instance.seed if args.seed is None else _check_seed(args.seed)
     prepared = prepare_fleet(instance)
     solution = _run_method(args.method, prepared, instance, seed, args.interval)
     _print_summary(solution)
     if args.oracle_check:
-        if args.method != "dp-ls":
-            print("--oracle-check only applies to --method dp-ls", file=sys.stderr)
-            return 2
         exact = oracle_consecutive(prepared, instance.route, instance.econ)
         diff = abs(solution.utility - exact.utility)
         print(f"oracle check    exhaustive J {exact.utility:.6f}, diff {diff:.3e}")
@@ -288,9 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call. Parsing leaves it
+    unchanged, and each handler it dispatches to looks up the module's names
+    when it runs, so reusing it is safe."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ContractViolation, GenerationError, InstanceFormatError,

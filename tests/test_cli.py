@@ -1,18 +1,46 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from platoon_coord import cli, prepare_fleet
+from platoon_coord import cli, load_instance
 from platoon_coord.cli import main
 
 
 INTEGER_ARRIVALS = Path(__file__).parent / "data" / "integer-arrivals-200.json"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def run_in_own_process(code, *argv):
+    """Run `code` in a fresh interpreter that imports this package; returns
+    its standard output."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def record_calls(monkeypatch, name):
+    """Replace `cli.<name>` with a wrapper that records the positional
+    arguments of each call; returns the list they are appended to."""
+    calls = []
+    inner = getattr(cli, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
 
 
 @pytest.fixture
@@ -70,13 +98,7 @@ class TestSolve:
         assert "oracle check" in capsys.readouterr().out
 
     def test_oracle_check_reuses_the_prepared_fleet(self, small_instance, monkeypatch):
-        calls = []
-
-        def counted(instance):
-            calls.append(instance)
-            return prepare_fleet(instance)
-
-        monkeypatch.setattr(cli, "prepare_fleet", counted)
+        calls = record_calls(monkeypatch, "prepare_fleet")
         assert run(["solve", small_instance, "--method", "dp-ls", "--oracle-check"]) == 0
         assert len(calls) == 1
 
@@ -108,9 +130,24 @@ class TestSolve:
             "cannot be ordered to break the tie\n")
         assert not out.exists()
 
-    def test_oracle_check_rejects_other_methods(self, small_instance):
-        assert run(["solve", small_instance, "--method", "spontaneous",
-                    "--oracle-check"]) == 2
+    def test_oracle_check_rejects_other_methods(self, small_instance, tmp_path,
+                                                monkeypatch, capsys):
+        loads = record_calls(monkeypatch, "load_instance")
+        out = tmp_path / "sol.json"
+        for method in ("dp-nls", "spontaneous", "fixed-interval"):
+            assert run(["solve", small_instance, "--method", method, "--oracle-check",
+                        "--out", out]) == 2
+            assert capsys.readouterr() == (
+                "", "--oracle-check only applies to --method dp-ls\n"), method
+        assert loads == [] and not out.exists()
+
+    def test_timing_rejects_csv(self, small_instance, tmp_path, monkeypatch, capsys):
+        loads = record_calls(monkeypatch, "load_instance")
+        out = tmp_path / "sol.csv"
+        assert run(["solve", small_instance, "--method", "dp-ls", "--format", "csv",
+                    "--timing", "--out", out]) == 2
+        assert capsys.readouterr() == ("", "--timing only applies to --format json\n")
+        assert loads == [] and not out.exists()
 
     def test_csv_ledger_output(self, small_instance, tmp_path):
         out = tmp_path / "sol.csv"
@@ -127,6 +164,71 @@ class TestSolve:
         with pytest.raises(SystemExit) as err:
             run(["solve", small_instance, "--method", "magic"])
         assert err.value.code == 2
+
+
+SOLVE_FORMATS = {"json": [], "csv": ["--format", "csv"], "timing": ["--timing"]}
+
+
+def without_wall_clock(data):
+    return b"".join(line for line in data.splitlines(keepends=True)
+                    if b'"solve_ms"' not in line)
+
+
+class TestReusedParser:
+    """`main` parses with one parser per process, built on its first call."""
+
+    def test_one_process_writes_what_a_process_per_call_writes(self, small_instance,
+                                                                tmp_path, capsys):
+        calls = [(method, fmt) for method in cli.METHODS for fmt in SOLVE_FORMATS]
+        for method, fmt in calls:
+            assert run(["solve", small_instance, "--method", method,
+                        "--out", tmp_path / f"one-{method}.{fmt}", *SOLVE_FORMATS[fmt]]) == 0
+        capsys.readouterr()
+        for method, fmt in calls:
+            own = tmp_path / f"own-{method}.{fmt}"
+            run_in_own_process("import sys; from platoon_coord.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))",
+                               "solve", small_instance, "--method", method,
+                               "--out", own, *SOLVE_FORMATS[fmt])
+            same = without_wall_clock if fmt == "timing" else bytes
+            one = (tmp_path / f"one-{method}.{fmt}").read_bytes()
+            assert same(one) == same(own.read_bytes()), (method, fmt)
+
+    def test_options_do_not_carry_over(self, small_instance, monkeypatch, capsys):
+        nls = record_calls(monkeypatch, "solve_dp_nls")
+        fixed = record_calls(monkeypatch, "solve_fixed_interval")
+        instance_seed = load_instance(small_instance).seed
+        assert instance_seed != 5
+        assert run(["solve", small_instance, "--method", "dp-nls", "--seed", 5]) == 0
+        assert run(["solve", small_instance, "--method", "dp-nls"]) == 0
+        assert run(["solve", small_instance, "--method", "fixed-interval",
+                    "--interval", 0.1]) == 0
+        assert run(["solve", small_instance, "--method", "fixed-interval"]) == 0
+        assert [seed for *_, seed in nls] == [5, instance_seed]
+        assert [interval for *_, interval, seed in fixed] == [0.1, 30.0]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name", ["load_instance", "prepare_fleet", "save_solution"])
+    def test_names_replaced_after_the_first_call_are_used(self, small_instance, tmp_path,
+                                                          monkeypatch, capsys, name):
+        out = tmp_path / "sol.json"
+        assert run(["solve", small_instance, "--method", "dp-ls", "--out", out]) == 0
+        calls = record_calls(monkeypatch, name)
+        assert run(["solve", small_instance, "--method", "dp-ls", "--out", out]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_parser_is_built_on_the_first_call_not_at_import(self):
+        sizes = run_in_own_process(
+            "import sys; from platoon_coord import cli; "
+            "print(cli._parser.cache_info().currsize); "
+            "cli.main(['verify', '--trials', '1', '--full-trials', '1']); "
+            "print(cli._parser.cache_info().currsize)")
+        assert sizes.split()[0] == "0" and sizes.split()[-1] == "1"
 
 
 class TestCompare:
