@@ -181,37 +181,33 @@ class FleetColumns:
                                                 floats[0], tuple(floats[1:]))):
             object.__setattr__(self, name, value)
 
-    @staticmethod
-    def transpose(trucks) -> tuple:
-        """The ids, ET flags, arrivals and ET battery columns of these
-        `TruckSpec`s, as lists: the one place `TruckSpec`s are transposed
-        into columns."""
-        electric = [kind is TruckKind.ELECTRIC for kind in map(itemgetter(1), trucks)]
-        ets = list(compress(trucks, electric))
-        return (list(map(itemgetter(0), trucks)), electric,
-                list(map(itemgetter(2), trucks)),
-                tuple(list(map(itemgetter(k), ets)) for k in range(3, 8)))
-
     @classmethod
     def from_trucks(cls, trucks) -> "FleetColumns":
-        """The columns of these `TruckSpec`s."""
-        return cls(*cls.transpose(trucks))
+        """The columns of these `TruckSpec`s: the one place `TruckSpec`s are
+        transposed into columns."""
+        electric = [kind is TruckKind.ELECTRIC for kind in map(itemgetter(1), trucks)]
+        ets = list(compress(trucks, electric))
+        return cls(list(map(itemgetter(0), trucks)), electric, list(map(itemgetter(2), trucks)),
+                   tuple(list(map(itemgetter(k), ets)) for k in range(3, 8)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def pass_truck_checks(self) -> bool:
-        """Whether every truck passes the checks of `TruckSpec.__new__`,
-        stated over the float64 columns; NaN fails them, as there. Where the
-        numbers are ints and floats the verdict is `TruckSpec`'s: float64
-        keeps an int's sign, and its value up to 2**53, and every check that
-        does not compare with 0 involves a field that must lie in [0, 100]."""
+    def check_trucks(self) -> None:
+        """Raise the `ContractViolation` of `TruckSpec.__new__` for the first
+        truck that fails its checks, which are stated here over the float64
+        columns; NaN fails them, as there. Only a failing fleet builds
+        `TruckSpec`s, up to the faulty one. Where the numbers are ints and
+        floats the verdict is `TruckSpec`'s: float64 keeps an int's sign, and
+        its value up to 2**53, and every check that does not compare with 0
+        involves a field that must lie in [0, 100]."""
         init, rate, vrate, safe, cap = self.battery_f
-        return bool((self.arrival_f >= 0).all()
-                    and (rate > 0).all() and (vrate >= 0).all()
-                    and ((0 <= safe) & (safe < 100)).all()
-                    and ((safe < cap) & (cap <= 100)).all()
-                    and ((0 <= init) & (init <= cap)).all())
+        if not ((self.arrival_f >= 0).all()
+                and (rate > 0).all() and (vrate >= 0).all()
+                and ((0 <= safe) & (safe < 100)).all()
+                and ((safe < cap) & (cap <= 100)).all()
+                and ((0 <= init) & (init <= cap)).all()):
+            self.to_trucks()
 
     def to_trucks(self) -> tuple:
         """The `TruckSpec` of every truck, in instance order."""
@@ -225,52 +221,51 @@ class ProblemInstance:
     """One solvable unit: a fleet plus route, prices, and a base seed.
 
     The seed feeds only the randomized solvers (leader draws); deterministic
-    solvers ignore it. The fleet is held as `TruckSpec` records, as columns
-    (`FleetColumns`), or both: each form is built from the other on first
-    access and then kept, so an instance built from records transposes them
-    once, and a loaded or generated one builds records only when they are
-    asked for.
+    solvers ignore it. The fleet is held as columns (`FleetColumns`), set by
+    every constructor: an instance built from `TruckSpec` records transposes
+    them once and keeps them, and a loaded or generated one builds its
+    records only when they are asked for.
     Instances are immutable and compare, hash, print and pickle by value.
     """
 
-    __slots__ = ("route", "econ", "seed", "_trucks", "_columns")
+    __slots__ = ("route", "econ", "seed", "columns", "_trucks")
 
     def __init__(self, trucks, route: RouteParams, econ: EconomicParams, seed: int = 0):
         trucks = tuple(trucks)
-        self._set(trucks, None, [t.id for t in trucks], route, econ, seed)
+        try:
+            columns = FleetColumns.from_trucks(trucks)
+        except OverflowError:  # an int beyond float64, which `TruckSpec` accepts
+            raise _float_range_fault(trucks) from None
+        self._set(columns, trucks, route, econ, seed)
 
     @classmethod
     def _from_columns(cls, columns: FleetColumns, route: RouteParams,
                       econ: EconomicParams, seed: int = 0) -> "ProblemInstance":
-        """The instance of a fleet given as columns whose trucks pass the
-        checks of `TruckSpec` (`FleetColumns.pass_truck_checks`)."""
+        """The instance of a fleet given as columns, after the checks of
+        `TruckSpec` (`FleetColumns.check_trucks`)."""
+        columns.check_trucks()
         instance = object.__new__(cls)
-        instance._set(None, columns, columns.ids, route, econ, seed)
+        instance._set(columns, None, route, econ, seed)
         return instance
 
-    def _set(self, trucks, columns, ids, route, econ, seed):
+    def _set(self, columns, trucks, route, econ, seed):
+        ids = columns.ids
         if not ids:
             raise ContractViolation("instance needs at least one truck")
         if len(set(ids)) != len(ids):
             raise ContractViolation("truck ids must be unique")
         if seed < 0:
             raise ContractViolation("seed must be >= 0")
-        for name, value in zip(self.__slots__, (route, econ, seed, trucks, columns)):
+        for name, value in zip(self.__slots__, (route, econ, seed, columns, trucks)):
             object.__setattr__(self, name, value)
 
     @property
     def trucks(self) -> tuple:
-        """The `TruckSpec`s in instance order."""
+        """The `TruckSpec`s in instance order, built from the columns on
+        first access."""
         if self._trucks is None:
-            object.__setattr__(self, "_trucks", self._columns.to_trucks())
+            object.__setattr__(self, "_trucks", self.columns.to_trucks())
         return self._trucks
-
-    @property
-    def columns(self) -> FleetColumns:
-        """The fleet as columns in instance order."""
-        if self._columns is None:
-            object.__setattr__(self, "_columns", FleetColumns.from_trucks(self._trucks))
-        return self._columns
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -280,9 +275,10 @@ class ProblemInstance:
 
     def _key(self) -> tuple:
         # The columns as given, which are equal exactly when the `TruckSpec`s
-        # are, so that comparing builds no records.
+        # are, so that comparing and hashing build no records.
         c = self.columns
-        return c.ids, c.electric, c.arrival, c.battery, self.route, self.econ, self.seed
+        return (tuple(c.ids), tuple(c.electric), tuple(c.arrival), tuple(map(tuple, c.battery)),
+                self.route, self.econ, self.seed)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -290,7 +286,7 @@ class ProblemInstance:
         return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.trucks, self.route, self.econ, self.seed))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(trucks={self.trucks!r}, route={self.route!r}, "
@@ -298,6 +294,16 @@ class ProblemInstance:
 
     def __reduce__(self):
         return type(self), (self.trucks, self.route, self.econ, self.seed)
+
+
+def _float_range_fault(trucks) -> ContractViolation:
+    """The fault of the first of these trucks with a field beyond float64."""
+    for truck in trucks:
+        for name, value in zip(TruckSpec._fields[2:], truck[2:]):
+            try:
+                np.array(value, dtype=float)
+            except OverflowError:
+                return ContractViolation(f"truck {truck.id}: {name} is beyond the float range")
 
 
 def departure_time(truck, charge: float, wait: float) -> float:

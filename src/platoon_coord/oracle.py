@@ -146,7 +146,7 @@ def oracle_full(instance: ProblemInstance, time_grid_step: float) -> Solution:
     the other solvers can produce is representable.
     """
     route, econ = instance.route, instance.econ
-    n = len(instance.trucks)
+    n = len(instance.columns.ids)
     if n > FULL_MAX_TRUCKS:
         raise ContractViolation(
             f"refusing exhaustive search beyond {FULL_MAX_TRUCKS} trucks"

@@ -127,6 +127,8 @@ def generate(config: ScenarioConfig) -> ProblemInstance:
     if not config.safe_soc <= soc_lo <= soc_hi <= config.max_soc:
         raise GenerationError("SoC range must lie within [safe_soc, max_soc]")
 
+    route, econ = config.route(), config.econ()
+
     bitgen = np.random.Philox(config.seed)
     n = config.n_trucks
     n_et = int(round(n * config.et_share))
@@ -135,22 +137,16 @@ def generate(config: ScenarioConfig) -> ProblemInstance:
     fixed = (config.charge_rate, config.discharge_rate, config.safe_soc, config.max_soc)
     if n_et:
         # Every ET shares these fields, and its SoC lies in [safe_soc, max_soc],
-        # so a fault in them is the first ET's; drawing would divide by the rate.
-        first = int(electric.argmax())
-        _checked(FleetColumns([first + 1], [True], [lo], ([soc_lo], *([v] for v in fixed))))
+        # so a fault in them is the first ET's, which a fleet of that ET alone
+        # reports; drawing would divide by the rate.
+        first = FleetColumns([int(electric.argmax()) + 1], [True], [lo],
+                             ([soc_lo], *([v] for v in fixed)))
+        ProblemInstance._from_columns(first, route, econ)
     arrival, soc = _draw_fleet(bitgen, electric, lo, hi - lo, soc_lo, soc_hi, follower_need,
                                config.charge_rate, config.horizon)
-    columns = _checked(FleetColumns(list(range(1, n + 1)), electric.tolist(), arrival.tolist(),
-                                    (soc[electric].tolist(), *([v] * n_et for v in fixed))))
-    return ProblemInstance._from_columns(columns, config.route(), config.econ(), config.seed)
-
-
-def _checked(columns: FleetColumns) -> FleetColumns:
-    """`columns`, unless a truck fails the checks of `TruckSpec`: then the
-    `ContractViolation` it raises for the first such truck."""
-    if not columns.pass_truck_checks():
-        columns.to_trucks()
-    return columns
+    columns = FleetColumns(list(range(1, n + 1)), electric.tolist(), arrival.tolist(),
+                           (soc[electric].tolist(), *([v] * n_et for v in fixed)))
+    return ProblemInstance._from_columns(columns, route, econ, config.seed)
 
 
 # How numpy's `Generator` turns Philox's 64-bit words into the scalar draws
@@ -288,6 +284,10 @@ def _number(obj: dict, key: str, ctx: str):
     value = _require(obj, key, ctx)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceFormatError(f"{ctx}: field '{key}' must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # an int beyond float64
+        raise InstanceFormatError(f"{ctx}: field '{key}' is beyond the float range") from None
     return value
 
 
@@ -332,11 +332,11 @@ _NUMBER_TYPES = {int, float}
 
 def _fleet_columns(rows: list) -> Optional[FleetColumns]:
     """The columns of these truck rows, read one field at a time, or None
-    unless every row is an object of a known kind with its fields, every
-    numeric field an int or a float, and every truck passes the checks of
-    `TruckSpec`. Rows that are not read here take `_truck_from_row`, which
-    names the first fault; a field that no such check reads is ignored by
-    both, such as battery fields on a fuel truck."""
+    unless every row is an object of a known kind with its fields, and
+    every numeric field an int or a float within float64's range. Rows that
+    are not read here take `_truck_from_row`, which names the first fault;
+    a field that no such check reads is ignored by both, such as battery
+    fields on a fuel truck. The values are checked by `ProblemInstance`."""
     try:
         kinds = list(map(itemgetter("kind"), rows))
         electric = [kind == "ET" for kind in kinds]
@@ -351,16 +351,17 @@ def _fleet_columns(rows: list) -> Optional[FleetColumns]:
     if not all(set(map(type, column)) <= _NUMBER_TYPES for column in (arrival, *battery)):
         return None
     try:
-        columns = FleetColumns(ids, electric, arrival, battery)
-    except OverflowError:  # an int beyond float64; `TruckSpec` accepts it
+        return FleetColumns(ids, electric, arrival, battery)
+    except OverflowError:  # an int beyond float64
         return None
-    return columns if columns.pass_truck_checks() else None
 
 
 def load_instance(path: str) -> ProblemInstance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}: {exc.msg})"
@@ -390,14 +391,12 @@ def load_instance(path: str) -> ProblemInstance:
         et_follower_profit=_number(econ_doc, "xiE", f"{path}: econ"),
         ft_follower_profit=_number(econ_doc, "xiF", f"{path}: econ"),
     )
+    seed = _integer(doc, "seed", path)
     columns = _fleet_columns(trucks_doc)
     if columns is None:
-        trucks = tuple(_truck_from_row(row, f"{path}: trucks[{k}]")
-                       for k, row in enumerate(trucks_doc))
-    seed = _integer(doc, "seed", path)
+        columns = FleetColumns.from_trucks([_truck_from_row(row, f"{path}: trucks[{k}]")
+                                            for k, row in enumerate(trucks_doc)])
     try:
-        if columns is None:
-            return ProblemInstance(trucks=trucks, route=route, econ=econ, seed=seed)
         return ProblemInstance._from_columns(columns, route, econ, seed)
     except TypeError as exc:  # the uniqueness check hashes every truck id
         raise InstanceFormatError(f"{path}: truck ids must be scalars ({exc})") from None
@@ -531,26 +530,18 @@ def _instance_chunks(instance: ProblemInstance, config: Optional[ScenarioConfig]
         _scalar(route.max_platoon_size),
         _scalar(instance.seed),
     )
-    columns = instance._columns
-    if columns is None:
-        # Records are transposed a chunk at a time, not the whole fleet at once.
-        trucks = instance.trucks
-        n = len(trucks)
+    columns = instance.columns
+    ids, electric, arrival = columns.ids, columns.electric, columns.arrival
+    n, per_chunk = len(ids), _TRUCKS_PER_CHUNK
+    # The place of each chunk's first ET among the ETs.
+    et_start = list(accumulate((electric[lo:lo + per_chunk].count(True)
+                                for lo in range(0, n, per_chunk)), initial=0))
 
-        def render(lo, hi):
-            return _truck_texts(*FleetColumns.transpose(trucks[lo:hi]))
-    else:
-        ids, electric, arrival = columns.ids, columns.electric, columns.arrival
-        n, per_chunk = len(ids), _TRUCKS_PER_CHUNK
-        # The place of each chunk's first ET among the ETs.
-        et_start = list(accumulate((electric[lo:lo + per_chunk].count(True)
-                                    for lo in range(0, n, per_chunk)), initial=0))
-
-        def render(lo, hi):
-            e0, e1 = et_start[lo // per_chunk], et_start[lo // per_chunk + 1]
-            return _truck_texts(ids[lo:hi], electric[lo:hi], arrival[lo:hi],
-                                [column[e0:e1] for column in columns.battery])
-    yield from _array_chunks(n, render, 1, _TRUCKS_PER_CHUNK)
+    def render(lo, hi):
+        e0, e1 = et_start[lo // per_chunk], et_start[lo // per_chunk + 1]
+        return _truck_texts(ids[lo:hi], electric[lo:hi], arrival[lo:hi],
+                            [column[e0:e1] for column in columns.battery])
+    yield from _array_chunks(n, render, 1, per_chunk)
     yield _INSTANCE_TAIL % _scalar(SCHEMA_VERSION)
 
 

@@ -19,6 +19,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def read_csv(path):
+    """The rows of a CSV file as dicts, the file closed."""
+    return list(csv.DictReader(Path(path).read_text(encoding="utf-8").splitlines()))
+
+
 def run_in_own_process(code, *argv):
     """Run `code` in a fresh interpreter that imports this package; returns
     its standard output."""
@@ -236,14 +241,14 @@ class TestCompare:
         prefix = tmp_path / "cmp"
         assert run(["compare", "--seeds", "0:3", "--n", 20, "--arrival-hi", 120,
                     "--horizon", 300, "--out", prefix]) == 0
-        rows = list(csv.DictReader(open(f"{prefix}_summary.csv")))
+        rows = read_csv(f"{prefix}_summary.csv")
         assert len(rows) == 12  # 4 methods x 3 seeds
         assert set(rows[0]) == {"method", "seed", "R", "L", "J", "platoons",
                                 "pct_size_6_8", "et_led", "ft_led", "solve_ms"}
         assert all(r["solve_ms"] == "" for r in rows)  # timing redacted
-        leaders = list(csv.DictReader(open(f"{prefix}_leaders.csv")))
+        leaders = read_csv(f"{prefix}_leaders.csv")
         assert len(leaders) == 3
-        sizes = list(csv.DictReader(open(f"{prefix}_sizes.csv")))
+        sizes = read_csv(f"{prefix}_sizes.csv")
         assert sizes
 
     def test_fixed_instance_forced_leaders(self, tmp_path):
@@ -252,7 +257,7 @@ class TestCompare:
                     "--arrival-hi", 60, "--horizon", 200, "--out", inst]) == 0
         prefix = tmp_path / "cmp"
         assert run(["compare", inst, "--seeds", "0:4", "--out", prefix]) == 0
-        rows = list(csv.DictReader(open(f"{prefix}_summary.csv")))
+        rows = read_csv(f"{prefix}_summary.csv")
         by_method = {}
         for r in rows:
             by_method.setdefault(r["method"], []).append(r["J"])
@@ -263,7 +268,7 @@ class TestCompare:
         prefix = tmp_path / "cmp"
         assert run(["compare", "--seeds", "5,7", "--n", 10, "--arrival-hi", 60,
                     "--horizon", 200, "--out", prefix]) == 0
-        rows = list(csv.DictReader(open(f"{prefix}_summary.csv")))
+        rows = read_csv(f"{prefix}_summary.csv")
         assert sorted({r["seed"] for r in rows}) == ["5", "7"]
 
     @pytest.mark.parametrize("seeds, part", [("x", "x"), ("1:x", "1:x"), ("0, 2:", "2:")])

@@ -163,6 +163,17 @@ class TestValidation:
         with pytest.raises(ContractViolation):
             ProblemInstance(trucks=(), route=REF_ROUTE, econ=REF_ECON)
 
+    @pytest.mark.parametrize("trucks, message", [
+        ((TruckSpec(1, TruckKind.FUEL, 10**400),), "truck 1: arrival_time"),
+        ((ft(1, 0.0), et(2, 0.0, soc=50.0, rate=10**400)), "truck 2: charge_rate"),
+    ], ids=["ft-arrival", "et-charge-rate"])
+    def test_instance_fields_beyond_float(self, trucks, message):
+        """`TruckSpec` accepts an int beyond float64; the instance, which
+        holds its fleet as float64 columns too, names the truck."""
+        with pytest.raises(ContractViolation) as err:
+            ProblemInstance(trucks=trucks, route=REF_ROUTE, econ=REF_ECON)
+        assert str(err.value) == f"{message} is beyond the float range"
+
 
 NAN = float("nan")
 

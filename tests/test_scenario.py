@@ -731,8 +731,8 @@ class TestInstanceText:
         assert path.read_text(encoding="utf-8") == instance_text(inst)
 
     def test_save_from_columns_does_not_hold_the_whole_file(self, tmp_path):
-        """A generated instance is written from slices of its columns; a
-        record-built one is transposed a chunk at a time, never whole."""
+        """A generated instance is written from slices of its columns, as a
+        record-built one of the same trucks is, byte for byte."""
         cfg = ScenarioConfig(n_trucks=80_000, arrival_hi=115_200, horizon=115_260.0)
         inst = generate(cfg)
         path = tmp_path / "fleet.json"
@@ -747,7 +747,6 @@ class TestInstanceText:
         records = ProblemInstance(trucks=inst.trucks, route=inst.route, econ=inst.econ,
                                   seed=inst.seed)
         assert instance_text(records, cfg) == path.read_text(encoding="utf-8")
-        assert records._columns is None
 
     @settings(max_examples=60, deadline=None)
     @given(fleet_instances())
@@ -814,6 +813,7 @@ class TestLoaderFastPath:
         save_solution(solve_dp_ls(prepared, instance.route, instance.econ), out)
         save_solution(solve_dp_nls(prepared, instance.route, instance.econ, 3), out)
         assert main(["solve", str(path), "--method", "dp-ls", "--out", str(out)]) == 0
+        assert hash(instance) == hash(load_instance(path))
         assert built == []
         assert instance.trucks == per_row_trucks(path) and len(built) == 2 * 300
 
@@ -957,6 +957,13 @@ MALFORMED = {
        for key in ("arrival", "soc0", "rate", "vrate", "safe", "max")},
     "FT arrival is a boolean": (lambda d: d["trucks"][2].update(arrival=True),
                                 "trucks[2]: field 'arrival'"),
+    # Integers that float64 cannot hold, which the solvers would convert.
+    "FT arrival beyond float": (lambda d: d["trucks"][1].update(arrival=10**400),
+                                "trucks[1]: field 'arrival' is beyond the float range"),
+    "route d beyond float": (lambda d: d["route"].update(d=10**400),
+                             "route: field 'd' is beyond the float range"),
+    "econ xiF beyond float": (lambda d: d["econ"].update(xiF=10**400),
+                              "econ: field 'xiF' is beyond the float range"),
 }
 
 
@@ -979,3 +986,12 @@ class TestMalformedInstances:
         for method in METHODS:
             assert main(["solve", str(path), "--method", method]) == 1
             assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(InstanceFormatError, match="not UTF-8 text"):
+            load_instance(path)
+        for method in METHODS:
+            assert main(["solve", str(path), "--method", method]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text (")
