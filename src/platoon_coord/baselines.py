@@ -7,8 +7,7 @@ ready within a slot leaves together at the slot's end. Both respect the same
 platoon-size cap and leader-safety rules as the optimizing solvers: which
 trucks could lead at their slot's instant comes from `kernels.member_terms`,
 so each block's leader kind, drawn from the same seeded stream keyed by block
-position, is settled before the block is priced, once. A plain sequence of
-records must be rank-ordered and sorted by earliest departure, as for `dp`.
+position, is settled before the block is priced, once.
 """
 
 from __future__ import annotations
@@ -16,11 +15,11 @@ from __future__ import annotations
 import math
 import time
 from itertools import groupby
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
-from .discretize import PreparedTruck, as_fleet
+from .discretize import PreparedFleet
 from .kernels import fleet_arrays, leader_draw_bit, member_terms
 from .model import (
     ContractViolation,
@@ -41,7 +40,7 @@ SPONTANEOUS = "SPONTANEOUS"
 FIXED_INTERVAL = "FIXED-INTERVAL"
 
 
-def _solve_grouped(method: str, prepared: Sequence[PreparedTruck], slot,
+def _solve_grouped(method: str, fleet: PreparedFleet, slot,
                    route: RouteParams, econ: EconomicParams, seed: int) -> Solution:
     """Send out each run of trucks whose earliest departures share a slot at
     that slot's instant, `slot(tau_delta)`, in blocks of at most
@@ -50,7 +49,6 @@ def _solve_grouped(method: str, prepared: Sequence[PreparedTruck], slot,
     when both may, and a block neither may lead leaves as solos. An ET that
     cannot drive alone safely even on a full battery is an error."""
     start = time.perf_counter()
-    fleet = as_fleet(prepared)
     arr = fleet_arrays(fleet, route)
     records = list(fleet)
     depart = slot(arr.tau_delta).tolist()
@@ -92,7 +90,7 @@ def _solve_grouped(method: str, prepared: Sequence[PreparedTruck], slot,
     return Solution.from_platoons(method, platoons, diag)
 
 
-def solve_spontaneous(prepared: Sequence[PreparedTruck], route: RouteParams,
+def solve_spontaneous(prepared: PreparedFleet, route: RouteParams,
                       econ: EconomicParams, seed: int) -> Solution:
     """Depart at the earliest departure; platoon only on exact ties."""
     return _solve_grouped(SPONTANEOUS, prepared, lambda t: t, route, econ, seed)
@@ -104,7 +102,7 @@ def _slot_end(ready: np.ndarray, interval: float) -> np.ndarray:
     return interval * np.ceil(ready / interval)
 
 
-def solve_fixed_interval(prepared: Sequence[PreparedTruck], route: RouteParams,
+def solve_fixed_interval(prepared: PreparedFleet, route: RouteParams,
                          econ: EconomicParams, interval: float,
                          seed: int) -> Solution:
     """Group trucks by uniform time slots; each group departs at its slot end.

@@ -50,20 +50,28 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--soc-hi", type=float, help="highest initial SoC drawn for ETs")
 
 
+# The `ScenarioConfig` field that each generator flag sets, by flag name.
+_CONFIG_FIELDS = {
+    "n": "n_trucks",
+    "et_share": "et_share",
+    "arrival_lo": "arrival_lo",
+    "arrival_hi": "arrival_hi",
+    "horizon": "horizon",
+    "distance": "distance",
+    "nbar": "max_platoon_size",
+    "soc_lo": "soc_lo",
+    "soc_hi": "soc_hi",
+}
+
+
+def _given_config_flags(args) -> list:
+    """The generator flags given on the command line."""
+    return [flag for flag in _CONFIG_FIELDS if getattr(args, flag) is not None]
+
+
 def _config_from_args(args, seed: int) -> ScenarioConfig:
-    overrides = {
-        "n_trucks": args.n,
-        "et_share": args.et_share,
-        "arrival_lo": args.arrival_lo,
-        "arrival_hi": args.arrival_hi,
-        "horizon": args.horizon,
-        "distance": args.distance,
-        "max_platoon_size": args.nbar,
-        "soc_lo": args.soc_lo,
-        "soc_hi": args.soc_hi,
-    }
-    cfg = ScenarioConfig(seed=seed)
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    overrides = {_CONFIG_FIELDS[flag]: getattr(args, flag) for flag in _given_config_flags(args)}
+    return replace(ScenarioConfig(seed=seed), **overrides)
 
 
 def _run_method(method: str, prepared, instance, seed: int, interval: float):
@@ -175,6 +183,13 @@ def _compare_one(seed: int, args, fixed_instance):
 
 
 def _cmd_compare(args) -> int:
+    # A fixed instance is not generated, so no generator flag can apply to it.
+    given = _given_config_flags(args)
+    if args.instance and given:
+        names = ", ".join("--" + flag.replace("_", "-") for flag in given)
+        print(f"generator flags {names} only apply without an instance file",
+              file=sys.stderr)
+        return 2
     seeds = _parse_seeds(args.seeds)
     fixed_instance = load_instance(args.instance) if args.instance else None
     results = [_compare_one(s, args, fixed_instance) for s in seeds]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cmp_to_key
-from itertools import compress
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -145,83 +144,46 @@ def _rank_order(earliest: np.ndarray, ids) -> np.ndarray:
 
 class PreparedFleet(Sequence):
     """A prepared fleet in rank order: an immutable sequence of
-    `PreparedTruck` records, held as columns.
+    `PreparedTruck` records, held as columns. Only `prepare_fleet` makes
+    one, and the solvers take no other form of a fleet.
 
     The columns are those `kernels.FleetArrays` reads at prepare time, plus
     each ET's safety floor and the ids, all by rank; fuel trucks hold zeros
     in the battery columns. The arrays are read-only, since every solve's
-    `FleetArrays` shares them. The `TruckSpec`s by rank (`specs`) and the
-    records are built on first access and then kept; slicing returns a list
-    of records.
+    `FleetArrays` shares them. The fleet keeps its `instance` and `order`,
+    the instance position of the truck at each rank; the `TruckSpec`s by
+    rank (`specs`) and the records are built from them on first access and
+    then kept. Slicing returns a list of records.
     """
 
-    __slots__ = ("ids", "tau_delta", "tau_cmin", "is_et", "fill_time",
+    __slots__ = ("instance", "order", "ids", "tau_delta", "tau_cmin", "is_et", "fill_time",
                  "rate", "arrival", "init_soc", "max_soc", "vrate", "safe_soc",
                  "_specs", "_records")
 
-    def __init__(self, specs, ids, is_et, earliest, charge, departure_soc, arrival,
-                 init_soc, rate, vrate, safe_soc, max_soc, records=None):
-        """Columns by rank; the battery columns hold each ET's value at its
-        rank and zeros elsewhere. `specs` is the tuple of `TruckSpec`s by
-        rank, or a function that gives them, called on first access.
-        `departure_soc`, the SoC after the mandatory charge, gives the
-        minutes to a full battery and is not kept. `records`, when given,
-        are these trucks' records and are kept as they are."""
-        et = np.flatnonzero(is_et)
-        fill_time = _zeros_except(
-            is_et.size, et, (max_soc[et] - departure_soc[et]) / rate[et])
-        columns = dict(
-            tau_delta=earliest, tau_cmin=charge, is_et=is_et, fill_time=fill_time,
-            rate=rate, arrival=arrival, init_soc=init_soc, max_soc=max_soc,
-            vrate=vrate, safe_soc=safe_soc)
-        for name, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "_specs", specs)
-        object.__setattr__(self, "ids", tuple(ids))
-        object.__setattr__(self, "_records", records)
-
-    @classmethod
-    def from_records(cls, records) -> "PreparedFleet":
-        """The fleet of these rank-ordered records, which it keeps: the one
-        place columns are built from records."""
-        records = list(records)
-        if [m.rank for m in records] != list(range(len(records))):
-            raise ContractViolation("prepared fleet must be rank-ordered")
-        earliest = np.array([m.earliest_departure for m in records], dtype=float)
-        if (earliest[1:] < earliest[:-1]).any():
-            raise ContractViolation("prepared fleet must be sorted by earliest departure")
-        specs = tuple(m.spec for m in records)
-        fleet = FleetColumns.from_trucks(specs)
-        ets = list(compress(records, fleet.electric))
-        is_et = np.array(fleet.electric, dtype=np.uint8)
-        et = np.flatnonzero(is_et)
-        n = len(records)
-
-        def column(values):
-            return _zeros_except(n, et, values)
-
-        init, rate, vrate, safe, cap = map(column, fleet.battery_f)
-        return cls(
-            specs, fleet.ids, is_et, earliest,
-            column([m.min_charge_time for m in ets]),
-            column([m.min_departure_soc for m in ets]),
-            fleet.arrival_f, init, rate, vrate, safe, cap, records=records,
-        )
+    def __init__(self, instance, order, ids, tau_delta, tau_cmin, is_et, fill_time, rate,
+                 arrival, init_soc, max_soc, vrate, safe_soc):
+        """The fleet of `instance` whose truck of rank k is the instance's
+        truck `order[k]`, with its columns by rank (`prepare_fleet`)."""
+        for name, value in zip(self.__slots__, (
+                instance, order, ids, tau_delta, tau_cmin, is_et, fill_time, rate, arrival,
+                init_soc, max_soc, vrate, safe_soc, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # pickle and copy would restore the slots through __setattr__;
-        # rebuild the fleet from its records instead.
-        return type(self).from_records, (self._rows(),)
+        # prepare the instance again instead.
+        return prepare_fleet, (self.instance,)
 
     @property
     def specs(self) -> tuple:
         """The `TruckSpec`s by rank."""
-        if callable(self._specs):
-            object.__setattr__(self, "_specs", tuple(self._specs()))
+        if self._specs is None:
+            trucks = self.instance.trucks
+            object.__setattr__(self, "_specs", tuple(map(trucks.__getitem__,
+                                                         self.order.tolist())))
         return self._specs
 
     def _rows(self) -> List[PreparedTruck]:
@@ -254,14 +216,6 @@ class PreparedFleet(Sequence):
         return f"PreparedFleet({self._rows()!r})"
 
 
-def as_fleet(prepared) -> PreparedFleet:
-    """`prepared` itself when it is a `PreparedFleet`, else the fleet of its
-    records (`PreparedFleet.from_records`)."""
-    if isinstance(prepared, PreparedFleet):
-        return prepared
-    return PreparedFleet.from_records(prepared)
-
-
 def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
     """Attach mandatory-charge data to every truck and order the fleet.
 
@@ -280,7 +234,7 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
     init, rate, vrate, safe, cap = fleet.battery_f
 
     required, infeasible, charge = _mandatory_charge(route, *fleet.battery_f)
-    departure_soc = _charged_soc(init, rate, charge)
+    fill_time = (cap - _charged_soc(init, rate, charge)) / rate  # to a full battery
     earliest = arrival.copy()
     earliest[et] = arrival[et] + charge
 
@@ -298,9 +252,10 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
     def ranked(values):
         return _zeros_except(n, et, values)[order]
 
-    ranks = order.tolist()
-    return PreparedFleet(
-        lambda: map(instance.trucks.__getitem__, ranks), map(ids.__getitem__, ranks),
-        is_et[order].astype(np.uint8), earliest[order],
-        ranked(charge), ranked(departure_soc), arrival[order], ranked(init),
-        ranked(rate), ranked(vrate), ranked(safe), ranked(cap))
+    columns = (earliest[order], ranked(charge), is_et[order].astype(np.uint8),
+               ranked(fill_time), ranked(rate), arrival[order], ranked(init), ranked(cap),
+               ranked(vrate), ranked(safe))
+    for column in (order, *columns):
+        column.flags.writeable = False
+    return PreparedFleet(instance, order, tuple(map(ids.__getitem__, order.tolist())),
+                         *columns)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .discretize import PreparedTruck, as_fleet
+from .discretize import PreparedFleet
 from .kernels import (
     FleetArrays,
     block_departure,
@@ -51,15 +50,12 @@ class DpState:
     arrays: FleetArrays       # the fleet columns both passes read
 
 
-def run_dp(prepared: Sequence[PreparedTruck], route: RouteParams,
+def run_dp(prepared: PreparedFleet, route: RouteParams,
            econ: EconomicParams, mode: int, seed: int = 0) -> DpState:
-    """Fill the value table for the given fleet. mode 0 = best leader, 1 = drawn.
-
-    A plain sequence of records must be rank-ordered and sorted by earliest
-    departure (`PreparedFleet.from_records` checks both)."""
+    """Fill the value table for the given fleet. mode 0 = best leader, 1 = drawn."""
     arr = fleet_arrays(prepared, route)
     # No platoon outgrows the fleet, so a larger cap must not size the tables.
-    window = min(route.max_platoon_size, max(arr.size, 1))
+    window = min(route.max_platoon_size, arr.size)
     if mode == 1:
         bits = leader_draw_bits(seed, arr.size, window)
     else:
@@ -68,7 +64,7 @@ def run_dp(prepared: Sequence[PreparedTruck], route: RouteParams,
                    arrays=arr)
 
 
-def _backtrack(state: DpState, prepared: Sequence[PreparedTruck],
+def _backtrack(state: DpState, prepared: PreparedFleet,
                route: RouteParams, econ: EconomicParams) -> PlatoonTable:
     """Walk the winning choices back from the full fleet, then price every
     chosen platoon in one columnar pass, in (departure, first rank) order."""
@@ -94,10 +90,9 @@ def _backtrack(state: DpState, prepared: Sequence[PreparedTruck],
 
 def _solve(prepared, route, econ, mode, seed, method) -> Solution:
     start = time.perf_counter()
-    prepared = as_fleet(prepared)  # both passes read the same columns
     state = run_dp(prepared, route, econ, mode, seed)
     n = len(prepared)
-    if n and not np.isfinite(state.values[n]):
+    if not np.isfinite(state.values[n]):
         raise NoFeasibleScheduleError(
             "no combination of platoons and leaders is safe for this fleet"
         )
@@ -105,7 +100,7 @@ def _solve(prepared, route, econ, mode, seed, method) -> Solution:
     elapsed_ms = (time.perf_counter() - start) * 1e3
     diag = Diagnostics(
         dp_updates=state.updates,
-        dp_value=float(state.values[n]) if n else 0.0,
+        dp_value=float(state.values[n]),
         solve_ms=elapsed_ms,
         backend="numpy",  # kernel label carried in solution files
     )
@@ -121,13 +116,13 @@ def _solve(prepared, route, econ, mode, seed, method) -> Solution:
     return solution
 
 
-def solve_dp_ls(prepared: Sequence[PreparedTruck], route: RouteParams,
+def solve_dp_ls(prepared: PreparedFleet, route: RouteParams,
                 econ: EconomicParams) -> Solution:
     """Best schedule over consecutive platoons with leader-kind selection."""
     return _solve(prepared, route, econ, mode=0, seed=0, method=DP_LS)
 
 
-def solve_dp_nls(prepared: Sequence[PreparedTruck], route: RouteParams,
+def solve_dp_nls(prepared: PreparedFleet, route: RouteParams,
                  econ: EconomicParams, seed: int) -> Solution:
     """Same recursion, but the leader kind of each candidate is drawn at random
     among the feasible kinds; deterministic for a fixed seed."""

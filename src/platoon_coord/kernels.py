@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import as_fleet
-from .model import SOC_TOL, TIME_TOL
+from .discretize import PreparedFleet
+from .model import SOC_TOL, TIME_TOL, ContractViolation
 
 _U64 = (1 << 64) - 1
 _KEY_I = 0x9E3779B97F4A7C15
@@ -82,16 +82,25 @@ class FleetArrays:
         return int(self.tau_delta.shape[0])
 
 
-def fleet_arrays(prepared, route) -> FleetArrays:
+def check_prepared(fleet) -> None:
+    """`ContractViolation` unless `fleet` is a `PreparedFleet`, the one form
+    of a fleet the solvers take."""
+    if not isinstance(fleet, PreparedFleet):
+        raise ContractViolation(
+            f"solvers take the PreparedFleet that prepare_fleet returns, "
+            f"not a {type(fleet).__name__}")
+
+
+def fleet_arrays(fleet: PreparedFleet, route) -> FleetArrays:
     """Columns of a prepared fleet in rank order.
 
-    The prepare-time columns are the fleet's own (`discretize.as_fleet`),
-    shared and read-only; only the two route-dependent columns are computed
-    here, over the electric trucks, repeating `utility.alone_charge_time`
-    operation for operation so every entry equals its scalar counterpart bit
-    for bit.
+    The prepare-time columns are the fleet's own, shared and read-only; only
+    the two route-dependent columns are computed here, over the electric
+    trucks, repeating `utility.alone_charge_time` operation for operation so
+    every entry equals its scalar counterpart bit for bit. Every solver
+    calls this first, so it is where a fleet of another form is refused.
     """
-    fleet = as_fleet(prepared)
+    check_prepared(fleet)
     et = np.flatnonzero(fleet.is_et)
     cmin, cap, init, rate = (col[et] for col in (
         fleet.tau_cmin, fleet.max_soc, fleet.init_soc, fleet.rate))

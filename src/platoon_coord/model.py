@@ -139,6 +139,7 @@ class RouteParams:
             raise ContractViolation("max_platoon_size must be an integer >= 1")
         if not 0 < self.follower_coeff <= 1:
             raise ContractViolation("follower_coeff must be in (0, 1]")
+        _check_float_range(self, ("distance", "horizon"))
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,13 @@ class EconomicParams:
     ft_follower_profit: float  # euros earned by an FT following for the trip
 
     def __post_init__(self):
-        for name in ("wait_cost", "charge_cost", "et_follower_profit", "ft_follower_profit"):
+        names = ("wait_cost", "charge_cost", "et_follower_profit", "ft_follower_profit")
+        for name in names:
             if not getattr(self, name) >= 0:
                 raise ContractViolation(f"{name} must be >= 0")
         if self.charge_cost > self.wait_cost:
             raise ContractViolation("charge_cost must not exceed wait_cost")
+        _check_float_range(self, names)
 
 
 class FleetColumns:
@@ -184,11 +187,16 @@ class FleetColumns:
     @classmethod
     def from_trucks(cls, trucks) -> "FleetColumns":
         """The columns of these `TruckSpec`s: the one place `TruckSpec`s are
-        transposed into columns."""
+        transposed into columns. A field beyond the float range is the
+        `ContractViolation` of the first truck that holds one."""
         electric = [kind is TruckKind.ELECTRIC for kind in map(itemgetter(1), trucks)]
         ets = list(compress(trucks, electric))
-        return cls(list(map(itemgetter(0), trucks)), electric, list(map(itemgetter(2), trucks)),
-                   tuple(list(map(itemgetter(k), ets)) for k in range(3, 8)))
+        try:
+            return cls(list(map(itemgetter(0), trucks)), electric,
+                       list(map(itemgetter(2), trucks)),
+                       tuple(list(map(itemgetter(k), ets)) for k in range(3, 8)))
+        except OverflowError:  # an int beyond float64, which `TruckSpec` accepts
+            raise _float_range_fault(trucks) from None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -232,11 +240,7 @@ class ProblemInstance:
 
     def __init__(self, trucks, route: RouteParams, econ: EconomicParams, seed: int = 0):
         trucks = tuple(trucks)
-        try:
-            columns = FleetColumns.from_trucks(trucks)
-        except OverflowError:  # an int beyond float64, which `TruckSpec` accepts
-            raise _float_range_fault(trucks) from None
-        self._set(columns, trucks, route, econ, seed)
+        self._set(FleetColumns.from_trucks(trucks), trucks, route, econ, seed)
 
     @classmethod
     def _from_columns(cls, columns: FleetColumns, route: RouteParams,
@@ -304,6 +308,17 @@ def _float_range_fault(trucks) -> ContractViolation:
                 np.array(value, dtype=float)
             except OverflowError:
                 return ContractViolation(f"truck {truck.id}: {name} is beyond the float range")
+
+
+def _check_float_range(params, names) -> None:
+    """`ContractViolation` naming the first of these fields of `params` that
+    float64 cannot hold: an int beyond its range, which the comparisons of
+    the checks before this one accept."""
+    for name in names:
+        try:
+            float(getattr(params, name))
+        except OverflowError:
+            raise ContractViolation(f"{name} is beyond the float range") from None
 
 
 def departure_time(truck, charge: float, wait: float) -> float:

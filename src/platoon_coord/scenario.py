@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .discretize import _mandatory_charge
 from .model import (
     EconomicParams,
     FleetColumns,
@@ -142,8 +143,7 @@ def generate(config: ScenarioConfig) -> ProblemInstance:
         first = FleetColumns([int(electric.argmax()) + 1], [True], [lo],
                              ([soc_lo], *([v] for v in fixed)))
         ProblemInstance._from_columns(first, route, econ)
-    arrival, soc = _draw_fleet(bitgen, electric, lo, hi - lo, soc_lo, soc_hi, follower_need,
-                               config.charge_rate, config.horizon)
+    arrival, soc = _draw_fleet(bitgen, electric, lo, hi - lo, soc_lo, soc_hi, route, fixed)
     columns = FleetColumns(list(range(1, n + 1)), electric.tolist(), arrival.tolist(),
                            (soc[electric].tolist(), *([v] * n_et for v in fixed)))
     return ProblemInstance._from_columns(columns, route, econ, config.seed)
@@ -165,15 +165,17 @@ _UNIT = 2.0**-53
 _MIN_WINDOW = 64
 
 
-def _draw_fleet(bitgen, electric, lo: int, span: int, soc_lo, soc_hi, need, rate, horizon):
+def _draw_fleet(bitgen, electric, lo: int, span: int, soc_lo, soc_hi, route: RouteParams,
+                fixed):
     """Each truck's arrival minute and, for an ET, initial SoC (zero for an
     FT), as float64 columns: the values of the scalar loop
 
         for each truck, for up to `_RESAMPLE_BUDGET` attempts:
             arrival = float(rng.integers(lo, lo + span + 1))
             if electric: soc = float(rng.uniform(soc_lo, soc_hi))
-            charge = max(0.0, (need - soc) / rate) if electric else 0.0
-            stop if arrival + charge <= horizon
+            charge = min_charge_time(ET with soc and the `fixed` battery fields)
+                     if electric else 0.0
+            stop if arrival + charge <= route.horizon
 
     on a `Generator` over `bitgen`, decoded in numpy from its raw words.
     Every word is decoded up front in each role it can take: its two halves
@@ -196,8 +198,7 @@ def _draw_fleet(bitgen, electric, lo: int, span: int, soc_lo, soc_hi, need, rate
         value = ((scaled >> np.uint64(32)).astype(np.int64) + lo).astype(float)
         value[(scaled & _LOW_HALF) < threshold] = np.nan
         s = base + scale * ((words >> np.uint64(11)).astype(float) * _UNIT)
-        over = (need - s) / rate
-        return value, s, np.where(over > 0.0, over, 0.0)
+        return value, s, _mandatory_charge(route, s, *fixed)[2]
 
     # Word 0 stands for the half `next_uint32` keeps, as its high half; an FT
     # takes it as its SoC word, with SoC and charge zero.
@@ -228,7 +229,7 @@ def _draw_fleet(bitgen, electric, lo: int, span: int, soc_lo, soc_hi, need, rate
         else:
             a = np.full(m, float(lo))
         soc_word = np.where(et, first + fresh, 0)
-        fits = a + charge[soc_word] <= horizon  # False for a rejected draw's NaN
+        fits = a + charge[soc_word] <= route.horizon  # False for a rejected draw's NaN
         rejected = np.isnan(a)
         # A truck that fails draws again in the next slot, which is laid out
         # for the next truck: right while that truck is of the same kind, as

@@ -15,8 +15,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discretize import PreparedTruck, as_fleet
-from .kernels import FleetArrays, block_departure, block_profit, member_terms
+from .discretize import PreparedFleet, PreparedTruck
+from .kernels import FleetArrays, block_departure, block_profit, check_prepared, member_terms
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -351,23 +351,23 @@ class PlatoonTable:
         ]
 
 
-def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
+def price_platoons(prepared: PreparedFleet, arr: FleetArrays,
                    starts, sizes, leaders, route: RouteParams,
                    econ: EconomicParams) -> PlatoonTable:
     """Price many consecutive platoons at once from the fleet's columns.
 
     Block b holds ranks `starts[b]` .. `starts[b] + sizes[b] - 1` and is led
     by the kind `leaders[b]` (0 electric, 1 fuel); it departs at
-    `kernels.block_departure`. `prepared` must be rank-ordered
-    (`prepared[k].rank == k`) and sorted by earliest departure, as
-    `prepare_fleet` and `PreparedFleet.from_records` guarantee, so a block's
-    last member is its latest; only its id column is read. `arr` must be
+    `kernels.block_departure`. `prepared` is the fleet `prepare_fleet`
+    returns, sorted by earliest departure, so a block's last member is its
+    latest; only its ids are read. `arr` must be
     `fleet_arrays(prepared, route)`. The table holds the blocks in the given
     order, and each of its records equals, field for field, what
     `evaluate_platoon` returns for the same members and leader kind: the
     numpy expressions repeat its scalar arithmetic operation for operation,
     and each loss is summed in rank order from 0.0 as it does.
     """
+    check_prepared(prepared)
     starts = np.asarray(starts, dtype=np.intp)
     sizes = np.asarray(sizes, dtype=np.intp)
     fuel_led = np.asarray(leaders) == 1
@@ -424,7 +424,7 @@ def price_platoons(prepared: Sequence[PreparedTruck], arr: FleetArrays,
     profit = block_profit(econ, et_count, ft_count, fuel_led)
 
     ranks = idx.tolist()
-    truck_ids = as_fleet(prepared).ids
+    truck_ids = prepared.ids
     return PlatoonTable(
         start=offsets.tolist(),
         size=sizes.tolist(),

@@ -1,7 +1,11 @@
-"""Shared solution validators used by solver tests and the acceptance suite."""
+"""Shared validators used by solver tests and the acceptance suite."""
+
+import numpy as np
 
 from platoon_coord import LeaderType, Role, aggregate
-from platoon_coord.model import MONEY_TOL, SOC_TOL, TIME_TOL
+from platoon_coord.kernels import fleet_arrays
+from platoon_coord.model import LEAD_COEFF, MONEY_TOL, SOC_TOL, TIME_TOL, departure_soc_bounds
+from platoon_coord.utility import alone_departure
 
 
 def assert_solution_valid(solution, prepared, route, consecutive=True):
@@ -42,3 +46,44 @@ def assert_solution_valid(solution, prepared, route, consecutive=True):
             )
             if row.role in (Role.LEADER, Role.ALONE):
                 assert p.leader_type is LeaderType.ELECTRIC or row.role is Role.ALONE
+
+
+def _scalar_columns(m, route):
+    """The `fleet_arrays` entries of one truck, from the scalar formulas."""
+    if not m.is_electric:
+        zero = dict.fromkeys(("tau_cmin", "fill_time", "rate", "need_lead",
+                              "init_soc", "max_soc", "vrate"), 0.0)
+        return dict(zero, tau_delta=m.earliest_departure, is_et=0,
+                    alone_depart=m.earliest_departure, arrival=m.arrival_time)
+    spec = m.spec
+    need, _ = departure_soc_bounds(spec, route, LEAD_COEFF)
+    return dict(
+        tau_delta=m.earliest_departure,
+        tau_cmin=m.min_charge_time,
+        is_et=1,
+        fill_time=(spec.max_soc - m.min_departure_soc) / spec.charge_rate,
+        rate=spec.charge_rate,
+        need_lead=need,
+        alone_depart=alone_departure(m, route),
+        arrival=m.arrival_time,
+        init_soc=spec.initial_soc,
+        max_soc=spec.max_soc,
+        vrate=spec.discharge_rate,
+    )
+
+
+def assert_fleet_arrays_match_scalar(fleet, route, records=None):
+    """Every `fleet_arrays` column of a prepared fleet equals, bit for bit,
+    its scalar formula over `records` (the fleet's own by default). A
+    float64 column holds `float(value)` of a field given as an int or a
+    numpy float."""
+    columns = vars(fleet_arrays(fleet, route))
+    for name, col in columns.items():
+        assert isinstance(col, np.ndarray) and col.shape == (len(fleet),), name
+    for m in fleet if records is None else records:
+        scalar = _scalar_columns(m, route)
+        assert set(scalar) == set(columns)
+        for name, value in scalar.items():
+            got = columns[name][m.rank].item()
+            value = type(got)(value)
+            assert got == value and repr(got) == repr(value), (name, m.rank)

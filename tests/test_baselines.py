@@ -176,8 +176,8 @@ class TestSpontaneous:
                         by_rank[row.rank].min_charge_time, **APPROX)
 
     def test_weak_solo_electric_charges_to_alone_level(self):
-        (member,) = prepare([et(1, 10.0, soc=30.0)])
-        sol = solve_spontaneous([member], REF_ROUTE, REF_ECON, seed=0)
+        prepared = prepare([et(1, 10.0, soc=30.0)])
+        sol = solve_spontaneous(prepared, REF_ROUTE, REF_ECON, seed=0)
         row = sol.platoons[0].ledger[0]
         assert row.charge_time == pytest.approx((LEAD_NEED - 30.0) / 1.07, **APPROX)
         assert row.wait_time == pytest.approx(0.0, **APPROX)
@@ -193,9 +193,9 @@ class TestSpontaneous:
             assert p.ledger[0].arrival_soc >= 10.0 - 1e-9
 
     def test_empty_fleet(self):
-        sol = solve_spontaneous([], REF_ROUTE, REF_ECON, seed=0)
-        assert sol.platoons == []
-        assert sol.utility == 0.0
+        # No instance holds an empty fleet, and a list is no prepared fleet.
+        with pytest.raises(ContractViolation, match="prepare_fleet"):
+            solve_spontaneous([], REF_ROUTE, REF_ECON, seed=0)
 
 
 class TestFixedInterval:
@@ -216,8 +216,9 @@ class TestFixedInterval:
         assert sol.platoons[0].ledger[0].wait_time == 0.0
 
     def test_empty_fleet(self):
-        sol = solve_fixed_interval([], REF_ROUTE, REF_ECON, 30.0, seed=0)
-        assert sol.platoons == []
+        # No instance holds an empty fleet, and a list is no prepared fleet.
+        with pytest.raises(ContractViolation, match="prepare_fleet"):
+            solve_fixed_interval([], REF_ROUTE, REF_ECON, 30.0, seed=0)
 
     def test_departures_on_the_grid(self):
         cfg = ScenarioConfig(n_trucks=40, et_share=0.0, seed=7,
@@ -236,8 +237,8 @@ class TestFixedInterval:
         for interval in (0.0, -30.0, float("nan"), float("inf")):
             with pytest.raises(ContractViolation, match="positive and finite"):
                 solve_fixed_interval(prepared, REF_ROUTE, REF_ECON, interval, seed=0)
-        with pytest.raises(ContractViolation):
-            solve_fixed_interval([], REF_ROUTE, REF_ECON, 0.0, seed=0)
+        with pytest.raises(ContractViolation, match="positive and finite"):
+            solve_fixed_interval(prepare([ft(1, 5.0)]), REF_ROUTE, REF_ECON, 0.0, seed=0)
 
     def test_late_slot_is_flagged_not_dropped(self):
         from platoon_coord import RouteParams
@@ -347,15 +348,18 @@ def test_every_platoon_priced_once(large_fleet, method, monkeypatch):
 
 
 class TestInputOrder:
+    """A record list is refused whatever its order; these are the two orders
+    that used to get a list of their own refusal."""
+
     @pytest.mark.parametrize("method", sorted(BASELINES))
     def test_rank_order_required(self, method):
         prepared = prepare([ft(1, 0.0), ft(2, 5.0)])
-        with pytest.raises(ContractViolation, match="rank-ordered"):
-            BASELINES[method](prepared[::-1], REF_ROUTE, REF_ECON, 0)
+        with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
+            BASELINES[method](list(prepared)[::-1], REF_ROUTE, REF_ECON, 0)
 
     @pytest.mark.parametrize("method", sorted(BASELINES))
     def test_departure_order_required(self, method):
         a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
         swapped = [b._replace(rank=0), a._replace(rank=1)]
-        with pytest.raises(ContractViolation, match="sorted by earliest departure"):
+        with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
             BASELINES[method](swapped, REF_ROUTE, REF_ECON, 0)

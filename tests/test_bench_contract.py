@@ -48,7 +48,7 @@ def test_every_traced_name_is_bound_where_it_is_looked_up(spans):
 
 
 @pytest.mark.parametrize("prepared", [
-    [],
+    prepare([ft(0, 0.0)]),
     prepare([ft(0, 0.0), et(1, 3.0, soc=40.0)]),
     prepare_fleet(generate(ScenarioConfig(n_trucks=60, seed=2))),
 ])

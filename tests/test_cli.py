@@ -264,6 +264,23 @@ class TestCompare:
         # Leader draws cannot matter without electric trucks.
         assert by_method["dp-ls"] == by_method["dp-nls"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", 50, "--nbar", 3], ["--et-share", "0.5"], ["--arrival-lo", 1],
+        ["--arrival-hi", 60], ["--horizon", 300], ["--distance", 150], ["--soc-lo", 20],
+        ["--soc-hi", 90],
+    ], ids=lambda flags: "".join(map(str, flags[::2])))
+    def test_generator_flags_refused_with_instance(self, small_instance, tmp_path,
+                                                   monkeypatch, capsys, flags):
+        """A fixed instance is not generated: a generator flag given with it
+        is refused before the instance is read, and nothing is written."""
+        loads = record_calls(monkeypatch, "load_instance")
+        assert run(["compare", small_instance, "--seeds", "0:2", *flags,
+                    "--out", tmp_path / "cmp"]) == 2
+        names = ", ".join(map(str, flags[::2]))
+        assert capsys.readouterr() == (
+            "", f"generator flags {names} only apply without an instance file\n")
+        assert loads == [] and sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
     def test_seed_list_parsing(self, tmp_path):
         prefix = tmp_path / "cmp"
         assert run(["compare", "--seeds", "5,7", "--n", 10, "--arrival-hi", 60,

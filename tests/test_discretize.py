@@ -36,6 +36,7 @@ from platoon_coord import (
 from platoon_coord import cli, discretize
 from platoon_coord.kernels import fleet_arrays
 from platoon_coord.model import SOC_TOL, TIME_TOL
+from checks import assert_fleet_arrays_match_scalar
 from conftest import FOLLOW_NEED, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 
 APPROX = dict(abs=1e-9)
@@ -169,15 +170,10 @@ def plain(record):
                            min_departure_soc=float(record.min_departure_soc))
 
 
-def assert_bits_equal(a, b):
-    for name, col in vars(a).items():
-        other = getattr(b, name)
-        assert col.dtype == other.dtype and col.tobytes() == other.tobytes(), name
-
-
 def assert_matches_reference(instance):
     """prepare_fleet against the scalar loop: the same records, or the same
-    error; and the fleet's columns give the `FleetArrays` its records give.
+    error; and every `FleetArrays` column of the fleet equals its scalar
+    formula over the loop's records.
     Where the loop's sort fails on tied ids that Python cannot order,
     prepare_fleet raises a `ContractViolation` that names two of them."""
     try:
@@ -203,9 +199,7 @@ def assert_matches_reference(instance):
         else:
             assert r.min_departure_soc is None
             assert r.earliest_departure == float(r.spec.arrival_time)
-    columns = fleet_arrays(fleet, instance.route)
-    assert_bits_equal(columns, fleet_arrays(records, instance.route))
-    assert_bits_equal(columns, fleet_arrays(expected, instance.route))
+    assert_fleet_arrays_match_scalar(fleet, instance.route, expected)
     return fleet
 
 
@@ -339,7 +333,6 @@ class TestPreparedFleet:
     def test_equality(self):
         inst, fleet, records = fleet_and_records()
         assert fleet == prepare_fleet(inst)
-        assert fleet == PreparedFleet.from_records(records)
         assert fleet != prepare_fleet(generate(ScenarioConfig(n_trucks=30, seed=4)))
         assert fleet != records  # a fleet is not a list, as a tuple is not
 
@@ -399,13 +392,15 @@ class TestPreparedFleet:
             assert column.tobytes() == getattr(fleet, name).tobytes()
         assert again.ids == fleet.ids and again.specs == fleet.specs
 
-    def test_from_records_checks_order(self):
-        a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
-        with pytest.raises(ContractViolation, match="rank-ordered"):
-            PreparedFleet.from_records([b, a])
-        with pytest.raises(ContractViolation, match="sorted by earliest departure"):
-            PreparedFleet.from_records([b._replace(rank=0), a._replace(rank=1)])
-
-    def test_empty_fleet_has_empty_columns(self):
-        arr = fleet_arrays([], REF_ROUTE)
-        assert arr.size == 0 and all(col.size == 0 for col in vars(arr).values())
+    @pytest.mark.parametrize("clone", [
+        lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy])
+    def test_pickle_and_copy_build_no_records(self, clone, monkeypatch):
+        inst, fleet, _ = fleet_and_records()
+        built = []
+        real = discretize.PreparedTruck
+        monkeypatch.setattr(discretize, "PreparedTruck",
+                            lambda *fields: built.append(fields) or real(*fields))
+        again = clone(fleet)
+        assert type(again) is PreparedFleet and again.instance == inst
+        assert again.order.tobytes() == fleet.order.tobytes()
+        assert built == []

@@ -15,9 +15,13 @@ from platoon_coord import (
     prepare_fleet,
     solve_dp_ls,
     solve_dp_nls,
+    solve_fixed_interval,
+    solve_spontaneous,
 )
 from platoon_coord import dp
 from platoon_coord.dp import run_dp
+from platoon_coord.kernels import fleet_arrays
+from platoon_coord.utility import price_platoons
 from conftest import FOLLOW_NEED, REF_ECON, REF_ROUTE, et, ft, prepare
 from checks import assert_solution_valid
 
@@ -103,9 +107,9 @@ class TestSolveDpLs:
         assert_solution_valid(sol, prepared, inst.route)
 
     def test_empty_fleet(self):
-        sol = solve_dp_ls([], REF_ROUTE, REF_ECON)
-        assert sol.platoons == []
-        assert sol.utility == 0.0
+        # No instance holds an empty fleet, and a list is no prepared fleet.
+        with pytest.raises(ContractViolation, match="prepare_fleet"):
+            solve_dp_ls([], REF_ROUTE, REF_ECON)
 
     def test_unservable_fleet_raises(self):
         # One weak ET whose alone-safe departure misses the horizon: it can
@@ -156,16 +160,38 @@ class TestSolveDpNls:
             assert_solution_valid(nls, prepared, inst.route)
 
 
+# Every solver-layer entry point, called on `records` (`fleet`'s own).
+ENTRY_POINTS = {
+    "run_dp": lambda records, fleet: run_dp(records, REF_ROUTE, REF_ECON, mode=0),
+    "dp-ls": lambda records, fleet: solve_dp_ls(records, REF_ROUTE, REF_ECON),
+    "dp-nls": lambda records, fleet: solve_dp_nls(records, REF_ROUTE, REF_ECON, 0),
+    "spontaneous": lambda records, fleet: solve_spontaneous(records, REF_ROUTE, REF_ECON, 0),
+    "fixed-interval": lambda records, fleet: solve_fixed_interval(
+        records, REF_ROUTE, REF_ECON, 30.0, 0),
+    "fleet_arrays": lambda records, fleet: fleet_arrays(records, REF_ROUTE),
+    "price_platoons": lambda records, fleet: price_platoons(
+        records, fleet_arrays(fleet, REF_ROUTE), [0], [1], [1], REF_ROUTE, REF_ECON),
+}
+
+
 class TestCheckPrepared:
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_record_list_is_refused(self, entry):
+        """A list of the fleet's own records, in rank order, is no prepared
+        fleet: only `prepare_fleet` makes one."""
+        fleet = prepare([ft(1, 0.0), ft(2, 5.0)])
+        with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
+            ENTRY_POINTS[entry](list(fleet), fleet)
+
     def test_rank_order_required(self):
         prepared = prepare([ft(1, 0.0), ft(2, 5.0)])
-        with pytest.raises(ContractViolation, match="rank-ordered"):
-            run_dp(prepared[::-1], REF_ROUTE, REF_ECON, mode=0)
+        with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
+            run_dp(list(prepared)[::-1], REF_ROUTE, REF_ECON, mode=0)
 
     def test_departure_order_required(self):
         a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
         swapped = [b._replace(rank=0), a._replace(rank=1)]
-        with pytest.raises(ContractViolation, match="sorted by earliest departure"):
+        with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
             run_dp(swapped, REF_ROUTE, REF_ECON, mode=0)
 
 

@@ -15,6 +15,7 @@ from platoon_coord import (
     TruckSpec,
     departure_soc_bounds,
     departure_time,
+    min_charge_time,
     soc_after_charge,
     soc_after_trip,
 )
@@ -173,6 +174,22 @@ class TestValidation:
         with pytest.raises(ContractViolation) as err:
             ProblemInstance(trucks=trucks, route=REF_ROUTE, econ=REF_ECON)
         assert str(err.value) == f"{message} is beyond the float range"
+
+    @pytest.mark.parametrize("params, field", [
+        (REF_ROUTE, "distance"), (REF_ROUTE, "horizon"), (REF_ECON, "wait_cost"),
+        (REF_ECON, "et_follower_profit"), (REF_ECON, "ft_follower_profit"),
+    ], ids=lambda value: value if isinstance(value, str) else type(value).__name__)
+    def test_params_beyond_float(self, params, field):
+        """An int beyond float64 passes every range check of the route and
+        prices; it is refused by name before numpy meets it."""
+        with pytest.raises(ContractViolation, match=f"^{field} is beyond the float range$"):
+            replace(params, **{field: 10**400})
+
+    def test_min_charge_time_beyond_float(self):
+        truck = et(1, 0.0, soc=50.0, rate=10**400)
+        with pytest.raises(ContractViolation,
+                           match=r"^truck 1: charge_rate is beyond the float range$"):
+            min_charge_time(truck, REF_ROUTE)
 
 
 NAN = float("nan")

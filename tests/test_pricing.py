@@ -12,7 +12,6 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,13 +31,13 @@ from platoon_coord import (
     solve_spontaneous,
 )
 from platoon_coord.kernels import fleet_arrays
-from platoon_coord.model import LEAD_COEFF, departure_soc_bounds
 from platoon_coord.scenario import load_instance, solution_text
 from platoon_coord.utility import (
     alone_departure,
     leader_type_for_kind,
     price_platoons,
 )
+from checks import assert_fleet_arrays_match_scalar
 from conftest import ET_VRATE, REF_ECON, REF_ROUTE, UNLEADABLE, et, fleet_instances, ft, prepare
 
 LEADER_CODE = {LeaderType.ELECTRIC: 0, LeaderType.FUEL: 1}
@@ -133,10 +132,14 @@ class TestScheduleAgainstReference:
             assert p.departure_time == alone_departure(m, route) > m.earliest_departure
 
     def test_empty_fleet(self):
-        table = price_platoons([], fleet_arrays([], REF_ROUTE), [], [], [],
+        """An empty schedule: no blocks on a real fleet price to an empty
+        table. An empty fleet cannot be prepared, and a list is refused."""
+        prepared = prepare([ft(0, 0.0), et(1, 2.0, soc=70.0)])
+        table = price_platoons(prepared, fleet_arrays(prepared, REF_ROUTE), [], [], [],
                                REF_ROUTE, REF_ECON)
         assert len(table) == 0 and table.records() == []
-        assert solve_dp_ls([], REF_ROUTE, REF_ECON).platoons == []
+        with pytest.raises(ContractViolation, match="prepare_fleet"):
+            solve_dp_ls([], REF_ROUTE, REF_ECON)
 
 
 TIME_FIELD = re.compile(r'"(depart|wait)": ([^,\n]+)')
@@ -237,30 +240,6 @@ def test_every_block_and_leader_kind(case):
                 [expected[k] for k in admitted])
 
 
-def _scalar_columns(m, route):
-    """The `fleet_arrays` entries of one truck, from the scalar formulas."""
-    if not m.is_electric:
-        zero = dict.fromkeys(("tau_cmin", "fill_time", "rate", "need_lead",
-                              "init_soc", "max_soc", "vrate"), 0.0)
-        return dict(zero, tau_delta=m.earliest_departure, is_et=0,
-                    alone_depart=m.earliest_departure, arrival=m.arrival_time)
-    spec = m.spec
-    need, _ = departure_soc_bounds(spec, route, LEAD_COEFF)
-    return dict(
-        tau_delta=m.earliest_departure,
-        tau_cmin=m.min_charge_time,
-        is_et=1,
-        fill_time=(spec.max_soc - m.min_departure_soc) / spec.charge_rate,
-        rate=spec.charge_rate,
-        need_lead=need,
-        alone_depart=alone_departure(m, route),
-        arrival=m.arrival_time,
-        init_soc=spec.initial_soc,
-        max_soc=spec.max_soc,
-        vrate=spec.discharge_rate,
-    )
-
-
 class TestFleetArrays:
     @pytest.mark.parametrize("fleet", [
         dict(seed=3),
@@ -269,27 +248,14 @@ class TestFleetArrays:
     ])
     def test_columns_equal_scalar_formulas(self, fleet):
         inst = generate(ScenarioConfig(**fleet))
-        self.check(prepare_fleet(inst), inst.route)
+        assert_fleet_arrays_match_scalar(prepare_fleet(inst), inst.route)
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE))
     def test_degenerate_columns(self, name):
         trucks, route, econ = DEGENERATE[name]
-        self.check(prepare(trucks, route=route, econ=econ), route)
+        assert_fleet_arrays_match_scalar(prepare(trucks, route=route, econ=econ), route)
 
     def test_empty_fleet(self):
-        arr = fleet_arrays([], REF_ROUTE)
-        assert arr.size == 0
-        assert all(col.shape == (0,) for col in vars(arr).values())
-
-    @staticmethod
-    def check(prepared, route):
-        arr = fleet_arrays(prepared, route)
-        columns = vars(arr)
-        for name, col in columns.items():
-            assert isinstance(col, np.ndarray) and col.shape == (len(prepared),), name
-        for m in prepared:
-            scalar = _scalar_columns(m, route)
-            assert set(scalar) == set(columns)
-            for name, value in scalar.items():
-                got = columns[name][m.rank].item()
-                assert got == value and repr(got) == repr(value), (name, m.rank)
+        # No instance has an empty fleet, and a list is no prepared fleet.
+        with pytest.raises(ContractViolation, match="prepare_fleet"):
+            fleet_arrays([], REF_ROUTE)

@@ -154,7 +154,7 @@ def test_make_checks_the_field_count():
 
 
 @pytest.mark.parametrize("prepared", [
-    [],
+    prepare([ft(0, 0.0)]),
     prepare([ft(0, 0.0), et(1, 3.0, soc=40.0)]),
 ])
 def test_fleet_arrays_stays_a_dataclass_of_arrays(prepared):
