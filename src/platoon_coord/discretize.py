@@ -7,14 +7,16 @@ fleet by earliest departure yields the ordered candidate instants that the
 downstream solvers search over.
 
 `prepare_fleet` does this in one numpy pass over the fleet's columns and
-returns a `PreparedFleet`: the columns in rank order, which the kernel reads
-directly, behind a sequence of `PreparedTruck` records that are built only
-when a record is first asked for.
+returns a `PreparedFleet`: its `FleetArrays`, the columns in rank order for
+the instance's route, which the kernel reads directly, behind a sequence of
+`PreparedTruck` records that are built only when a record is first asked
+for.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import List, NamedTuple, Optional
 
@@ -25,6 +27,7 @@ from .model import (
     FleetColumns,
     HorizonExceededError,
     InfeasibleTruckError,
+    LEAD_COEFF,
     ProblemInstance,
     RouteParams,
     SOC_TOL,
@@ -60,12 +63,18 @@ class PreparedTruck(NamedTuple):
         return self.spec.arrival_time
 
 
+def _soc_need(route: RouteParams, coeff: float, vrate, safe):
+    """`model.departure_soc_bounds`' lowest departure SoC over ET columns:
+    the safety floor plus the trip's discharge in the role of `coeff`."""
+    return safe + coeff * vrate * route.distance
+
+
 def _mandatory_charge(route: RouteParams, init, rate, vrate, safe, cap):
     """The follower-safe departure SoC of ETs from their battery columns
     (`FleetColumns.battery_f`), which of them cannot reach it even on a full
     battery, and the minutes of charge that reach it from `init` (0.0 when
     `init` already covers it)."""
-    required = safe + route.follower_coeff * vrate * route.distance
+    required = _soc_need(route, route.follower_coeff, vrate, safe)
     infeasible = required - cap > SOC_TOL
     gap = (required - init) / rate
     return required, infeasible, np.where(gap > 0.0, gap, 0.0)  # max(0.0, gap)
@@ -142,31 +151,56 @@ def _rank_order(earliest: np.ndarray, ids) -> np.ndarray:
     return order
 
 
+@dataclass(frozen=True)
+class FleetArrays:
+    """The columns of a prepared fleet in rank order, which the kernel, the
+    batch pricer and the baselines read. `prepare_fleet` builds them once,
+    for the instance's route, and every solve of the fleet shares them, so
+    the arrays are read-only.
+
+    Fuel trucks carry zeros in the battery columns, so `member_terms` gives
+    them no charge and lets them lead without a special case.
+    """
+
+    tau_delta: np.ndarray     # earliest departure per rank, minutes
+    tau_cmin: np.ndarray      # mandatory charge minutes
+    is_et: np.ndarray         # uint8 flags
+    fill_time: np.ndarray     # minutes from the mandatory-charge SoC to full
+    rate: np.ndarray          # charge rate, percent per minute
+    need_lead: np.ndarray     # departure SoC required to lead or drive alone
+    alone_depart: np.ndarray  # arrival + alone-safe charge minutes
+    arrival: np.ndarray       # hub arrival time, minutes
+    init_soc: np.ndarray      # SoC at hub arrival, percent
+    max_soc: np.ndarray       # battery capacity, percent
+    vrate: np.ndarray         # discharge rate driving alone, percent per km
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
+
+    @property
+    def size(self) -> int:
+        return int(self.tau_delta.shape[0])
+
+
 class PreparedFleet(Sequence):
     """A prepared fleet in rank order: an immutable sequence of
     `PreparedTruck` records, held as columns. Only `prepare_fleet` makes
     one, and the solvers take no other form of a fleet.
 
-    The columns are those `kernels.FleetArrays` reads at prepare time, plus
-    each ET's safety floor and the ids, all by rank; fuel trucks hold zeros
-    in the battery columns. The arrays are read-only, since every solve's
-    `FleetArrays` shares them. The fleet keeps its `instance` and `order`,
-    the instance position of the truck at each rank; the `TruckSpec`s by
-    rank (`specs`) and the records are built from them on first access and
-    then kept. Slicing returns a list of records.
+    The fleet keeps its `instance`; `order`, the instance position of the
+    truck at each rank; the `ids` by rank; and `arrays`, its `FleetArrays`
+    for the instance's route, the one route it is solved on. The
+    `TruckSpec`s by rank (`specs`) and the records are built from them on
+    first access and then kept. Slicing returns a list of records.
     """
 
-    __slots__ = ("instance", "order", "ids", "tau_delta", "tau_cmin", "is_et", "fill_time",
-                 "rate", "arrival", "init_soc", "max_soc", "vrate", "safe_soc",
-                 "_specs", "_records")
+    __slots__ = ("instance", "order", "ids", "arrays", "_specs", "_records")
 
-    def __init__(self, instance, order, ids, tau_delta, tau_cmin, is_et, fill_time, rate,
-                 arrival, init_soc, max_soc, vrate, safe_soc):
+    def __init__(self, instance, order, ids, arrays):
         """The fleet of `instance` whose truck of rank k is the instance's
         truck `order[k]`, with its columns by rank (`prepare_fleet`)."""
-        for name, value in zip(self.__slots__, (
-                instance, order, ids, tau_delta, tau_cmin, is_et, fill_time, rate, arrival,
-                init_soc, max_soc, vrate, safe_soc, None, None)):
+        for name, value in zip(self.__slots__, (instance, order, ids, arrays, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -188,13 +222,13 @@ class PreparedFleet(Sequence):
 
     def _rows(self) -> List[PreparedTruck]:
         if self._records is None:
-            et = self.is_et.tolist()
-            soc = _charged_soc(self.init_soc, self.rate, self.tau_cmin)
+            arr = self.arrays
+            soc = _charged_soc(arr.init_soc, arr.rate, arr.tau_cmin)
             object.__setattr__(self, "_records", [
                 PreparedTruck(spec, charge, soc if e else None, earliest, rank)
                 for rank, (spec, e, charge, soc, earliest) in enumerate(zip(
-                    self.specs, et, self.tau_cmin.tolist(), soc.tolist(),
-                    self.tau_delta.tolist()))
+                    self.specs, arr.is_et.tolist(), arr.tau_cmin.tolist(), soc.tolist(),
+                    arr.tau_delta.tolist()))
             ])
         return self._records
 
@@ -247,15 +281,23 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
             raise _infeasible(ids[k], fleet.battery[4][j], float(required[j]))
         raise HorizonExceededError(ids[k], float(earliest[k]), route.horizon)
 
+    # The lead need and the alone-safe departure, which repeat
+    # `utility.alone_charge_time` operation for operation.
+    need_lead = _soc_need(route, LEAD_COEFF, vrate, safe)
+    alone_charge = np.maximum(np.maximum(charge, (np.minimum(need_lead, cap) - init) / rate),
+                              0.0)
+    alone_depart = earliest.copy()
+    alone_depart[et] = arrival[et] + alone_charge
+
     order = _rank_order(earliest, ids)
+    order.flags.writeable = False
 
     def ranked(values):
         return _zeros_except(n, et, values)[order]
 
-    columns = (earliest[order], ranked(charge), is_et[order].astype(np.uint8),
-               ranked(fill_time), ranked(rate), arrival[order], ranked(init), ranked(cap),
-               ranked(vrate), ranked(safe))
-    for column in (order, *columns):
-        column.flags.writeable = False
-    return PreparedFleet(instance, order, tuple(map(ids.__getitem__, order.tolist())),
-                         *columns)
+    arrays = FleetArrays(
+        tau_delta=earliest[order], tau_cmin=ranked(charge), is_et=is_et[order].astype(np.uint8),
+        fill_time=ranked(fill_time), rate=ranked(rate), need_lead=ranked(need_lead),
+        alone_depart=alone_depart[order], arrival=arrival[order], init_soc=ranked(init),
+        max_soc=ranked(cap), vrate=ranked(vrate))
+    return PreparedFleet(instance, order, tuple(map(ids.__getitem__, order.tolist())), arrays)

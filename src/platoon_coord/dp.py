@@ -17,7 +17,6 @@ import numpy as np
 
 from .discretize import PreparedFleet
 from .kernels import (
-    FleetArrays,
     block_departure,
     fleet_arrays,
     leader_draw_bits,
@@ -47,7 +46,6 @@ class DpState:
     choice_sizes: np.ndarray  # winning platoon size per prefix, 0 when none
     choice_leaders: np.ndarray  # 0 electric, 1 fuel, -1 when none
     updates: int              # candidate evaluations performed
-    arrays: FleetArrays       # the fleet columns both passes read
 
 
 def run_dp(prepared: PreparedFleet, route: RouteParams,
@@ -60,8 +58,7 @@ def run_dp(prepared: PreparedFleet, route: RouteParams,
         bits = leader_draw_bits(seed, arr.size, window)
     else:
         bits = np.zeros((1, 1), np.uint8)
-    return DpState(*run_dp_kernel(arr, econ, window, route.horizon, mode, bits),
-                   arrays=arr)
+    return DpState(*run_dp_kernel(arr, econ, window, route.horizon, mode, bits))
 
 
 def _backtrack(state: DpState, prepared: PreparedFleet,
@@ -83,9 +80,8 @@ def _backtrack(state: DpState, prepared: PreparedFleet,
     starts = np.array(starts, dtype=np.intp)
     sizes = np.array(sizes, dtype=np.intp)
     leaders = state.choice_leaders[starts + sizes]
-    order = departure_order(block_departure(state.arrays, starts, sizes), starts)
-    return price_platoons(prepared, state.arrays, starts[order], sizes[order],
-                          leaders[order], route, econ)
+    order = departure_order(block_departure(prepared.arrays, starts, sizes), starts)
+    return price_platoons(prepared, starts[order], sizes[order], leaders[order], route, econ)
 
 
 def _solve(prepared, route, econ, mode, seed, method) -> Solution:

@@ -1,6 +1,7 @@
-"""The value-recursion kernel, the fleet columns it reads, and the
-per-member arithmetic that it and the batch pricer `utility.price_platoons`
-share: `member_terms`, `block_departure` and `block_profit`.
+"""The value-recursion kernel, the checked accessor of the fleet columns it
+reads (`fleet_arrays`), and the per-member arithmetic that it and the batch
+pricer `utility.price_platoons` share: `member_terms`, `block_departure`
+and `block_profit`.
 
 The recursion scans every (prefix, platoon size, leader kind) candidate,
 which dominates runtime at fleet scale. It runs in two steps: numpy prices
@@ -14,11 +15,9 @@ evaluation order and reproducible across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .discretize import PreparedFleet
+from .discretize import FleetArrays, PreparedFleet
 from .model import SOC_TOL, TIME_TOL, ContractViolation
 
 _U64 = (1 << 64) - 1
@@ -56,75 +55,23 @@ def leader_draw_bits(seed: int, n_trucks: int, max_size: int) -> np.ndarray:
     return (x >> np.uint64(63)).astype(np.uint8)
 
 
-@dataclass
-class FleetArrays:
-    """Column-wise view of a prepared fleet, ready for the kernel and the
-    batch pricer.
+def fleet_arrays(fleet: PreparedFleet, route) -> FleetArrays:
+    """The columns of a prepared fleet, which `prepare_fleet` built once for
+    its instance's route (`PreparedFleet.arrays`).
 
-    Fuel trucks carry zeros in the battery columns, so `member_terms` gives
-    them no charge and lets them lead without a special case.
+    Every solver calls this first, so it is where any other form of a fleet
+    is refused, and any other route: `need_lead` and `alone_depart` hold for
+    that route alone, and on a longer one an ET they let lead would arrive
+    below its safety floor.
     """
-
-    tau_delta: np.ndarray     # earliest departure per rank, minutes
-    tau_cmin: np.ndarray      # mandatory charge minutes
-    is_et: np.ndarray         # uint8 flags
-    fill_time: np.ndarray     # minutes from the mandatory-charge SoC to full
-    rate: np.ndarray          # charge rate, percent per minute
-    need_lead: np.ndarray     # departure SoC required to lead or drive alone
-    alone_depart: np.ndarray  # arrival + alone-safe charge minutes
-    arrival: np.ndarray       # hub arrival time, minutes
-    init_soc: np.ndarray      # SoC at hub arrival, percent
-    max_soc: np.ndarray       # battery capacity, percent
-    vrate: np.ndarray         # discharge rate driving alone, percent per km
-
-    @property
-    def size(self) -> int:
-        return int(self.tau_delta.shape[0])
-
-
-def check_prepared(fleet) -> None:
-    """`ContractViolation` unless `fleet` is a `PreparedFleet`, the one form
-    of a fleet the solvers take."""
     if not isinstance(fleet, PreparedFleet):
         raise ContractViolation(
             f"solvers take the PreparedFleet that prepare_fleet returns, "
             f"not a {type(fleet).__name__}")
-
-
-def fleet_arrays(fleet: PreparedFleet, route) -> FleetArrays:
-    """Columns of a prepared fleet in rank order.
-
-    The prepare-time columns are the fleet's own, shared and read-only; only
-    the two route-dependent columns are computed here, over the electric
-    trucks, repeating `utility.alone_charge_time` operation for operation so
-    every entry equals its scalar counterpart bit for bit. Every solver
-    calls this first, so it is where a fleet of another form is refused.
-    """
-    check_prepared(fleet)
-    et = np.flatnonzero(fleet.is_et)
-    cmin, cap, init, rate = (col[et] for col in (
-        fleet.tau_cmin, fleet.max_soc, fleet.init_soc, fleet.rate))
-    need_lead = fleet.safe_soc[et] + fleet.vrate[et] * route.distance
-    alone_charge = np.maximum(
-        np.maximum(cmin, (np.minimum(need_lead, cap) - init) / rate), 0.0)
-
-    alone_depart = fleet.tau_delta.copy()
-    alone_depart[et] = fleet.arrival[et] + alone_charge
-    need = np.zeros(len(fleet))
-    need[et] = need_lead
-    return FleetArrays(
-        tau_delta=fleet.tau_delta,
-        tau_cmin=fleet.tau_cmin,
-        is_et=fleet.is_et,
-        fill_time=fleet.fill_time,
-        rate=fleet.rate,
-        need_lead=need,
-        alone_depart=alone_depart,
-        arrival=fleet.arrival,
-        init_soc=fleet.init_soc,
-        max_soc=fleet.max_soc,
-        vrate=fleet.vrate,
-    )
+    if route != fleet.instance.route:
+        raise ContractViolation(
+            f"the fleet was prepared for {fleet.instance.route!r}, not for {route!r}")
+    return fleet.arrays
 
 
 def member_terms(arr: FleetArrays, idx, depart):

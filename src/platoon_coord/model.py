@@ -201,6 +201,9 @@ class FleetColumns:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self), (self.ids, self.electric, self.arrival, self.battery)
+
     def check_trucks(self) -> None:
         """Raise the `ContractViolation` of `TruckSpec.__new__` for the first
         truck that fails its checks, which are stated here over the float64
@@ -233,7 +236,8 @@ class ProblemInstance:
     every constructor: an instance built from `TruckSpec` records transposes
     them once and keeps them, and a loaded or generated one builds its
     records only when they are asked for.
-    Instances are immutable and compare, hash, print and pickle by value.
+    Instances are immutable and compare, hash, print and pickle by value;
+    comparing, hashing and pickling read the columns.
     """
 
     __slots__ = ("route", "econ", "seed", "columns", "_trucks")
@@ -297,7 +301,8 @@ class ProblemInstance:
                 f"econ={self.econ!r}, seed={self.seed!r})")
 
     def __reduce__(self):
-        return type(self), (self.trucks, self.route, self.econ, self.seed)
+        # By the columns, so that pickling and copying build no `TruckSpec`.
+        return self._from_columns, (self.columns, self.route, self.econ, self.seed)
 
 
 def _float_range_fault(trucks) -> ContractViolation:

@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .discretize import PreparedFleet, PreparedTruck
-from .kernels import FleetArrays, block_departure, block_profit, check_prepared, member_terms
+from .kernels import block_departure, block_profit, fleet_arrays, member_terms
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -351,8 +351,7 @@ class PlatoonTable:
         ]
 
 
-def price_platoons(prepared: PreparedFleet, arr: FleetArrays,
-                   starts, sizes, leaders, route: RouteParams,
+def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: RouteParams,
                    econ: EconomicParams) -> PlatoonTable:
     """Price many consecutive platoons at once from the fleet's columns.
 
@@ -360,14 +359,14 @@ def price_platoons(prepared: PreparedFleet, arr: FleetArrays,
     by the kind `leaders[b]` (0 electric, 1 fuel); it departs at
     `kernels.block_departure`. `prepared` is the fleet `prepare_fleet`
     returns, sorted by earliest departure, so a block's last member is its
-    latest; only its ids are read. `arr` must be
-    `fleet_arrays(prepared, route)`. The table holds the blocks in the given
+    latest; its columns come from `kernels.fleet_arrays`, which refuses a
+    route other than the fleet's. The table holds the blocks in the given
     order, and each of its records equals, field for field, what
     `evaluate_platoon` returns for the same members and leader kind: the
     numpy expressions repeat its scalar arithmetic operation for operation,
     and each loss is summed in rank order from 0.0 as it does.
     """
-    check_prepared(prepared)
+    arr = fleet_arrays(prepared, route)
     starts = np.asarray(starts, dtype=np.intp)
     sizes = np.asarray(sizes, dtype=np.intp)
     fuel_led = np.asarray(leaders) == 1

@@ -60,8 +60,10 @@ def test_fleet_arrays_fields_have_nbytes(spans, prepared):
 
 def test_traced_solves_record_their_spans(spans):
     """Every method runs under the installed wrappers, the originals come
-    back afterwards, and each baseline still prices through the traced
-    `evaluate_platoon` (the benchmark divides by that call count)."""
+    back afterwards, each dp solve looks its columns up once through the
+    traced `fleet_arrays` (the benchmark reads that span's bytes), and each
+    baseline still prices through the traced `evaluate_platoon` (the
+    benchmark divides by that call count)."""
     inst = generate(ScenarioConfig(n_trucks=80, seed=4))
     prepared = prepare_fleet(inst)
     route, econ = inst.route, inst.econ
@@ -82,6 +84,7 @@ def test_traced_solves_record_their_spans(spans):
             tracer.call(f"solve.{method}", run)
             agg = tracer.summarize(first)
             if method.startswith("dp"):
+                assert agg["kernels.fleet_arrays"][0] == 1
                 assert agg["kernels.fleet_arrays"][3] > 0
                 assert agg["kernels.run_dp_kernel"][0] == 1
             else:

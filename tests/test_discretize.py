@@ -312,6 +312,11 @@ class TestAgainstScalarReference:
         assert min_charge_time(truck, REF_ROUTE) == reference_min_charge_time(truck, REF_ROUTE)
 
 
+# The columns of `FleetArrays`, all of which `prepare_fleet` builds.
+COLUMNS = ("tau_delta", "tau_cmin", "is_et", "fill_time", "rate", "need_lead",
+           "alone_depart", "arrival", "init_soc", "max_soc", "vrate")
+
+
 def fleet_and_records():
     inst = generate(ScenarioConfig(n_trucks=30, seed=3))
     return inst, prepare_fleet(inst), reference_prepare_fleet(inst)
@@ -365,17 +370,18 @@ class TestPreparedFleet:
         assert len(built) == 30
 
     def test_columns_cannot_be_written(self):
-        _, fleet, _ = fleet_and_records()
-        arr = fleet_arrays(fleet, REF_ROUTE)
-        for name in ("tau_delta", "tau_cmin", "is_et", "fill_time", "rate", "arrival",
-                     "init_soc", "max_soc", "vrate", "safe_soc"):
-            column = getattr(fleet, name)
+        inst, fleet, _ = fleet_and_records()
+        arr = fleet.arrays
+        assert fleet_arrays(fleet, inst.route) is arr
+        assert sorted(vars(arr)) == sorted(COLUMNS)
+        for name in COLUMNS:
             with pytest.raises(ValueError):
-                column[0] = 1
-            if hasattr(arr, name):
-                assert getattr(arr, name) is column
+                getattr(arr, name)[0] = 1
+        assert not fleet.order.flags.writeable
         with pytest.raises(AttributeError):
-            fleet.tau_delta = np.zeros(30)
+            arr.tau_delta = np.zeros(30)
+        with pytest.raises(AttributeError):
+            fleet.arrays = arr
         with pytest.raises(AttributeError):
             fleet.note = "extra"
 
@@ -385,11 +391,14 @@ class TestPreparedFleet:
         inst, fleet, records = fleet_and_records()
         again = clone(prepare_fleet(inst))
         assert type(again) is PreparedFleet and again == fleet and list(again) == records
-        for name in ("tau_delta", "tau_cmin", "is_et", "fill_time", "rate", "arrival",
-                     "init_soc", "max_soc", "vrate", "safe_soc"):
-            column = getattr(again, name)
+        assert sorted(vars(again.arrays)) == sorted(COLUMNS)
+        for name in COLUMNS:
+            column = getattr(again.arrays, name)
             assert not column.flags.writeable
-            assert column.tobytes() == getattr(fleet, name).tobytes()
+            assert column.dtype == getattr(fleet.arrays, name).dtype
+            assert column.tobytes() == getattr(fleet.arrays, name).tobytes()
+        with pytest.raises(AttributeError):
+            again.arrays.tau_delta = np.zeros(30)
         assert again.ids == fleet.ids and again.specs == fleet.specs
 
     @pytest.mark.parametrize("clone", [

@@ -5,8 +5,10 @@ import pytest
 
 from platoon_coord import (
     ContractViolation,
+    HorizonExceededError,
     LeaderType,
     NoFeasibleScheduleError,
+    ProblemInstance,
     RouteParams,
     ScenarioConfig,
     evaluate_platoon,
@@ -160,17 +162,17 @@ class TestSolveDpNls:
             assert_solution_valid(nls, prepared, inst.route)
 
 
-# Every solver-layer entry point, called on `records` (`fleet`'s own).
+# Every solver-layer entry point, called on a fleet and a route.
 ENTRY_POINTS = {
-    "run_dp": lambda records, fleet: run_dp(records, REF_ROUTE, REF_ECON, mode=0),
-    "dp-ls": lambda records, fleet: solve_dp_ls(records, REF_ROUTE, REF_ECON),
-    "dp-nls": lambda records, fleet: solve_dp_nls(records, REF_ROUTE, REF_ECON, 0),
-    "spontaneous": lambda records, fleet: solve_spontaneous(records, REF_ROUTE, REF_ECON, 0),
-    "fixed-interval": lambda records, fleet: solve_fixed_interval(
-        records, REF_ROUTE, REF_ECON, 30.0, 0),
-    "fleet_arrays": lambda records, fleet: fleet_arrays(records, REF_ROUTE),
-    "price_platoons": lambda records, fleet: price_platoons(
-        records, fleet_arrays(fleet, REF_ROUTE), [0], [1], [1], REF_ROUTE, REF_ECON),
+    "run_dp": lambda fleet, route: run_dp(fleet, route, REF_ECON, mode=0),
+    "dp-ls": lambda fleet, route: solve_dp_ls(fleet, route, REF_ECON),
+    "dp-nls": lambda fleet, route: solve_dp_nls(fleet, route, REF_ECON, 0),
+    "spontaneous": lambda fleet, route: solve_spontaneous(fleet, route, REF_ECON, 0),
+    "fixed-interval": lambda fleet, route: solve_fixed_interval(
+        fleet, route, REF_ECON, 30.0, 0),
+    "fleet_arrays": fleet_arrays,
+    "price_platoons": lambda fleet, route: price_platoons(
+        fleet, [0], [1], [1], route, REF_ECON),
 }
 
 
@@ -181,7 +183,7 @@ class TestCheckPrepared:
         fleet: only `prepare_fleet` makes one."""
         fleet = prepare([ft(1, 0.0), ft(2, 5.0)])
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
-            ENTRY_POINTS[entry](list(fleet), fleet)
+            ENTRY_POINTS[entry](list(fleet), REF_ROUTE)
 
     def test_rank_order_required(self):
         prepared = prepare([ft(1, 0.0), ft(2, 5.0)])
@@ -193,6 +195,47 @@ class TestCheckPrepared:
         swapped = [b._replace(rank=0), a._replace(rank=1)]
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
             run_dp(swapped, REF_ROUTE, REF_ECON, mode=0)
+
+
+class TestRouteRule:
+    """A prepared fleet is solved only on the route it was prepared for: its
+    lead need and alone-safe departures hold for that route alone."""
+
+    @pytest.mark.parametrize("change", [dict(distance=300.0), dict(max_platoon_size=4)],
+                             ids=["distance", "max_platoon_size"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_another_route_is_refused(self, entry, change):
+        fleet = prepare([ft(1, 0.0), et(2, 5.0, soc=90.0), ft(3, 6.0)])
+        ENTRY_POINTS[entry](fleet, REF_ROUTE)
+        with pytest.raises(ContractViolation, match="the fleet was prepared for"):
+            ENTRY_POINTS[entry](fleet, replace(REF_ROUTE, **change))
+
+    def test_an_equal_route_is_accepted(self):
+        fleet = prepare([ft(1, 0.0), et(2, 5.0, soc=90.0)])
+        equal = RouteParams(distance=200, horizon=1440, max_platoon_size=8,
+                            follower_coeff=0.82)
+        assert equal is not REF_ROUTE
+        assert fleet_arrays(fleet, equal) is fleet.arrays
+
+    @pytest.mark.parametrize("solve", [
+        lambda f, r, e: solve_dp_ls(f, r, e),
+        lambda f, r, e: solve_dp_nls(f, r, e, 1),
+        lambda f, r, e: solve_spontaneous(f, r, e, 1),
+        lambda f, r, e: solve_fixed_interval(f, r, e, 30.0, 1),
+    ], ids=["dp-ls", "dp-nls", "spontaneous", "fixed-interval"])
+    def test_a_longer_route_raises_instead_of_breaking_the_floor(self, solve):
+        """Solved on 300 km with the columns of its 200 km route, this fleet
+        got dp-ls schedules with 32 ETs arriving below their 10 % floor (down
+        to -13.45 %), and a spontaneous one with one such ET. On 300 km the
+        fleet cannot even be prepared: a truck's charge runs past the
+        horizon."""
+        inst = generate(ScenarioConfig(n_trucks=200, seed=1))
+        fleet = prepare_fleet(inst)
+        longer = replace(inst.route, distance=300.0)
+        with pytest.raises(ContractViolation, match="the fleet was prepared for"):
+            solve(fleet, longer, inst.econ)
+        with pytest.raises(HorizonExceededError):
+            prepare_fleet(ProblemInstance._from_columns(inst.columns, longer, inst.econ))
 
 
 class TestCapAboveFleetSize:

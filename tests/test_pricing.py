@@ -1,7 +1,7 @@
 """The columnar fast path against its scalar reference.
 
 `utility.price_platoons` prices many platoons at once from the fleet columns
-that `kernels.fleet_arrays` builds; `utility.evaluate_platoon` and the
+that `discretize.prepare_fleet` builds; `utility.evaluate_platoon` and the
 per-truck formulas of `discretize` and `utility` stay the reference. The two
 must agree exactly: `==` on every field, and `repr` so that float bits, the
 sign of zero and plain-`float` types match too.
@@ -135,8 +135,7 @@ class TestScheduleAgainstReference:
         """An empty schedule: no blocks on a real fleet price to an empty
         table. An empty fleet cannot be prepared, and a list is refused."""
         prepared = prepare([ft(0, 0.0), et(1, 2.0, soc=70.0)])
-        table = price_platoons(prepared, fleet_arrays(prepared, REF_ROUTE), [], [], [],
-                               REF_ROUTE, REF_ECON)
+        table = price_platoons(prepared, [], [], [], REF_ROUTE, REF_ECON)
         assert len(table) == 0 and table.records() == []
         with pytest.raises(ContractViolation, match="prepare_fleet"):
             solve_dp_ls([], REF_ROUTE, REF_ECON)
@@ -166,12 +165,10 @@ def test_every_method_spells_an_instant_alike():
 
 
 class TestPriceErrors:
-    def setup_method(self):
-        self.prepared = prepare([ft(0, 0.0), et(1, 0.0, soc=90.0), et(2, 1.0, soc=90.0)])
-        self.arr = fleet_arrays(self.prepared, REF_ROUTE)
+    TRUCKS = (ft(0, 0.0), et(1, 0.0, soc=90.0), et(2, 1.0, soc=90.0))
 
     def price(self, starts, sizes, leaders, route=REF_ROUTE):
-        return price_platoons(self.prepared, self.arr, starts, sizes, leaders,
+        return price_platoons(prepare(self.TRUCKS, route=route), starts, sizes, leaders,
                               route, REF_ECON)
 
     @pytest.mark.parametrize("starts, sizes, leaders", [
@@ -186,7 +183,7 @@ class TestPriceErrors:
             self.price(starts, sizes, leaders)
 
     def test_size_cap(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="exceeds the size cap 2"):
             self.price([0], [3], [1], route=replace(REF_ROUTE, max_platoon_size=2))
 
 
@@ -229,12 +226,11 @@ def test_every_block_and_leader_kind(case):
             for leader in sorted(kinds, key=LEADER_CODE.get):
                 blocks.append((start, size, LEADER_CODE[leader]))
                 expected.append(evaluate_platoon(members, leader, route, econ))
-    arr = fleet_arrays(prepared, route)
     starts, sizes, leaders = zip(*blocks)
-    assert_same(price_platoons(prepared, arr, starts, sizes, leaders, route, econ).records(),
+    assert_same(price_platoons(prepared, starts, sizes, leaders, route, econ).records(),
                 expected)
     admitted = [k for k, p in enumerate(expected) if leader_feasible(p, p.leader_type)]
-    assert_same(price_platoons(prepared, arr, [starts[k] for k in admitted],
+    assert_same(price_platoons(prepared, [starts[k] for k in admitted],
                                [sizes[k] for k in admitted],
                                [leaders[k] for k in admitted], route, econ).records(),
                 [expected[k] for k in admitted])

@@ -5,7 +5,8 @@ immutable NamedTuples. They compare and hash by value, and their `repr` is
 the text that the dataclasses they replaced wrote, since schedules are
 fingerprinted by it. `TruckSpec` validates however it is built: the
 constructor, `_make` and `_replace` raise the same errors. `FleetArrays`,
-built once per solve, stays a dataclass whose fields all report `.nbytes`.
+built once per prepared fleet, stays a dataclass whose fields all report
+`.nbytes`.
 """
 
 import dataclasses

@@ -835,6 +835,29 @@ class TestLoaderFastPath:
         with pytest.raises(AttributeError):
             again.seed = 5
 
+    @pytest.mark.parametrize("clone", [
+        lambda i: pickle.loads(pickle.dumps(i)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_build_no_truck_specs(self, clone, monkeypatch):
+        """A generated instance and its prepared fleet pickle and copy by
+        their columns: no `TruckSpec` is built, and each copy is equal and
+        prints alike. A `TruckSpec`-built instance keeps its int fields."""
+        instance = generate(ScenarioConfig(n_trucks=200, seed=3))
+        prepared = prepare_fleet(instance)
+        real = TruckSpec.__new__
+        built = []
+        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
+            built.append(args or kwargs) or real(cls, *args, **kwargs)))
+        again, fleet = clone(instance), clone(prepared)
+        assert built == []
+        assert again == instance and repr(again) == repr(instance)
+        assert fleet == prepared and repr(fleet) == repr(prepared)
+        ints = ProblemInstance(trucks=(ft(1, 4), et(2, 7, soc=50, max_soc=100), ft(3, 0)),
+                               route=REF_ROUTE, econ=REF_ECON)
+        copied = clone(ints)
+        assert copied == ints and repr(copied) == repr(ints)
+        assert [type(t.arrival_time) for t in copied.trucks] == [int, int, int]
+
     @pytest.mark.parametrize("cfg", [
         ScenarioConfig(n_trucks=200, seed=5),
         ScenarioConfig(n_trucks=60, et_share=1.0, seed=2),

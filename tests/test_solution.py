@@ -24,7 +24,6 @@ from platoon_coord import (
     solve_fixed_interval,
     solve_spontaneous,
 )
-from platoon_coord.kernels import fleet_arrays
 from platoon_coord.utility import LEADER_BY_CODE, PlatoonTable, check_cover, price_platoons
 from conftest import REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 
@@ -111,10 +110,9 @@ class TestAssembly:
         # The ET is ready at 25.1 but may leave alone only at 34.8.
         prepared = prepare([et(1, 0.0, soc=30.0), ft(2, 28.0), ft(3, 30.0), ft(4, 31.0),
                             et(5, 32.0, soc=95.0)])
-        arr = fleet_arrays(prepared, REF_ROUTE)
 
         def priced(blocks):  # (start, size, leader kind)
-            return price_platoons(prepared, arr, *zip(*blocks), REF_ROUTE, REF_ECON)
+            return price_platoons(prepared, *zip(*blocks), REF_ROUTE, REF_ECON)
 
         with pytest.raises(ContractViolation, match="departure, first rank"):
             Solution.from_table("DP-LS", priced([(3, 2, 1), (1, 2, 1), (0, 1, 0)]))
@@ -129,8 +127,9 @@ class TestAssembly:
     def test_dp_orders_a_postponed_solo(self, solve):
         """With nbar = 1 every truck leaves alone, so the ET that is ready
         first but alone-safe only at 34.8 leaves behind the fuel trucks."""
-        prepared = prepare([et(1, 0.0, soc=30.0), ft(2, 28.0), ft(3, 30.0), ft(4, 31.0)])
         route = replace(REF_ROUTE, max_platoon_size=1)
+        prepared = prepare([et(1, 0.0, soc=30.0), ft(2, 28.0), ft(3, 30.0), ft(4, 31.0)],
+                           route=route)
         sol = solve(prepared, route, REF_ECON)
         records = [evaluate_platoon([p], LEADER_BY_CODE[not p.is_electric], route, REF_ECON)
                    for p in prepared]
