@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import groupby
 from typing import List
 
 import numpy as np
@@ -29,12 +28,7 @@ from .model import (
     TIME_TOL,
 )
 from .solution import Diagnostics, Solution
-from .utility import (
-    LeaderType,
-    PlatoonAssignment,
-    evaluate_platoon,
-    leader_type_for_kind,
-)
+from .utility import LeaderType, PlatoonAssignment, evaluate_platoon
 
 SPONTANEOUS = "SPONTANEOUS"
 FIXED_INTERVAL = "FIXED-INTERVAL"
@@ -51,33 +45,36 @@ def _solve_grouped(method: str, fleet: PreparedFleet, slot,
     start = time.perf_counter()
     arr = fleet_arrays(fleet, route)
     records = list(fleet)
-    depart = slot(arr.tau_delta).tolist()
+    n = len(records)
+    slots = slot(arr.tau_delta)
+    depart = slots.tolist()
     # A slot end may fall an ulp before a truck is ready; the scalar pricing
     # clamps that slack at 0, so clamp to agree with it.
-    can_lead = member_terms(arr, np.arange(len(records)),
-                            np.maximum(depart, arr.tau_delta))[3]
+    can_lead = member_terms(arr, np.arange(n), np.maximum(slots, arr.tau_delta))[3]
     et, et_leads = arr.is_et.tolist(), (arr.is_et & can_lead).tolist()
+    # Where each run of trucks sharing a slot instant begins.
+    runs = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), n]
     cap = route.max_platoon_size
     platoons: List[PlatoonAssignment] = []
-    for depart_at, group in groupby(range(len(records)), key=depart.__getitem__):
-        group = list(group)
-        end = group[-1] + 1
-        for lo in range(group[0], end, cap):
+    for first, end in zip(runs, runs[1:]):
+        depart_at = depart[first]
+        for lo in range(first, end, cap):
             hi = min(lo + cap, end)
-            block = records[lo:hi]
-            ok_e, ok_f = any(et_leads[lo:hi]), not all(et[lo:hi])
-            if len(block) > 1 and (ok_e or ok_f):
-                electric = ok_e and (not ok_f or leader_draw_bit(seed, hi, len(block)))
-                platoons.append(evaluate_platoon(
-                    block, LeaderType.ELECTRIC if electric else LeaderType.FUEL,
-                    route, econ, depart_at=depart_at))
-                continue
-            for m in block:
-                solo = evaluate_platoon([m], leader_type_for_kind(m.kind), route, econ,
-                                        depart_at=depart_at)
+            if hi - lo > 1:
+                ok_e, ok_f = any(et_leads[lo:hi]), not all(et[lo:hi])
+                if ok_e or ok_f:
+                    electric = ok_e and (not ok_f or leader_draw_bit(seed, hi, hi - lo))
+                    platoons.append(evaluate_platoon(
+                        records[lo:hi], LeaderType.ELECTRIC if electric else LeaderType.FUEL,
+                        route, econ, depart_at=depart_at))
+                    continue
+            for k in range(lo, hi):
+                solo = evaluate_platoon(
+                    [records[k]], LeaderType.ELECTRIC if et[k] else LeaderType.FUEL,
+                    route, econ, depart_at=depart_at)
                 if not solo.ledger[0].can_lead:
                     raise NoFeasibleScheduleError(
-                        f"truck {m.id}: cannot drive alone safely and has no "
+                        f"truck {records[k].id}: cannot drive alone safely and has no "
                         "platoon to follow"
                     )
                 platoons.append(solo)

@@ -242,9 +242,11 @@ class PreparedFleet(Sequence):
         return iter(self._rows())
 
     def __eq__(self, other):
+        # A prepared fleet is a function of its instance, and instances
+        # compare by their columns, so no record is built.
         if not isinstance(other, PreparedFleet):
             return NotImplemented
-        return self._rows() == other._rows()
+        return self.instance == other.instance
 
     def __repr__(self) -> str:
         return f"PreparedFleet({self._rows()!r})"

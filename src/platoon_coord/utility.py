@@ -8,6 +8,7 @@ profit minus the charging and waiting cost of every member.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import accumulate, chain
@@ -105,16 +106,17 @@ def et_charge_time(member: PreparedTruck, depart_at: float) -> float:
     is full or the platoon leaves, whichever comes first; what remains of the
     gap is waiting.
     """
-    if not member.is_electric:
-        raise ContractViolation(f"truck {member.id}: fuel trucks do not charge")
-    if depart_at < member.earliest_departure - TIME_TOL:
+    spec, min_charge, min_soc, earliest, _ = member
+    if spec.kind is not TruckKind.ELECTRIC:
+        raise ContractViolation(f"truck {spec.id}: fuel trucks do not charge")
+    if depart_at < earliest - TIME_TOL:
         raise ContractViolation(
-            f"truck {member.id}: departure {depart_at:.6g} precedes earliest "
-            f"departure {member.earliest_departure:.6g}"
+            f"truck {spec.id}: departure {depart_at:.6g} precedes earliest "
+            f"departure {earliest:.6g}"
         )
-    slack = max(0.0, depart_at - member.earliest_departure)
-    fill = (member.spec.max_soc - member.min_departure_soc) / member.spec.charge_rate
-    return member.min_charge_time + min(fill, slack)
+    slack = max(0.0, depart_at - earliest)
+    fill = (spec.max_soc - min_soc) / spec.charge_rate
+    return min_charge + min(fill, slack)
 
 
 def alone_charge_time(member: PreparedTruck, route: RouteParams) -> float:
@@ -150,109 +152,96 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
     an electric leader (highest overall when none qualifies, leaving the
     feasibility verdict to the caller). Whether an electric leader is actually
     safe is the caller's check; this function only reports the SoC figures.
+    A departure that is not finite, or a rank listed twice, is a
+    `ContractViolation`.
     """
-    members = sorted(members, key=lambda m: m.rank)
-    n = len(members)
+    ranks = [m.rank for m in members]
+    if ranks != sorted(ranks):
+        members = sorted(members, key=lambda m: m.rank)
+        ranks.sort()
+    n = len(ranks)
     if n == 0:
         raise ContractViolation("platoon needs at least one member")
     if n > route.max_platoon_size:
         raise ContractViolation(
             f"platoon of {n} exceeds the size cap {route.max_platoon_size}"
         )
+    if len(set(ranks)) < n:
+        raise ContractViolation("a rank appears more than once in one platoon")
 
-    earliest = max(m.earliest_departure for m in members)
+    earliest = max([m.earliest_departure for m in members])
     if depart_at is None:
         depart_at = earliest
+    elif not -math.inf < depart_at < math.inf:
+        raise ContractViolation(f"departure {depart_at!r} is not finite")
     elif depart_at < earliest - TIME_TOL:
         raise ContractViolation(
             f"departure {depart_at:.6g} precedes a member's earliest departure"
         )
 
+    electric = TruckKind.ELECTRIC
     solo = n == 1
     if solo:
-        if leader_type is not leader_type_for_kind(members[0].kind):
+        first = members[0]
+        if leader_type is not leader_type_for_kind(first.spec.kind):
             raise ContractViolation("solo truck must lead as its own kind")
-        if members[0].is_electric:
-            depart_at = max(depart_at, alone_departure(members[0], route))
+        if first.spec.kind is electric:
+            depart_at = max(depart_at, alone_departure(first, route))
     else:
-        kinds = {m.kind for m in members}
-        wanted = TruckKind.ELECTRIC if leader_type is LeaderType.ELECTRIC else TruckKind.FUEL
-        if wanted not in kinds:
+        wanted = electric if leader_type is LeaderType.ELECTRIC else TruckKind.FUEL
+        if wanted not in [m.spec.kind for m in members]:
             raise ContractViolation(f"no {wanted.value} member to lead this platoon")
 
-    et_count = sum(1 for m in members if m.is_electric)
-    ft_count = n - et_count
-
-    # First pass: charge/wait split and departure SoC, independent of roles.
-    charges, waits, dep_socs, leadable = [], [], [], []
+    # First pass, in rank order: charge/wait split, departure SoC and the
+    # loss, independent of roles.
+    charge_cost, wait_cost = econ.charge_cost, econ.wait_cost
+    terms = []
+    et_count = 0
+    loss = 0.0
     for m in members:
-        if m.is_electric:
+        spec = m.spec
+        if spec.kind is electric:
+            et_count += 1
             charge = et_charge_time(m, depart_at)
-            wait = depart_at - m.arrival_time - charge
-            dep_soc = min(m.spec.max_soc,
-                          soc_after_charge(m.spec.initial_soc, m.spec.charge_rate, charge))
-            need, _ = departure_soc_bounds(m.spec, route, LEAD_COEFF)
-            can_lead = dep_soc >= need - SOC_TOL
+            wait = depart_at - spec.arrival_time - charge
+            dep_soc = min(spec.max_soc,
+                          soc_after_charge(spec.initial_soc, spec.charge_rate, charge))
+            need, _ = departure_soc_bounds(spec, route, LEAD_COEFF)
+            terms.append((spec, charge, wait, dep_soc, dep_soc >= need - SOC_TOL))
+            loss += charge_cost * charge + wait_cost * wait
         else:
-            charge = 0.0
-            wait = depart_at - m.arrival_time
-            dep_soc = None
-            can_lead = True
-        charges.append(charge)
-        waits.append(wait)
-        dep_socs.append(dep_soc)
-        leadable.append(can_lead)
+            wait = depart_at - spec.arrival_time
+            terms.append((spec, 0.0, wait, None, True))
+            loss += wait_cost * wait
 
     if solo:
         leader_pos = 0
     elif leader_type is LeaderType.FUEL:
-        leader_pos = next(k for k, m in enumerate(members) if not m.is_electric)
+        leader_pos = next(k for k, t in enumerate(terms) if t[3] is None)
     else:
-        candidates = [k for k, m in enumerate(members) if m.is_electric and leadable[k]]
+        # max keeps the first of equal SoCs: the lowest rank.
+        candidates = [k for k, t in enumerate(terms) if t[3] is not None and t[4]]
         if not candidates:
-            candidates = [k for k, m in enumerate(members) if m.is_electric]
-        leader_pos = max(candidates, key=lambda k: (dep_socs[k], -members[k].rank))
+            candidates = [k for k, t in enumerate(terms) if t[3] is not None]
+        leader_pos = max(candidates, key=lambda k: terms[k][3])
 
+    follower_coeff, distance = route.follower_coeff, route.distance
     ledger = []
-    loss = 0.0
-    for k, m in enumerate(members):
+    for k, (spec, charge, wait, dep_soc, can_lead) in enumerate(terms):
         if solo:
-            role = Role.ALONE
+            role, coeff = Role.ALONE, LEAD_COEFF
         elif k == leader_pos:
-            role = Role.LEADER
+            role, coeff = Role.LEADER, LEAD_COEFF
         else:
-            role = Role.FOLLOWER
-        coeff = LEAD_COEFF if role in (Role.LEADER, Role.ALONE) else route.follower_coeff
-        if m.is_electric:
-            arr_soc = soc_after_trip(dep_socs[k], m.spec.discharge_rate,
-                                     route.distance, coeff)
-            loss += econ.charge_cost * charges[k] + econ.wait_cost * waits[k]
-        else:
-            arr_soc = None
-            loss += econ.wait_cost * waits[k]
-        ledger.append(MemberLedger(
-            truck_id=m.id,
-            rank=m.rank,
-            kind=m.kind,
-            role=role,
-            charge_time=charges[k],
-            wait_time=waits[k],
-            departure_soc=dep_socs[k],
-            arrival_soc=arr_soc,
-            can_lead=leadable[k],
-        ))
+            role, coeff = Role.FOLLOWER, follower_coeff
+        arr_soc = (None if dep_soc is None
+                   else soc_after_trip(dep_soc, spec.discharge_rate, distance, coeff))
+        ledger.append(MemberLedger(spec.id, ranks[k], spec.kind, role, charge, wait,
+                                   dep_soc, arr_soc, can_lead))
 
-    profit = 0.0 if solo else platoon_profit(et_count, ft_count, leader_type, econ)
-    return PlatoonAssignment(
-        ranks=tuple(m.rank for m in members),
-        leader_type=leader_type,
-        leader_rank=members[leader_pos].rank,
-        departure_time=depart_at,
-        ledger=tuple(ledger),
-        profit=profit,
-        loss=loss,
-        utility=profit - loss,
-    )
+    profit = 0.0 if solo else platoon_profit(et_count, n - et_count, leader_type, econ)
+    return PlatoonAssignment(tuple(ranks), leader_type, ranks[leader_pos], depart_at,
+                             tuple(ledger), profit, loss, profit - loss)
 
 
 LEADER_BY_CODE = (LeaderType.ELECTRIC, LeaderType.FUEL)

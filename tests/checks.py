@@ -4,8 +4,25 @@ import numpy as np
 
 from platoon_coord import LeaderType, Role, aggregate
 from platoon_coord.kernels import fleet_arrays
-from platoon_coord.model import LEAD_COEFF, MONEY_TOL, SOC_TOL, TIME_TOL, departure_soc_bounds
-from platoon_coord.utility import alone_departure
+from platoon_coord.model import (
+    LEAD_COEFF,
+    MONEY_TOL,
+    SOC_TOL,
+    TIME_TOL,
+    ContractViolation,
+    TruckKind,
+    departure_soc_bounds,
+    soc_after_charge,
+    soc_after_trip,
+)
+from platoon_coord.utility import (
+    MemberLedger,
+    PlatoonAssignment,
+    alone_departure,
+    et_charge_time,
+    leader_type_for_kind,
+    platoon_profit,
+)
 
 
 def assert_solution_valid(solution, prepared, route, consecutive=True):
@@ -87,3 +104,125 @@ def assert_fleet_arrays_match_scalar(fleet, route, records=None):
             got = columns[name][m.rank].item()
             value = type(got)(value)
             assert got == value and repr(got) == repr(value), (name, m.rank)
+
+
+# The scalar pricing written plainly, one generator pass and one keyword
+# record at a time: the reference that `utility.evaluate_platoon`, the
+# baselines and `utility.price_platoons` are checked against.
+def reference_evaluate_platoon(members, leader_type, route, econ, depart_at=None):
+    """Price a candidate platoon and build its full per-member ledger.
+
+    The platoon departs at `depart_at` (default: the latest member's earliest
+    departure). A single ET scheduled on its own is charged up to the
+    alone-safe level, postponing its departure if the requested instant comes
+    too early for that; grouped members never need this because followers are
+    covered by the mandatory charge.
+
+    Leader identity is resolved deterministically: the lowest-rank fuel truck
+    for a fuel leader, the lead-capable ET with the highest departure SoC for
+    an electric leader (highest overall when none qualifies, leaving the
+    feasibility verdict to the caller). Whether an electric leader is actually
+    safe is the caller's check; this function only reports the SoC figures.
+    """
+    members = sorted(members, key=lambda m: m.rank)
+    n = len(members)
+    if n == 0:
+        raise ContractViolation("platoon needs at least one member")
+    if n > route.max_platoon_size:
+        raise ContractViolation(
+            f"platoon of {n} exceeds the size cap {route.max_platoon_size}"
+        )
+
+    earliest = max(m.earliest_departure for m in members)
+    if depart_at is None:
+        depart_at = earliest
+    elif depart_at < earliest - TIME_TOL:
+        raise ContractViolation(
+            f"departure {depart_at:.6g} precedes a member's earliest departure"
+        )
+
+    solo = n == 1
+    if solo:
+        if leader_type is not leader_type_for_kind(members[0].kind):
+            raise ContractViolation("solo truck must lead as its own kind")
+        if members[0].is_electric:
+            depart_at = max(depart_at, alone_departure(members[0], route))
+    else:
+        kinds = {m.kind for m in members}
+        wanted = TruckKind.ELECTRIC if leader_type is LeaderType.ELECTRIC else TruckKind.FUEL
+        if wanted not in kinds:
+            raise ContractViolation(f"no {wanted.value} member to lead this platoon")
+
+    et_count = sum(1 for m in members if m.is_electric)
+    ft_count = n - et_count
+
+    # First pass: charge/wait split and departure SoC, independent of roles.
+    charges, waits, dep_socs, leadable = [], [], [], []
+    for m in members:
+        if m.is_electric:
+            charge = et_charge_time(m, depart_at)
+            wait = depart_at - m.arrival_time - charge
+            dep_soc = min(m.spec.max_soc,
+                          soc_after_charge(m.spec.initial_soc, m.spec.charge_rate, charge))
+            need, _ = departure_soc_bounds(m.spec, route, LEAD_COEFF)
+            can_lead = dep_soc >= need - SOC_TOL
+        else:
+            charge = 0.0
+            wait = depart_at - m.arrival_time
+            dep_soc = None
+            can_lead = True
+        charges.append(charge)
+        waits.append(wait)
+        dep_socs.append(dep_soc)
+        leadable.append(can_lead)
+
+    if solo:
+        leader_pos = 0
+    elif leader_type is LeaderType.FUEL:
+        leader_pos = next(k for k, m in enumerate(members) if not m.is_electric)
+    else:
+        candidates = [k for k, m in enumerate(members) if m.is_electric and leadable[k]]
+        if not candidates:
+            candidates = [k for k, m in enumerate(members) if m.is_electric]
+        leader_pos = max(candidates, key=lambda k: (dep_socs[k], -members[k].rank))
+
+    ledger = []
+    loss = 0.0
+    for k, m in enumerate(members):
+        if solo:
+            role = Role.ALONE
+        elif k == leader_pos:
+            role = Role.LEADER
+        else:
+            role = Role.FOLLOWER
+        coeff = LEAD_COEFF if role in (Role.LEADER, Role.ALONE) else route.follower_coeff
+        if m.is_electric:
+            arr_soc = soc_after_trip(dep_socs[k], m.spec.discharge_rate,
+                                     route.distance, coeff)
+            loss += econ.charge_cost * charges[k] + econ.wait_cost * waits[k]
+        else:
+            arr_soc = None
+            loss += econ.wait_cost * waits[k]
+        ledger.append(MemberLedger(
+            truck_id=m.id,
+            rank=m.rank,
+            kind=m.kind,
+            role=role,
+            charge_time=charges[k],
+            wait_time=waits[k],
+            departure_soc=dep_socs[k],
+            arrival_soc=arr_soc,
+            can_lead=leadable[k],
+        ))
+
+    profit = 0.0 if solo else platoon_profit(et_count, ft_count, leader_type, econ)
+    return PlatoonAssignment(
+        ranks=tuple(m.rank for m in members),
+        leader_type=leader_type,
+        leader_rank=members[leader_pos].rank,
+        departure_time=depart_at,
+        ledger=tuple(ledger),
+        profit=profit,
+        loss=loss,
+        utility=profit - loss,
+    )

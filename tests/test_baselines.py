@@ -22,14 +22,9 @@ from platoon_coord.kernels import leader_draw_bit
 from platoon_coord.model import SOC_TOL, TIME_TOL
 from platoon_coord.scenario import solution_text
 from platoon_coord.solution import Diagnostics, Solution
-from platoon_coord.utility import (
-    LeaderType,
-    evaluate_platoon,
-    leader_feasible,
-    leader_type_for_kind,
-)
+from platoon_coord.utility import LeaderType, leader_feasible, leader_type_for_kind
 from conftest import LEAD_NEED, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
-from checks import assert_solution_valid
+from checks import assert_solution_valid, reference_evaluate_platoon
 
 APPROX = dict(abs=1e-9)
 
@@ -47,7 +42,8 @@ def reference_block(block, depart_at, route, econ, seed):
     to solos when no member could lead."""
     if len(block) == 1:
         kind_leader = leader_type_for_kind(block[0].kind)
-        solo = evaluate_platoon(block, kind_leader, route, econ, depart_at=depart_at)
+        solo = reference_evaluate_platoon(block, kind_leader, route, econ,
+                                          depart_at=depart_at)
         if not solo.ledger[0].can_lead:
             raise NoFeasibleScheduleError(
                 f"truck {block[0].id}: cannot drive alone safely and has no "
@@ -57,7 +53,7 @@ def reference_block(block, depart_at, route, econ, seed):
 
     probe_type = (LeaderType.FUEL if any(not m.is_electric for m in block)
                   else LeaderType.ELECTRIC)
-    probe = evaluate_platoon(block, probe_type, route, econ, depart_at=depart_at)
+    probe = reference_evaluate_platoon(block, probe_type, route, econ, depart_at=depart_at)
     ok_e = leader_feasible(probe, LeaderType.ELECTRIC)
     ok_f = leader_feasible(probe, LeaderType.FUEL)
     if not (ok_e or ok_f):
@@ -73,7 +69,7 @@ def reference_block(block, depart_at, route, econ, seed):
         chosen = LeaderType.ELECTRIC if ok_e else LeaderType.FUEL
     if chosen is probe.leader_type:
         return [probe]
-    return [evaluate_platoon(block, chosen, route, econ, depart_at=depart_at)]
+    return [reference_evaluate_platoon(block, chosen, route, econ, depart_at=depart_at)]
 
 
 def reference_grouped(method, prepared, slot, route, econ, seed):

@@ -23,6 +23,7 @@ from platoon_coord import (
     ProblemInstance,
     RouteParams,
     ScenarioConfig,
+    TruckSpec,
     generate,
     min_charge_time,
     prepare_fleet,
@@ -340,6 +341,25 @@ class TestPreparedFleet:
         assert fleet == prepare_fleet(inst)
         assert fleet != prepare_fleet(generate(ScenarioConfig(n_trucks=30, seed=4)))
         assert fleet != records  # a fleet is not a list, as a tuple is not
+        # Fleets compare by their instances: the same records drawn for
+        # another seed, or listed in another order, make another fleet.
+        for other in (ProblemInstance(inst.trucks, inst.route, inst.econ, inst.seed + 1),
+                      ProblemInstance(inst.trucks[::-1], inst.route, inst.econ, inst.seed)):
+            again = prepare_fleet(other)
+            assert list(again) == records and again != fleet
+
+    def test_equality_builds_no_records(self, monkeypatch):
+        config = ScenarioConfig(n_trucks=200, seed=3)
+        fleet, same = prepare_fleet(generate(config)), prepare_fleet(generate(config))
+        other = prepare_fleet(generate(replace(config, seed=4)))
+        built = []
+        real_spec, real_record = TruckSpec.__new__, discretize.PreparedTruck
+        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
+            built.append(args or kwargs) or real_spec(cls, *args, **kwargs)))
+        monkeypatch.setattr(discretize, "PreparedTruck",
+                            lambda *fields: built.append(fields) or real_record(*fields))
+        assert fleet == same and fleet != other and not fleet != same
+        assert built == []
 
     def test_records_are_built_once(self, monkeypatch):
         _, fleet, _ = fleet_and_records()

@@ -3,7 +3,8 @@
 `tests/data` holds two instance files and the SHA-256 of every file
 `platoon-coord solve` wrote for them when they were made: each method as
 JSON, as CSV, and as `--timing` JSON with its `solve_ms` line removed (wall
-clock). The writer tests elsewhere compare against reference builders that
+clock), and `fixed-interval --interval 0.1` as JSON and CSV, whose slot
+ends fall an ulp before some trucks are ready. The writer tests elsewhere compare against reference builders that
 change with the code; these digests do not. `dense-ties-300` is a 300-truck
 fleet at 14 arrivals a minute with exact ties, nbar 16 and ETs that can
 follow but never lead; `integer-arrivals-200` has integer arrival times,
@@ -29,6 +30,8 @@ DATA = Path(__file__).parent / "data"
 DIGESTS = json.loads((DATA / "golden-digests.json").read_text(encoding="utf-8"))
 GENERATED = DIGESTS.pop("generate")
 FORMATS = {"json": [], "csv": ["--format", "csv"], "timing": ["--timing"]}
+# What follows `--method` on each pinned command line.
+RUNS = (*METHODS, "fixed-interval --interval 0.1")
 GENERATE_FLAGS = {
     "seed-3": [],
     "dense": ["--n", "2000", "--et-share", "0.7", "--soc-lo", "10", "--soc-hi", "60",
@@ -46,14 +49,14 @@ def digest(path, fmt):
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", RUNS)
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_solve_outputs_keep_their_bytes(name, method, tmp_path, capsys):
-    for fmt, flags in FORMATS.items():
+    for fmt, expected in DIGESTS[name][method].items():
         out = tmp_path / f"solution.{fmt}"
-        assert main(["solve", str(DATA / f"{name}.json"), "--method", method,
-                     "--out", str(out), *flags]) == 0
-        assert digest(out, fmt) == DIGESTS[name][method][fmt], fmt
+        assert main(["solve", str(DATA / f"{name}.json"), "--method", *method.split(),
+                     "--out", str(out), *FORMATS[fmt]]) == 0
+        assert digest(out, fmt) == expected, fmt
     capsys.readouterr()
 
 

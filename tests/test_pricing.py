@@ -1,10 +1,11 @@
 """The columnar fast path against its scalar reference.
 
 `utility.price_platoons` prices many platoons at once from the fleet columns
-that `discretize.prepare_fleet` builds; `utility.evaluate_platoon` and the
-per-truck formulas of `discretize` and `utility` stay the reference. The two
-must agree exactly: `==` on every field, and `repr` so that float bits, the
-sign of zero and plain-`float` types match too.
+that `discretize.prepare_fleet` builds; the scalar pricing of
+`checks.reference_evaluate_platoon` and the per-truck formulas of
+`discretize` and `utility` stay the reference. The two must agree exactly:
+`==` on every field, and `repr` so that float bits, the sign of zero and
+plain-`float` types match too.
 """
 
 import re
@@ -21,7 +22,6 @@ from platoon_coord import (
     LeaderType,
     NoFeasibleScheduleError,
     ScenarioConfig,
-    evaluate_platoon,
     generate,
     leader_feasible,
     prepare_fleet,
@@ -37,7 +37,7 @@ from platoon_coord.utility import (
     leader_type_for_kind,
     price_platoons,
 )
-from checks import assert_fleet_arrays_match_scalar
+from checks import assert_fleet_arrays_match_scalar, reference_evaluate_platoon
 from conftest import ET_VRATE, REF_ECON, REF_ROUTE, UNLEADABLE, et, fleet_instances, ft, prepare
 
 LEADER_CODE = {LeaderType.ELECTRIC: 0, LeaderType.FUEL: 1}
@@ -49,11 +49,11 @@ def assert_same(batch, scalar):
 
 
 def assert_schedule_matches_reference(sol, prepared, route, econ):
-    """Every platoon of a dp schedule equals `evaluate_platoon` on its block,
-    by `==` and by `repr`."""
+    """Every platoon of a dp schedule equals the scalar reference pricing on
+    its block, by `==` and by `repr`."""
     for p in sol.platoons:
         members = prepared[p.ranks[0]:p.ranks[-1] + 1]
-        assert_same(p, evaluate_platoon(members, p.leader_type, route, econ))
+        assert_same(p, reference_evaluate_platoon(members, p.leader_type, route, econ))
 
 
 def solve_both(prepared, route, econ):
@@ -215,7 +215,7 @@ def small_fleets(draw):
 @given(small_fleets())
 def test_every_block_and_leader_kind(case):
     """One batch call over every consecutive block and every leader kind its
-    members allow equals `evaluate_platoon` block by block; so does the same
+    members allow equals the scalar reference block by block; so does the same
     batch restricted to the kinds `leader_feasible` admits."""
     prepared, route, econ = case
     blocks, expected = [], []
@@ -225,7 +225,7 @@ def test_every_block_and_leader_kind(case):
             kinds = {leader_type_for_kind(m.kind) for m in members}
             for leader in sorted(kinds, key=LEADER_CODE.get):
                 blocks.append((start, size, LEADER_CODE[leader]))
-                expected.append(evaluate_platoon(members, leader, route, econ))
+                expected.append(reference_evaluate_platoon(members, leader, route, econ))
     starts, sizes, leaders = zip(*blocks)
     assert_same(price_platoons(prepared, starts, sizes, leaders, route, econ).records(),
                 expected)

@@ -1,16 +1,34 @@
+import math
+
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from platoon_coord import (
     ContractViolation,
+    HorizonExceededError,
+    InfeasibleTruckError,
     LeaderType,
     Role,
     aggregate,
     et_charge_time,
     evaluate_platoon,
     platoon_profit,
+    prepare_fleet,
 )
+from platoon_coord.model import TIME_TOL
 from platoon_coord.utility import alone_charge_time, alone_departure
-from conftest import FOLLOW_NEED, LEAD_NEED, REF_ECON, REF_ROUTE, et, ft, prepare
+from checks import reference_evaluate_platoon
+from conftest import (
+    FOLLOW_NEED,
+    LEAD_NEED,
+    REF_ECON,
+    REF_ROUTE,
+    UNLEADABLE,
+    et,
+    fleet_instances,
+    ft,
+    prepare,
+)
 
 APPROX = dict(abs=1e-9)
 
@@ -166,6 +184,76 @@ class TestEvaluatePlatoon:
         solo = prepare([et(1, 0.0, soc=80.0)])
         with pytest.raises(ContractViolation):
             evaluate_platoon(solo, LeaderType.FUEL, REF_ROUTE, REF_ECON)
+
+    @pytest.mark.parametrize("depart_at", [math.nan, math.inf, -math.inf])
+    def test_departure_must_be_finite(self, depart_at):
+        prepared = prepare([ft(1, 0.0), et(2, 1.0, soc=80.0)])
+        for members, leader in ((prepared, LeaderType.FUEL), (prepared[1:], LeaderType.ELECTRIC)):
+            with pytest.raises(ContractViolation, match="is not finite"):
+                evaluate_platoon(members, leader, REF_ROUTE, REF_ECON, depart_at=depart_at)
+
+    def test_rank_must_not_repeat(self):
+        fuel, electric = prepare([ft(1, 0.0), et(2, 1.0, soc=80.0)])
+        for members in ([fuel, fuel], [electric, fuel, electric]):
+            with pytest.raises(ContractViolation, match="more than once"):
+                evaluate_platoon(members, LeaderType.FUEL, REF_ROUTE, REF_ECON)
+
+
+def _priced(price, members, leader, route, econ, depart_at):
+    """What `price` returns for these arguments, or the type and message of
+    what it raises."""
+    try:
+        return price(members, leader, route, econ, depart_at=depart_at)
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def pricing_calls(draw):
+    """A prepared fleet of `conftest.fleet_instances` and a call on it: a
+    subset of its trucks in any order, none twice, with or without gaps in
+    rank (empty and over-size subsets included), a leader kind, and a
+    departure that is the default, the subset's ready instant, later, within
+    `TIME_TOL` below it, or earlier than that."""
+    try:
+        prepared = prepare_fleet(draw(fleet_instances()))
+    except (HorizonExceededError, InfeasibleTruckError):
+        reject()
+    n, cap = len(prepared), prepared.instance.route.max_platoon_size
+    size = draw(st.one_of(st.integers(1, min(n, cap)), st.integers(0, n)))
+    members = [prepared[k] for k in draw(st.permutations(range(n)))[:size]]
+    leader = draw(st.sampled_from(LeaderType))
+    ready = max([m.earliest_departure for m in members], default=0.0)
+    depart_at = draw(st.sampled_from((
+        None, ready, ready + draw(st.sampled_from((0.1, 7.25, 300.0))),
+        ready - draw(st.floats(0.0, 1.0)) * TIME_TOL, ready - 1.0)))
+    return members, leader, prepared.instance.route, prepared.instance.econ, depart_at
+
+
+# ETs that can follow but never lead, taken out of rank order with a gap;
+# and a weak solo ET whose requested departure comes before it may drive
+# alone.
+_UNLEADABLE = prepare([et(k, float(k), soc=20.0 + 25.0 * k, vrate=UNLEADABLE)
+                       for k in range(4)])
+_WEAK = prepare([et(1, 50.0, soc=30.0)])
+
+
+class TestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(pricing_calls())
+    @example(([_UNLEADABLE[3], _UNLEADABLE[0], _UNLEADABLE[1]], LeaderType.ELECTRIC,
+              REF_ROUTE, REF_ECON, None))
+    @example(([_UNLEADABLE[3], _UNLEADABLE[0], _UNLEADABLE[1]], LeaderType.FUEL,
+              REF_ROUTE, REF_ECON, None))
+    @example((list(_WEAK), LeaderType.ELECTRIC, REF_ROUTE, REF_ECON,
+              _WEAK[0].earliest_departure + 1.0))
+    def test_same_record_or_same_error(self, call):
+        """`evaluate_platoon` equals the plain scalar reference by `==` and
+        by `repr`, or raises the same error with the same message."""
+        got = _priced(evaluate_platoon, *call)
+        expected = _priced(reference_evaluate_platoon, *call)
+        assert got == expected
+        assert repr(got) == repr(expected)
 
 
 class TestAggregate:
