@@ -249,7 +249,11 @@ class PreparedFleet(Sequence):
         return self.instance == other.instance
 
     def __repr__(self) -> str:
-        return f"PreparedFleet({self._rows()!r})"
+        # The fleet's size, route and seed; listing its records would build
+        # one per truck.
+        instance = self.instance
+        return (f"{type(self).__qualname__}(n_trucks={len(self)}, route={instance.route!r}, "
+                f"seed={instance.seed!r})")
 
 
 def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:

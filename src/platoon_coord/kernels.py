@@ -4,16 +4,22 @@ pricer `utility.price_platoons` share: `member_terms`, `block_departure`
 and `block_profit`.
 
 The recursion scans every (prefix, platoon size, leader kind) candidate,
-which dominates runtime at fleet scale. It runs in two steps: numpy prices
-all (last truck, size) candidates of the fleet in one table, reducing each
-to a single utility and leader kind, then a plain-Python max-plus loop over
-the table's rows fills the value table and the winning choice per prefix.
+which dominates runtime at fleet scale. It runs a block of `CHUNK_ROWS`
+rows at a time, in two steps: numpy prices the block's (last truck, size)
+candidates in one table, reducing each to a single utility and leader kind,
+then the max-plus recursion over the block's rows fills the value table and
+the winning choice per prefix. The recursion is Python source written out
+once per window width, with the window in local variables, so a candidate
+costs one addition and one comparison and no indexing; the additions and
+comparisons are those of a plain loop over the table, in the same order.
 Leader draws for the randomized variant come from a counter-based splitmix64
 stream keyed by (seed, prefix, size) so results are independent of
 evaluation order and reproducible across platforms.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -110,52 +116,101 @@ def block_profit(econ, et_count, ft_count, fuel_led):
             + econ.et_follower_profit * (et_count - (1 - fuel)))
 
 
-def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
-                     mode: int, bits: np.ndarray):
-    """Price every (last truck, size) candidate in one vectorised pass.
+# Rows of the candidate table built, and run through the recursion, at a
+# time, so the kernel's memory grows with nbar but not with the fleet.
+CHUNK_ROWS = 8192
 
-    Row r, column k is the platoon of trucks r - k .. r. Returns the utility
-    of each candidate under its leader kind (-inf when no kind is safe or the
-    block runs past the first truck), that kind as a code (0 electric,
-    1 fuel), the work each candidate adds to the `updates` counter, and the
-    prefix length each candidate extends.
+
+def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
+                     mode: int, bits: np.ndarray, lo: int, hi: int):
+    """Price the (last truck, size) candidates of rows `lo` .. `hi` - 1 in one
+    vectorised pass.
+
+    Row r - lo, column k is the platoon of trucks r - k .. r. A row reads
+    only the fleet's columns, so these are exactly those rows of the table
+    over the whole fleet. Returns the utility of each candidate under its
+    leader kind (-inf when no kind is safe or the block runs past the first
+    truck), that kind as a code (0 electric, 1 fuel), the work each
+    candidate adds to the `updates` counter, and the prefix length each
+    candidate extends.
     """
     ew, ec = econ.wait_cost, econ.charge_cost
-    n = arr.size
     k = np.arange(nbar)
-    rows = np.arange(n)
+    rows = np.arange(lo, hi)
     idx = rows[:, None] - k[None, :]
     valid = idx >= 0
     idxc = np.where(valid, idx, 0)
 
-    charge, wait, _, can_lead = member_terms(arr, idxc, arr.tau_delta[:, None])
+    charge, wait, _, can_lead = member_terms(arr, idxc, arr.tau_delta[lo:hi, None])
     cum_loss = np.cumsum(np.where(valid, ec * charge + ew * wait, 0.0), axis=1)
     etw = arr.is_et[idxc].astype(bool) & valid
     et_cnt = np.cumsum(etw, axis=1)
-    ft_cnt = np.arange(1, nbar + 1)[None, :] - et_cnt
     lead_ok = np.logical_or.accumulate(etw & can_lead, axis=1)
 
-    j_e = block_profit(econ, et_cnt, ft_cnt, False) - cum_loss
-    j_f = block_profit(econ, et_cnt, ft_cnt, True) - cum_loss
+    # The profit depends only on (size, ET count): price that grid once and
+    # gather it, the same `block_profit` on the same integers.
+    ets = np.arange(nbar + 1)[None, :]
+    fts = np.arange(1, nbar + 1)[:, None] - ets
+    cell = k[None, :] * (nbar + 1) + et_cnt
+    j_e = block_profit(econ, ets, fts, False).ravel()[cell] - cum_loss
+    j_f = block_profit(econ, ets, fts, True).ravel()[cell] - cum_loss
     val_e = valid & lead_ok
-    val_f = valid & (ft_cnt >= 1)
+    val_f = valid & (et_cnt <= k)  # at least one fuel truck
 
     # Size-1 candidates leave at the solo departure. Column 0 above stays
     # priced at the row's own departure, since every larger block sums it.
     t0 = block_departure(arr, rows, 1)
     charge, wait, _, can_lead = member_terms(arr, rows, t0)
     j_e[:, 0] = 0.0 - (ec * charge + ew * wait)
-    val_e[:, 0] = (arr.is_et == 1) & can_lead & (t0 <= horizon + TIME_TOL)
+    val_e[:, 0] = (arr.is_et[lo:hi] == 1) & can_lead & (t0 <= horizon + TIME_TOL)
 
     if mode == 0:
         pick_e = val_e & (~val_f | (j_e >= j_f))
         work = val_e.astype(np.int8) + val_f
     else:
-        pick_e = val_e & (~val_f | (bits[1:n + 1, 1:nbar + 1] == 1))
+        pick_e = val_e & (~val_f | (bits[lo + 1:hi + 1, 1:nbar + 1] == 1))
         work = val_e | val_f
     utility = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
     leader = np.where(pick_e, 0, 1).astype(np.int8)
     return utility, leader, work, idxc
+
+
+@functools.cache
+def _value_recursion(width: int):
+    """The recursion over table rows of `width` columns, written out as
+    straight-line Python: `recurse(rows, window, values, picks)`.
+
+    `window` holds the values of the `width` prefixes before the first row,
+    the latest first, in locals `w0` .. `w{width-1}`; each row is unpacked
+    into `r0` .. `r{width-1}`. Per row, candidate k adds `wk + rk` and is kept
+    when strictly better than the best so far, k = 0, 1, ..., so the
+    smaller platoon wins a tie. Its value and the winning column (-1 when
+    every sum is -inf) are appended to `values` and `picks`, and the window
+    shifts by one. A prefix before the first truck is a -inf register.
+
+    The source text depends on `width` alone.
+    """
+    width = int(width)
+    ws = [f"w{k}" for k in range(width)]
+    rs = [f"r{k}" for k in range(width)]
+    lines = [
+        "def recurse(rows, window, values, picks):",
+        f"    {', '.join(ws)}, = window",
+        "    value, choose, neg_inf = values.append, picks.append, NEG_INF",
+        f"    for {', '.join(rs)}, in rows:",
+        "        best, pick = neg_inf, -1",
+    ]
+    for k in range(width):
+        lines += [f"        u = w{k} + r{k}",
+                  "        if u > best:",
+                  f"            best, pick = u, {k}"]
+    lines += ["        value(best)", "        choose(pick)"]
+    lines += [f"        w{k} = w{k - 1}" for k in range(width - 1, 0, -1)]
+    lines.append("        w0 = best")
+    namespace = {"NEG_INF": -np.inf}
+    exec(compile("\n".join(lines) + "\n", f"<value recursion, width {width}>", "exec"),
+         namespace)
+    return namespace["recurse"]
 
 
 def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float,
@@ -167,30 +222,34 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float,
     size and leader kind (0 electric, 1 fuel) of the winning candidate.
     `updates` counts the safe (candidate, leader kind) pairs whose prefix has
     a finite value; under mode 1 each candidate counts once.
+
+    The table is built `CHUNK_ROWS` rows at a time, and each block runs
+    through `_value_recursion(nbar)` before the next is built, carrying the
+    last `nbar` values in. The choices and `updates` of a block come from
+    its own rows. Every value is the sum and comparison that a loop over the
+    whole table makes, in the same order, so the outputs do not depend on
+    the block size.
     """
     n = arr.size
     nbar = int(nbar)
-    utility, leader, work, prefix = _candidate_table(
-        arr, econ, nbar, float(horizon), int(mode), bits)
-
-    values = [0.0] * (n + 1)
-    best_k = [-1] * (n + 1)
-    neg_inf = -np.inf
-    for i, row in enumerate(utility.tolist(), start=1):
-        best, pick = neg_inf, -1
-        for k in range(min(i, nbar)):
-            u = values[i - 1 - k] + row[k]
-            if u > best:  # strict: the smaller platoon wins a tie
-                best, pick = u, k
-        values[i] = best
-        best_k[i] = pick
-
-    values = np.array(values)
-    best_k = np.array(best_k)
-    choice_n = best_k + 1
+    horizon, mode = float(horizon), int(mode)
+    recurse = _value_recursion(nbar)
+    values, picks = [0.0], [-1]
     choice_m = np.full(n + 1, -1, np.int8)
-    found = best_k >= 0
-    choice_m[found] = leader[np.flatnonzero(found[1:]), best_k[found]]
+    updates = 0
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, n)
+        utility, leader, work, prefix = _candidate_table(
+            arr, econ, nbar, horizon, mode, bits, lo, hi)
+        window = values[:-nbar - 1:-1]  # the last nbar values, the latest first
+        recurse(utility.tolist(), window + [-np.inf] * (nbar - len(window)),
+                values, picks)
 
-    updates = int(work[np.isfinite(values[prefix])].sum())
-    return values, choice_n, choice_m, updates
+        pick = np.array(picks[lo + 1:])
+        found = np.flatnonzero(pick >= 0)
+        choice_m[lo + 1 + found] = leader[found, pick[found]]
+        base = max(lo - nbar + 1, 0)
+        finite = np.isfinite(values[base:])
+        updates += int(work[finite[prefix - base]].sum())
+
+    return np.array(values), np.array(picks) + 1, choice_m, updates

@@ -226,3 +226,24 @@ def reference_evaluate_platoon(members, leader_type, route, econ, depart_at=None
         loss=loss,
         utility=profit - loss,
     )
+
+
+def reference_value_recursion(utility, nbar):
+    """The value recursion as one plain loop over the rows of the whole
+    candidate table (`kernels._candidate_table` over every row): the
+    reference that `kernels.run_dp_kernel` is checked against. Returns the
+    value of each prefix length and the winning column per prefix (-1 when
+    no candidate has a finite value)."""
+    n = len(utility)
+    values = [0.0] * (n + 1)
+    best_k = [-1] * (n + 1)
+    neg_inf = -np.inf
+    for i, row in enumerate(utility.tolist(), start=1):
+        best, pick = neg_inf, -1
+        for k in range(min(i, nbar)):
+            u = values[i - 1 - k] + row[k]
+            if u > best:  # strict: the smaller platoon wins a tie
+                best, pick = u, k
+        values[i] = best
+        best_k[i] = pick
+    return np.array(values), np.array(best_k)

@@ -361,6 +361,17 @@ class TestPreparedFleet:
         assert fleet == same and fleet != other and not fleet != same
         assert built == []
 
+    def test_repr_builds_no_records(self, monkeypatch):
+        instance = generate(ScenarioConfig(n_trucks=200, seed=3))
+        fleet = prepare_fleet(instance)
+        built = []
+        real = TruckSpec.__new__
+        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
+            built.append(args or kwargs) or real(cls, *args, **kwargs)))
+        text = repr(fleet)
+        assert built == []
+        assert text == f"PreparedFleet(n_trucks=200, route={instance.route!r}, seed=3)"
+
     def test_records_are_built_once(self, monkeypatch):
         _, fleet, _ = fleet_and_records()
         built = []

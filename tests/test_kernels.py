@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,17 +16,23 @@ from platoon_coord import (
     leader_feasible,
     prepare_fleet,
 )
+from platoon_coord import kernels
 from platoon_coord.dp import run_dp, solve_dp_ls, solve_dp_nls
 from platoon_coord.kernels import (
     _candidate_table,
     fleet_arrays,
     leader_draw_bit,
     leader_draw_bits,
+    run_dp_kernel,
 )
 from platoon_coord.model import MONEY_TOL, TIME_TOL
+from platoon_coord.scenario import load_instance
 from platoon_coord.utility import leader_type_for_kind
+from checks import reference_value_recursion
 from conftest import ET_VRATE, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 from test_pricing import DEGENERATE
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestBackendSelection:
@@ -188,7 +195,7 @@ def _check_table_against_reference(prepared, route, econ, seed):
     draws = leader_draw_bits(seed, arr.size, nbar)
     for mode, bits in ((0, np.zeros((1, 1), np.uint8)), (1, draws)):
         utility, leader, _, _ = _candidate_table(arr, econ, nbar, route.horizon,
-                                                 mode, bits)
+                                                 mode, bits, 0, arr.size)
         assert np.isfinite(utility).sum() == sum(1 for safe in blocks.values() if safe)
         for (end, size), safe in blocks.items():
             got = utility[end - 1, size - 1].item()
@@ -222,3 +229,146 @@ class TestCandidateTableAgainstReference:
         prepared = prepare(trucks, route=route, econ=econ)
         for seed in (0, 5):
             _check_table_against_reference(prepared, route, econ, seed)
+
+
+def _both_modes(arr, nbar, seeds):
+    """(mode, bits) of mode 0, and of mode 1 under each seed's draws."""
+    yield 0, np.zeros((1, 1), np.uint8)
+    for seed in seeds:
+        yield 1, leader_draw_bits(seed, arr.size, nbar)
+
+
+def _check_kernel_against_reference(prepared, route, econ, seeds):
+    """`run_dp_kernel`, in both modes, against `reference_value_recursion`
+    run on the table over every row, with `run_dp`'s window: the values by
+    bytes, and the choice sizes, choice leaders and `updates` taken from
+    that table as the kernel states them."""
+    arr = fleet_arrays(prepared, route)
+    nbar = min(route.max_platoon_size, arr.size)
+    for mode, bits in _both_modes(arr, nbar, seeds):
+        utility, leader, work, prefix = _candidate_table(
+            arr, econ, nbar, route.horizon, mode, bits, 0, arr.size)
+        values, best_k = reference_value_recursion(utility, nbar)
+        found = np.flatnonzero(best_k >= 0)
+        choice_m = np.full(arr.size + 1, -1, np.int8)
+        choice_m[found] = leader[found - 1, best_k[found]]
+        updates = int(work[np.isfinite(values[prefix])].sum())
+
+        got = run_dp_kernel(arr, econ, nbar, route.horizon, mode, bits)
+        assert got[0].dtype == values.dtype and got[0].tobytes() == values.tobytes(), mode
+        assert got[1].dtype == best_k.dtype and np.array_equal(got[1], best_k + 1), mode
+        assert got[2].dtype == choice_m.dtype and np.array_equal(got[2], choice_m), mode
+        assert got[3] == updates, mode
+
+
+class TestRecursionAgainstReference:
+    """The generated, chunked recursion against the plain loop over the
+    whole table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets(self, instance):
+        try:
+            prepared = prepare_fleet(instance)
+        except HorizonExceededError:
+            return
+        _check_kernel_against_reference(prepared, instance.route, instance.econ,
+                                        (instance.seed, 7, 11))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_fleets(self, name):
+        trucks, route, econ = DEGENERATE[name]
+        _check_kernel_against_reference(prepare(trucks, route=route, econ=econ),
+                                        route, econ, (0, 5))
+
+    def test_unleadable_fleets_have_no_finite_row(self):
+        """An all-ET fleet whose ETs can never lead has no finite candidate:
+        every value past prefix 0 is -inf and nothing is chosen."""
+        trucks = [et(k, 2.0 * k, soc=60.0, vrate=UNLEADABLE_VRATE) for k in range(5)]
+        prepared = prepare(trucks)
+        _check_kernel_against_reference(prepared, REF_ROUTE, REF_ECON, (0, 5))
+        state = run_dp(prepared, REF_ROUTE, REF_ECON, mode=0)
+        assert np.isneginf(state.values[1:]).all() and state.updates == 0
+        assert (state.choice_sizes[1:] == 0).all() and (state.choice_leaders == -1).all()
+
+    @pytest.mark.parametrize("name", ["dense-ties-300", "integer-arrivals-200"])
+    def test_committed_instances(self, name):
+        inst = load_instance(DATA / f"{name}.json")
+        _check_kernel_against_reference(prepare_fleet(inst), inst.route, inst.econ, (0, 3))
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_window_as_wide_as_the_fleet(self, n):
+        inst = generate(ScenarioConfig(n_trucks=n, seed=n, arrival_hi=20, horizon=200.0,
+                                       max_platoon_size=100))
+        prepared = prepare_fleet(inst)
+        assert min(inst.route.max_platoon_size, len(prepared)) == n
+        _check_kernel_against_reference(prepared, inst.route, inst.econ, (0, 1))
+
+
+def _dp_states_equal(a, b):
+    return (a.values.tobytes() == b.values.tobytes()
+            and np.array_equal(a.choice_sizes, b.choice_sizes)
+            and np.array_equal(a.choice_leaders, b.choice_leaders)
+            and a.updates == b.updates)
+
+
+class TestChunkEdges:
+    """The table is built and run `CHUNK_ROWS` rows at a time: a smaller
+    block must give the `DpState` of one block over the whole fleet."""
+
+    CHUNKS = (1, 3, 7)
+
+    def _check(self, prepared, route, econ, monkeypatch):
+        assert len(prepared) <= kernels.CHUNK_ROWS
+        whole = [run_dp(prepared, route, econ, 0),
+                 run_dp(prepared, route, econ, 1, seed=2)]
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(kernels, "CHUNK_ROWS", chunk)
+            parts = [run_dp(prepared, route, econ, 0),
+                     run_dp(prepared, route, econ, 1, seed=2)]
+            monkeypatch.undo()
+            for a, b in zip(parts, whole):
+                assert _dp_states_equal(a, b), chunk
+
+    @pytest.mark.parametrize("nbar", [1, 2, 8])
+    def test_enumeration_fleets(self, nbar, monkeypatch):
+        route = replace(REF_ROUTE, horizon=200.0, max_platoon_size=nbar)
+        for trucks in _fleets():
+            self._check(prepare(trucks, route=route), route, REF_ECON, monkeypatch)
+
+    def test_dense_ties(self, monkeypatch):
+        inst = load_instance(DATA / "dense-ties-300.json")
+        self._check(prepare_fleet(inst), inst.route, inst.econ, monkeypatch)
+
+    @pytest.mark.parametrize("n", sorted({c * k + d for c in CHUNKS for k in (1, 2, 3)
+                                          for d in (-1, 1) if c * k + d > 0}))
+    def test_fleets_straddling_a_chunk_edge(self, n, monkeypatch):
+        inst = generate(ScenarioConfig(n_trucks=n, seed=n, et_share=0.6, arrival_hi=30,
+                                       horizon=200.0, max_platoon_size=4))
+        self._check(prepare_fleet(inst), inst.route, inst.econ, monkeypatch)
+
+    def test_a_middle_chunk_is_those_rows_of_the_table(self):
+        inst = load_instance(DATA / "dense-ties-300.json")
+        arr = prepare_fleet(inst).arrays
+        nbar = inst.route.max_platoon_size
+        for mode, bits in _both_modes(arr, nbar, (4,)):
+            full = _candidate_table(arr, inst.econ, nbar, inst.route.horizon, mode, bits,
+                                    0, arr.size)
+            for lo, hi in ((0, 3), (7, 14), (150, 157), (arr.size - 7, arr.size)):
+                part = _candidate_table(arr, inst.econ, nbar, inst.route.horizon, mode,
+                                        bits, lo, hi)
+                for got, want in zip(part, full):
+                    assert got.dtype == want.dtype, (mode, lo)
+                    assert got.tobytes() == want[lo:hi].tobytes(), (mode, lo)
+
+
+class TestGeneratedRecursion:
+    def test_written_once_per_width(self):
+        assert kernels._value_recursion(3) is kernels._value_recursion(3)
+        assert kernels._value_recursion(3) is not kernels._value_recursion(4)
+
+    def test_ties_go_to_the_smaller_platoon(self):
+        values, picks = [0.0], [-1]
+        kernels._value_recursion(2)([[1.0, -np.inf], [2.0, 3.0], [-np.inf, -np.inf]],
+                                    [0.0, -np.inf], values, picks)
+        assert values == [0.0, 1.0, 3.0, -np.inf] and picks == [-1, 0, 0, -1]
