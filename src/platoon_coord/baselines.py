@@ -19,7 +19,7 @@ from typing import List
 import numpy as np
 
 from .discretize import PreparedFleet
-from .kernels import fleet_arrays, leader_draw_bit, member_terms
+from .kernels import check_seed, fleet_arrays, leader_draw_bit, member_terms
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -43,6 +43,7 @@ def _solve_grouped(method: str, fleet: PreparedFleet, slot,
     when both may, and a block neither may lead leaves as solos. An ET that
     cannot drive alone safely even on a full battery is an error."""
     start = time.perf_counter()
+    seed = check_seed(seed)
     arr = fleet_arrays(fleet, route)
     records = list(fleet)
     n = len(records)

@@ -18,6 +18,7 @@ import numpy as np
 from .discretize import PreparedFleet
 from .kernels import (
     block_departure,
+    check_seed,
     fleet_arrays,
     leader_draw_bits,
     run_dp_kernel,
@@ -51,6 +52,9 @@ class DpState:
 def run_dp(prepared: PreparedFleet, route: RouteParams,
            econ: EconomicParams, mode: int, seed: int = 0) -> DpState:
     """Fill the value table for the given fleet. mode 0 = best leader, 1 = drawn."""
+    if mode not in (0, 1):
+        raise ContractViolation(f"mode must be 0 (best leader) or 1 (drawn), got {mode!r}")
+    seed = check_seed(seed)
     arr = fleet_arrays(prepared, route)
     # No platoon outgrows the fleet, so a larger cap must not size the tables.
     window = min(route.max_platoon_size, arr.size)

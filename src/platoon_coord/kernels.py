@@ -6,9 +6,13 @@ and `block_profit`.
 The recursion scans every (prefix, platoon size, leader kind) candidate,
 which dominates runtime at fleet scale. It runs a block of `CHUNK_ROWS`
 rows at a time, in two steps: numpy prices the block's (last truck, size)
-candidates in one table, reducing each to a single utility and leader kind,
-then the max-plus recursion over the block's rows fills the value table and
-the winning choice per prefix. The recursion is Python source written out
+candidates into one table, reducing each to a single utility and leader
+kind, then the max-plus recursion over the block's rows fills the value
+table and the winning choice per prefix. The table is built one platoon
+size at a time: the members that a size adds across the rows are one slice
+of ranks, so each size reads views of the fleet's columns, and the running
+loss, ET count and lead flag of each row carry to the next size in one
+elementwise step each. The recursion is Python source written out
 once per window width, with the window in local variables, so a candidate
 costs one addition and one comparison and no indexing; the additions and
 comparisons are those of a plain loop over the table, in the same order.
@@ -20,8 +24,10 @@ evaluation order and reproducible across platforms.
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .discretize import FleetArrays, PreparedFleet
 from .model import SOC_TOL, TIME_TOL, ContractViolation
@@ -42,6 +48,15 @@ def leader_draw_bit(seed: int, prefix: int, size: int) -> int:
     """Single fair bit for the leader-kind draw of candidate (prefix, size)."""
     key = ((prefix * _KEY_I) ^ (size * _KEY_N)) & _U64
     return _splitmix64_py(_splitmix64_py(seed & _U64) ^ key) >> 63
+
+
+def check_seed(seed) -> int:
+    """The seed of a solver's leader draws, as an int. Any integer passes,
+    numpy's included; anything else is refused."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise ContractViolation(f"seed must be an integer, got {seed!r}") from None
 
 
 def leader_draw_bits(seed: int, n_trucks: int, max_size: int) -> np.ndarray:
@@ -123,56 +138,64 @@ CHUNK_ROWS = 8192
 
 def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
                      mode: int, bits: np.ndarray, lo: int, hi: int):
-    """Price the (last truck, size) candidates of rows `lo` .. `hi` - 1 in one
-    vectorised pass.
+    """Price the (last truck, size) candidates of rows `lo` .. `hi` - 1, one
+    platoon size at a time.
 
-    Row r - lo, column k is the platoon of trucks r - k .. r. A row reads
-    only the fleet's columns, so these are exactly those rows of the table
-    over the whole fleet. Returns the utility of each candidate under its
-    leader kind (-inf when no kind is safe or the block runs past the first
-    truck), that kind as a code (0 electric, 1 fuel), the work each
-    candidate adds to the `updates` counter, and the prefix length each
-    candidate extends.
+    Row r - lo, column k is the platoon of trucks r - k .. r. Its k-th
+    member, across the rows, is a slice of ranks, so each size reads views
+    of the fleet's columns, and the block's loss, ET count and whether some
+    ET can lead carry from column k - 1 with one elementwise step each: the
+    additions that a running sum along the row makes, in the same order.
+    A row reads only the fleet's columns, so these are exactly those rows of
+    the table over the whole fleet. Returns the utility of each candidate
+    under its leader kind (-inf when no kind is safe or the block runs past
+    the first truck), that kind as a code (0 electric, 1 fuel), and the work
+    each candidate adds to the `updates` counter.
     """
     ew, ec = econ.wait_cost, econ.charge_cost
-    k = np.arange(nbar)
-    rows = np.arange(lo, hi)
-    idx = rows[:, None] - k[None, :]
-    valid = idx >= 0
-    idxc = np.where(valid, idx, 0)
-
-    charge, wait, _, can_lead = member_terms(arr, idxc, arr.tau_delta[lo:hi, None])
-    cum_loss = np.cumsum(np.where(valid, ec * charge + ew * wait, 0.0), axis=1)
-    etw = arr.is_et[idxc].astype(bool) & valid
-    et_cnt = np.cumsum(etw, axis=1)
-    lead_ok = np.logical_or.accumulate(etw & can_lead, axis=1)
-
+    m = hi - lo
+    utility = np.full((m, nbar), -np.inf)
+    leader = np.ones((m, nbar), np.int8)
+    work = np.zeros((m, nbar), np.int8)
     # The profit depends only on (size, ET count): price that grid once and
     # gather it, the same `block_profit` on the same integers.
     ets = np.arange(nbar + 1)[None, :]
     fts = np.arange(1, nbar + 1)[:, None] - ets
-    cell = k[None, :] * (nbar + 1) + et_cnt
-    j_e = block_profit(econ, ets, fts, False).ravel()[cell] - cum_loss
-    j_f = block_profit(econ, ets, fts, True).ravel()[cell] - cum_loss
-    val_e = valid & lead_ok
-    val_f = valid & (et_cnt <= k)  # at least one fuel truck
+    profit_e = block_profit(econ, ets, fts, False)
+    profit_f = block_profit(econ, ets, fts, True)
 
-    # Size-1 candidates leave at the solo departure. Column 0 above stays
-    # priced at the row's own departure, since every larger block sums it.
-    t0 = block_departure(arr, rows, 1)
-    charge, wait, _, can_lead = member_terms(arr, rows, t0)
-    j_e[:, 0] = 0.0 - (ec * charge + ew * wait)
-    val_e[:, 0] = (arr.is_et[lo:hi] == 1) & can_lead & (t0 <= horizon + TIME_TOL)
+    for k in range(min(nbar, hi)):
+        s = max(lo, k) - lo  # rows before s have fewer than k + 1 trucks
+        members = slice(lo + s - k, hi - k)
+        charge, wait, _, can_lead = member_terms(arr, members, arr.tau_delta[lo + s:hi])
+        cost = ec * charge + ew * wait
+        et = arr.is_et[members] == 1
+        if k == 0:
+            loss, et_cnt, lead_ok = cost, et.astype(np.intp), et & can_lead
+            # A lone truck leaves at its solo departure; the carried loss
+            # keeps the row's own departure, since every larger block sums it.
+            t0 = block_departure(arr, np.arange(lo, hi), 1)
+            charge, wait, _, can_lead = member_terms(arr, members, t0)
+            j_e = 0.0 - (ec * charge + ew * wait)
+            val_e = et & can_lead & (t0 <= horizon + TIME_TOL)
+        else:
+            loss[s:] += cost
+            et_cnt[s:] += et
+            lead_ok[s:] |= et & can_lead
+            j_e = profit_e[k][et_cnt[s:]] - loss[s:]
+            val_e = lead_ok[s:]
+        j_f = profit_f[k][et_cnt[s:]] - loss[s:]
+        val_f = et_cnt[s:] <= k  # at least one fuel truck
 
-    if mode == 0:
-        pick_e = val_e & (~val_f | (j_e >= j_f))
-        work = val_e.astype(np.int8) + val_f
-    else:
-        pick_e = val_e & (~val_f | (bits[lo + 1:hi + 1, 1:nbar + 1] == 1))
-        work = val_e | val_f
-    utility = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
-    leader = np.where(pick_e, 0, 1).astype(np.int8)
-    return utility, leader, work, idxc
+        if mode == 0:
+            pick_e = val_e & (~val_f | (j_e >= j_f))
+            work[s:, k] = val_e.astype(np.int8) + val_f
+        else:
+            pick_e = val_e & (~val_f | (bits[lo + s + 1:hi + 1, k + 1] == 1))
+            work[s:, k] = val_e | val_f
+        utility[s:, k] = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
+        leader[s:, k] = ~pick_e
+    return utility, leader, work
 
 
 @functools.cache
@@ -223,12 +246,14 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float,
     `updates` counts the safe (candidate, leader kind) pairs whose prefix has
     a finite value; under mode 1 each candidate counts once.
 
-    The table is built `CHUNK_ROWS` rows at a time, and each block runs
-    through `_value_recursion(nbar)` before the next is built, carrying the
-    last `nbar` values in. The choices and `updates` of a block come from
-    its own rows. Every value is the sum and comparison that a loop over the
-    whole table makes, in the same order, so the outputs do not depend on
-    the block size.
+    The table is built `CHUNK_ROWS` rows at a time, one platoon size after
+    another (`_candidate_table`), and each block runs through
+    `_value_recursion(nbar)` before the next is built, carrying the last
+    `nbar` values in. The choices and `updates` of a block come from its own
+    rows: `updates` sums the block's work over the cells whose prefix is
+    finite, read through a window view of the finite-prefix mask. Every
+    value is the sum and comparison that a loop over the whole table makes,
+    in the same order, so the outputs do not depend on the block size.
     """
     n = arr.size
     nbar = int(nbar)
@@ -239,8 +264,7 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float,
     updates = 0
     for lo in range(0, n, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n)
-        utility, leader, work, prefix = _candidate_table(
-            arr, econ, nbar, horizon, mode, bits, lo, hi)
+        utility, leader, work = _candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi)
         window = values[:-nbar - 1:-1]  # the last nbar values, the latest first
         recurse(utility.tolist(), window + [-np.inf] * (nbar - len(window)),
                 values, picks)
@@ -248,8 +272,12 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float,
         pick = np.array(picks[lo + 1:])
         found = np.flatnonzero(pick >= 0)
         choice_m[lo + 1 + found] = leader[found, pick[found]]
-        base = max(lo - nbar + 1, 0)
-        finite = np.isfinite(values[base:])
-        updates += int(work[finite[prefix - base]].sum())
+        # Cell (r, k) extends prefix r - k, so row r - lo of the windows over
+        # prefixes lo - nbar + 1 .. hi - 1, read backwards, says which cells
+        # count. Prefixes before the first truck pad as not finite.
+        pad = max(nbar - 1 - lo, 0)
+        finite = np.zeros(hi - lo + nbar - 1, bool)
+        finite[pad:] = np.isfinite(values[lo - nbar + 1 + pad:hi])
+        updates += int(work.sum(where=sliding_window_view(finite, nbar)[:, ::-1]))
 
     return np.array(values), np.array(picks) + 1, choice_m, updates

@@ -356,11 +356,20 @@ def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: Route
     and each loss is summed in rank order from 0.0 as it does.
     """
     arr = fleet_arrays(prepared, route)
-    starts = np.asarray(starts, dtype=np.intp)
-    sizes = np.asarray(sizes, dtype=np.intp)
-    fuel_led = np.asarray(leaders) == 1
+    starts, sizes, leaders = np.asarray(starts), np.asarray(sizes), np.asarray(leaders)
+    if starts.ndim != 1 or not starts.shape == sizes.shape == leaders.shape:
+        raise ContractViolation(
+            f"starts, sizes and leaders must be one list each, of one length; got "
+            f"shapes {starts.shape}, {sizes.shape} and {leaders.shape}")
     if starts.size == 0:
         return PlatoonTable.from_records([])
+    if starts.dtype.kind not in "iu" or sizes.dtype.kind not in "iu":
+        raise ContractViolation(
+            f"block starts and sizes must be integers, got {starts.dtype} and {sizes.dtype}")
+    if not np.isin(leaders, (0, 1)).all():
+        raise ContractViolation("leader codes must be 0 (electric) or 1 (fuel)")
+    starts, sizes = starts.astype(np.intp), sizes.astype(np.intp)
+    fuel_led = leaders == 1
     if sizes.min() < 1:
         raise ContractViolation("platoon needs at least one member")
     if sizes.max() > route.max_platoon_size:

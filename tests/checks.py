@@ -3,7 +3,7 @@
 import numpy as np
 
 from platoon_coord import LeaderType, Role, aggregate
-from platoon_coord.kernels import fleet_arrays
+from platoon_coord.kernels import block_departure, block_profit, fleet_arrays, member_terms
 from platoon_coord.model import (
     LEAD_COEFF,
     MONEY_TOL,
@@ -230,7 +230,7 @@ def reference_evaluate_platoon(members, leader_type, route, econ, depart_at=None
 
 def reference_value_recursion(utility, nbar):
     """The value recursion as one plain loop over the rows of the whole
-    candidate table (`kernels._candidate_table` over every row): the
+    candidate table (`reference_candidate_table` over every row): the
     reference that `kernels.run_dp_kernel` is checked against. Returns the
     value of each prefix length and the winning column per prefix (-1 when
     no candidate has a finite value)."""
@@ -247,3 +247,55 @@ def reference_value_recursion(utility, nbar):
         values[i] = best
         best_k[i] = pick
     return np.array(values), np.array(best_k)
+
+
+def reference_candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi):
+    """The candidate table of rows `lo` .. `hi` - 1 in one vectorised pass
+    over an index grid: the reference that `kernels._candidate_table`, which
+    builds it one platoon size at a time, is checked against.
+
+    Row r - lo, column k is the platoon of trucks r - k .. r. Returns the
+    utility of each candidate under its leader kind (-inf when no kind is
+    safe or the block runs past the first truck), that kind as a code (0
+    electric, 1 fuel), the work each candidate adds to the `updates`
+    counter, and the prefix length each candidate extends.
+    """
+    ew, ec = econ.wait_cost, econ.charge_cost
+    k = np.arange(nbar)
+    rows = np.arange(lo, hi)
+    idx = rows[:, None] - k[None, :]
+    valid = idx >= 0
+    idxc = np.where(valid, idx, 0)
+
+    charge, wait, _, can_lead = member_terms(arr, idxc, arr.tau_delta[lo:hi, None])
+    cum_loss = np.cumsum(np.where(valid, ec * charge + ew * wait, 0.0), axis=1)
+    etw = arr.is_et[idxc].astype(bool) & valid
+    et_cnt = np.cumsum(etw, axis=1)
+    lead_ok = np.logical_or.accumulate(etw & can_lead, axis=1)
+
+    # The profit depends only on (size, ET count): price that grid once and
+    # gather it, the same `block_profit` on the same integers.
+    ets = np.arange(nbar + 1)[None, :]
+    fts = np.arange(1, nbar + 1)[:, None] - ets
+    cell = k[None, :] * (nbar + 1) + et_cnt
+    j_e = block_profit(econ, ets, fts, False).ravel()[cell] - cum_loss
+    j_f = block_profit(econ, ets, fts, True).ravel()[cell] - cum_loss
+    val_e = valid & lead_ok
+    val_f = valid & (et_cnt <= k)  # at least one fuel truck
+
+    # Size-1 candidates leave at the solo departure. Column 0 above stays
+    # priced at the row's own departure, since every larger block sums it.
+    t0 = block_departure(arr, rows, 1)
+    charge, wait, _, can_lead = member_terms(arr, rows, t0)
+    j_e[:, 0] = 0.0 - (ec * charge + ew * wait)
+    val_e[:, 0] = (arr.is_et[lo:hi] == 1) & can_lead & (t0 <= horizon + TIME_TOL)
+
+    if mode == 0:
+        pick_e = val_e & (~val_f | (j_e >= j_f))
+        work = val_e.astype(np.int8) + val_f
+    else:
+        pick_e = val_e & (~val_f | (bits[lo + 1:hi + 1, 1:nbar + 1] == 1))
+        work = val_e | val_f
+    utility = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
+    leader = np.where(pick_e, 0, 1).astype(np.int8)
+    return utility, leader, work, idxc

@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from platoon_coord import (
@@ -195,6 +196,33 @@ class TestCheckPrepared:
         swapped = [b._replace(rank=0), a._replace(rank=1)]
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
             run_dp(swapped, REF_ROUTE, REF_ECON, mode=0)
+
+
+class TestSolverArguments:
+    FLEET = (ft(1, 0.0), et(2, 0.0, soc=90.0), et(3, 4.0, soc=45.0), ft(4, 9.0))
+
+    @pytest.mark.parametrize("mode", [2, -1, "1", None])
+    def test_run_dp_refuses_a_bad_mode(self, mode):
+        """Mode 2 used to fail inside numpy on a broadcast of mismatched
+        shapes; only 0 (best leader) and 1 (drawn) are modes."""
+        with pytest.raises(ContractViolation, match="mode must be 0"):
+            run_dp(prepare(self.FLEET), REF_ROUTE, REF_ECON, mode)
+
+    @pytest.mark.parametrize("solve", [
+        lambda f, seed: solve_dp_nls(f, REF_ROUTE, REF_ECON, seed).platoons,
+        lambda f, seed: run_dp(f, REF_ROUTE, REF_ECON, 1, seed).values.tolist(),
+        lambda f, seed: solve_spontaneous(f, REF_ROUTE, REF_ECON, seed).platoons,
+        lambda f, seed: solve_fixed_interval(f, REF_ROUTE, REF_ECON, 30.0, seed).platoons,
+    ], ids=["dp-nls", "run_dp", "spontaneous", "fixed-interval"])
+    def test_seeded_solvers_refuse_a_non_integral_seed(self, solve):
+        """`solve_dp_nls(seed=1.5)` raised a TypeError from the draw's bit
+        mask, and `solve_spontaneous(seed=1.5)` returned a schedule. A numpy
+        integer is an integer."""
+        fleet = prepare(self.FLEET)
+        for seed in (1.5, 2.0, "3", None):
+            with pytest.raises(ContractViolation, match="seed must be an integer"):
+                solve(fleet, seed)
+        assert solve(fleet, np.int64(3)) == solve(fleet, 3)
 
 
 class TestRouteRule:

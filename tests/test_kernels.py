@@ -28,7 +28,7 @@ from platoon_coord.kernels import (
 from platoon_coord.model import MONEY_TOL, TIME_TOL
 from platoon_coord.scenario import load_instance
 from platoon_coord.utility import leader_type_for_kind
-from checks import reference_value_recursion
+from checks import reference_candidate_table, reference_value_recursion
 from conftest import ET_VRATE, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 from test_pricing import DEGENERATE
 
@@ -194,8 +194,8 @@ def _check_table_against_reference(prepared, route, econ, seed):
     blocks = _safe_blocks(prepared, route, econ)
     draws = leader_draw_bits(seed, arr.size, nbar)
     for mode, bits in ((0, np.zeros((1, 1), np.uint8)), (1, draws)):
-        utility, leader, _, _ = _candidate_table(arr, econ, nbar, route.horizon,
-                                                 mode, bits, 0, arr.size)
+        utility, leader, _ = _candidate_table(arr, econ, nbar, route.horizon,
+                                              mode, bits, 0, arr.size)
         assert np.isfinite(utility).sum() == sum(1 for safe in blocks.values() if safe)
         for (end, size), safe in blocks.items():
             got = utility[end - 1, size - 1].item()
@@ -231,6 +231,74 @@ class TestCandidateTableAgainstReference:
             _check_table_against_reference(prepared, route, econ, seed)
 
 
+def _row_ranges(n, nbar):
+    """Row ranges of an n-truck fleet: every row, the first row, the rows
+    around the first whose blocks all fit (nbar - 1), a middle range and the
+    last row, each clipped to the fleet."""
+    ranges = set()
+    for lo, hi in ((0, n), (0, 1), (nbar - 2, nbar + 1), (n // 3, n // 3 + nbar + 2),
+                   (n - 1, n)):
+        lo = min(max(lo, 0), n - 1)
+        ranges.add((lo, min(max(hi, lo + 1), n)))
+    return sorted(ranges)
+
+
+def _check_table_against_grid(arr, econ, nbar, horizon, seeds):
+    """`_candidate_table`, in both modes and over each of `_row_ranges`,
+    against `reference_candidate_table`, the same table in one pass over an
+    index grid: utility, leader and work equal in value, and by bytes once
+    cast to the reference's dtypes."""
+    for mode, bits in _both_modes(arr, nbar, seeds):
+        for lo, hi in _row_ranges(arr.size, nbar):
+            got = _candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi)
+            want = reference_candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi)
+            assert len(got) == 3
+            for name, g, w in zip(("utility", "leader", "work"), got, want):
+                where = (name, mode, lo, hi)
+                assert g.shape == w.shape and np.array_equal(g, w), where
+                assert g.astype(w.dtype).tobytes() == w.tobytes(), where
+
+
+class TestCandidateTableAgainstGrid:
+    """The table built one platoon size at a time from column slices, against
+    the grid that gathers every member's columns, at the window `run_dp`
+    uses and at the route's cap where that is wider than the fleet."""
+
+    def _check(self, prepared, route, econ, seeds):
+        arr = fleet_arrays(prepared, route)
+        for nbar in {route.max_platoon_size, min(route.max_platoon_size, arr.size)}:
+            _check_table_against_grid(arr, econ, nbar, route.horizon, seeds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fleet_instances())
+    def test_random_fleets(self, instance):
+        try:
+            prepared = prepare_fleet(instance)
+        except HorizonExceededError:
+            return
+        self._check(prepared, instance.route, instance.econ, (instance.seed, 7))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_fleets(self, name):
+        trucks, route, econ = DEGENERATE[name]
+        self._check(prepare(trucks, route=route, econ=econ), route, econ, (0, 5))
+
+    def test_all_et_fleet_that_cannot_lead(self):
+        trucks = [et(k, 2.0 * k, soc=60.0, vrate=UNLEADABLE_VRATE) for k in range(12)]
+        self._check(prepare(trucks), REF_ROUTE, REF_ECON, (0, 5))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 15])
+    def test_fleets_smaller_than_nbar(self, n):
+        inst = generate(ScenarioConfig(n_trucks=n, seed=n, et_share=0.6, arrival_hi=20,
+                                       horizon=200.0, max_platoon_size=16))
+        self._check(prepare_fleet(inst), inst.route, inst.econ, (0, 1, 2))
+
+    @pytest.mark.parametrize("name", ["dense-ties-300", "integer-arrivals-200"])
+    def test_committed_instances(self, name):
+        inst = load_instance(DATA / f"{name}.json")
+        self._check(prepare_fleet(inst), inst.route, inst.econ, (0, 3, 9))
+
+
 def _both_modes(arr, nbar, seeds):
     """(mode, bits) of mode 0, and of mode 1 under each seed's draws."""
     yield 0, np.zeros((1, 1), np.uint8)
@@ -240,13 +308,13 @@ def _both_modes(arr, nbar, seeds):
 
 def _check_kernel_against_reference(prepared, route, econ, seeds):
     """`run_dp_kernel`, in both modes, against `reference_value_recursion`
-    run on the table over every row, with `run_dp`'s window: the values by
-    bytes, and the choice sizes, choice leaders and `updates` taken from
-    that table as the kernel states them."""
+    run on the reference table over every row, with `run_dp`'s window: the
+    values by bytes, and the choice sizes, choice leaders and `updates`
+    taken from that table as the kernel states them."""
     arr = fleet_arrays(prepared, route)
     nbar = min(route.max_platoon_size, arr.size)
     for mode, bits in _both_modes(arr, nbar, seeds):
-        utility, leader, work, prefix = _candidate_table(
+        utility, leader, work, prefix = reference_candidate_table(
             arr, econ, nbar, route.horizon, mode, bits, 0, arr.size)
         values, best_k = reference_value_recursion(utility, nbar)
         found = np.flatnonzero(best_k >= 0)

@@ -13,6 +13,7 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -177,10 +178,28 @@ class TestPriceErrors:
         ([1], [2], [1]),      # a fuel leader for an all-ET block
         ([0], [0], [1]),      # an empty block
         ([2], [2], [0]),      # a block past the last truck
+        # Malformed blocks used to be priced (one leader code broadcast to
+        # two blocks, a start of 0.5 truncated to rank 0, code 7 read as
+        # electric) or to fail inside numpy.
+        ([1, 2], [1, 1], [0]),
+        ([0], [3, 1], [1]),
+        ([[0]], [[3]], [[1]]),
+        ([0.5], [1], [1]),
+        ([0], [3.0], [1]),
+        ([True], [1], [0]),
+        ([0], [3], [7]),
+        ([0], [3], [-1]),
+        ([0], [3], [0.5]),
     ])
     def test_invalid_blocks_raise(self, starts, sizes, leaders):
         with pytest.raises(ContractViolation):
             self.price(starts, sizes, leaders)
+
+    def test_well_formed_blocks_price(self):
+        """The valid neighbours of the malformed blocks above, numpy integers
+        included, price to one record each."""
+        assert len(self.price([1, 2], [1, 1], [0, 0])) == 2
+        assert len(self.price(np.array([0], np.uint8), np.array([3], np.int32), [1])) == 1
 
     def test_size_cap(self):
         with pytest.raises(ContractViolation, match="exceeds the size cap 2"):
