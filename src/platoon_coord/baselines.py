@@ -45,7 +45,7 @@ def _solve_grouped(method: str, fleet: PreparedFleet, slot,
     start = time.perf_counter()
     seed = check_seed(seed)
     arr = fleet_arrays(fleet, route)
-    records = list(fleet)
+    records = fleet.records()
     n = len(records)
     slots = slot(arr.tau_delta)
     depart = slots.tolist()

@@ -8,17 +8,15 @@ downstream solvers search over.
 
 `prepare_fleet` does this in one numpy pass over the fleet's columns and
 returns a `PreparedFleet`: its `FleetArrays`, the columns in rank order for
-the instance's route, which the kernel reads directly, behind a sequence of
-`PreparedTruck` records that are built only when a record is first asked
-for.
+the instance's route, which the solvers read. The scalar reference side
+asks for the fleet's `PreparedTruck` records with `PreparedFleet.records()`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -168,7 +166,7 @@ class FleetArrays:
     fill_time: np.ndarray     # minutes from the mandatory-charge SoC to full
     rate: np.ndarray          # charge rate, percent per minute
     need_lead: np.ndarray     # departure SoC required to lead or drive alone
-    alone_depart: np.ndarray  # arrival + alone-safe charge minutes
+    alone_depart: np.ndarray  # a lone truck's departure, never before tau_delta
     arrival: np.ndarray       # hub arrival time, minutes
     init_soc: np.ndarray      # SoC at hub arrival, percent
     max_soc: np.ndarray       # battery capacity, percent
@@ -183,24 +181,23 @@ class FleetArrays:
         return int(self.tau_delta.shape[0])
 
 
-class PreparedFleet(Sequence):
-    """A prepared fleet in rank order: an immutable sequence of
-    `PreparedTruck` records, held as columns. Only `prepare_fleet` makes
-    one, and the solvers take no other form of a fleet.
+class PreparedFleet:
+    """A prepared fleet in rank order, held as columns. Only `prepare_fleet`
+    makes one, and the solvers take no other form of a fleet.
 
     The fleet keeps its `instance`; `order`, the instance position of the
     truck at each rank; the `ids` by rank; and `arrays`, its `FleetArrays`
-    for the instance's route, the one route it is solved on. The
-    `TruckSpec`s by rank (`specs`) and the records are built from them on
-    first access and then kept. Slicing returns a list of records.
+    for the instance's route, the one route it is solved on. It is not a
+    sequence: the scalar reference side asks for the `PreparedTruck`
+    records with `records()`.
     """
 
-    __slots__ = ("instance", "order", "ids", "arrays", "_specs", "_records")
+    __slots__ = ("instance", "order", "ids", "arrays", "_records")
 
     def __init__(self, instance, order, ids, arrays):
         """The fleet of `instance` whose truck of rank k is the instance's
         truck `order[k]`, with its columns by rank (`prepare_fleet`)."""
-        for name, value in zip(self.__slots__, (instance, order, ids, arrays, None, None)):
+        for name, value in zip(self.__slots__, (instance, order, ids, arrays, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -211,35 +208,21 @@ class PreparedFleet(Sequence):
         # prepare the instance again instead.
         return prepare_fleet, (self.instance,)
 
-    @property
-    def specs(self) -> tuple:
-        """The `TruckSpec`s by rank."""
-        if self._specs is None:
-            trucks = self.instance.trucks
-            object.__setattr__(self, "_specs", tuple(map(trucks.__getitem__,
-                                                         self.order.tolist())))
-        return self._specs
-
-    def _rows(self) -> List[PreparedTruck]:
+    def records(self) -> tuple:
+        """The `PreparedTruck` records by rank, built on the first call from
+        the instance's `TruckSpec`s and then kept."""
         if self._records is None:
-            arr = self.arrays
+            arr, trucks = self.arrays, self.instance.trucks
             soc = _charged_soc(arr.init_soc, arr.rate, arr.tau_cmin)
-            object.__setattr__(self, "_records", [
-                PreparedTruck(spec, charge, soc if e else None, earliest, rank)
-                for rank, (spec, e, charge, soc, earliest) in enumerate(zip(
-                    self.specs, arr.is_et.tolist(), arr.tau_cmin.tolist(), soc.tolist(),
-                    arr.tau_delta.tolist()))
-            ])
+            object.__setattr__(self, "_records", tuple(
+                PreparedTruck(trucks[k], charge, soc if e else None, earliest, rank)
+                for rank, (k, e, charge, soc, earliest) in enumerate(zip(
+                    self.order.tolist(), arr.is_et.tolist(), arr.tau_cmin.tolist(),
+                    soc.tolist(), arr.tau_delta.tolist()))))
         return self._records
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, index):
-        return self._rows()[index]
-
-    def __iter__(self):
-        return iter(self._rows())
 
     def __eq__(self, other):
         # A prepared fleet is a function of its instance, and instances

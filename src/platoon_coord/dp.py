@@ -10,6 +10,7 @@ keeps the better leader kind per candidate, the other draws it at random.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -58,11 +59,10 @@ def run_dp(prepared: PreparedFleet, route: RouteParams,
     arr = fleet_arrays(prepared, route)
     # No platoon outgrows the fleet, so a larger cap must not size the tables.
     window = min(route.max_platoon_size, arr.size)
-    if mode == 1:
-        bits = leader_draw_bits(seed, arr.size, window)
-    else:
-        bits = np.zeros((1, 1), np.uint8)
-    return DpState(*run_dp_kernel(arr, econ, window, route.horizon, mode, bits))
+    # Each block of the kernel draws its own prefixes' bits, so the draws
+    # take memory by the block, not by the fleet.
+    draw = functools.partial(leader_draw_bits, seed) if mode == 1 else None
+    return DpState(*run_dp_kernel(arr, econ, window, route.horizon, draw))
 
 
 def _backtrack(state: DpState, prepared: PreparedFleet,

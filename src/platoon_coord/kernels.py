@@ -17,8 +17,8 @@ once per window width, with the window in local variables, so a candidate
 costs one addition and one comparison and no indexing; the additions and
 comparisons are those of a plain loop over the table, in the same order.
 Leader draws for the randomized variant come from a counter-based splitmix64
-stream keyed by (seed, prefix, size) so results are independent of
-evaluation order and reproducible across platforms.
+stream keyed by (seed, prefix, size), drawn a block at a time, so results
+are independent of evaluation order and reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -59,13 +59,14 @@ def check_seed(seed) -> int:
         raise ContractViolation(f"seed must be an integer, got {seed!r}") from None
 
 
-def leader_draw_bits(seed: int, n_trucks: int, max_size: int) -> np.ndarray:
-    """Vectorized draw table, shape (n_trucks + 1, max_size + 1), entries 0/1.
+def leader_draw_bits(seed: int, lo: int, hi: int, max_size: int) -> np.ndarray:
+    """Vectorized draws of prefixes `lo` .. `hi` - 1, shape
+    (hi - lo, max_size + 1), entries 0/1.
 
-    Entry [i, n] equals leader_draw_bit(seed, i, n); index 0 rows/cols are
-    padding so candidates can index with their natural 1-based (i, n).
+    Entry [i - lo, n] equals leader_draw_bit(seed, i, n); column 0 is
+    padding so candidates can index with their natural 1-based size n.
     """
-    i = np.arange(n_trucks + 1, dtype=np.uint64)[:, None]
+    i = np.arange(lo, hi, dtype=np.uint64)[:, None]
     n = np.arange(max_size + 1, dtype=np.uint64)[None, :]
     key = (i * np.uint64(_KEY_I)) ^ (n * np.uint64(_KEY_N))
     x = np.uint64(_splitmix64_py(seed & _U64)) ^ key
@@ -115,11 +116,10 @@ def member_terms(arr: FleetArrays, idx, depart):
 def block_departure(arr: FleetArrays, starts, sizes):
     """Departure of the blocks of `sizes` consecutive ranks from `starts`: the
     last member's earliest departure, the latest since the fleet is sorted
-    by it, or for a lone ET the later of that and its alone-safe departure."""
+    by it, or for a lone truck its solo departure (`alone_depart`, which is
+    never earlier)."""
     last = starts + sizes - 1
-    depart = arr.tau_delta[last]
-    solo_et = (sizes == 1) & (arr.is_et[last] == 1)
-    return np.where(solo_et, np.maximum(depart, arr.alone_depart[last]), depart)
+    return np.where(sizes == 1, arr.alone_depart[last], arr.tau_delta[last])
 
 
 def block_profit(econ, et_count, ft_count, fuel_led):
@@ -137,7 +137,7 @@ CHUNK_ROWS = 8192
 
 
 def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
-                     mode: int, bits: np.ndarray, lo: int, hi: int):
+                     bits, lo: int, hi: int):
     """Price the (last truck, size) candidates of rows `lo` .. `hi` - 1, one
     platoon size at a time.
 
@@ -147,10 +147,12 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
     ET can lead carry from column k - 1 with one elementwise step each: the
     additions that a running sum along the row makes, in the same order.
     A row reads only the fleet's columns, so these are exactly those rows of
-    the table over the whole fleet. Returns the utility of each candidate
-    under its leader kind (-inf when no kind is safe or the block runs past
-    the first truck), that kind as a code (0 electric, 1 fuel), and the work
-    each candidate adds to the `updates` counter.
+    the table over the whole fleet. The better leader kind is kept, or with
+    `bits`, the draws of prefixes `lo` + 1 .. `hi`, the drawn one where both
+    are safe. Returns the utility of each candidate under its leader kind
+    (-inf when no kind is safe or the block runs past the first truck), that
+    kind as a code (0 electric, 1 fuel), and the work each candidate adds to
+    the `updates` counter.
     """
     ew, ec = econ.wait_cost, econ.charge_cost
     m = hi - lo
@@ -174,7 +176,7 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
             loss, et_cnt, lead_ok = cost, et.astype(np.intp), et & can_lead
             # A lone truck leaves at its solo departure; the carried loss
             # keeps the row's own departure, since every larger block sums it.
-            t0 = block_departure(arr, np.arange(lo, hi), 1)
+            t0 = arr.alone_depart[members]
             charge, wait, _, can_lead = member_terms(arr, members, t0)
             j_e = 0.0 - (ec * charge + ew * wait)
             val_e = et & can_lead & (t0 <= horizon + TIME_TOL)
@@ -187,11 +189,11 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
         j_f = profit_f[k][et_cnt[s:]] - loss[s:]
         val_f = et_cnt[s:] <= k  # at least one fuel truck
 
-        if mode == 0:
+        if bits is None:
             pick_e = val_e & (~val_f | (j_e >= j_f))
             work[s:, k] = val_e.astype(np.int8) + val_f
         else:
-            pick_e = val_e & (~val_f | (bits[lo + s + 1:hi + 1, k + 1] == 1))
+            pick_e = val_e & (~val_f | (bits[s:, k + 1] == 1))
             work[s:, k] = val_e | val_f
         utility[s:, k] = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
         leader[s:, k] = ~pick_e
@@ -236,15 +238,16 @@ def _value_recursion(width: int):
     return namespace["recurse"]
 
 
-def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float,
-                  mode: int, bits: np.ndarray):
+def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float, draw=None):
     """Run the value recursion; returns (values, choice_n, choice_m, updates).
 
-    mode 0 keeps the better leader kind per candidate, mode 1 draws one from
-    `bits`. The returned choice arrays encode, per prefix length, the platoon
-    size and leader kind (0 electric, 1 fuel) of the winning candidate.
+    Without `draw` the better leader kind per candidate is kept; with it,
+    one is drawn from `draw(lo, hi, nbar)`, the `leader_draw_bits` of
+    prefixes `lo` .. `hi` - 1, which each block asks for its own. The
+    returned choice arrays encode, per prefix length, the platoon size and
+    leader kind (0 electric, 1 fuel) of the winning candidate.
     `updates` counts the safe (candidate, leader kind) pairs whose prefix has
-    a finite value; under mode 1 each candidate counts once.
+    a finite value; under a draw each candidate counts once.
 
     The table is built `CHUNK_ROWS` rows at a time, one platoon size after
     another (`_candidate_table`), and each block runs through
@@ -257,14 +260,15 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float,
     """
     n = arr.size
     nbar = int(nbar)
-    horizon, mode = float(horizon), int(mode)
+    horizon = float(horizon)
     recurse = _value_recursion(nbar)
     values, picks = [0.0], [-1]
     choice_m = np.full(n + 1, -1, np.int8)
     updates = 0
     for lo in range(0, n, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n)
-        utility, leader, work = _candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi)
+        bits = None if draw is None else draw(lo + 1, hi + 1, nbar)
+        utility, leader, work = _candidate_table(arr, econ, nbar, horizon, bits, lo, hi)
         window = values[:-nbar - 1:-1]  # the last nbar values, the latest first
         recurse(utility.tolist(), window + [-np.inf] * (nbar - len(window)),
                 values, picks)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence
 
-from .discretize import PreparedTruck, prepare_fleet
+from .discretize import PreparedFleet, PreparedTruck, prepare_fleet
+from .kernels import fleet_arrays
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -65,22 +66,26 @@ def _best_assignment(group: Sequence[PreparedTruck], instants: Sequence[float],
     return best
 
 
-def oracle_consecutive(prepared: Sequence[PreparedTruck], route: RouteParams,
+def oracle_consecutive(prepared: PreparedFleet, route: RouteParams,
                        econ: EconomicParams) -> Solution:
-    """Exhaustive optimum over consecutive blocks and leader kinds."""
+    """Exhaustive optimum over consecutive blocks and leader kinds, priced
+    from the fleet's records. Like the solvers, it refuses any other form of
+    a fleet, and any route but the fleet's (`kernels.fleet_arrays`)."""
+    fleet_arrays(prepared, route)
     n = len(prepared)
     if n > CONSECUTIVE_MAX_TRUCKS:
         raise ContractViolation(
             f"refusing exhaustive search beyond {CONSECUTIVE_MAX_TRUCKS} trucks"
         )
     start = time.perf_counter()
+    records = prepared.records()
     nbar = route.max_platoon_size
 
     # Block table indexed [last][size]; None marks an unsafe block.
     blocks = [[None] * (min(i, nbar) + 1) for i in range(n + 1)]
     for i in range(1, n + 1):
         for size in range(1, min(i, nbar) + 1):
-            members = prepared[i - size:i]
+            members = records[i - size:i]
             blocks[i][size] = _best_assignment(
                 members, [max(m.earliest_departure for m in members)], route, econ)
 
@@ -156,10 +161,10 @@ def oracle_full(instance: ProblemInstance, time_grid_step: float) -> Solution:
             f"grid must have at most {FULL_MAX_GRID} steps over the horizon"
         )
     start = time.perf_counter()
-    prepared = prepare_fleet(instance)
+    records = prepare_fleet(instance).records()
 
-    grid = {m.earliest_departure for m in prepared}
-    grid.update(alone_departure(m, route) for m in prepared if m.is_electric)
+    grid = {m.earliest_departure for m in records}
+    grid.update(alone_departure(m, route) for m in records if m.is_electric)
     k = 0
     while k * time_grid_step <= route.horizon + TIME_TOL:
         grid.add(k * time_grid_step)
@@ -168,7 +173,7 @@ def oracle_full(instance: ProblemInstance, time_grid_step: float) -> Solution:
 
     best_total = -float("inf")
     best_platoons: Optional[List[PlatoonAssignment]] = None
-    for partition in _partitions(prepared, route.max_platoon_size):
+    for partition in _partitions(records, route.max_platoon_size):
         assignments = []
         total = 0.0
         for group in partition:

@@ -27,7 +27,7 @@ from platoon_coord.utility import (
 
 def assert_solution_valid(solution, prepared, route, consecutive=True):
     """Partition exactness, SoC safety, horizon, and money consistency."""
-    by_rank = {m.rank: m for m in prepared}
+    by_rank = {m.rank: m for m in prepared.records()}
 
     ranks = sorted(r for p in solution.platoons for r in p.ranks)
     assert ranks == list(range(len(prepared))), "fleet partition is not exact"
@@ -97,7 +97,11 @@ def assert_fleet_arrays_match_scalar(fleet, route, records=None):
     columns = vars(fleet_arrays(fleet, route))
     for name, col in columns.items():
         assert isinstance(col, np.ndarray) and col.shape == (len(fleet),), name
-    for m in fleet if records is None else records:
+    # A lone truck's departure is never before its earliest departure, so
+    # the later of the two is `alone_depart` itself, byte for byte.
+    tau_delta, alone_depart = columns["tau_delta"], columns["alone_depart"]
+    assert np.maximum(tau_delta, alone_depart).tobytes() == alone_depart.tobytes()
+    for m in fleet.records() if records is None else records:
         scalar = _scalar_columns(m, route)
         assert set(scalar) == set(columns)
         for name, value in scalar.items():
@@ -283,9 +287,11 @@ def reference_candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi):
     val_e = valid & lead_ok
     val_f = valid & (et_cnt <= k)  # at least one fuel truck
 
-    # Size-1 candidates leave at the solo departure. Column 0 above stays
-    # priced at the row's own departure, since every larger block sums it.
-    t0 = block_departure(arr, rows, 1)
+    # Size-1 candidates leave at the solo departure: an ET's alone-safe one,
+    # when later. Column 0 above stays priced at the row's own departure,
+    # since every larger block sums it.
+    ready = arr.tau_delta[lo:hi]
+    t0 = np.where(arr.is_et[lo:hi] == 1, np.maximum(ready, arr.alone_depart[lo:hi]), ready)
     charge, wait, _, can_lead = member_terms(arr, rows, t0)
     j_e[:, 0] = 0.0 - (ec * charge + ew * wait)
     val_e[:, 0] = (arr.is_et[lo:hi] == 1) & can_lead & (t0 <= horizon + TIME_TOL)

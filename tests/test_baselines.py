@@ -78,7 +78,8 @@ def reference_grouped(method, prepared, slot, route, econ, seed):
     blocks of at most nbar, each block scheduled by `reference_block`."""
     cap = route.max_platoon_size
     platoons = []
-    for depart_at, group in groupby(prepared, key=lambda m: slot(m.earliest_departure)):
+    for depart_at, group in groupby(prepared.records(),
+                                    key=lambda m: slot(m.earliest_departure)):
         group = list(group)
         for k in range(0, len(group), cap):
             platoons.extend(reference_block(group[k:k + cap], depart_at, route, econ, seed))
@@ -163,7 +164,7 @@ class TestSpontaneous:
         prepared = prepare_fleet(inst)
         sol = solve_spontaneous(prepared, inst.route, inst.econ, seed=2)
         assert_solution_valid(sol, prepared, inst.route)
-        by_rank = {m.rank: m for m in prepared}
+        by_rank = {m.rank: m for m in prepared.records()}
         for p in sol.platoons:
             for row in p.ledger:
                 assert row.wait_time == pytest.approx(0.0, **APPROX)
@@ -320,7 +321,7 @@ class TestAgainstScalarReference:
         for seed, trucks in enumerate(fleets):
             prepared = prepare(trucks)
             early += sum(reference_slot_end(m.earliest_departure, 0.1) < m.earliest_departure
-                         for m in prepared)
+                         for m in prepared.records())
             assert_matches_reference(prepared, REF_ROUTE, REF_ECON, seed, 0.1)
         assert early > 0
         sol = solve_fixed_interval(prepare(fleets[0]), REF_ROUTE, REF_ECON, 0.1, seed=0)
@@ -351,11 +352,11 @@ class TestInputOrder:
     def test_rank_order_required(self, method):
         prepared = prepare([ft(1, 0.0), ft(2, 5.0)])
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
-            BASELINES[method](list(prepared)[::-1], REF_ROUTE, REF_ECON, 0)
+            BASELINES[method](list(prepared.records())[::-1], REF_ROUTE, REF_ECON, 0)
 
     @pytest.mark.parametrize("method", sorted(BASELINES))
     def test_departure_order_required(self, method):
-        a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
+        a, b = prepare([ft(1, 0.0), ft(2, 5.0)]).records()
         swapped = [b._replace(rank=0), a._replace(rank=1)]
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
             BASELINES[method](swapped, REF_ROUTE, REF_ECON, 0)

@@ -8,6 +8,7 @@ and message.
 
 import copy
 import pickle
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -66,7 +67,7 @@ class TestMinChargeTime:
 
 class TestPrepareFleet:
     def test_charging_reorders_behind_later_arrival(self):
-        prepared = prepare([ft(1, 10.0), et(2, 0.0, soc=30.0)])
+        prepared = prepare([ft(1, 10.0), et(2, 0.0, soc=30.0)]).records()
         assert [p.id for p in prepared] == [1, 2]
         assert prepared[0].earliest_departure == 10.0
         assert prepared[1].earliest_departure == pytest.approx(
@@ -74,17 +75,17 @@ class TestPrepareFleet:
         assert [p.rank for p in prepared] == [0, 1]
 
     def test_fuel_trucks_keep_arrival_order(self):
-        prepared = prepare([ft(1, 5.0), ft(2, 3.0)])
+        prepared = prepare([ft(1, 5.0), ft(2, 3.0)]).records()
         assert [p.earliest_departure for p in prepared] == [3.0, 5.0]
 
     def test_full_battery_departs_on_arrival(self):
-        (p,) = prepare([et(1, 7.0, soc=100.0)])
+        (p,) = prepare([et(1, 7.0, soc=100.0)]).records()
         assert p.earliest_departure == 7.0
         assert p.min_charge_time == 0.0
         assert p.min_departure_soc == 100.0
 
     def test_ties_break_by_id(self):
-        prepared = prepare([ft(7, 4.0), ft(3, 4.0)])
+        prepared = prepare([ft(7, 4.0), ft(3, 4.0)]).records()
         assert [p.id for p in prepared] == [3, 7]
 
     def test_deterministic_and_idempotent(self):
@@ -92,7 +93,7 @@ class TestPrepareFleet:
         assert prepare(trucks) == prepare(trucks)
 
     def test_fuel_arrival_never_changes(self):
-        prepared = prepare([ft(1, 5.0), ft(2, 900.0)])
+        prepared = prepare([ft(1, 5.0), ft(2, 900.0)]).records()
         for p in prepared:
             assert p.earliest_departure == p.arrival_time
             assert p.min_charge_time == 0.0
@@ -110,7 +111,7 @@ class TestPrepareFleet:
 
     def test_ranks_and_order_invariants(self):
         trucks = [et(i, (i * 37) % 50, soc=10.0 + (i * 13) % 90) for i in range(1, 15)]
-        prepared = prepare(trucks)
+        prepared = prepare(trucks).records()
         assert [p.rank for p in prepared] == list(range(len(trucks)))
         departures = [p.earliest_departure for p in prepared]
         assert departures == sorted(departures)
@@ -119,7 +120,7 @@ class TestPrepareFleet:
         # Departing at the earliest instant with the mandatory charge must
         # leave every ET at or above its safety floor after a follower trip.
         trucks = [et(i, (i * 11) % 40, soc=10.0 + (i * 17) % 90) for i in range(1, 30)]
-        for p in prepare(trucks):
+        for p in prepare(trucks).records():
             arrival_soc = soc_after_trip(p.min_departure_soc, p.spec.discharge_rate,
                                          REF_ROUTE.distance, REF_ROUTE.follower_coeff)
             assert arrival_soc >= p.spec.safe_soc - 1e-9
@@ -174,7 +175,7 @@ def plain(record):
 def assert_matches_reference(instance):
     """prepare_fleet against the scalar loop: the same records, or the same
     error; and every `FleetArrays` column of the fleet equals its scalar
-    formula over the loop's records.
+    formula over the loop's records. Returns the fleet's records.
     Where the loop's sort fails on tied ids that Python cannot order,
     prepare_fleet raises a `ContractViolation` that names two of them."""
     try:
@@ -190,9 +191,9 @@ def assert_matches_reference(instance):
         assert getattr(err.value, "truck_id", None) == getattr(exc, "truck_id", None)
         return None
     fleet = prepare_fleet(instance)
-    records = list(fleet)
-    assert records == expected
-    assert repr(records) == repr([plain(r) for r in expected])
+    records = fleet.records()
+    assert list(records) == expected
+    assert repr(list(records)) == repr([plain(r) for r in expected])
     for r in records:
         assert type(r.earliest_departure) is float and type(r.min_charge_time) is float
         if r.is_electric:
@@ -201,7 +202,7 @@ def assert_matches_reference(instance):
             assert r.min_departure_soc is None
             assert r.earliest_departure == float(r.spec.arrival_time)
     assert_fleet_arrays_match_scalar(fleet, instance.route, expected)
-    return fleet
+    return records
 
 
 def instance_of(trucks, route=REF_ROUTE):
@@ -236,25 +237,25 @@ class TestAgainstScalarReference:
         tied = (FOLLOW_NEED - 30.0) / 1.07
         trucks = [et(9, 0.0, soc=30.0), ft(4, tied), et(2, 0.0, soc=30.0), ft(7, 0),
                   et(5, 0.0, soc=30.0), ft(1, 0), ft(8, tied), ft(3, 0.0)]
-        fleet = assert_matches_reference(instance_of(trucks))
-        assert [m.id for m in fleet] == [1, 3, 7, 2, 4, 5, 8, 9]
+        records = assert_matches_reference(instance_of(trucks))
+        assert [m.id for m in records] == [1, 3, 7, 2, 4, 5, 8, 9]
 
     def test_integer_arrivals_become_floats(self):
-        fleet = assert_matches_reference(instance_of([ft(2, 4), ft(1, 4.0), ft(3, 2),
+        records = assert_matches_reference(instance_of([ft(2, 4), ft(1, 4.0), ft(3, 2),
                                                       et(4, 4, soc=80.0)]))
-        assert [m.id for m in fleet] == [3, 1, 2, 4]
-        assert [repr(m.earliest_departure) for m in fleet] == ["2.0", "4.0", "4.0", "4.0"]
+        assert [m.id for m in records] == [3, 1, 2, 4]
+        assert [repr(m.earliest_departure) for m in records] == ["2.0", "4.0", "4.0", "4.0"]
 
     def test_string_ids(self):
-        fleet = assert_matches_reference(instance_of(
+        records = assert_matches_reference(instance_of(
             [ft("b", 3.0), ft("a", 3.0), ft("A", 3.0), et("c", 0.0, soc=30.0), ft("", 3)]))
-        assert [m.id for m in fleet] == ["", "A", "a", "b", "c"]
+        assert [m.id for m in records] == ["", "A", "a", "b", "c"]
 
     def test_mixed_ids_that_never_tie(self):
-        fleet = assert_matches_reference(instance_of(
+        records = assert_matches_reference(instance_of(
             [ft("f-2", 5.0), ft(3, 7.0), ft("f-1", 5.0), ft(1, 7.0), ft(None, 1.0),
              ft(2.5, 7.0)]))
-        assert [m.id for m in fleet] == [None, "f-1", "f-2", 1, 2.5, 3]
+        assert [m.id for m in records] == [None, "f-1", "f-2", 1, 2.5, 3]
 
     def test_mixed_ids_that_tie_are_a_contract_violation(self):
         assert_matches_reference(instance_of([ft("f-2", 5.0), ft(3, 5.0)]))
@@ -264,7 +265,7 @@ class TestAgainstScalarReference:
             prepare_fleet(instance_of([ft("f-2", 5.0), ft(3, 5.0)]))
         # Only tied ids are compared: the ET is ready at another instant.
         fleet = instance_of([ft(1, 4), et("e", 4, soc=30.0), ft(2.5, 4.0), ft("a", 7)])
-        assert [m.id for m in prepare_fleet(fleet)] == [1, 2.5, "a", "e"]
+        assert [m.id for m in prepare_fleet(fleet).records()] == [1, 2.5, "a", "e"]
         with pytest.raises(ContractViolation, match=r"'a' and 2\.5|2\.5 and 'a'"):
             prepare_fleet(instance_of([ft(1, 3), ft("a", 4.0), ft(2.5, 4)]))
 
@@ -277,18 +278,18 @@ class TestAgainstScalarReference:
         # 2**53 + 1 and 2**53 are one float64 but two Python numbers: they
         # tie, and the tie breaks by id.
         route = replace(REF_ROUTE, horizon=1e17)
-        fleet = assert_matches_reference(instance_of(
+        records = assert_matches_reference(instance_of(
             [ft(1, 2 ** 53 + 1), ft(2, float(2 ** 53)), ft(3, 2 ** 53 + 1), ft(4, 0)],
             route))
-        assert [m.id for m in fleet] == [4, 1, 2, 3]
-        assert {m.earliest_departure for m in fleet[1:]} == {float(2 ** 53)}
+        assert [m.id for m in records] == [4, 1, 2, 3]
+        assert {m.earliest_departure for m in records[1:]} == {float(2 ** 53)}
 
     def test_numpy_battery_fields(self):
         trucks = [et(1, 3.0, soc=np.float64(30.0), rate=np.float64(1.25),
                      vrate=np.float64(0.2), safe=np.float64(10.0), max_soc=np.float64(95.0)),
                   et(2, np.float64(1.0), soc=np.float64(70.0)), ft(3, np.float64(2.0))]
-        fleet = assert_matches_reference(instance_of(trucks))
-        (fuel,) = [m for m in fleet if not m.is_electric]
+        records = assert_matches_reference(instance_of(trucks))
+        (fuel,) = [m for m in records if not m.is_electric]
         assert type(fuel.earliest_departure) is float and fuel.earliest_departure == 2.0
 
     def test_first_failing_truck_in_instance_order_wins(self):
@@ -324,17 +325,21 @@ def fleet_and_records():
 
 
 class TestPreparedFleet:
-    def test_sequence_of_records(self):
+    def test_records_by_rank(self):
         _, fleet, records = fleet_and_records()
         assert isinstance(fleet, PreparedFleet) and len(fleet) == len(records) == 30
-        assert fleet[0] == records[0] and fleet[-1] == records[-1]
-        assert fleet[-3] == records[-3]
-        with pytest.raises(IndexError):
-            fleet[30]
-        assert type(fleet[2:5]) is list and fleet[2:5] == records[2:5]
-        assert fleet[::-1] == records[::-1]
-        assert list(fleet) == records and list(reversed(fleet)) == records[::-1]
-        assert fleet.index(records[4]) == 4 and records[7] in fleet
+        got = fleet.records()
+        assert type(got) is tuple and list(got) == records
+        assert fleet.records() is got  # the cache, which a tuple keeps unchanged
+
+    def test_not_a_sequence(self):
+        # The records are asked for; nothing iterates or indexes the columns
+        # into them by the way.
+        _, fleet, _ = fleet_and_records()
+        assert not isinstance(fleet, Sequence)
+        for use in (iter, lambda f: f[0], lambda f: f[2:5], reversed):
+            with pytest.raises(TypeError):
+                use(fleet)
 
     def test_equality(self):
         inst, fleet, records = fleet_and_records()
@@ -346,7 +351,7 @@ class TestPreparedFleet:
         for other in (ProblemInstance(inst.trucks, inst.route, inst.econ, inst.seed + 1),
                       ProblemInstance(inst.trucks[::-1], inst.route, inst.econ, inst.seed)):
             again = prepare_fleet(other)
-            assert list(again) == records and again != fleet
+            assert list(again.records()) == records and again != fleet
 
     def test_equality_builds_no_records(self, monkeypatch):
         config = ScenarioConfig(n_trucks=200, seed=3)
@@ -378,9 +383,9 @@ class TestPreparedFleet:
         real = discretize.PreparedTruck
         monkeypatch.setattr(discretize, "PreparedTruck",
                             lambda *fields: built.append(fields) or real(*fields))
-        first = fleet[0]
+        first = fleet.records()
         assert len(built) == 30
-        assert fleet[0] is first and all(a is b for a, b in zip(fleet, list(fleet)))
+        assert all(a is b for a, b in zip(fleet.records(), first))
         assert len(built) == 30
 
     def test_dp_solves_build_no_records(self, monkeypatch, tmp_path):
@@ -421,7 +426,8 @@ class TestPreparedFleet:
     def test_pickle_and_copy_round_trip(self, clone):
         inst, fleet, records = fleet_and_records()
         again = clone(prepare_fleet(inst))
-        assert type(again) is PreparedFleet and again == fleet and list(again) == records
+        assert type(again) is PreparedFleet and again == fleet
+        assert list(again.records()) == records
         assert sorted(vars(again.arrays)) == sorted(COLUMNS)
         for name in COLUMNS:
             column = getattr(again.arrays, name)
@@ -430,7 +436,7 @@ class TestPreparedFleet:
             assert column.tobytes() == getattr(fleet.arrays, name).tobytes()
         with pytest.raises(AttributeError):
             again.arrays.tau_delta = np.zeros(30)
-        assert again.ids == fleet.ids and again.specs == fleet.specs
+        assert again.ids == fleet.ids
 
     @pytest.mark.parametrize("clone", [
         lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy])

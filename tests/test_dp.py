@@ -15,6 +15,7 @@ from platoon_coord import (
     evaluate_platoon,
     generate,
     leader_feasible,
+    oracle_consecutive,
     prepare_fleet,
     solve_dp_ls,
     solve_dp_nls,
@@ -34,7 +35,7 @@ APPROX = dict(abs=1e-9)
 class TestLeaderFeasible:
     def test_topped_up_electric_can_lead(self):
         cmin = (FOLLOW_NEED - 30.0) / 1.07
-        prepared = prepare([et(1, 100.0 - cmin, soc=30.0), ft(2, 120.0)])
+        prepared = prepare([et(1, 100.0 - cmin, soc=30.0), ft(2, 120.0)]).records()
         p = evaluate_platoon(prepared, LeaderType.FUEL, REF_ROUTE, REF_ECON)
         # 20 minutes of top-up lift the ET to 78.304, above the 67.2 bound.
         assert p.ledger[0].departure_soc == pytest.approx(78.304, **APPROX)
@@ -42,12 +43,12 @@ class TestLeaderFeasible:
         assert leader_feasible(p, LeaderType.FUEL)
 
     def test_low_soc_electric_cannot_lead(self):
-        prepared = prepare([ft(1, 10.0), et(2, 12.0, soc=60.0)])
+        prepared = prepare([ft(1, 10.0), et(2, 12.0, soc=60.0)]).records()
         p = evaluate_platoon(prepared, LeaderType.FUEL, REF_ROUTE, REF_ECON)
         assert not leader_feasible(p, LeaderType.ELECTRIC)
 
     def test_no_electric_member(self):
-        prepared = prepare([ft(1, 0.0), ft(2, 1.0)])
+        prepared = prepare([ft(1, 0.0), ft(2, 1.0)]).records()
         p = evaluate_platoon(prepared, LeaderType.FUEL, REF_ROUTE, REF_ECON)
         assert not leader_feasible(p, LeaderType.ELECTRIC)
         assert leader_feasible(p, LeaderType.FUEL)
@@ -93,7 +94,7 @@ class TestSolveDpLs:
         inst = generate(cfg)
         prepared = prepare_fleet(inst)
         state = run_dp(prepared, inst.route, inst.econ, mode=0)
-        for i, member in enumerate(prepared, start=1):
+        for i, member in enumerate(prepared.records(), start=1):
             solo = evaluate_platoon([member],
                                     LeaderType.ELECTRIC if member.is_electric else LeaderType.FUEL,
                                     inst.route, inst.econ)
@@ -163,7 +164,8 @@ class TestSolveDpNls:
             assert_solution_valid(nls, prepared, inst.route)
 
 
-# Every solver-layer entry point, called on a fleet and a route.
+# Every entry point that takes a prepared fleet, the oracle's included, called
+# on a fleet and a route.
 ENTRY_POINTS = {
     "run_dp": lambda fleet, route: run_dp(fleet, route, REF_ECON, mode=0),
     "dp-ls": lambda fleet, route: solve_dp_ls(fleet, route, REF_ECON),
@@ -174,6 +176,7 @@ ENTRY_POINTS = {
     "fleet_arrays": fleet_arrays,
     "price_platoons": lambda fleet, route: price_platoons(
         fleet, [0], [1], [1], route, REF_ECON),
+    "oracle_consecutive": lambda fleet, route: oracle_consecutive(fleet, route, REF_ECON),
 }
 
 
@@ -184,15 +187,15 @@ class TestCheckPrepared:
         fleet: only `prepare_fleet` makes one."""
         fleet = prepare([ft(1, 0.0), ft(2, 5.0)])
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
-            ENTRY_POINTS[entry](list(fleet), REF_ROUTE)
+            ENTRY_POINTS[entry](list(fleet.records()), REF_ROUTE)
 
     def test_rank_order_required(self):
         prepared = prepare([ft(1, 0.0), ft(2, 5.0)])
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
-            run_dp(list(prepared)[::-1], REF_ROUTE, REF_ECON, mode=0)
+            run_dp(list(prepared.records())[::-1], REF_ROUTE, REF_ECON, mode=0)
 
     def test_departure_order_required(self):
-        a, b = prepare([ft(1, 0.0), ft(2, 5.0)])
+        a, b = prepare([ft(1, 0.0), ft(2, 5.0)]).records()
         swapped = [b._replace(rank=0), a._replace(rank=1)]
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
             run_dp(swapped, REF_ROUTE, REF_ECON, mode=0)

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from platoon_coord import (
     leader_feasible,
     prepare_fleet,
 )
-from platoon_coord import kernels
+from platoon_coord import dp, kernels
 from platoon_coord.dp import run_dp, solve_dp_ls, solve_dp_nls
 from platoon_coord.kernels import (
     _candidate_table,
@@ -46,19 +47,25 @@ class TestBackendSelection:
 
 class TestLeaderDraws:
     def test_table_matches_scalar(self):
-        bits = leader_draw_bits(99, 20, 8)
+        bits = leader_draw_bits(99, 0, 21, 8)
         for i in (0, 1, 7, 20):
             for n in (0, 1, 5, 8):
                 assert bits[i, n] == leader_draw_bit(99, i, n)
 
+    def test_rows_of_a_block_are_those_prefixes(self):
+        bits = leader_draw_bits(99, 7, 19, 8)
+        assert bits.shape == (12, 9)
+        assert bits.tobytes() == leader_draw_bits(99, 0, 30, 8)[7:19].tobytes()
+        assert bits[0, 3] == leader_draw_bit(99, 7, 3) and bits[11, 8] == leader_draw_bit(99, 18, 8)
+
     def test_deterministic(self):
-        assert np.array_equal(leader_draw_bits(5, 30, 8), leader_draw_bits(5, 30, 8))
+        assert np.array_equal(leader_draw_bits(5, 0, 31, 8), leader_draw_bits(5, 0, 31, 8))
 
     def test_seed_changes_draws(self):
-        assert not np.array_equal(leader_draw_bits(1, 200, 8), leader_draw_bits(2, 200, 8))
+        assert not np.array_equal(leader_draw_bits(1, 0, 201, 8), leader_draw_bits(2, 0, 201, 8))
 
     def test_roughly_fair(self):
-        bits = leader_draw_bits(42, 2000, 8)
+        bits = leader_draw_bits(42, 0, 2001, 8)
         mean = bits[1:, 1:].mean()
         assert 0.45 < mean < 0.55
 
@@ -112,9 +119,10 @@ def _compositions(n, nbar):
 def _safe_blocks(prepared, route, econ):
     """Utility of every safe leader kind of every block, keyed (end, size)."""
     blocks = {}
+    records = prepared.records()
     for end in range(1, len(prepared) + 1):
         for size in range(1, min(end, route.max_platoon_size) + 1):
-            members = prepared[end - size:end]
+            members = records[end - size:end]
             safe = {}
             for leader in (LeaderType.ELECTRIC, LeaderType.FUEL):
                 if all(leader_type_for_kind(m.kind) is not leader for m in members):
@@ -192,10 +200,10 @@ def _check_table_against_reference(prepared, route, econ, seed):
     arr = fleet_arrays(prepared, route)
     nbar = route.max_platoon_size
     blocks = _safe_blocks(prepared, route, econ)
-    draws = leader_draw_bits(seed, arr.size, nbar)
-    for mode, bits in ((0, np.zeros((1, 1), np.uint8)), (1, draws)):
+    draws = leader_draw_bits(seed, 1, arr.size + 1, nbar)
+    for mode, bits in ((0, None), (1, draws)):
         utility, leader, _ = _candidate_table(arr, econ, nbar, route.horizon,
-                                              mode, bits, 0, arr.size)
+                                              bits, 0, arr.size)
         assert np.isfinite(utility).sum() == sum(1 for safe in blocks.values() if safe)
         for (end, size), safe in blocks.items():
             got = utility[end - 1, size - 1].item()
@@ -204,7 +212,7 @@ def _check_table_against_reference(prepared, route, econ, seed):
                 continue
             kind = LeaderType.FUEL if leader[end - 1, size - 1] else LeaderType.ELECTRIC
             assert kind in safe, (mode, end, size)
-            ref = evaluate_platoon(prepared[end - size:end], kind, route, econ)
+            ref = evaluate_platoon(prepared.records()[end - size:end], kind, route, econ)
             if size <= 2:
                 assert got == ref.utility and repr(got) == repr(ref.utility), \
                     (mode, end, size, got, ref.utility)
@@ -248,9 +256,9 @@ def _check_table_against_grid(arr, econ, nbar, horizon, seeds):
     against `reference_candidate_table`, the same table in one pass over an
     index grid: utility, leader and work equal in value, and by bytes once
     cast to the reference's dtypes."""
-    for mode, bits in _both_modes(arr, nbar, seeds):
+    for mode, bits, _ in _both_modes(arr, nbar, seeds):
         for lo, hi in _row_ranges(arr.size, nbar):
-            got = _candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi)
+            got = _candidate_table(arr, econ, nbar, horizon, _rows(bits, lo, hi), lo, hi)
             want = reference_candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi)
             assert len(got) == 3
             for name, g, w in zip(("utility", "leader", "work"), got, want):
@@ -300,10 +308,18 @@ class TestCandidateTableAgainstGrid:
 
 
 def _both_modes(arr, nbar, seeds):
-    """(mode, bits) of mode 0, and of mode 1 under each seed's draws."""
-    yield 0, np.zeros((1, 1), np.uint8)
+    """(mode, bits, draw) of mode 0, and of mode 1 under each seed's draws:
+    the draws of every prefix in one table, and the `run_dp_kernel`
+    argument that draws them a block at a time."""
+    yield 0, None, None
     for seed in seeds:
-        yield 1, leader_draw_bits(seed, arr.size, nbar)
+        yield 1, leader_draw_bits(seed, 0, arr.size + 1, nbar), partial(leader_draw_bits, seed)
+
+
+def _rows(bits, lo, hi):
+    """The `_candidate_table` draws of rows `lo` .. `hi` - 1: those of
+    prefixes `lo` + 1 .. `hi`, or None without a draw."""
+    return None if bits is None else bits[lo + 1:hi + 1]
 
 
 def _check_kernel_against_reference(prepared, route, econ, seeds):
@@ -313,7 +329,7 @@ def _check_kernel_against_reference(prepared, route, econ, seeds):
     taken from that table as the kernel states them."""
     arr = fleet_arrays(prepared, route)
     nbar = min(route.max_platoon_size, arr.size)
-    for mode, bits in _both_modes(arr, nbar, seeds):
+    for mode, bits, draw in _both_modes(arr, nbar, seeds):
         utility, leader, work, prefix = reference_candidate_table(
             arr, econ, nbar, route.horizon, mode, bits, 0, arr.size)
         values, best_k = reference_value_recursion(utility, nbar)
@@ -322,7 +338,7 @@ def _check_kernel_against_reference(prepared, route, econ, seeds):
         choice_m[found] = leader[found - 1, best_k[found]]
         updates = int(work[np.isfinite(values[prefix])].sum())
 
-        got = run_dp_kernel(arr, econ, nbar, route.horizon, mode, bits)
+        got = run_dp_kernel(arr, econ, nbar, route.horizon, draw)
         assert got[0].dtype == values.dtype and got[0].tobytes() == values.tobytes(), mode
         assert got[1].dtype == best_k.dtype and np.array_equal(got[1], best_k + 1), mode
         assert got[2].dtype == choice_m.dtype and np.array_equal(got[2], choice_m), mode
@@ -398,6 +414,29 @@ class TestChunkEdges:
             for a, b in zip(parts, whole):
                 assert _dp_states_equal(a, b), chunk
 
+    def test_each_block_draws_its_own_prefixes(self, monkeypatch):
+        """Mode 1 draws the bits of each block's prefixes in its own
+        `dp.leader_draw_bits` call: the blocks cover every prefix once, each
+        bit is the scalar draw, and the state is the one drawn from the whole
+        table in one block."""
+        inst = generate(ScenarioConfig(n_trucks=40, seed=4, arrival_hi=30, horizon=200.0,
+                                       max_platoon_size=4))
+        prepared, route, econ, seed = prepare_fleet(inst), inst.route, inst.econ, 9
+        whole = run_dp(prepared, route, econ, 1, seed)
+        assert not _dp_states_equal(whole, run_dp(prepared, route, econ, 0))  # draws decide
+        real, drawn = dp.leader_draw_bits, []
+        monkeypatch.setattr(dp, "leader_draw_bits", lambda *args: (
+            drawn.append((args, real(*args))) or drawn[-1][1]))
+        monkeypatch.setattr(kernels, "CHUNK_ROWS", 7)
+        assert _dp_states_equal(run_dp(prepared, route, econ, 1, seed), whole)
+        assert [args for args, _ in drawn] == [(seed, lo + 1, min(lo + 7, 40) + 1, 4)
+                                               for lo in range(0, 40, 7)]
+        for (_, lo, hi, size), bits in drawn:
+            assert bits.shape == (hi - lo, size + 1)
+            assert bits.tolist() == [[leader_draw_bit(seed, i, n) for n in range(size + 1)]
+                                     for i in range(lo, hi)]
+        _check_kernel_against_reference(prepared, route, econ, (seed,))
+
     @pytest.mark.parametrize("nbar", [1, 2, 8])
     def test_enumeration_fleets(self, nbar, monkeypatch):
         route = replace(REF_ROUTE, horizon=200.0, max_platoon_size=nbar)
@@ -419,12 +458,12 @@ class TestChunkEdges:
         inst = load_instance(DATA / "dense-ties-300.json")
         arr = prepare_fleet(inst).arrays
         nbar = inst.route.max_platoon_size
-        for mode, bits in _both_modes(arr, nbar, (4,)):
-            full = _candidate_table(arr, inst.econ, nbar, inst.route.horizon, mode, bits,
-                                    0, arr.size)
+        for mode, bits, _ in _both_modes(arr, nbar, (4,)):
+            full = _candidate_table(arr, inst.econ, nbar, inst.route.horizon,
+                                    _rows(bits, 0, arr.size), 0, arr.size)
             for lo, hi in ((0, 3), (7, 14), (150, 157), (arr.size - 7, arr.size)):
-                part = _candidate_table(arr, inst.econ, nbar, inst.route.horizon, mode,
-                                        bits, lo, hi)
+                part = _candidate_table(arr, inst.econ, nbar, inst.route.horizon,
+                                        _rows(bits, lo, hi), lo, hi)
                 for got, want in zip(part, full):
                     assert got.dtype == want.dtype, (mode, lo)
                     assert got.tobytes() == want[lo:hi].tobytes(), (mode, lo)

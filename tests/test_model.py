@@ -26,24 +26,24 @@ APPROX = dict(abs=1e-9)
 
 class TestDepartureTime:
     def test_fuel_truck_waits_only(self):
-        (p,) = prepare([ft(1, 100.0)])
+        (p,) = prepare([ft(1, 100.0)]).records()
         assert departure_time(p, 0.0, 20.0) == 120.0
 
     def test_electric_truck_charges_then_waits(self):
-        (p,) = prepare([et(1, 100.0, soc=90.0)])
+        (p,) = prepare([et(1, 100.0, soc=90.0)]).records()
         assert departure_time(p, 25.14, 4.86) == pytest.approx(130.0, **APPROX)
 
     def test_all_zero(self):
-        (p,) = prepare([et(1, 0.0, soc=90.0)])
+        (p,) = prepare([et(1, 0.0, soc=90.0)]).records()
         assert departure_time(p, 0.0, 0.0) == 0.0
 
     def test_fuel_truck_rejects_charging(self):
-        (p,) = prepare([ft(1, 100.0)])
+        (p,) = prepare([ft(1, 100.0)]).records()
         with pytest.raises(ContractViolation):
             departure_time(p, 1.0, 0.0)
 
     def test_negative_times_rejected(self):
-        (p,) = prepare([ft(1, 100.0)])
+        (p,) = prepare([ft(1, 100.0)]).records()
         with pytest.raises(ContractViolation):
             departure_time(p, 0.0, -1.0)
 

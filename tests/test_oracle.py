@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from platoon_coord import (
@@ -17,7 +19,9 @@ from platoon_coord.verification import (
     check_dp_vs_consecutive,
     check_ft_only_exact,
     check_mixed_upper_bound,
+    small_mixed_config,
 )
+from checks import assert_solution_valid
 from conftest import REF_ECON, REF_ROUTE, UNLEADABLE, et, ft, prepare
 
 APPROX = dict(abs=1e-9)
@@ -62,6 +66,19 @@ class TestOracleConsecutive:
         prepared = prepare([ft(i, float(i)) for i in range(1, 22)])
         with pytest.raises(ContractViolation):
             oracle_consecutive(prepared, REF_ROUTE, REF_ECON)
+
+
+    def test_another_route_is_refused(self):
+        """Searched on 280 km with the columns of its 200 km route, this
+        fleet got a schedule with four ETs arriving below their 10 % floor
+        (down to -8.76 %). The oracle refuses another route as the solvers
+        do."""
+        inst = generate(small_mixed_config(0, 12, 4, 0.75))
+        prepared = prepare_fleet(inst)
+        with pytest.raises(ContractViolation, match="the fleet was prepared for"):
+            oracle_consecutive(prepared, replace(inst.route, distance=280.0), inst.econ)
+        exact = oracle_consecutive(prepared, inst.route, inst.econ)
+        assert_solution_valid(exact, prepared, inst.route)
 
 
 class TestOracleFull:

@@ -53,7 +53,7 @@ def assert_schedule_matches_reference(sol, prepared, route, econ):
     """Every platoon of a dp schedule equals the scalar reference pricing on
     its block, by `==` and by `repr`."""
     for p in sol.platoons:
-        members = prepared[p.ranks[0]:p.ranks[-1] + 1]
+        members = prepared.records()[p.ranks[0]:p.ranks[-1] + 1]
         assert_same(p, reference_evaluate_platoon(members, p.leader_type, route, econ))
 
 
@@ -129,7 +129,7 @@ class TestScheduleAgainstReference:
         sol = solve_dp_ls(prepared, route, econ)
         assert all(p.size == 1 for p in sol.platoons)
         for p in sol.platoons:
-            m = prepared[p.ranks[0]]
+            m = prepared.records()[p.ranks[0]]
             assert p.departure_time == alone_departure(m, route) > m.earliest_departure
 
     def test_empty_fleet(self):
@@ -240,7 +240,7 @@ def test_every_block_and_leader_kind(case):
     blocks, expected = [], []
     for start in range(len(prepared)):
         for size in range(1, min(route.max_platoon_size, len(prepared) - start) + 1):
-            members = prepared[start:start + size]
+            members = prepared.records()[start:start + size]
             kinds = {leader_type_for_kind(m.kind) for m in members}
             for leader in sorted(kinds, key=LEADER_CODE.get):
                 blocks.append((start, size, LEADER_CODE[leader]))

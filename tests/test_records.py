@@ -55,7 +55,7 @@ def two_truck_records():
     truck = et(7, 3.5, soc=40.0)
     prepared = prepare([ft(1, 0.0), et(2, 5.0, soc=40.0)])
     (platoon,) = solve_dp_ls(prepared, REF_ROUTE, REF_ECON).platoons
-    return truck, prepared[1], platoon, platoon.ledger[1]
+    return truck, prepared.records()[1], platoon, platoon.ledger[1]
 
 
 RECORDS = two_truck_records()

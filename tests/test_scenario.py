@@ -59,7 +59,7 @@ class TestGenerate:
                 assert 10.0 <= t.initial_soc <= 100.0
         # Resampling keeps mandatory charging inside the horizon.
         prepared = prepare_fleet(inst)
-        assert all(p.earliest_departure <= 1440.0 for p in prepared)
+        assert all(p.earliest_departure <= 1440.0 for p in prepared.records())
 
     def test_all_fuel(self):
         inst = generate(ScenarioConfig(n_trucks=40, et_share=0.0, seed=1))

@@ -118,7 +118,8 @@ class TestAssembly:
             Solution.from_table("DP-LS", priced([(3, 2, 1), (1, 2, 1), (0, 1, 0)]))
         blocks = [(1, 2, 1), (3, 2, 1), (0, 1, 0)]
         sol = Solution.from_table("DP-LS", priced(blocks))
-        records = [evaluate_platoon(prepared[s:s + n], LEADER_BY_CODE[k], REF_ROUTE, REF_ECON)
+        records = [evaluate_platoon(prepared.records()[s:s + n], LEADER_BY_CODE[k], REF_ROUTE,
+                                    REF_ECON)
                    for s, n, k in blocks]
         assert_assembled_from(sol, records)
 
@@ -132,7 +133,7 @@ class TestAssembly:
                            route=route)
         sol = solve(prepared, route, REF_ECON)
         records = [evaluate_platoon([p], LEADER_BY_CODE[not p.is_electric], route, REF_ECON)
-                   for p in prepared]
+                   for p in prepared.records()]
         assert [p.ranks for p in sol.platoons] == [(1,), (2,), (3,), (0,)]
         assert_assembled_from(sol, records)
 
@@ -144,7 +145,7 @@ class TestAssembly:
 
 class TestCoverage:
     def setup_method(self):
-        self.prepared = prepare([ft(1, 0.0), ft(2, 10.0), ft(3, 11.0)])
+        self.prepared = prepare([ft(1, 0.0), ft(2, 10.0), ft(3, 11.0)]).records()
 
     def block(self, lo, hi):
         return evaluate_platoon(self.prepared[lo:hi], LeaderType.FUEL, REF_ROUTE, REF_ECON)
