@@ -35,7 +35,6 @@ from .utility import (
     PlatoonAssignment,
     Role,
     aggregate,
-    et_charge_time,
     evaluate_platoon,
     leader_feasible,
     platoon_profit,

@@ -38,40 +38,39 @@ from .verification import (
 METHODS = ("dp-ls", "dp-nls", "spontaneous", "fixed-interval")
 
 
+# The generator flags: each one's option, the `ScenarioConfig` field it
+# sets, its type and its help text.
+_CONFIG_FLAGS = (
+    ("--n", "n_trucks", int, "fleet size"),
+    ("--et-share", "et_share", float, "electric fraction of the fleet"),
+    ("--arrival-lo", "arrival_lo", int, "earliest arrival minute"),
+    ("--arrival-hi", "arrival_hi", int, "latest arrival minute"),
+    ("--horizon", "horizon", float, "planning horizon in minutes"),
+    ("--distance", "distance", float, "hub-to-hub distance in km"),
+    ("--nbar", "max_platoon_size", int, "maximum platoon size"),
+    ("--soc-lo", "soc_lo", float, "lowest initial SoC drawn for ETs"),
+    ("--soc-hi", "soc_hi", float, "highest initial SoC drawn for ETs"),
+)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, help="fleet size")
-    parser.add_argument("--et-share", type=float, help="electric fraction of the fleet")
-    parser.add_argument("--arrival-lo", type=int, help="earliest arrival minute")
-    parser.add_argument("--arrival-hi", type=int, help="latest arrival minute")
-    parser.add_argument("--horizon", type=float, help="planning horizon in minutes")
-    parser.add_argument("--distance", type=float, help="hub-to-hub distance in km")
-    parser.add_argument("--nbar", type=int, help="maximum platoon size")
-    parser.add_argument("--soc-lo", type=float, help="lowest initial SoC drawn for ETs")
-    parser.add_argument("--soc-hi", type=float, help="highest initial SoC drawn for ETs")
+    for option, _, kind, text in _CONFIG_FLAGS:
+        parser.add_argument(option, type=kind, help=text)
 
 
-# The `ScenarioConfig` field that each generator flag sets, by flag name.
-_CONFIG_FIELDS = {
-    "n": "n_trucks",
-    "et_share": "et_share",
-    "arrival_lo": "arrival_lo",
-    "arrival_hi": "arrival_hi",
-    "horizon": "horizon",
-    "distance": "distance",
-    "nbar": "max_platoon_size",
-    "soc_lo": "soc_lo",
-    "soc_hi": "soc_hi",
-}
-
-
-def _given_config_flags(args) -> list:
-    """The generator flags given on the command line."""
-    return [flag for flag in _CONFIG_FIELDS if getattr(args, flag) is not None]
+def _given_config_flags(args) -> dict:
+    """The generator flags given on the command line: the `ScenarioConfig`
+    field and value of each, by option."""
+    given = {}
+    for option, field, *_ in _CONFIG_FLAGS:
+        value = getattr(args, option[2:].replace("-", "_"))  # argparse's dest
+        if value is not None:
+            given[option] = field, value
+    return given
 
 
 def _config_from_args(args, seed: int) -> ScenarioConfig:
-    overrides = {_CONFIG_FIELDS[flag]: getattr(args, flag) for flag in _given_config_flags(args)}
-    return replace(ScenarioConfig(seed=seed), **overrides)
+    return replace(ScenarioConfig(seed=seed), **dict(_given_config_flags(args).values()))
 
 
 def _run_method(method: str, prepared, instance, seed: int, interval: float):
@@ -186,8 +185,7 @@ def _cmd_compare(args) -> int:
     # A fixed instance is not generated, so no generator flag can apply to it.
     given = _given_config_flags(args)
     if args.instance and given:
-        names = ", ".join("--" + flag.replace("_", "-") for flag in given)
-        print(f"generator flags {names} only apply without an instance file",
+        print(f"generator flags {', '.join(given)} only apply without an instance file",
               file=sys.stderr)
         return 2
     seeds = _parse_seeds(args.seeds)

@@ -36,13 +36,19 @@ from .model import (
 
 
 class PreparedTruck(NamedTuple):
-    """A truck augmented with its mandatory-charge schedule and sort rank."""
+    """A truck augmented with its mandatory-charge schedule, sort rank and
+    the other per-truck constants that pricing reads, each the fleet's
+    `FleetArrays` entry of its rank. The SoC figures and `fill_time` are
+    None for fuel trucks."""
 
     spec: TruckSpec
     min_charge_time: float                 # minutes, 0 for fuel trucks
     min_departure_soc: Optional[float]     # percent, None for fuel trucks
     earliest_departure: float              # minutes
     rank: int                              # position after sorting, 0-based
+    fill_time: Optional[float]             # minutes to full from min_departure_soc
+    lead_need: Optional[float]             # departure SoC to lead or drive alone
+    alone_departure: float                 # minutes, its departure as a lone truck
 
     @property
     def id(self) -> int:
@@ -210,15 +216,17 @@ class PreparedFleet:
 
     def records(self) -> tuple:
         """The `PreparedTruck` records by rank, built on the first call from
-        the instance's `TruckSpec`s and then kept."""
+        the instance's `TruckSpec`s and the columns, and then kept."""
         if self._records is None:
             arr, trucks = self.arrays, self.instance.trucks
             soc = _charged_soc(arr.init_soc, arr.rate, arr.tau_cmin)
             object.__setattr__(self, "_records", tuple(
-                PreparedTruck(trucks[k], charge, soc if e else None, earliest, rank)
-                for rank, (k, e, charge, soc, earliest) in enumerate(zip(
+                PreparedTruck(trucks[k], charge, soc if e else None, earliest, rank,
+                              fill if e else None, need if e else None, alone)
+                for rank, (k, e, charge, soc, earliest, fill, need, alone) in enumerate(zip(
                     self.order.tolist(), arr.is_et.tolist(), arr.tau_cmin.tolist(),
-                    soc.tolist(), arr.tau_delta.tolist()))))
+                    soc.tolist(), arr.tau_delta.tolist(), arr.fill_time.tolist(),
+                    arr.need_lead.tolist(), arr.alone_depart.tolist()))))
         return self._records
 
     def __len__(self) -> int:
@@ -270,8 +278,8 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
             raise _infeasible(ids[k], fleet.battery[4][j], float(required[j]))
         raise HorizonExceededError(ids[k], float(earliest[k]), route.horizon)
 
-    # The lead need and the alone-safe departure, which repeat
-    # `utility.alone_charge_time` operation for operation.
+    # The lead need and the alone-safe departure, which repeat the scalar
+    # reference `tests/checks.py::alone_charge_time` operation for operation.
     need_lead = _soc_need(route, LEAD_COEFF, vrate, safe)
     alone_charge = np.maximum(np.maximum(charge, (np.minimum(need_lead, cap) - init) / rate),
                               0.0)

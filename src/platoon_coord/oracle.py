@@ -10,6 +10,7 @@ family could achieve.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import List, Optional, Sequence
 
@@ -27,7 +28,6 @@ from .solution import Diagnostics, Solution
 from .utility import (
     LeaderType,
     PlatoonAssignment,
-    alone_departure,
     evaluate_platoon,
     leader_feasible,
     leader_type_for_kind,
@@ -148,7 +148,8 @@ def oracle_full(instance: ProblemInstance, time_grid_step: float) -> Solution:
 
     The grid holds every multiple of `time_grid_step` inside the horizon plus
     every earliest departure and every safe solo departure, so every candidate
-    the other solvers can produce is representable.
+    the other solvers can produce is representable. A step that is not
+    positive and finite is a `ContractViolation`.
     """
     route, econ = instance.route, instance.econ
     n = len(instance.columns.ids)
@@ -156,15 +157,18 @@ def oracle_full(instance: ProblemInstance, time_grid_step: float) -> Solution:
         raise ContractViolation(
             f"refusing exhaustive search beyond {FULL_MAX_TRUCKS} trucks"
         )
-    if time_grid_step <= 0 or route.horizon / time_grid_step > FULL_MAX_GRID:
+    if not 0 < time_grid_step < math.inf:
+        raise ContractViolation(
+            f"grid step must be positive and finite, got {time_grid_step!r}")
+    if route.horizon / time_grid_step > FULL_MAX_GRID:
         raise ContractViolation(
             f"grid must have at most {FULL_MAX_GRID} steps over the horizon"
         )
     start = time.perf_counter()
     records = prepare_fleet(instance).records()
 
-    grid = {m.earliest_departure for m in records}
-    grid.update(alone_departure(m, route) for m in records if m.is_electric)
+    # A fuel truck's alone departure is its earliest one.
+    grid = {t for m in records for t in (m.earliest_departure, m.alone_departure)}
     k = 0
     while k * time_grid_step <= route.horizon + TIME_TOL:
         grid.add(k * time_grid_step)

@@ -26,7 +26,6 @@ from .model import (
     SOC_TOL,
     TIME_TOL,
     TruckKind,
-    departure_soc_bounds,
     soc_after_charge,
     soc_after_trip,
 )
@@ -99,43 +98,6 @@ def platoon_profit(et_count: int, ft_count: int, leader: LeaderType,
     return econ.ft_follower_profit * ft_count + econ.et_follower_profit * (et_count - 1)
 
 
-def et_charge_time(member: PreparedTruck, depart_at: float) -> float:
-    """Total charge minutes of an ET departing at `depart_at`.
-
-    Fixed policy: after the mandatory charge, keep charging until the battery
-    is full or the platoon leaves, whichever comes first; what remains of the
-    gap is waiting.
-    """
-    spec, min_charge, min_soc, earliest, _ = member
-    if spec.kind is not TruckKind.ELECTRIC:
-        raise ContractViolation(f"truck {spec.id}: fuel trucks do not charge")
-    if depart_at < earliest - TIME_TOL:
-        raise ContractViolation(
-            f"truck {spec.id}: departure {depart_at:.6g} precedes earliest "
-            f"departure {earliest:.6g}"
-        )
-    slack = max(0.0, depart_at - earliest)
-    fill = (spec.max_soc - min_soc) / spec.charge_rate
-    return min_charge + min(fill, slack)
-
-
-def alone_charge_time(member: PreparedTruck, route: RouteParams) -> float:
-    """Charge minutes an ET needs before it may drive the route alone.
-
-    Targets the lead-role SoC bound, capped at a full battery; never below
-    the mandatory (follower-level) charge.
-    """
-    spec = member.spec
-    need, cap = departure_soc_bounds(spec, route, LEAD_COEFF)
-    target = min(need, cap)
-    return max(member.min_charge_time, (target - spec.initial_soc) / spec.charge_rate, 0.0)
-
-
-def alone_departure(member: PreparedTruck, route: RouteParams) -> float:
-    """Earliest instant an ET may depart alone (arrival plus alone-safe charge)."""
-    return member.arrival_time + alone_charge_time(member, route)
-
-
 def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
                      route: RouteParams, econ: EconomicParams,
                      depart_at: Optional[float] = None) -> PlatoonAssignment:
@@ -153,7 +115,10 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
     feasibility verdict to the caller). Whether an electric leader is actually
     safe is the caller's check; this function only reports the SoC figures.
     A departure that is not finite, or a rank listed twice, is a
-    `ContractViolation`.
+    `ContractViolation`. The members' constants (mandatory charge, fill
+    time, lead need, alone departure) hold only for the route their fleet
+    was prepared for, so `route` must be that route; a record does not say
+    which it was, and this function cannot check it.
     """
     ranks = [m.rank for m in members]
     if ranks != sorted(ranks):
@@ -186,14 +151,16 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
         if leader_type is not leader_type_for_kind(first.spec.kind):
             raise ContractViolation("solo truck must lead as its own kind")
         if first.spec.kind is electric:
-            depart_at = max(depart_at, alone_departure(first, route))
+            depart_at = max(depart_at, first.alone_departure)
     else:
         wanted = electric if leader_type is LeaderType.ELECTRIC else TruckKind.FUEL
         if wanted not in [m.spec.kind for m in members]:
             raise ContractViolation(f"no {wanted.value} member to lead this platoon")
 
     # First pass, in rank order: charge/wait split, departure SoC and the
-    # loss, independent of roles.
+    # loss, independent of roles. After its mandatory charge an ET keeps
+    # charging until its battery is full or the platoon leaves, whichever
+    # comes first; what remains of the gap is waiting.
     charge_cost, wait_cost = econ.charge_cost, econ.wait_cost
     terms = []
     et_count = 0
@@ -202,12 +169,12 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
         spec = m.spec
         if spec.kind is electric:
             et_count += 1
-            charge = et_charge_time(m, depart_at)
+            charge = m.min_charge_time + min(m.fill_time,
+                                             max(0.0, depart_at - m.earliest_departure))
             wait = depart_at - spec.arrival_time - charge
             dep_soc = min(spec.max_soc,
                           soc_after_charge(spec.initial_soc, spec.charge_rate, charge))
-            need, _ = departure_soc_bounds(spec, route, LEAD_COEFF)
-            terms.append((spec, charge, wait, dep_soc, dep_soc >= need - SOC_TOL))
+            terms.append((spec, charge, wait, dep_soc, dep_soc >= m.lead_need - SOC_TOL))
             loss += charge_cost * charge + wait_cost * wait
         else:
             wait = depart_at - spec.arrival_time

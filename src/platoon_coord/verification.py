@@ -15,6 +15,9 @@ from .model import MONEY_TOL, ContractViolation
 from .oracle import oracle_consecutive, oracle_full
 from .scenario import ScenarioConfig, generate
 
+# Minutes between the full search's departure instants: 20 steps over the
+# 40-minute horizon of `tiny_grid_config`.
+FULL_GRID_STEP = 2.0
 _NBAR_CYCLE = (2, 3, 8)
 _SHARE_CYCLE = (0.25, 0.5, 0.75)
 
@@ -89,8 +92,7 @@ def check_dp_vs_consecutive(trials: int = 200, seed: int = 0) -> CheckResult:
     )
 
 
-def check_ft_only_exact(trials: int = 50, seed: int = 0,
-                        grid_step: float = 2.0) -> CheckResult:
+def check_ft_only_exact(trials: int = 50, seed: int = 0) -> CheckResult:
     """On fuel-only fleets the solver must match the unrestricted optimum."""
     _check_trials(trials)
     worst = 0.0
@@ -99,7 +101,7 @@ def check_ft_only_exact(trials: int = 50, seed: int = 0,
         instance = generate(cfg)
         prepared = prepare_fleet(instance)
         fast = solve_dp_ls(prepared, instance.route, instance.econ)
-        full = oracle_full(instance, grid_step)
+        full = oracle_full(instance, FULL_GRID_STEP)
         diff = abs(fast.utility - full.utility)
         worst = max(worst, diff)
         if diff > MONEY_TOL:
@@ -114,8 +116,7 @@ def check_ft_only_exact(trials: int = 50, seed: int = 0,
     )
 
 
-def check_mixed_upper_bound(trials: int = 50, seed: int = 0,
-                            grid_step: float = 2.0) -> CheckResult:
+def check_mixed_upper_bound(trials: int = 50, seed: int = 0) -> CheckResult:
     """On mixed fleets the solver may be suboptimal but never above the full
     search; the observed gap is reported, not bounded."""
     _check_trials(trials)
@@ -125,7 +126,7 @@ def check_mixed_upper_bound(trials: int = 50, seed: int = 0,
         instance = generate(cfg)
         prepared = prepare_fleet(instance)
         fast = solve_dp_ls(prepared, instance.route, instance.econ)
-        full = oracle_full(instance, grid_step)
+        full = oracle_full(instance, FULL_GRID_STEP)
         if fast.utility > full.utility + MONEY_TOL:
             return CheckResult(
                 "mixed-upper-bound", False,

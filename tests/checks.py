@@ -18,8 +18,6 @@ from platoon_coord.model import (
 from platoon_coord.utility import (
     MemberLedger,
     PlatoonAssignment,
-    alone_departure,
-    et_charge_time,
     leader_type_for_kind,
     platoon_profit,
 )
@@ -63,6 +61,46 @@ def assert_solution_valid(solution, prepared, route, consecutive=True):
             )
             if row.role in (Role.LEADER, Role.ALONE):
                 assert p.leader_type is LeaderType.ELECTRIC or row.role is Role.ALONE
+
+
+# The per-truck constants written as scalar formulas, one record at a time:
+# the reference that `prepare_fleet`'s columns, and the `PreparedTruck`
+# fields built from them, are checked against.
+def et_charge_time(member, depart_at):
+    """Total charge minutes of an ET departing at `depart_at`.
+
+    Fixed policy: after the mandatory charge, keep charging until the battery
+    is full or the platoon leaves, whichever comes first; what remains of the
+    gap is waiting.
+    """
+    spec, min_charge, min_soc, earliest, *_ = member
+    if spec.kind is not TruckKind.ELECTRIC:
+        raise ContractViolation(f"truck {spec.id}: fuel trucks do not charge")
+    if depart_at < earliest - TIME_TOL:
+        raise ContractViolation(
+            f"truck {spec.id}: departure {depart_at:.6g} precedes earliest "
+            f"departure {earliest:.6g}"
+        )
+    slack = max(0.0, depart_at - earliest)
+    fill = (spec.max_soc - min_soc) / spec.charge_rate
+    return min_charge + min(fill, slack)
+
+
+def alone_charge_time(member, route):
+    """Charge minutes an ET needs before it may drive the route alone.
+
+    Targets the lead-role SoC bound, capped at a full battery; never below
+    the mandatory (follower-level) charge.
+    """
+    spec = member.spec
+    need, cap = departure_soc_bounds(spec, route, LEAD_COEFF)
+    target = min(need, cap)
+    return max(member.min_charge_time, (target - spec.initial_soc) / spec.charge_rate, 0.0)
+
+
+def alone_departure(member, route):
+    """Earliest instant an ET may depart alone (arrival plus alone-safe charge)."""
+    return member.arrival_time + alone_charge_time(member, route)
 
 
 def _scalar_columns(m, route):

@@ -10,6 +10,7 @@ import copy
 import pickle
 from collections.abc import Sequence
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from platoon_coord import (
     RouteParams,
     ScenarioConfig,
     TruckSpec,
+    departure_soc_bounds,
     generate,
+    load_instance,
     min_charge_time,
     prepare_fleet,
     soc_after_charge,
@@ -37,11 +40,12 @@ from platoon_coord import (
 )
 from platoon_coord import cli, discretize
 from platoon_coord.kernels import fleet_arrays
-from platoon_coord.model import SOC_TOL, TIME_TOL
-from checks import assert_fleet_arrays_match_scalar
+from platoon_coord.model import LEAD_COEFF, SOC_TOL, TIME_TOL
+from checks import alone_departure, assert_fleet_arrays_match_scalar
 from conftest import FOLLOW_NEED, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 
 APPROX = dict(abs=1e-9)
+DATA = Path(__file__).parent / "data"
 
 
 class TestMinChargeTime:
@@ -139,27 +143,38 @@ def reference_min_charge_time(truck, route):
 
 def reference_prepare_fleet(instance):
     """The scalar loop: one truck at a time, then one sort by (earliest, id),
-    with every earliest departure a float."""
+    with every earliest departure a float. An ET's fill time, lead need and
+    alone departure come from the scalar formulas of `departure_soc_bounds`
+    and `checks.alone_departure`; a fuel truck has none of the first two and
+    leaves alone when it is ready."""
+    route = instance.route
     rows = []
     for truck in instance.trucks:
         if truck.is_electric:
-            charge = reference_min_charge_time(truck, instance.route)
+            charge = reference_min_charge_time(truck, route)
             dep_soc = soc_after_charge(truck.initial_soc, truck.charge_rate, charge)
             earliest = float(truck.arrival_time + charge)
         else:
             charge = 0.0
             dep_soc = None
             earliest = float(truck.arrival_time)
-        if earliest > instance.route.horizon + TIME_TOL:
-            raise HorizonExceededError(truck.id, earliest, instance.route.horizon)
+        if earliest > route.horizon + TIME_TOL:
+            raise HorizonExceededError(truck.id, earliest, route.horizon)
         rows.append((truck, charge, dep_soc, earliest))
 
     rows.sort(key=lambda r: (r[3], r[0].id))
-    return [
-        PreparedTruck(spec=truck, min_charge_time=charge, min_departure_soc=dep_soc,
-                      earliest_departure=earliest, rank=rank)
-        for rank, (truck, charge, dep_soc, earliest) in enumerate(rows)
-    ]
+    records = []
+    for rank, (truck, charge, dep_soc, earliest) in enumerate(rows):
+        record = PreparedTruck(spec=truck, min_charge_time=charge, min_departure_soc=dep_soc,
+                               earliest_departure=earliest, rank=rank, fill_time=None,
+                               lead_need=None, alone_departure=earliest)
+        if truck.is_electric:
+            record = record._replace(
+                fill_time=(truck.max_soc - dep_soc) / truck.charge_rate,
+                lead_need=departure_soc_bounds(truck, route, LEAD_COEFF)[0],
+                alone_departure=alone_departure(record, route))
+        records.append(record)
+    return records
 
 
 def plain(record):
@@ -168,8 +183,8 @@ def plain(record):
     give Python floats of the same value."""
     if not record.is_electric:
         return record
-    return record._replace(min_charge_time=float(record.min_charge_time),
-                           min_departure_soc=float(record.min_departure_soc))
+    return record._replace(**{name: float(getattr(record, name)) for name in (
+        "min_charge_time", "min_departure_soc", "fill_time", "lead_need", "alone_departure")})
 
 
 def assert_matches_reference(instance):
@@ -196,11 +211,12 @@ def assert_matches_reference(instance):
     assert repr(list(records)) == repr([plain(r) for r in expected])
     for r in records:
         assert type(r.earliest_departure) is float and type(r.min_charge_time) is float
+        assert type(r.alone_departure) is float
         if r.is_electric:
-            assert type(r.min_departure_soc) is float
+            assert type(r.min_departure_soc) is type(r.fill_time) is type(r.lead_need) is float
         else:
-            assert r.min_departure_soc is None
-            assert r.earliest_departure == float(r.spec.arrival_time)
+            assert r.min_departure_soc is r.fill_time is r.lead_need is None
+            assert r.earliest_departure == float(r.spec.arrival_time) == r.alone_departure
     assert_fleet_arrays_match_scalar(fleet, instance.route, expected)
     return records
 
@@ -292,6 +308,10 @@ class TestAgainstScalarReference:
         (fuel,) = [m for m in records if not m.is_electric]
         assert type(fuel.earliest_departure) is float and fuel.earliest_departure == 2.0
 
+    @pytest.mark.parametrize("name", ["integer-arrivals-200", "dense-ties-300"])
+    def test_committed_instances(self, name):
+        assert_matches_reference(load_instance(DATA / f"{name}.json"))
+
     def test_first_failing_truck_in_instance_order_wins(self):
         route = RouteParams(distance=200.0, horizon=100.0, max_platoon_size=8)
         late, infeasible = ft(5, 150.0), et(2, 0.0, soc=30.0, max_soc=40.0)
@@ -331,6 +351,22 @@ class TestPreparedFleet:
         got = fleet.records()
         assert type(got) is tuple and list(got) == records
         assert fleet.records() is got  # the cache, which a tuple keeps unchanged
+
+    @pytest.mark.parametrize("instance", [
+        generate(ScenarioConfig(n_trucks=30, seed=3)),
+        load_instance(DATA / "dense-ties-300.json"),
+    ], ids=["generated", "dense-ties"])
+    def test_record_constants_are_the_columns(self, instance):
+        # Bit for bit: a record's per-truck constants are its rank's column
+        # entries, as Python floats; a fuel truck's SoC figures are None.
+        fleet = prepare_fleet(instance)
+        arr = fleet.arrays
+        for field, column in (("fill_time", arr.fill_time), ("lead_need", arr.need_lead),
+                              ("alone_departure", arr.alone_depart)):
+            got = [getattr(r, field) for r in fleet.records()]
+            want = [v if e or field == "alone_departure" else None
+                    for v, e in zip(column.tolist(), arr.is_et.tolist())]
+            assert repr(got) == repr(want), field
 
     def test_not_a_sequence(self):
         # The records are asked for; nothing iterates or indexes the columns

@@ -20,6 +20,7 @@ from platoon_coord.verification import (
     check_ft_only_exact,
     check_mixed_upper_bound,
     small_mixed_config,
+    tiny_grid_config,
 )
 from checks import assert_solution_valid
 from conftest import REF_ECON, REF_ROUTE, UNLEADABLE, et, ft, prepare
@@ -140,6 +141,14 @@ class TestOracleFull:
                                 econ=REF_ECON)
         with pytest.raises(ContractViolation):
             oracle_full(small, 1.0)  # 1440 grid points is beyond the cap
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), -float("inf"), 0.0, -2.0])
+    def test_grid_step_must_be_positive_and_finite(self, step):
+        # A NaN or infinite step passed the grid-size test and searched a grid
+        # with no multiple of the step in it.
+        inst = generate(tiny_grid_config(3, 4, 0.5))
+        with pytest.raises(ContractViolation, match="grid step must be positive and finite"):
+            oracle_full(inst, step)
 
 
 def test_unschedulable_fleet_is_no_feasible_schedule():

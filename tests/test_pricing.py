@@ -33,12 +33,8 @@ from platoon_coord import (
 )
 from platoon_coord.kernels import fleet_arrays
 from platoon_coord.scenario import load_instance, solution_text
-from platoon_coord.utility import (
-    alone_departure,
-    leader_type_for_kind,
-    price_platoons,
-)
-from checks import assert_fleet_arrays_match_scalar, reference_evaluate_platoon
+from platoon_coord.utility import leader_type_for_kind, price_platoons
+from checks import alone_departure, assert_fleet_arrays_match_scalar, reference_evaluate_platoon
 from conftest import ET_VRATE, REF_ECON, REF_ROUTE, UNLEADABLE, et, fleet_instances, ft, prepare
 
 LEADER_CODE = {LeaderType.ELECTRIC: 0, LeaderType.FUEL: 1}
@@ -130,7 +126,8 @@ class TestScheduleAgainstReference:
         assert all(p.size == 1 for p in sol.platoons)
         for p in sol.platoons:
             m = prepared.records()[p.ranks[0]]
-            assert p.departure_time == alone_departure(m, route) > m.earliest_departure
+            assert p.departure_time == m.alone_departure == alone_departure(m, route)
+            assert p.departure_time > m.earliest_departure
 
     def test_empty_fleet(self):
         """An empty schedule: no blocks on a real fleet price to an empty

@@ -35,7 +35,8 @@ PREPARED_REPR = (
     "arrival_time=5.0, initial_soc=40.0, charge_rate=1.07, discharge_rate=0.286, "
     "safe_soc=10.0, max_soc=100.0), min_charge_time=15.798130841121491, "
     "min_departure_soc=56.903999999999996, earliest_departure=20.79813084112149, "
-    "rank=1)"
+    "rank=1, fill_time=40.27663551401869, lead_need=67.19999999999999, "
+    "alone_departure=30.42056074766354)"
 )
 PLATOON_REPR = (
     "PlatoonAssignment(ranks=(0, 1), leader_type=<LeaderType.FUEL: 'F'>, "

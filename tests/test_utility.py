@@ -10,13 +10,11 @@ from platoon_coord import (
     LeaderType,
     Role,
     aggregate,
-    et_charge_time,
     evaluate_platoon,
     platoon_profit,
     prepare_fleet,
 )
 from platoon_coord.model import TIME_TOL
-from platoon_coord.utility import alone_charge_time, alone_departure
 from checks import reference_evaluate_platoon
 from conftest import (
     FOLLOW_NEED,
@@ -51,36 +49,57 @@ class TestPlatoonProfit:
 
 
 class TestEtChargeTime:
+    """An ET's charge in `evaluate_platoon`'s ledger: the mandatory charge,
+    topped up by at most the record's `fill_time` until the platoon leaves."""
+
     def make_member(self):
         # Weak ET whose earliest departure lands at t=100.
         cmin = (FOLLOW_NEED - 30.0) / 1.07
         (member,) = prepare([et(1, 100.0 - cmin, soc=30.0)]).records()
         return member, cmin
 
+    def charges(self, members, depart_at=None, leader=LeaderType.ELECTRIC):
+        p = evaluate_platoon(members, leader, REF_ROUTE, REF_ECON, depart_at=depart_at)
+        return [row.charge_time for row in p.ledger]
+
+    def test_record_constants(self):
+        member, cmin = self.make_member()
+        assert member.min_charge_time == pytest.approx(cmin, **APPROX)
+        assert member.fill_time == pytest.approx((100.0 - FOLLOW_NEED) / 1.07, **APPROX)
+        assert member.lead_need == pytest.approx(LEAD_NEED, **APPROX)
+
     def test_tops_up_until_departure(self):
         member, cmin = self.make_member()
-        charge = et_charge_time(member, 120.0)
-        assert charge == pytest.approx(cmin + 20.0, **APPROX)
+        assert self.charges([member], 120.0) == [pytest.approx(cmin + 20.0, **APPROX)]
         # 20 extra minutes at 1.07 percent per minute on top of the minimum.
         assert member.min_departure_soc + 1.07 * 20.0 == pytest.approx(78.304, **APPROX)
 
+    def test_tops_up_to_a_full_battery(self):
+        member, _ = self.make_member()
+        assert self.charges([member], 500.0) == [member.min_charge_time + member.fill_time]
+        assert member.min_charge_time + member.fill_time == pytest.approx(70.0 / 1.07, **APPROX)
+
     def test_zero_slack_gives_minimum(self):
+        # A fuel truck ready the moment the ET is: the platoon leaves then.
         member, cmin = self.make_member()
-        assert et_charge_time(member, member.earliest_departure) == pytest.approx(cmin, **APPROX)
+        members = prepare([member.spec, ft(2, member.earliest_departure)]).records()
+        assert self.charges(members, None, LeaderType.FUEL) == [
+            pytest.approx(cmin, **APPROX), 0.0]
 
     def test_full_battery_never_charges_more(self):
         (member,) = prepare([et(1, 10.0, soc=100.0)]).records()
-        assert et_charge_time(member, 500.0) == 0.0
+        assert member.fill_time == 0.0
+        assert self.charges([member], 500.0) == [0.0]
 
     def test_departure_before_ready_rejected(self):
         member, _ = self.make_member()
-        with pytest.raises(ContractViolation):
-            et_charge_time(member, 99.0)
+        with pytest.raises(ContractViolation, match="precedes"):
+            self.charges([member], 99.0)
 
-    def test_fuel_truck_rejected(self):
+    def test_fuel_truck_does_not_charge(self):
         (member,) = prepare([ft(1, 0.0)]).records()
-        with pytest.raises(ContractViolation):
-            et_charge_time(member, 10.0)
+        assert (member.fill_time, member.lead_need) == (None, None)
+        assert self.charges([member], 10.0, LeaderType.FUEL) == [0.0]
 
 
 class TestEvaluatePlatoon:
@@ -289,16 +308,30 @@ class TestAggregate:
             aggregate([b])  # rank 0 missing
 
 
-class TestAloneHelpers:
+class TestAloneDeparture:
+    """A lone ET leaves at its record's `alone_departure`: arrival plus the
+    charge to the lead-level SoC, capped at a full battery, never below the
+    mandatory charge."""
+
+    def solo(self, member):
+        return evaluate_platoon([member], LeaderType.ELECTRIC, REF_ROUTE, REF_ECON)
+
     def test_alone_charge_extends_mandatory_charge(self):
         (weak,) = prepare([et(1, 0.0, soc=30.0)]).records()
-        assert alone_charge_time(weak, REF_ROUTE) == pytest.approx(
-            (LEAD_NEED - 30.0) / 1.07, **APPROX)
-        assert alone_departure(weak, REF_ROUTE) > weak.earliest_departure
+        assert weak.alone_departure == pytest.approx((LEAD_NEED - 30.0) / 1.07, **APPROX)
+        assert weak.alone_departure > weak.earliest_departure
+        p = self.solo(weak)
+        assert p.departure_time == weak.alone_departure
+        assert p.ledger[0].charge_time == pytest.approx((LEAD_NEED - 30.0) / 1.07, **APPROX)
 
     def test_alone_charge_capped_by_capacity(self):
         # Lead-level SoC (10 + 0.3 * 200 = 70) is beyond this battery, so the
         # alone-safe charge stops at a full 60 percent.
         (member,) = prepare([et(1, 0.0, soc=30.0, max_soc=60.0, vrate=0.3)]).records()
-        assert alone_charge_time(member, REF_ROUTE) == pytest.approx(
-            (60.0 - 30.0) / 1.07, **APPROX)
+        assert member.alone_departure == pytest.approx((60.0 - 30.0) / 1.07, **APPROX)
+        assert self.solo(member).ledger[0].departure_soc == pytest.approx(60.0, **APPROX)
+
+    def test_strong_et_and_fuel_truck_leave_when_ready(self):
+        fuel, strong = prepare([et(1, 4.0, soc=90.0), ft(2, 3)]).records()
+        assert strong.alone_departure == strong.earliest_departure == 4.0
+        assert fuel.alone_departure == fuel.earliest_departure == 3.0
