@@ -59,8 +59,9 @@ def run_dp(prepared: PreparedFleet, route: RouteParams,
     arr = fleet_arrays(prepared, route)
     # No platoon outgrows the fleet, so a larger cap must not size the tables.
     window = min(route.max_platoon_size, arr.size)
-    # Each block of the kernel draws its own prefixes' bits, so the draws
-    # take memory by the block, not by the fleet.
+    # A block of the kernel draws its own prefixes' bits, and only when some
+    # candidate of it has both leader kinds safe, so the draws take memory
+    # by the block, not by the fleet.
     draw = functools.partial(leader_draw_bits, seed) if mode == 1 else None
     return DpState(*run_dp_kernel(arr, econ, window, route.horizon, draw))
 

@@ -16,9 +16,14 @@ elementwise step each. The recursion is Python source written out
 once per window width, with the window in local variables, so a candidate
 costs one addition and one comparison and no indexing; the additions and
 comparisons are those of a plain loop over the table, in the same order.
-Leader draws for the randomized variant come from a counter-based splitmix64
-stream keyed by (seed, prefix, size), drawn a block at a time, so results
-are independent of evaluation order and reproducible across platforms.
+The table skips work that its result never reads: a size at which no
+ET of any row's block can lead prices the fuel leader alone, with no
+electric-led utility. Leader draws for the randomized variant come from a
+counter-based splitmix64 stream keyed by (seed, prefix, size), so results
+are independent of evaluation order and reproducible across platforms. A
+block draws its prefixes' bits in one call, made at the first size where
+some candidate has both leader kinds safe; a block with no such candidate,
+where the one safe kind is the pick whatever the bit, draws nothing.
 """
 
 from __future__ import annotations
@@ -137,7 +142,7 @@ CHUNK_ROWS = 8192
 
 
 def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
-                     bits, lo: int, hi: int):
+                     draw, lo: int, hi: int):
     """Price the (last truck, size) candidates of rows `lo` .. `hi` - 1, one
     platoon size at a time.
 
@@ -147,18 +152,23 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
     ET can lead carry from column k - 1 with one elementwise step each: the
     additions that a running sum along the row makes, in the same order.
     A row reads only the fleet's columns, so these are exactly those rows of
-    the table over the whole fleet. The better leader kind is kept, or with
-    `bits`, the draws of prefixes `lo` + 1 .. `hi`, the drawn one where both
-    are safe. Returns the utility of each candidate under its leader kind
-    (-inf when no kind is safe or the block runs past the first truck), that
-    kind as a code (0 electric, 1 fuel), and the work each candidate adds to
-    the `updates` counter.
+    the table over the whole fleet. Without `draw` the better leader kind
+    is kept; with it, the drawn one where both are safe, from
+    `draw(lo + 1, hi + 1, nbar)`, the bits of prefixes `lo` + 1 .. `hi`.
+    That call is made once, at the first size with a cell where both kinds
+    are safe, and not at all when there is none: elsewhere the one safe kind
+    is the pick, whatever the bit. A size at which no ET of any row's block
+    can lead prices the fuel leader alone. Returns the utility of each
+    candidate under its leader kind (-inf when no kind is safe or the block
+    runs past the first truck), that kind as a code (0 electric, 1 fuel),
+    and the work each candidate adds to the `updates` counter.
     """
     ew, ec = econ.wait_cost, econ.charge_cost
     m = hi - lo
     utility = np.full((m, nbar), -np.inf)
     leader = np.ones((m, nbar), np.int8)
     work = np.zeros((m, nbar), np.int8)
+    bits = None
     # The profit depends only on (size, ET count): price that grid once and
     # gather it, the same `block_profit` on the same integers.
     ets = np.arange(nbar + 1)[None, :]
@@ -178,22 +188,33 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
             # keeps the row's own departure, since every larger block sums it.
             t0 = arr.alone_depart[members]
             charge, wait, _, can_lead = member_terms(arr, members, t0)
-            j_e = 0.0 - (ec * charge + ew * wait)
             val_e = et & can_lead & (t0 <= horizon + TIME_TOL)
         else:
             loss[s:] += cost
             et_cnt[s:] += et
             lead_ok[s:] |= et & can_lead
-            j_e = profit_e[k][et_cnt[s:]] - loss[s:]
             val_e = lead_ok[s:]
         j_f = profit_f[k][et_cnt[s:]] - loss[s:]
         val_f = et_cnt[s:] <= k  # at least one fuel truck
+        if not np.count_nonzero(val_e):  # only a fuel leader is safe, in either mode
+            utility[s:, k] = np.where(val_f, j_f, -np.inf)
+            work[s:, k] = val_f
+            continue
 
-        if bits is None:
+        if k == 0:
+            j_e = 0.0 - (ec * charge + ew * wait)
+        else:
+            j_e = profit_e[k][et_cnt[s:]] - loss[s:]
+        if draw is None:
             pick_e = val_e & (~val_f | (j_e >= j_f))
             work[s:, k] = val_e.astype(np.int8) + val_f
         else:
-            pick_e = val_e & (~val_f | (bits[s:, k + 1] == 1))
+            if bits is None and np.count_nonzero(val_e & val_f):
+                bits = draw(lo + 1, hi + 1, nbar)
+            if bits is None:  # no cell yet where both kinds are safe
+                pick_e = val_e & ~val_f
+            else:
+                pick_e = val_e & (~val_f | (bits[s:, k + 1] == 1))
             work[s:, k] = val_e | val_f
         utility[s:, k] = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
         leader[s:, k] = ~pick_e
@@ -243,7 +264,8 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float, draw=None):
 
     Without `draw` the better leader kind per candidate is kept; with it,
     one is drawn from `draw(lo, hi, nbar)`, the `leader_draw_bits` of
-    prefixes `lo` .. `hi` - 1, which each block asks for its own. The
+    prefixes `lo` .. `hi` - 1, which a block asks for its own prefixes
+    only if one of its candidates has both kinds safe, and then once. The
     returned choice arrays encode, per prefix length, the platoon size and
     leader kind (0 electric, 1 fuel) of the winning candidate.
     `updates` counts the safe (candidate, leader kind) pairs whose prefix has
@@ -267,8 +289,7 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float, draw=None):
     updates = 0
     for lo in range(0, n, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n)
-        bits = None if draw is None else draw(lo + 1, hi + 1, nbar)
-        utility, leader, work = _candidate_table(arr, econ, nbar, horizon, bits, lo, hi)
+        utility, leader, work = _candidate_table(arr, econ, nbar, horizon, draw, lo, hi)
         window = values[:-nbar - 1:-1]  # the last nbar values, the latest first
         recurse(utility.tolist(), window + [-np.inf] * (nbar - len(window)),
                 values, picks)

@@ -172,8 +172,9 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
             charge = m.min_charge_time + min(m.fill_time,
                                              max(0.0, depart_at - m.earliest_departure))
             wait = depart_at - spec.arrival_time - charge
-            dep_soc = min(spec.max_soc,
-                          soc_after_charge(spec.initial_soc, spec.charge_rate, charge))
+            dep_soc = soc_after_charge(spec.initial_soc, spec.charge_rate, charge)
+            if dep_soc >= spec.max_soc:  # full: a float, as `price_platoons` gives it
+                dep_soc = float(spec.max_soc)
             terms.append((spec, charge, wait, dep_soc, dep_soc >= m.lead_need - SOC_TOL))
             loss += charge_cost * charge + wait_cost * wait
         else:
@@ -380,11 +381,13 @@ def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: Route
     arr_soc = dep_soc - coeff * arr.vrate[idx] * route.distance
     role = np.where(solo[block], 2, np.where(leads, 0, 1))
 
+    # Row b of the grid is 0.0, then block b's member costs by rank, then 0.0
+    # padding: a sequential running sum along it adds in the scalar sum's
+    # order from 0.0, and the padding leaves the total as it is.
     cost = econ.charge_cost * charge + econ.wait_cost * wait  # charge is 0 for FTs
-    loss = np.zeros(sizes.size)
-    for k in range(int(sizes.max())):  # rank order, as the scalar sum runs
-        live = np.flatnonzero(sizes > k)
-        loss[live] += cost[offsets[live] + k]
+    grid = np.zeros((sizes.size, int(sizes.max()) + 1))
+    grid[block, pos + 1] = cost
+    loss = np.add.accumulate(grid, axis=1)[:, -1]
     profit = block_profit(econ, et_count, ft_count, fuel_led)
 
     ranks = idx.tolist()

@@ -204,7 +204,7 @@ def reference_evaluate_platoon(members, leader_type, route, econ, depart_at=None
         if m.is_electric:
             charge = et_charge_time(m, depart_at)
             wait = depart_at - m.arrival_time - charge
-            dep_soc = min(m.spec.max_soc,
+            dep_soc = min(float(m.spec.max_soc),
                           soc_after_charge(m.spec.initial_soc, m.spec.charge_rate, charge))
             need, _ = departure_soc_bounds(m.spec, route, LEAD_COEFF)
             can_lead = dep_soc >= need - SOC_TOL

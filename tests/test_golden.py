@@ -1,6 +1,6 @@
 """Output bytes pinned across changes.
 
-`tests/data` holds two instance files and the SHA-256 of every file
+`tests/data` holds three instance files and the SHA-256 of every file
 `platoon-coord solve` wrote for them when they were made: each method as
 JSON, as CSV, and as `--timing` JSON with its `solve_ms` line removed (wall
 clock), and `fixed-interval --interval 0.1` as JSON and CSV, whose slot
@@ -9,7 +9,9 @@ change with the code; these digests do not. `dense-ties-300` is a 300-truck
 fleet at 14 arrivals a minute with exact ties, nbar 16 and ETs that can
 follow but never lead; `integer-arrivals-200` has integer arrival times,
 which every method writes back as floats: times are float64 once a fleet
-is prepared. A change that alters these outputs on purpose rewrites
+is prepared; `integer-battery-200` (seed 7) has integer `soc0`, `safe` and
+`max` fields, and every method writes each SoC as a float, a battery
+charged to its integer `max` included. A change that alters these outputs on purpose rewrites
 `golden-digests.json` from what it writes, and says which outputs moved and
 why.
 

@@ -200,10 +200,9 @@ def _check_table_against_reference(prepared, route, econ, seed):
     arr = fleet_arrays(prepared, route)
     nbar = route.max_platoon_size
     blocks = _safe_blocks(prepared, route, econ)
-    draws = leader_draw_bits(seed, 1, arr.size + 1, nbar)
-    for mode, bits in ((0, None), (1, draws)):
+    for mode, draw in ((0, None), (1, partial(leader_draw_bits, seed))):
         utility, leader, _ = _candidate_table(arr, econ, nbar, route.horizon,
-                                              bits, 0, arr.size)
+                                              draw, 0, arr.size)
         assert np.isfinite(utility).sum() == sum(1 for safe in blocks.values() if safe)
         for (end, size), safe in blocks.items():
             got = utility[end - 1, size - 1].item()
@@ -254,11 +253,12 @@ def _row_ranges(n, nbar):
 def _check_table_against_grid(arr, econ, nbar, horizon, seeds):
     """`_candidate_table`, in both modes and over each of `_row_ranges`,
     against `reference_candidate_table`, the same table in one pass over an
-    index grid: utility, leader and work equal in value, and by bytes once
-    cast to the reference's dtypes."""
-    for mode, bits, _ in _both_modes(arr, nbar, seeds):
+    index grid whose draws are drawn for every row up front: utility, leader
+    and work equal in value, and by bytes once cast to the reference's
+    dtypes."""
+    for mode, bits, draw in _both_modes(arr, nbar, seeds):
         for lo, hi in _row_ranges(arr.size, nbar):
-            got = _candidate_table(arr, econ, nbar, horizon, _rows(bits, lo, hi), lo, hi)
+            got = _candidate_table(arr, econ, nbar, horizon, draw, lo, hi)
             want = reference_candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi)
             assert len(got) == 3
             for name, g, w in zip(("utility", "leader", "work"), got, want):
@@ -309,40 +309,44 @@ class TestCandidateTableAgainstGrid:
 
 def _both_modes(arr, nbar, seeds):
     """(mode, bits, draw) of mode 0, and of mode 1 under each seed's draws:
-    the draws of every prefix in one table, and the `run_dp_kernel`
-    argument that draws them a block at a time."""
+    the draws of every prefix in one table, which the references read, and
+    the `_candidate_table` and `run_dp_kernel` argument that draws them a
+    block at a time."""
     yield 0, None, None
     for seed in seeds:
         yield 1, leader_draw_bits(seed, 0, arr.size + 1, nbar), partial(leader_draw_bits, seed)
 
 
-def _rows(bits, lo, hi):
-    """The `_candidate_table` draws of rows `lo` .. `hi` - 1: those of
-    prefixes `lo` + 1 .. `hi`, or None without a draw."""
-    return None if bits is None else bits[lo + 1:hi + 1]
+def _reference_kernel(arr, econ, nbar, horizon, mode, bits):
+    """What `run_dp_kernel` returns, from `reference_value_recursion` run on
+    the reference table over every row, whose draws `bits` are drawn for
+    every prefix up front: the values, and the choice sizes, choice leaders
+    and `updates` taken from that table as the kernel states them."""
+    utility, leader, work, prefix = reference_candidate_table(
+        arr, econ, nbar, horizon, mode, bits, 0, arr.size)
+    values, best_k = reference_value_recursion(utility, nbar)
+    found = np.flatnonzero(best_k >= 0)
+    choice_m = np.full(arr.size + 1, -1, np.int8)
+    choice_m[found] = leader[found - 1, best_k[found]]
+    updates = int(work[np.isfinite(values[prefix])].sum())
+    return values, best_k + 1, choice_m, updates
 
 
 def _check_kernel_against_reference(prepared, route, econ, seeds):
-    """`run_dp_kernel`, in both modes, against `reference_value_recursion`
-    run on the reference table over every row, with `run_dp`'s window: the
-    values by bytes, and the choice sizes, choice leaders and `updates`
-    taken from that table as the kernel states them."""
+    """`run_dp_kernel`, in both modes, against `_reference_kernel` with
+    `run_dp`'s window: every array by dtype and bytes, and `updates`."""
     arr = fleet_arrays(prepared, route)
     nbar = min(route.max_platoon_size, arr.size)
     for mode, bits, draw in _both_modes(arr, nbar, seeds):
-        utility, leader, work, prefix = reference_candidate_table(
-            arr, econ, nbar, route.horizon, mode, bits, 0, arr.size)
-        values, best_k = reference_value_recursion(utility, nbar)
-        found = np.flatnonzero(best_k >= 0)
-        choice_m = np.full(arr.size + 1, -1, np.int8)
-        choice_m[found] = leader[found - 1, best_k[found]]
-        updates = int(work[np.isfinite(values[prefix])].sum())
-
+        want = _reference_kernel(arr, econ, nbar, route.horizon, mode, bits)
         got = run_dp_kernel(arr, econ, nbar, route.horizon, draw)
-        assert got[0].dtype == values.dtype and got[0].tobytes() == values.tobytes(), mode
-        assert got[1].dtype == best_k.dtype and np.array_equal(got[1], best_k + 1), mode
-        assert got[2].dtype == choice_m.dtype and np.array_equal(got[2], choice_m), mode
-        assert got[3] == updates, mode
+        assert _kernel_outputs_equal(got, want), mode
+
+
+def _kernel_outputs_equal(got, want):
+    return (all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                for g, w in zip(got[:3], want[:3]))
+            and got[3] == want[3])
 
 
 class TestRecursionAgainstReference:
@@ -415,27 +419,49 @@ class TestChunkEdges:
                 assert _dp_states_equal(a, b), chunk
 
     def test_each_block_draws_its_own_prefixes(self, monkeypatch):
-        """Mode 1 draws the bits of each block's prefixes in its own
-        `dp.leader_draw_bits` call: the blocks cover every prefix once, each
-        bit is the scalar draw, and the state is the one drawn from the whole
-        table in one block."""
+        """Mode 1 draws the bits of a block's prefixes in one
+        `dp.leader_draw_bits` call of its own when one of its candidates has
+        both leader kinds safe (work 2 in the mode-0 reference table), and
+        makes no call for any other block; each bit is the scalar draw, and
+        the state is the one drawn from the whole table in one block."""
         inst = generate(ScenarioConfig(n_trucks=40, seed=4, arrival_hi=30, horizon=200.0,
                                        max_platoon_size=4))
         prepared, route, econ, seed = prepare_fleet(inst), inst.route, inst.econ, 9
         whole = run_dp(prepared, route, econ, 1, seed)
         assert not _dp_states_equal(whole, run_dp(prepared, route, econ, 0))  # draws decide
+        work = reference_candidate_table(prepared.arrays, econ, 4, route.horizon, 0, None,
+                                         0, 40)[2]
+        both = [(work[lo:lo + 5] == 2).any() for lo in range(0, 40, 5)]
+        assert any(both) and not all(both)
         real, drawn = dp.leader_draw_bits, []
         monkeypatch.setattr(dp, "leader_draw_bits", lambda *args: (
             drawn.append((args, real(*args))) or drawn[-1][1]))
-        monkeypatch.setattr(kernels, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(kernels, "CHUNK_ROWS", 5)
         assert _dp_states_equal(run_dp(prepared, route, econ, 1, seed), whole)
-        assert [args for args, _ in drawn] == [(seed, lo + 1, min(lo + 7, 40) + 1, 4)
-                                               for lo in range(0, 40, 7)]
+        assert [args for args, _ in drawn] == [(seed, lo + 1, lo + 6, 4)
+                                               for lo, draws in zip(range(0, 40, 5), both)
+                                               if draws]
         for (_, lo, hi, size), bits in drawn:
             assert bits.shape == (hi - lo, size + 1)
             assert bits.tolist() == [[leader_draw_bit(seed, i, n) for n in range(size + 1)]
                                      for i in range(lo, hi)]
         _check_kernel_against_reference(prepared, route, econ, (seed,))
+
+    def test_no_draw_where_one_kind_is_safe(self, monkeypatch):
+        """On a fleet whose ETs never lead a block of two, no candidate has
+        both kinds safe, so mode 1 makes no `dp.leader_draw_bits` call, and
+        its state is the one the reference draws from the whole table."""
+        inst = load_instance(DATA / "dense-ties-300.json")
+        prepared, route, econ, seed = prepare_fleet(inst), inst.route, inst.econ, inst.seed
+        drawn = []
+        monkeypatch.setattr(dp, "leader_draw_bits", lambda *args: drawn.append(args))
+        state = run_dp(prepared, route, econ, 1, seed)
+        assert drawn == []
+        arr, nbar = prepared.arrays, min(route.max_platoon_size, len(prepared))
+        bits = leader_draw_bits(seed, 0, arr.size + 1, nbar)
+        want = _reference_kernel(arr, econ, nbar, route.horizon, 1, bits)
+        assert _kernel_outputs_equal((state.values, state.choice_sizes, state.choice_leaders,
+                                      state.updates), want)
 
     @pytest.mark.parametrize("nbar", [1, 2, 8])
     def test_enumeration_fleets(self, nbar, monkeypatch):
@@ -458,12 +484,12 @@ class TestChunkEdges:
         inst = load_instance(DATA / "dense-ties-300.json")
         arr = prepare_fleet(inst).arrays
         nbar = inst.route.max_platoon_size
-        for mode, bits, _ in _both_modes(arr, nbar, (4,)):
+        for mode, _, draw in _both_modes(arr, nbar, (4,)):
             full = _candidate_table(arr, inst.econ, nbar, inst.route.horizon,
-                                    _rows(bits, 0, arr.size), 0, arr.size)
+                                    draw, 0, arr.size)
             for lo, hi in ((0, 3), (7, 14), (150, 157), (arr.size - 7, arr.size)):
                 part = _candidate_table(arr, inst.econ, nbar, inst.route.horizon,
-                                        _rows(bits, lo, hi), lo, hi)
+                                        draw, lo, hi)
                 for got, want in zip(part, full):
                     assert got.dtype == want.dtype, (mode, lo)
                     assert got.tobytes() == want[lo:hi].tobytes(), (mode, lo)

@@ -79,6 +79,13 @@ DEGENERATE = {
         [ft(0, 0.0), et(1, 2.0, soc=25.0), et(2, 6.0, soc=65.0), ft(3, 30.0),
          et(4, 31.0, soc=55.0)],
         REF_ROUTE, replace(REF_ECON, charge_cost=REF_ECON.wait_cost)),
+    # An ET charges long enough to lead only while it waits for six later
+    # trucks: sizes 2-6 have no electric leader in any row, sizes 1, 7 and
+    # 8 do, and at 7 and 8 both kinds are safe.
+    "ETs lead only long blocks": (
+        [et(0, 0.0, soc=50.0), *(ft(1 + k, 7.0 + 2 * k) for k in range(7)),
+         et(8, 20.0, soc=50.0), ft(9, 27.0)],
+        REF_ROUTE, REF_ECON),
 }
 
 
@@ -140,25 +147,43 @@ class TestScheduleAgainstReference:
 
 
 TIME_FIELD = re.compile(r'"(depart|wait)": ([^,\n]+)')
+SOC_FIELD = re.compile(r'"(soc_dep|soc_arr)": ([^,\n]+)')
 
 
-def test_every_method_spells_an_instant_alike():
-    """On an instance whose arrivals are integers, all four methods write one
-    JSON spelling for one departure instant or wait: the baselines price the
-    prepared float64 departures, as the dp pricer does."""
-    inst = load_instance(Path(__file__).parent / "data" / "integer-arrivals-200.json")
-    assert all(type(t.arrival_time) is int for t in inst.trucks)
+def _spellings(name, pattern):
+    """The texts each method writes for each (field, value) that `pattern`
+    matches in its solution of the committed instance `name`, and the
+    methods that write each (field, value)."""
+    inst = load_instance(Path(__file__).parent / "data" / f"{name}.json")
     prepared = prepare_fleet(inst)
     route, econ, seed = inst.route, inst.econ, inst.seed
     spellings, methods = defaultdict(set), defaultdict(set)
     for sol in (solve_dp_ls(prepared, route, econ), solve_dp_nls(prepared, route, econ, seed),
                 solve_spontaneous(prepared, route, econ, seed),
                 solve_fixed_interval(prepared, route, econ, 30.0, seed)):
-        for field, text in TIME_FIELD.findall(solution_text(sol)):
+        for field, text in pattern.findall(solution_text(sol)):
             spellings[field, float(text)].add(text)
             methods[field, float(text)].add(sol.method)
+    return inst, spellings, methods
+
+
+def test_every_method_spells_an_instant_alike():
+    """On an instance whose arrivals are integers, all four methods write one
+    JSON spelling for one departure instant or wait: the baselines price the
+    prepared float64 departures, as the dp pricer does. On one whose SoC
+    fields are integers, every method writes each departure and arrival SoC
+    as a float, a full battery's included."""
+    inst, spellings, methods = _spellings("integer-arrivals-200", TIME_FIELD)
+    assert all(type(t.arrival_time) is int for t in inst.trucks)
     shared = [key for key, seen in methods.items() if key[0] == "depart" and len(seen) > 2]
     assert len(shared) > 10
+    assert {key: texts for key, texts in spellings.items() if len(texts) > 1} == {}
+
+    inst, spellings, methods = _spellings("integer-battery-200", SOC_FIELD)
+    assert all(type(t.max_soc) is int for t in inst.trucks if t.max_soc is not None)
+    assert len(methods["soc_dep", 100.0]) > 1  # a full battery, in more than one method
+    assert {text for texts in spellings.values() for text in texts
+            if not re.search(r"[.e]", text)} == set()
     assert {key: texts for key, texts in spellings.items() if len(texts) > 1} == {}
 
 

@@ -788,7 +788,7 @@ def assert_loads_as_per_row(path):
 class TestLoaderFastPath:
     @pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.stem)
     def test_committed_files_equal_the_per_row_path(self, path):
-        assert len(INSTANCE_FILES) == 2
+        assert len(INSTANCE_FILES) == 3
         assert_loads_as_per_row(path)
 
     @settings(max_examples=60, deadline=None)
