@@ -16,6 +16,10 @@ elementwise step each. The recursion is Python source written out
 once per window width, with the window in local variables, so a candidate
 costs one addition and one comparison and no indexing; the additions and
 comparisons are those of a plain loop over the table, in the same order.
+The recursion appends a block's values and picks to lists of its own, each
+copied once into its slice of an array preallocated for the N + 1 prefixes.
+The `updates` counter adds a block's work, less the work of its cells that
+extend a prefix with no schedule (value -inf); most blocks have none.
 The table skips work that its result never reads: a size at which no
 ET of any row's block can lead prices the fuel leader alone, with no
 electric-led utility. Leader draws for the randomized variant come from a
@@ -32,7 +36,6 @@ import functools
 import operator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .discretize import FleetArrays, PreparedFleet
 from .model import SOC_TOL, TIME_TOL, ContractViolation
@@ -73,13 +76,17 @@ def leader_draw_bits(seed: int, lo: int, hi: int, max_size: int) -> np.ndarray:
     """
     i = np.arange(lo, hi, dtype=np.uint64)[:, None]
     n = np.arange(max_size + 1, dtype=np.uint64)[None, :]
-    key = (i * np.uint64(_KEY_I)) ^ (n * np.uint64(_KEY_N))
-    x = np.uint64(_splitmix64_py(seed & _U64)) ^ key
-    x = (x + np.uint64(0x9E3779B97F4A7C15))
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    return (x >> np.uint64(63)).astype(np.uint8)
+    # The key allocates the table; every later step works on it in place.
+    x = (i * np.uint64(_KEY_I)) ^ (n * np.uint64(_KEY_N))
+    x ^= np.uint64(_splitmix64_py(seed & _U64))
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    x >>= np.uint64(63)
+    return x.astype(np.uint8)
 
 
 def fleet_arrays(fleet: PreparedFleet, route) -> FleetArrays:
@@ -274,35 +281,46 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float, draw=None):
     The table is built `CHUNK_ROWS` rows at a time, one platoon size after
     another (`_candidate_table`), and each block runs through
     `_value_recursion(nbar)` before the next is built, carrying the last
-    `nbar` values in. The choices and `updates` of a block come from its own
-    rows: `updates` sums the block's work over the cells whose prefix is
-    finite, read through a window view of the finite-prefix mask. Every
-    value is the sum and comparison that a loop over the whole table makes,
-    in the same order, so the outputs do not depend on the block size.
+    `nbar` values in from the value array. The recursion fills fresh lists
+    for the block, which are copied once into the block's slices of the
+    value and pick arrays. The choices and `updates` of a block come from
+    its own rows: `updates` adds the block's whole work, then takes off the
+    work of the cells that extend a prefix whose value is not finite. Cell
+    (r, k) extends prefix r - k, so only prefixes `lo` - nbar + 1 .. `hi` - 1
+    are looked at, and most blocks have none to take off. Every value is the
+    sum and comparison that a loop over the whole table makes, in the same
+    order, so the outputs do not depend on the block size.
     """
     n = arr.size
     nbar = int(nbar)
     horizon = float(horizon)
     recurse = _value_recursion(nbar)
-    values, picks = [0.0], [-1]
+    values = np.empty(n + 1)
+    picks = np.empty(n + 1, np.intp)
+    values[0], picks[0] = 0.0, -1
     choice_m = np.full(n + 1, -1, np.int8)
     updates = 0
     for lo in range(0, n, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n)
         utility, leader, work = _candidate_table(arr, econ, nbar, horizon, draw, lo, hi)
-        window = values[:-nbar - 1:-1]  # the last nbar values, the latest first
+        first = max(lo - nbar + 1, 0)
+        window = values[first:lo + 1][::-1].tolist()  # the latest first
+        block_values, block_picks = [], []
         recurse(utility.tolist(), window + [-np.inf] * (nbar - len(window)),
-                values, picks)
+                block_values, block_picks)
+        values[lo + 1:hi + 1] = np.fromiter(block_values, np.float64, count=hi - lo)
+        picks[lo + 1:hi + 1] = pick = np.fromiter(block_picks, np.intp, count=hi - lo)
 
-        pick = np.array(picks[lo + 1:])
         found = np.flatnonzero(pick >= 0)
         choice_m[lo + 1 + found] = leader[found, pick[found]]
-        # Cell (r, k) extends prefix r - k, so row r - lo of the windows over
-        # prefixes lo - nbar + 1 .. hi - 1, read backwards, says which cells
-        # count. Prefixes before the first truck pad as not finite.
-        pad = max(nbar - 1 - lo, 0)
-        finite = np.zeros(hi - lo + nbar - 1, bool)
-        finite[pad:] = np.isfinite(values[lo - nbar + 1 + pad:hi])
-        updates += int(work.sum(where=sliding_window_view(finite, nbar)[:, ::-1]))
+        # Cell (r, k) extends prefix r - k, one of `first` .. hi - 1 (a cell
+        # that would extend a prefix before the first truck has no work).
+        updates += int(work.sum())
+        stuck = np.flatnonzero(~np.isfinite(values[first:hi])) + first
+        if stuck.size:
+            rows = stuck[:, None] + np.arange(nbar)
+            cols = np.broadcast_to(np.arange(nbar), rows.shape)
+            inside = (rows >= lo) & (rows < hi)
+            updates -= int(work[rows[inside] - lo, cols[inside]].sum())
 
-    return np.array(values), np.array(picks) + 1, choice_m, updates
+    return values, picks + 1, choice_m, updates

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .model import ContractViolation
-from .utility import PlatoonAssignment, PlatoonTable, check_cover
+from .utility import PlatoonAssignment, PlatoonTable, check_cover, ordered_sum
 
 
 @dataclass
@@ -57,8 +57,8 @@ class Solution:
         order = departure_order(table.departure, [table.rank[s] for s in table.start])
         if (order != np.arange(order.size)).any():
             raise ContractViolation("platoons must be in (departure, first rank) order")
-        profit = sum(table.profit)
-        loss = sum(table.loss)
+        profit = ordered_sum(table.profit)
+        loss = ordered_sum(table.loss)
         diag = diagnostics if diagnostics is not None else Diagnostics()
         diag.platoon_sizes = dict(sorted(Counter(table.size).items()))
         diag.et_led = table.leader.count(0)

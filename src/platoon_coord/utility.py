@@ -334,7 +334,7 @@ def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: Route
     if starts.dtype.kind not in "iu" or sizes.dtype.kind not in "iu":
         raise ContractViolation(
             f"block starts and sizes must be integers, got {starts.dtype} and {sizes.dtype}")
-    if not np.isin(leaders, (0, 1)).all():
+    if not ((leaders == 0) | (leaders == 1)).all():
         raise ContractViolation("leader codes must be 0 (electric) or 1 (fuel)")
     starts, sizes = starts.astype(np.intp), sizes.astype(np.intp)
     fuel_led = leaders == 1
@@ -439,6 +439,16 @@ def aggregate(platoons: Sequence[PlatoonAssignment],
     trucks; without it only overlaps and gaps are detectable.
     """
     check_cover([r for p in platoons for r in p.ranks], n_trucks)
-    profit = sum(p.profit for p in platoons)
-    loss = sum(p.loss for p in platoons)
+    profit = ordered_sum(p.profit for p in platoons)
+    loss = ordered_sum(p.loss for p in platoons)
     return profit, loss, profit - loss
+
+
+def ordered_sum(values) -> float:
+    """`values` added one after the other from 0.0, the same float on every
+    Python: the built-in `sum` compensates its float additions from 3.12 on,
+    so its last bits depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total

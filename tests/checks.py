@@ -1,8 +1,9 @@
 """Shared validators used by solver tests and the acceptance suite."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from platoon_coord import LeaderType, Role, aggregate
+from platoon_coord import LeaderType, Role, aggregate, kernels
 from platoon_coord.kernels import block_departure, block_profit, fleet_arrays, member_terms
 from platoon_coord.model import (
     LEAD_COEFF,
@@ -289,6 +290,42 @@ def reference_value_recursion(utility, nbar):
         values[i] = best
         best_k[i] = pick
     return np.array(values), np.array(best_k)
+
+
+def reference_list_kernel(arr, econ, nbar, horizon, draw=None):
+    """`kernels.run_dp_kernel` with its outputs kept as Python lists: the
+    recursion appends every prefix's value and pick to one list each, each
+    block turns its picks into an array for its choices, the return turns
+    both lists into arrays again, and `updates` sums each block's work
+    through a window view of the finite-prefix mask. The same candidate
+    table and generated recursion, so what it checks is the bookkeeping
+    around them: preallocated arrays filled a block at a time, and `updates`
+    as the block's work less that of cells extending a prefix that is not
+    finite."""
+    n = arr.size
+    recurse = kernels._value_recursion(nbar)
+    values, picks = [0.0], [-1]
+    choice_m = np.full(n + 1, -1, np.int8)
+    updates = 0
+    for lo in range(0, n, kernels.CHUNK_ROWS):
+        hi = min(lo + kernels.CHUNK_ROWS, n)
+        utility, leader, work = kernels._candidate_table(arr, econ, nbar, horizon, draw, lo, hi)
+        window = values[:-nbar - 1:-1]  # the last nbar values, the latest first
+        recurse(utility.tolist(), window + [-np.inf] * (nbar - len(window)),
+                values, picks)
+
+        pick = np.array(picks[lo + 1:])
+        found = np.flatnonzero(pick >= 0)
+        choice_m[lo + 1 + found] = leader[found, pick[found]]
+        # Cell (r, k) extends prefix r - k, so row r - lo of the windows over
+        # prefixes lo - nbar + 1 .. hi - 1, read backwards, says which cells
+        # count. Prefixes before the first truck pad as not finite.
+        pad = max(nbar - 1 - lo, 0)
+        finite = np.zeros(hi - lo + nbar - 1, bool)
+        finite[pad:] = np.isfinite(values[lo - nbar + 1 + pad:hi])
+        updates += int(work.sum(where=sliding_window_view(finite, nbar)[:, ::-1]))
+
+    return np.array(values), np.array(picks) + 1, choice_m, updates
 
 
 def reference_candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi):

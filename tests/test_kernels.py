@@ -2,10 +2,12 @@ import random
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoon_coord import (
     HorizonExceededError,
@@ -29,7 +31,11 @@ from platoon_coord.kernels import (
 from platoon_coord.model import MONEY_TOL, TIME_TOL
 from platoon_coord.scenario import load_instance
 from platoon_coord.utility import leader_type_for_kind
-from checks import reference_candidate_table, reference_value_recursion
+from checks import (
+    reference_candidate_table,
+    reference_list_kernel,
+    reference_value_recursion,
+)
 from conftest import ET_VRATE, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 from test_pricing import DEGENERATE
 
@@ -493,6 +499,53 @@ class TestChunkEdges:
                 for got, want in zip(part, full):
                     assert got.dtype == want.dtype, (mode, lo)
                     assert got.tobytes() == want[lo:hi].tobytes(), (mode, lo)
+
+
+@st.composite
+def _stuck_fleets(draw):
+    """(prepared fleet, nbar, block size): a fleet on `REF_ROUTE` whose rank 0,
+    and a rank just before or at a block's first row, hold ETs that can
+    follow but never lead or drive alone, so prefix 1 and perhaps others have
+    no schedule; with a block size of 1, 2, nbar - 1, nbar or nbar + 1.
+
+    Every truck leaves when it arrives (no ET needs a charge to follow), and
+    the arrivals rise, so a truck's rank is its place in the list."""
+    nbar = draw(st.integers(1, 5))
+    chunk = draw(st.sampled_from(sorted({1, 2, nbar - 1, nbar, nbar + 1} - {0})))
+    n = draw(st.integers(max(chunk, nbar) + 2, 4 * chunk + nbar + 2))
+    edge = chunk * draw(st.integers(1, (n - 1) // chunk))  # a later block's first row
+    stuck = {0, edge + draw(st.sampled_from((-1, 0)))}
+    trucks, arrival = [], 0.0
+    for k in range(n):
+        arrival += draw(st.sampled_from((0.5, 2.0, 5.0, 30.0)))
+        kind = "stuck" if k in stuck else draw(st.sampled_from(("ft", "et", "stuck")))
+        if kind == "ft":
+            trucks.append(ft(k, arrival))
+        elif kind == "et":
+            trucks.append(et(k, arrival, soc=draw(st.floats(60.0, 100.0))))
+        else:
+            trucks.append(et(k, arrival, soc=draw(st.floats(93.0, 100.0)),
+                             vrate=UNLEADABLE_VRATE))
+    return prepare(trucks), nbar, chunk
+
+
+class TestBookkeepingAgainstListKernel:
+    """The kernel's preallocated outputs and its `updates` correction against
+    the list-based bookkeeping of `reference_list_kernel`, on fleets with
+    prefixes that have no schedule at rank 0 and next to a block edge."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_stuck_fleets())
+    def test_stuck_prefixes_near_block_edges(self, case):
+        prepared, nbar, chunk = case
+        arr, horizon = prepared.arrays, REF_ROUTE.horizon
+        assert list(prepared.ids) == list(range(len(prepared)))
+        with mock.patch.object(kernels, "CHUNK_ROWS", chunk):
+            for draw in (None, partial(leader_draw_bits, 5)):
+                want = reference_list_kernel(arr, REF_ECON, nbar, horizon, draw)
+                assert np.isneginf(want[0][1])
+                got = run_dp_kernel(arr, REF_ECON, nbar, horizon, draw)
+                assert _kernel_outputs_equal(got, want), (chunk, draw)
 
 
 class TestGeneratedRecursion:

@@ -4,7 +4,9 @@ replaced: sort the records by (departure, first rank), sum the totals in that
 order, count sizes and leader kinds platoon by platoon.
 """
 
+import operator
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from platoon_coord import (
     NoFeasibleScheduleError,
     ScenarioConfig,
     Solution,
+    aggregate,
     evaluate_platoon,
     generate,
     prepare_fleet,
@@ -31,8 +34,10 @@ from conftest import REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 def reference_assembly(platoons):
     """Ordered records, totals and diagnostics, as records were assembled."""
     ordered = sorted(platoons, key=lambda p: (p.departure_time, p.ranks[0]))
-    profit = sum(p.profit for p in ordered)
-    loss = sum(p.loss for p in ordered)
+    # Added one after the other from 0.0 on every Python; the built-in sum
+    # compensates from 3.12 on.
+    profit = reduce(operator.add, [p.profit for p in ordered], 0.0)
+    loss = reduce(operator.add, [p.loss for p in ordered], 0.0)
     sizes = {}
     et_led = ft_led = 0
     for p in ordered:
@@ -141,6 +146,23 @@ class TestAssembly:
         sol = Solution.from_platoons("DP-LS", [])
         assert sol.platoons == [] and len(sol.table) == 0
         assert (sol.profit, sol.loss, sol.utility) == (0, 0, 0)
+
+    def test_totals_are_added_one_platoon_after_the_other(self):
+        """Ten solo platoons of loss 0.1: adding them in order from 0.0 gives
+        0.9999999999999999 on every Python, where the built-in sum gives 1.0
+        from 3.12 on."""
+        n = 10
+        table = PlatoonTable(
+            start=list(range(n)), size=[1] * n, leader=[1] * n, leader_pos=[0] * n,
+            departure=[float(k) for k in range(n)], profit=[0.0] * n, loss=[0.1] * n,
+            rank=list(range(n)), truck_id=list(range(n)), role=[2] * n, charge=[0.0] * n,
+            wait=[1.0] * n, departure_soc=[0.0] * n, arrival_soc=[0.0] * n,
+            can_lead=[True] * n, fuel=[True] * n)
+        sol = Solution.from_table("X", table)
+        assert repr((sol.profit, sol.loss, sol.utility)) == repr(
+            (0.0, 0.9999999999999999, -0.9999999999999999))
+        assert repr(aggregate(sol.platoons)) == repr((sol.profit, sol.loss, sol.utility))
+        assert_assembled_from(sol, sol.platoons)
 
 
 class TestCoverage:
