@@ -1,7 +1,7 @@
 """Hub-based platoon coordination for mixed fuel/electric truck fleets."""
 
 from .baselines import FIXED_INTERVAL, SPONTANEOUS, solve_fixed_interval, solve_spontaneous
-from .discretize import PreparedFleet, PreparedTruck, min_charge_time, prepare_fleet
+from .discretize import PreparedFleet, prepare_fleet
 from .dp import DP_LS, DP_NLS, DpState, run_dp, solve_dp_ls, solve_dp_nls
 from .model import (
     ContractViolation,
@@ -14,7 +14,6 @@ from .model import (
     TruckKind,
     TruckSpec,
     departure_soc_bounds,
-    departure_time,
     soc_after_charge,
     soc_after_trip,
 )

@@ -45,8 +45,7 @@ def _solve_grouped(method: str, fleet: PreparedFleet, slot,
     start = time.perf_counter()
     seed = check_seed(seed)
     arr = fleet_arrays(fleet, route)
-    records = fleet.records()
-    n = len(records)
+    n = arr.size
     slots = slot(arr.tau_delta)
     depart = slots.tolist()
     # A slot end may fall an ulp before a truck is ready; the scalar pricing
@@ -66,16 +65,16 @@ def _solve_grouped(method: str, fleet: PreparedFleet, slot,
                 if ok_e or ok_f:
                     electric = ok_e and (not ok_f or leader_draw_bit(seed, hi, hi - lo))
                     platoons.append(evaluate_platoon(
-                        records[lo:hi], LeaderType.ELECTRIC if electric else LeaderType.FUEL,
-                        route, econ, depart_at=depart_at))
+                        range(lo, hi), LeaderType.ELECTRIC if electric else LeaderType.FUEL,
+                        fleet, econ, depart_at=depart_at))
                     continue
             for k in range(lo, hi):
                 solo = evaluate_platoon(
-                    [records[k]], LeaderType.ELECTRIC if et[k] else LeaderType.FUEL,
-                    route, econ, depart_at=depart_at)
+                    (k,), LeaderType.ELECTRIC if et[k] else LeaderType.FUEL,
+                    fleet, econ, depart_at=depart_at)
                 if not solo.ledger[0].can_lead:
                     raise NoFeasibleScheduleError(
-                        f"truck {records[k].id}: cannot drive alone safely and has no "
+                        f"truck {fleet.ids[k]}: cannot drive alone safely and has no "
                         "platoon to follow"
                     )
                 platoons.append(solo)

@@ -8,21 +8,20 @@ downstream solvers search over.
 
 `prepare_fleet` does this in one numpy pass over the fleet's columns and
 returns a `PreparedFleet`: its `FleetArrays`, the columns in rank order for
-the instance's route, which the solvers read. The scalar reference side
-asks for the fleet's `PreparedTruck` records with `PreparedFleet.records()`.
+the instance's route, which the solvers read, and which the scalar pricer
+reads as Python lists (`PreparedFleet.column_lists`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from functools import cmp_to_key
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .model import (
     ContractViolation,
-    FleetColumns,
     HorizonExceededError,
     InfeasibleTruckError,
     LEAD_COEFF,
@@ -30,41 +29,7 @@ from .model import (
     RouteParams,
     SOC_TOL,
     TIME_TOL,
-    TruckKind,
-    TruckSpec,
 )
-
-
-class PreparedTruck(NamedTuple):
-    """A truck augmented with its mandatory-charge schedule, sort rank and
-    the other per-truck constants that pricing reads, each the fleet's
-    `FleetArrays` entry of its rank. The SoC figures and `fill_time` are
-    None for fuel trucks."""
-
-    spec: TruckSpec
-    min_charge_time: float                 # minutes, 0 for fuel trucks
-    min_departure_soc: Optional[float]     # percent, None for fuel trucks
-    earliest_departure: float              # minutes
-    rank: int                              # position after sorting, 0-based
-    fill_time: Optional[float]             # minutes to full from min_departure_soc
-    lead_need: Optional[float]             # departure SoC to lead or drive alone
-    alone_departure: float                 # minutes, its departure as a lone truck
-
-    @property
-    def id(self) -> int:
-        return self.spec.id
-
-    @property
-    def kind(self) -> TruckKind:
-        return self.spec.kind
-
-    @property
-    def is_electric(self) -> bool:
-        return self.spec.is_electric
-
-    @property
-    def arrival_time(self) -> float:
-        return self.spec.arrival_time
 
 
 def _soc_need(route: RouteParams, coeff: float, vrate, safe):
@@ -82,34 +47,6 @@ def _mandatory_charge(route: RouteParams, init, rate, vrate, safe, cap):
     infeasible = required - cap > SOC_TOL
     gap = (required - init) / rate
     return required, infeasible, np.where(gap > 0.0, gap, 0.0)  # max(0.0, gap)
-
-
-def _charged_soc(init, rate, charge):
-    """`model.soc_after_charge` over columns."""
-    return init + rate * charge
-
-
-def _infeasible(truck_id, capacity, required: float) -> InfeasibleTruckError:
-    return InfeasibleTruckError(
-        truck_id,
-        f"needs departure SoC {required:.6g}% to follow safely but capacity "
-        f"is {capacity:.6g}%",
-    )
-
-
-def min_charge_time(truck: TruckSpec, route: RouteParams) -> float:
-    """Minutes of charging needed before the truck could follow safely.
-
-    Zero when the arrival SoC already covers a follower trip plus the safety
-    margin. Raises InfeasibleTruckError when even a full battery would not.
-    """
-    if not truck.is_electric:
-        raise ContractViolation(f"truck {truck.id}: fuel trucks do not charge")
-    battery = FleetColumns.from_trucks([truck]).battery_f
-    required, infeasible, charge = _mandatory_charge(route, *battery)
-    if infeasible[0]:
-        raise _infeasible(truck.id, truck.max_soc, float(required[0]))
-    return float(charge[0])
 
 
 def _zeros_except(n: int, where: np.ndarray, values) -> np.ndarray:
@@ -187,6 +124,11 @@ class FleetArrays:
         return int(self.tau_delta.shape[0])
 
 
+# The columns of a `FleetArrays` as Python lists, in its field order, which
+# the scalar pricer unpacks.
+FleetLists = namedtuple("FleetLists", [f.name for f in fields(FleetArrays)])
+
+
 class PreparedFleet:
     """A prepared fleet in rank order, held as columns. Only `prepare_fleet`
     makes one, and the solvers take no other form of a fleet.
@@ -194,11 +136,11 @@ class PreparedFleet:
     The fleet keeps its `instance`; `order`, the instance position of the
     truck at each rank; the `ids` by rank; and `arrays`, its `FleetArrays`
     for the instance's route, the one route it is solved on. It is not a
-    sequence: the scalar reference side asks for the `PreparedTruck`
-    records with `records()`.
+    sequence: the scalar pricer reads a truck's constants by rank from
+    `column_lists()`.
     """
 
-    __slots__ = ("instance", "order", "ids", "arrays", "_records")
+    __slots__ = ("instance", "order", "ids", "arrays", "_lists")
 
     def __init__(self, instance, order, ids, arrays):
         """The fleet of `instance` whose truck of rank k is the instance's
@@ -214,34 +156,27 @@ class PreparedFleet:
         # prepare the instance again instead.
         return prepare_fleet, (self.instance,)
 
-    def records(self) -> tuple:
-        """The `PreparedTruck` records by rank, built on the first call from
-        the instance's `TruckSpec`s and the columns, and then kept."""
-        if self._records is None:
-            arr, trucks = self.arrays, self.instance.trucks
-            soc = _charged_soc(arr.init_soc, arr.rate, arr.tau_cmin)
-            object.__setattr__(self, "_records", tuple(
-                PreparedTruck(trucks[k], charge, soc if e else None, earliest, rank,
-                              fill if e else None, need if e else None, alone)
-                for rank, (k, e, charge, soc, earliest, fill, need, alone) in enumerate(zip(
-                    self.order.tolist(), arr.is_et.tolist(), arr.tau_cmin.tolist(),
-                    soc.tolist(), arr.tau_delta.tolist(), arr.fill_time.tolist(),
-                    arr.need_lead.tolist(), arr.alone_depart.tolist()))))
-        return self._records
+    def column_lists(self) -> "FleetLists":
+        """The `arrays` columns, each as the Python list of its `.tolist()`,
+        made on the first call and then kept."""
+        if self._lists is None:
+            object.__setattr__(self, "_lists", FleetLists(
+                *(column.tolist() for column in vars(self.arrays).values())))
+        return self._lists
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __eq__(self, other):
         # A prepared fleet is a function of its instance, and instances
-        # compare by their columns, so no record is built.
+        # compare by their columns, so no `TruckSpec` is built.
         if not isinstance(other, PreparedFleet):
             return NotImplemented
         return self.instance == other.instance
 
     def __repr__(self) -> str:
-        # The fleet's size, route and seed; listing its records would build
-        # one per truck.
+        # The fleet's size, route and seed; listing its trucks would build
+        # a `TruckSpec` each.
         instance = self.instance
         return (f"{type(self).__qualname__}(n_trucks={len(self)}, route={instance.route!r}, "
                 f"seed={instance.seed!r})")
@@ -265,7 +200,8 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
     init, rate, vrate, safe, cap = fleet.battery_f
 
     required, infeasible, charge = _mandatory_charge(route, *fleet.battery_f)
-    fill_time = (cap - _charged_soc(init, rate, charge)) / rate  # to a full battery
+    # To a full battery from the charged SoC (`model.soc_after_charge`).
+    fill_time = (cap - (init + rate * charge)) / rate
     earliest = arrival.copy()
     earliest[et] = arrival[et] + charge
 
@@ -275,7 +211,9 @@ def prepare_fleet(instance: ProblemInstance) -> PreparedFleet:
         k = int(failed.argmax())
         j = int(np.searchsorted(et, k))  # truck k's place among the ETs
         if flags[k] and infeasible[j]:
-            raise _infeasible(ids[k], fleet.battery[4][j], float(required[j]))
+            raise InfeasibleTruckError(
+                ids[k], f"needs departure SoC {float(required[j]):.6g}% to follow safely but "
+                f"capacity is {fleet.battery[4][j]:.6g}%")
         raise HorizonExceededError(ids[k], float(earliest[k]), route.horizon)
 
     # The lead need and the alone-safe departure, which repeat the scalar

@@ -1,12 +1,12 @@
-"""Core domain types and the charge/discharge/time arithmetic for hub platooning.
+"""Core domain types and the charge/discharge arithmetic for hub platooning.
 
 A mixed fleet of fuel trucks (FTs) and electric trucks (ETs) gathers at a hub
 and may leave in platoons toward a common destination. Followers burn less
 energy than leaders or trucks driving alone; ETs may have to charge before
 they can reach the destination with a safe battery margin. This module holds
 the immutable problem data plus the elementary physics shared by every solver
-in the package: departure-time composition, linear charging, role-dependent
-discharging, and the battery window a departing ET must respect.
+in the package: linear charging, role-dependent discharging, and the battery
+window a departing ET must respect.
 """
 
 from __future__ import annotations
@@ -324,20 +324,6 @@ def _check_float_range(params, names) -> None:
             float(getattr(params, name))
         except OverflowError:
             raise ContractViolation(f"{name} is beyond the float range") from None
-
-
-def departure_time(truck, charge: float, wait: float) -> float:
-    """Departure instant of a truck that charges and then waits at the hub.
-
-    Fuel trucks never charge, so any nonzero charge time on one is rejected.
-    """
-    if charge < 0 or wait < 0:
-        raise ContractViolation("charge and wait times must be >= 0")
-    if truck.kind is TruckKind.FUEL:
-        if charge != 0:
-            raise ContractViolation(f"truck {truck.id}: fuel trucks cannot charge")
-        return truck.arrival_time + wait
-    return truck.arrival_time + charge + wait
 
 
 def soc_after_charge(soc0: float, rate: float, charge: float) -> float:

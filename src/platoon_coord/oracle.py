@@ -14,7 +14,7 @@ import math
 import time
 from typing import List, Optional, Sequence
 
-from .discretize import PreparedFleet, PreparedTruck, prepare_fleet
+from .discretize import PreparedFleet, prepare_fleet
 from .kernels import fleet_arrays
 from .model import (
     ContractViolation,
@@ -30,7 +30,6 @@ from .utility import (
     PlatoonAssignment,
     evaluate_platoon,
     leader_feasible,
-    leader_type_for_kind,
 )
 
 ORACLE = "ORACLE"
@@ -40,24 +39,24 @@ FULL_MAX_TRUCKS = 5
 FULL_MAX_GRID = 40
 
 
-def _best_assignment(group: Sequence[PreparedTruck], instants: Sequence[float],
-                     route, econ) -> Optional[PlatoonAssignment]:
-    """Best safe assignment of one group departing at one of `instants`
-    (those before the group is ready are skipped), or None when none is
-    safe. Earlier instants, then electric leaders, win ties."""
-    ready = max(m.earliest_departure for m in group)
-    kinds = {leader_type_for_kind(m.kind) for m in group}
+def _best_assignment(group: Sequence[int], instants: Sequence[float],
+                     fleet: PreparedFleet, econ) -> Optional[PlatoonAssignment]:
+    """Best safe assignment of the trucks at ranks `group` departing at one
+    of `instants` (those before the group is ready are skipped), or None
+    when none is safe. Earlier instants, then electric leaders, win ties."""
+    lists = fleet.column_lists()
+    ready = max(lists.tau_delta[r] for r in group)
+    kinds = {LeaderType.ELECTRIC if lists.is_et[r] else LeaderType.FUEL for r in group}
+    horizon = fleet.instance.route.horizon
     best = None
     for t in instants:
         if t < ready - TIME_TOL:
             continue
         for leader in (LeaderType.ELECTRIC, LeaderType.FUEL):
-            if len(group) > 1 and leader not in kinds:
+            if leader not in kinds:
                 continue
-            if len(group) == 1 and leader is not leader_type_for_kind(group[0].kind):
-                continue
-            cand = evaluate_platoon(group, leader, route, econ, depart_at=t)
-            if cand.departure_time > route.horizon + TIME_TOL:
+            cand = evaluate_platoon(group, leader, fleet, econ, depart_at=t)
+            if cand.departure_time > horizon + TIME_TOL:
                 continue
             if not leader_feasible(cand, leader):
                 continue
@@ -68,9 +67,10 @@ def _best_assignment(group: Sequence[PreparedTruck], instants: Sequence[float],
 
 def oracle_consecutive(prepared: PreparedFleet, route: RouteParams,
                        econ: EconomicParams) -> Solution:
-    """Exhaustive optimum over consecutive blocks and leader kinds, priced
-    from the fleet's records. Like the solvers, it refuses any other form of
-    a fleet, and any route but the fleet's (`kernels.fleet_arrays`)."""
+    """Exhaustive optimum over consecutive blocks and leader kinds, each
+    block priced by the scalar `evaluate_platoon`. Like the solvers, it
+    refuses any other form of a fleet, and any route but the fleet's
+    (`kernels.fleet_arrays`)."""
     fleet_arrays(prepared, route)
     n = len(prepared)
     if n > CONSECUTIVE_MAX_TRUCKS:
@@ -78,16 +78,16 @@ def oracle_consecutive(prepared: PreparedFleet, route: RouteParams,
             f"refusing exhaustive search beyond {CONSECUTIVE_MAX_TRUCKS} trucks"
         )
     start = time.perf_counter()
-    records = prepared.records()
+    tau = prepared.column_lists().tau_delta
     nbar = route.max_platoon_size
 
     # Block table indexed [last][size]; None marks an unsafe block.
     blocks = [[None] * (min(i, nbar) + 1) for i in range(n + 1)]
     for i in range(1, n + 1):
         for size in range(1, min(i, nbar) + 1):
-            members = records[i - size:i]
+            members = range(i - size, i)
             blocks[i][size] = _best_assignment(
-                members, [max(m.earliest_departure for m in members)], route, econ)
+                members, [max(tau[r] for r in members)], prepared, econ)
 
     best_total = -float("inf")
     best_split: Optional[List[int]] = None
@@ -123,9 +123,9 @@ def oracle_consecutive(prepared: PreparedFleet, route: RouteParams,
     return Solution.from_platoons(ORACLE, platoons, diag)
 
 
-def _partitions(items: Sequence[PreparedTruck], cap: int):
+def _partitions(items: Sequence[int], cap: int):
     """All set partitions with group sizes <= cap, in canonical order."""
-    parts: List[List[PreparedTruck]] = []
+    parts: List[List[int]] = []
 
     def rec(idx: int):
         if idx == len(items):
@@ -165,10 +165,11 @@ def oracle_full(instance: ProblemInstance, time_grid_step: float) -> Solution:
             f"grid must have at most {FULL_MAX_GRID} steps over the horizon"
         )
     start = time.perf_counter()
-    records = prepare_fleet(instance).records()
+    fleet = prepare_fleet(instance)
+    lists = fleet.column_lists()
 
     # A fuel truck's alone departure is its earliest one.
-    grid = {t for m in records for t in (m.earliest_departure, m.alone_departure)}
+    grid = {*lists.tau_delta, *lists.alone_depart}
     k = 0
     while k * time_grid_step <= route.horizon + TIME_TOL:
         grid.add(k * time_grid_step)
@@ -177,11 +178,11 @@ def oracle_full(instance: ProblemInstance, time_grid_step: float) -> Solution:
 
     best_total = -float("inf")
     best_platoons: Optional[List[PlatoonAssignment]] = None
-    for partition in _partitions(records, route.max_platoon_size):
+    for partition in _partitions(range(n), route.max_platoon_size):
         assignments = []
         total = 0.0
         for group in partition:
-            choice = _best_assignment(group, grid, route, econ)
+            choice = _best_assignment(group, grid, fleet, econ)
             if choice is None:
                 assignments = None
                 break

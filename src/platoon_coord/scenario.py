@@ -173,8 +173,8 @@ def _draw_fleet(bitgen, electric, lo: int, span: int, soc_lo, soc_hi, route: Rou
         for each truck, for up to `_RESAMPLE_BUDGET` attempts:
             arrival = float(rng.integers(lo, lo + span + 1))
             if electric: soc = float(rng.uniform(soc_lo, soc_hi))
-            charge = min_charge_time(ET with soc and the `fixed` battery fields)
-                     if electric else 0.0
+            charge = the mandatory charge of an ET with soc and the `fixed`
+                     battery fields (`prepare_fleet`) if electric else 0.0
             stop if arrival + charge <= route.horizon
 
     on a `Generator` over `bitgen`, decoded in numpy from its raw words.

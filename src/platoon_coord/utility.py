@@ -16,7 +16,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .discretize import PreparedFleet, PreparedTruck
+from .discretize import PreparedFleet
 from .kernels import block_departure, block_profit, fleet_arrays, member_terms
 from .model import (
     ContractViolation,
@@ -40,10 +40,6 @@ class Role(Enum):
     LEADER = "LEADER"
     FOLLOWER = "FOLLOWER"
     ALONE = "ALONE"
-
-
-def leader_type_for_kind(kind: TruckKind) -> LeaderType:
-    return LeaderType.ELECTRIC if kind is TruckKind.ELECTRIC else LeaderType.FUEL
 
 
 class MemberLedger(NamedTuple):
@@ -98,10 +94,11 @@ def platoon_profit(et_count: int, ft_count: int, leader: LeaderType,
     return econ.ft_follower_profit * ft_count + econ.et_follower_profit * (et_count - 1)
 
 
-def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
-                     route: RouteParams, econ: EconomicParams,
+def evaluate_platoon(ranks: Sequence[int], leader_type: LeaderType, fleet: PreparedFleet,
+                     econ: EconomicParams,
                      depart_at: Optional[float] = None) -> PlatoonAssignment:
-    """Price a candidate platoon and build its full per-member ledger.
+    """Price a candidate platoon of the trucks at `ranks` of a prepared
+    fleet and build its full per-member ledger.
 
     The platoon departs at `depart_at` (default: the latest member's earliest
     departure). A single ET scheduled on its own is charged up to the
@@ -114,16 +111,14 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
     an electric leader (highest overall when none qualifies, leaving the
     feasibility verdict to the caller). Whether an electric leader is actually
     safe is the caller's check; this function only reports the SoC figures.
-    A departure that is not finite, or a rank listed twice, is a
-    `ContractViolation`. The members' constants (mandatory charge, fill
-    time, lead need, alone departure) hold only for the route their fleet
-    was prepared for, so `route` must be that route; a record does not say
-    which it was, and this function cannot check it.
+    The members' constants (mandatory charge, fill time, lead need, alone
+    departure) are the fleet's columns, which hold for its instance's route,
+    and the platoon is priced on that route. A rank outside the fleet, a
+    rank listed twice or a departure that is not finite is a
+    `ContractViolation`.
     """
-    ranks = [m.rank for m in members]
-    if ranks != sorted(ranks):
-        members = sorted(members, key=lambda m: m.rank)
-        ranks.sort()
+    route = fleet.instance.route
+    ranks = sorted(ranks)
     n = len(ranks)
     if n == 0:
         raise ContractViolation("platoon needs at least one member")
@@ -133,8 +128,14 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
         )
     if len(set(ranks)) < n:
         raise ContractViolation("a rank appears more than once in one platoon")
+    # The members' constants by rank, in `FleetArrays` field order.
+    (tau, cmin, is_et, fill, rate, need, alone, arrival, init, cap,
+     vrate) = fleet.column_lists()
+    if ranks[0] < 0 or ranks[-1] >= len(tau):
+        raise ContractViolation(
+            f"ranks run outside the fleet of {len(tau)} trucks: {ranks[0]} .. {ranks[-1]}")
 
-    earliest = max([m.earliest_departure for m in members])
+    earliest = max([tau[r] for r in ranks])
     if depart_at is None:
         depart_at = earliest
     elif not -math.inf < depart_at < math.inf:
@@ -144,18 +145,18 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
             f"departure {depart_at:.6g} precedes a member's earliest departure"
         )
 
-    electric = TruckKind.ELECTRIC
     solo = n == 1
     if solo:
-        first = members[0]
-        if leader_type is not leader_type_for_kind(first.spec.kind):
+        first = ranks[0]
+        if leader_type is not (LeaderType.ELECTRIC if is_et[first] else LeaderType.FUEL):
             raise ContractViolation("solo truck must lead as its own kind")
-        if first.spec.kind is electric:
-            depart_at = max(depart_at, first.alone_departure)
-    else:
-        wanted = electric if leader_type is LeaderType.ELECTRIC else TruckKind.FUEL
-        if wanted not in [m.spec.kind for m in members]:
-            raise ContractViolation(f"no {wanted.value} member to lead this platoon")
+        if is_et[first]:
+            depart_at = max(depart_at, alone[first])
+    elif leader_type is LeaderType.ELECTRIC:
+        if 1 not in [is_et[r] for r in ranks]:
+            raise ContractViolation("no ET member to lead this platoon")
+    elif 0 not in [is_et[r] for r in ranks]:
+        raise ContractViolation("no FT member to lead this platoon")
 
     # First pass, in rank order: charge/wait split, departure SoC and the
     # loss, independent of roles. After its mandatory charge an ET keeps
@@ -165,47 +166,48 @@ def evaluate_platoon(members: Sequence[PreparedTruck], leader_type: LeaderType,
     terms = []
     et_count = 0
     loss = 0.0
-    for m in members:
-        spec = m.spec
-        if spec.kind is electric:
+    for r in ranks:
+        if is_et[r]:
             et_count += 1
-            charge = m.min_charge_time + min(m.fill_time,
-                                             max(0.0, depart_at - m.earliest_departure))
-            wait = depart_at - spec.arrival_time - charge
-            dep_soc = soc_after_charge(spec.initial_soc, spec.charge_rate, charge)
-            if dep_soc >= spec.max_soc:  # full: a float, as `price_platoons` gives it
-                dep_soc = float(spec.max_soc)
-            terms.append((spec, charge, wait, dep_soc, dep_soc >= m.lead_need - SOC_TOL))
+            charge = cmin[r] + min(fill[r], max(0.0, depart_at - tau[r]))
+            wait = depart_at - arrival[r] - charge
+            dep_soc = soc_after_charge(init[r], rate[r], charge)
+            if dep_soc >= cap[r]:  # full
+                dep_soc = cap[r]
+            terms.append((charge, wait, dep_soc, dep_soc >= need[r] - SOC_TOL))
             loss += charge_cost * charge + wait_cost * wait
         else:
-            wait = depart_at - spec.arrival_time
-            terms.append((spec, 0.0, wait, None, True))
+            wait = depart_at - arrival[r]
+            terms.append((0.0, wait, None, True))
             loss += wait_cost * wait
 
     if solo:
         leader_pos = 0
     elif leader_type is LeaderType.FUEL:
-        leader_pos = next(k for k, t in enumerate(terms) if t[3] is None)
+        leader_pos = next(k for k, t in enumerate(terms) if t[2] is None)
     else:
         # max keeps the first of equal SoCs: the lowest rank.
-        candidates = [k for k, t in enumerate(terms) if t[3] is not None and t[4]]
+        candidates = [k for k, t in enumerate(terms) if t[2] is not None and t[3]]
         if not candidates:
-            candidates = [k for k, t in enumerate(terms) if t[3] is not None]
-        leader_pos = max(candidates, key=lambda k: terms[k][3])
+            candidates = [k for k, t in enumerate(terms) if t[2] is not None]
+        leader_pos = max(candidates, key=lambda k: terms[k][2])
 
+    ids = fleet.ids
     follower_coeff, distance = route.follower_coeff, route.distance
     ledger = []
-    for k, (spec, charge, wait, dep_soc, can_lead) in enumerate(terms):
+    for k, (r, (charge, wait, dep_soc, can_lead)) in enumerate(zip(ranks, terms)):
         if solo:
             role, coeff = Role.ALONE, LEAD_COEFF
         elif k == leader_pos:
             role, coeff = Role.LEADER, LEAD_COEFF
         else:
             role, coeff = Role.FOLLOWER, follower_coeff
-        arr_soc = (None if dep_soc is None
-                   else soc_after_trip(dep_soc, spec.discharge_rate, distance, coeff))
-        ledger.append(MemberLedger(spec.id, ranks[k], spec.kind, role, charge, wait,
-                                   dep_soc, arr_soc, can_lead))
+        if dep_soc is None:
+            kind, arr_soc = TruckKind.FUEL, None
+        else:
+            kind, arr_soc = TruckKind.ELECTRIC, soc_after_trip(dep_soc, vrate[r], distance, coeff)
+        ledger.append(MemberLedger(ids[r], r, kind, role, charge, wait, dep_soc, arr_soc,
+                                   can_lead))
 
     profit = 0.0 if solo else platoon_profit(et_count, n - et_count, leader_type, econ)
     return PlatoonAssignment(tuple(ranks), leader_type, ranks[leader_pos], depart_at,
@@ -365,16 +367,19 @@ def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: Route
     depart = block_departure(arr, starts, sizes)
     charge, wait, dep_soc, can_lead = member_terms(arr, idx, depart[block])
 
-    # Leader: the first fuel truck, or the ET with the highest departure SoC
-    # among those that can lead (among all ETs when none can), first on ties.
-    last = np.iinfo(np.intp).max
-    first_ft = np.minimum.reduceat(np.where(et, last, pos), offsets)
+    # Leader: the first eligible member of the block's top score. A
+    # fuel-led block's fuel trucks are eligible and all score 0.0, so the
+    # first of them leads; an electric-led block's ETs that can lead are
+    # eligible (all its ETs when none can), scored by departure SoC. Every
+    # block has an eligible member, so its top score is finite and only
+    # eligible members reach it; a solo block's is its one member.
+    fuel_member = fuel_led[block]
     leadable = et & can_lead
-    eligible = np.where(np.logical_or.reduceat(leadable, offsets)[block], leadable, et)
-    score = np.where(eligible, dep_soc, -np.inf)
-    top = eligible & (score == np.maximum.reduceat(score, offsets)[block])
-    best_et = np.minimum.reduceat(np.where(top, pos, last), offsets)
-    leader_pos = np.where(solo, 0, np.where(fuel_led, first_ft, best_et))
+    eligible = np.where(fuel_member, ~et, np.where(
+        np.logical_or.reduceat(leadable, offsets)[block], leadable, et))
+    score = np.where(eligible, np.where(fuel_member, 0.0, dep_soc), -np.inf)
+    top = score == np.maximum.reduceat(score, offsets)[block]
+    leader_pos = np.minimum.reduceat(np.where(top, pos, np.iinfo(np.intp).max), offsets)
 
     leads = pos == leader_pos[block]
     coeff = np.where(leads, LEAD_COEFF, route.follower_coeff)

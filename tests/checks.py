@@ -1,4 +1,7 @@
-"""Shared validators used by solver tests and the acceptance suite."""
+"""Shared validators used by solver tests and the acceptance suite, and the
+scalar references they check the package against."""
+
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -11,22 +14,56 @@ from platoon_coord.model import (
     SOC_TOL,
     TIME_TOL,
     ContractViolation,
+    HorizonExceededError,
+    InfeasibleTruckError,
     TruckKind,
+    TruckSpec,
     departure_soc_bounds,
     soc_after_charge,
     soc_after_trip,
 )
-from platoon_coord.utility import (
-    MemberLedger,
-    PlatoonAssignment,
-    leader_type_for_kind,
-    platoon_profit,
-)
+from platoon_coord.utility import MemberLedger, PlatoonAssignment, platoon_profit
+
+
+def leader_type_for_kind(kind: TruckKind) -> LeaderType:
+    return LeaderType.ELECTRIC if kind is TruckKind.ELECTRIC else LeaderType.FUEL
+
+
+class PreparedTruck(NamedTuple):
+    """A truck with its mandatory-charge schedule, sort rank and the other
+    per-truck constants that pricing reads, each from its scalar formula
+    (`reference_prepare_fleet`). The SoC figures and `fill_time` are None
+    for fuel trucks."""
+
+    spec: TruckSpec
+    min_charge_time: float                 # minutes, 0 for fuel trucks
+    min_departure_soc: Optional[float]     # percent, None for fuel trucks
+    earliest_departure: float              # minutes
+    rank: int                              # position after sorting, 0-based
+    fill_time: Optional[float]             # minutes to full from min_departure_soc
+    lead_need: Optional[float]             # departure SoC to lead or drive alone
+    alone_departure: float                 # minutes, its departure as a lone truck
+
+    @property
+    def id(self):
+        return self.spec.id
+
+    @property
+    def kind(self) -> TruckKind:
+        return self.spec.kind
+
+    @property
+    def is_electric(self) -> bool:
+        return self.spec.is_electric
+
+    @property
+    def arrival_time(self):
+        return self.spec.arrival_time
 
 
 def assert_solution_valid(solution, prepared, route, consecutive=True):
     """Partition exactness, SoC safety, horizon, and money consistency."""
-    by_rank = {m.rank: m for m in prepared.records()}
+    by_rank = {m.rank: m for m in reference_prepare_fleet(prepared.instance)}
 
     ranks = sorted(r for p in solution.platoons for r in p.ranks)
     assert ranks == list(range(len(prepared))), "fleet partition is not exact"
@@ -65,8 +102,58 @@ def assert_solution_valid(solution, prepared, route, consecutive=True):
 
 
 # The per-truck constants written as scalar formulas, one record at a time:
-# the reference that `prepare_fleet`'s columns, and the `PreparedTruck`
-# fields built from them, are checked against.
+# the reference that `prepare_fleet`'s columns are checked against.
+def reference_min_charge_time(truck, route):
+    """Minutes of charging an ET needs before it could follow safely: zero
+    when its arrival SoC already covers a follower trip plus the safety
+    margin, `InfeasibleTruckError` when even a full battery would not."""
+    required = truck.safe_soc + route.follower_coeff * truck.discharge_rate * route.distance
+    if required - truck.max_soc > SOC_TOL:
+        raise InfeasibleTruckError(
+            truck.id,
+            f"needs departure SoC {required:.6g}% to follow safely but capacity "
+            f"is {truck.max_soc:.6g}%",
+        )
+    return max(0.0, (required - truck.initial_soc) / truck.charge_rate)
+
+
+def reference_prepare_fleet(instance):
+    """The records of `prepare_fleet`'s fleet by the scalar loop: one truck
+    at a time, then one sort by (earliest, id), with every earliest
+    departure a float. An ET's fill time, lead need and alone departure
+    come from the scalar formulas of `departure_soc_bounds` and
+    `alone_departure`; a fuel truck has none of the first two and leaves
+    alone when it is ready."""
+    route = instance.route
+    rows = []
+    for truck in instance.trucks:
+        if truck.is_electric:
+            charge = reference_min_charge_time(truck, route)
+            dep_soc = soc_after_charge(truck.initial_soc, truck.charge_rate, charge)
+            earliest = float(truck.arrival_time + charge)
+        else:
+            charge = 0.0
+            dep_soc = None
+            earliest = float(truck.arrival_time)
+        if earliest > route.horizon + TIME_TOL:
+            raise HorizonExceededError(truck.id, earliest, route.horizon)
+        rows.append((truck, charge, dep_soc, earliest))
+
+    rows.sort(key=lambda r: (r[3], r[0].id))
+    records = []
+    for rank, (truck, charge, dep_soc, earliest) in enumerate(rows):
+        record = PreparedTruck(spec=truck, min_charge_time=charge, min_departure_soc=dep_soc,
+                               earliest_departure=earliest, rank=rank, fill_time=None,
+                               lead_need=None, alone_departure=earliest)
+        if truck.is_electric:
+            record = record._replace(
+                fill_time=(truck.max_soc - dep_soc) / truck.charge_rate,
+                lead_need=departure_soc_bounds(truck, route, LEAD_COEFF)[0],
+                alone_departure=alone_departure(record, route))
+        records.append(record)
+    return records
+
+
 def et_charge_time(member, depart_at):
     """Total charge minutes of an ET departing at `depart_at`.
 
@@ -130,9 +217,9 @@ def _scalar_columns(m, route):
 
 def assert_fleet_arrays_match_scalar(fleet, route, records=None):
     """Every `fleet_arrays` column of a prepared fleet equals, bit for bit,
-    its scalar formula over `records` (the fleet's own by default). A
-    float64 column holds `float(value)` of a field given as an int or a
-    numpy float."""
+    its scalar formula over `records` (by default `reference_prepare_fleet`
+    of the fleet's instance). A float64 column holds `float(value)` of a
+    field given as an int or a numpy float."""
     columns = vars(fleet_arrays(fleet, route))
     for name, col in columns.items():
         assert isinstance(col, np.ndarray) and col.shape == (len(fleet),), name
@@ -140,7 +227,7 @@ def assert_fleet_arrays_match_scalar(fleet, route, records=None):
     # the later of the two is `alone_depart` itself, byte for byte.
     tau_delta, alone_depart = columns["tau_delta"], columns["alone_depart"]
     assert np.maximum(tau_delta, alone_depart).tobytes() == alone_depart.tobytes()
-    for m in fleet.records() if records is None else records:
+    for m in reference_prepare_fleet(fleet.instance) if records is None else records:
         scalar = _scalar_columns(m, route)
         assert set(scalar) == set(columns)
         for name, value in scalar.items():
@@ -153,7 +240,8 @@ def assert_fleet_arrays_match_scalar(fleet, route, records=None):
 # record at a time: the reference that `utility.evaluate_platoon`, the
 # baselines and `utility.price_platoons` are checked against.
 def reference_evaluate_platoon(members, leader_type, route, econ, depart_at=None):
-    """Price a candidate platoon and build its full per-member ledger.
+    """Price a candidate platoon of `PreparedTruck` records
+    (`reference_prepare_fleet`) and build its full per-member ledger.
 
     The platoon departs at `depart_at` (default: the latest member's earliest
     departure). A single ET scheduled on its own is charged up to the

@@ -47,6 +47,17 @@ def prepare(trucks, route=REF_ROUTE, econ=REF_ECON, seed=0):
 
 
 @pytest.fixture
+def truck_specs_built(monkeypatch):
+    """The list to which every `TruckSpec` built from here on appends its
+    fields."""
+    built = []
+    real = TruckSpec.__new__
+    monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
+        built.append(args or kwargs) or real(cls, *args, **kwargs)))
+    return built
+
+
+@pytest.fixture
 def route():
     return REF_ROUTE
 

@@ -22,9 +22,14 @@ from platoon_coord.kernels import leader_draw_bit
 from platoon_coord.model import SOC_TOL, TIME_TOL
 from platoon_coord.scenario import solution_text
 from platoon_coord.solution import Diagnostics, Solution
-from platoon_coord.utility import LeaderType, leader_feasible, leader_type_for_kind
+from platoon_coord.utility import LeaderType, leader_feasible
 from conftest import LEAD_NEED, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
-from checks import assert_solution_valid, reference_evaluate_platoon
+from checks import (
+    assert_solution_valid,
+    leader_type_for_kind,
+    reference_evaluate_platoon,
+    reference_prepare_fleet,
+)
 
 APPROX = dict(abs=1e-9)
 
@@ -78,7 +83,7 @@ def reference_grouped(method, prepared, slot, route, econ, seed):
     blocks of at most nbar, each block scheduled by `reference_block`."""
     cap = route.max_platoon_size
     platoons = []
-    for depart_at, group in groupby(prepared.records(),
+    for depart_at, group in groupby(reference_prepare_fleet(prepared.instance),
                                     key=lambda m: slot(m.earliest_departure)):
         group = list(group)
         for k in range(0, len(group), cap):
@@ -164,7 +169,7 @@ class TestSpontaneous:
         prepared = prepare_fleet(inst)
         sol = solve_spontaneous(prepared, inst.route, inst.econ, seed=2)
         assert_solution_valid(sol, prepared, inst.route)
-        by_rank = {m.rank: m for m in prepared.records()}
+        by_rank = {m.rank: m for m in reference_prepare_fleet(inst)}
         for p in sol.platoons:
             for row in p.ledger:
                 assert row.wait_time == pytest.approx(0.0, **APPROX)
@@ -321,7 +326,7 @@ class TestAgainstScalarReference:
         for seed, trucks in enumerate(fleets):
             prepared = prepare(trucks)
             early += sum(reference_slot_end(m.earliest_departure, 0.1) < m.earliest_departure
-                         for m in prepared.records())
+                         for m in reference_prepare_fleet(prepared.instance))
             assert_matches_reference(prepared, REF_ROUTE, REF_ECON, seed, 0.1)
         assert early > 0
         sol = solve_fixed_interval(prepare(fleets[0]), REF_ROUTE, REF_ECON, 0.1, seed=0)
@@ -352,11 +357,12 @@ class TestInputOrder:
     def test_rank_order_required(self, method):
         prepared = prepare([ft(1, 0.0), ft(2, 5.0)])
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
-            BASELINES[method](list(prepared.records())[::-1], REF_ROUTE, REF_ECON, 0)
+            BASELINES[method](reference_prepare_fleet(prepared.instance)[::-1], REF_ROUTE,
+                              REF_ECON, 0)
 
     @pytest.mark.parametrize("method", sorted(BASELINES))
     def test_departure_order_required(self, method):
-        a, b = prepare([ft(1, 0.0), ft(2, 5.0)]).records()
+        a, b = reference_prepare_fleet(prepare([ft(1, 0.0), ft(2, 5.0)]).instance)
         swapped = [b._replace(rank=0), a._replace(rank=1)]
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
             BASELINES[method](swapped, REF_ROUTE, REF_ECON, 0)

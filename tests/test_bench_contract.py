@@ -53,6 +53,8 @@ def test_every_traced_name_is_bound_where_it_is_looked_up(spans):
     prepare_fleet(generate(ScenarioConfig(n_trucks=60, seed=2))),
 ])
 def test_fleet_arrays_fields_have_nbytes(spans, prepared):
+    # The scalar pricer's lists live on the fleet, not among the arrays.
+    prepared.column_lists()
     arr = fleet_arrays(prepared, REF_ROUTE)
     assert all(hasattr(col, "nbytes") for col in vars(arr).values())
     assert spans._array_bytes((prepared, REF_ROUTE), {}, arr) >= 0
@@ -63,7 +65,9 @@ def test_traced_solves_record_their_spans(spans):
     back afterwards, each dp solve looks its columns up once through the
     traced `fleet_arrays` (the benchmark reads that span's bytes), and each
     baseline still prices through the traced `evaluate_platoon` (the
-    benchmark divides by that call count)."""
+    benchmark divides by that call count), its members first: the span's
+    note, the length of the first positional argument, sums to the fleet
+    size over a baseline's solve."""
     inst = generate(ScenarioConfig(n_trucks=80, seed=4))
     prepared = prepare_fleet(inst)
     route, econ = inst.route, inst.econ
@@ -89,6 +93,7 @@ def test_traced_solves_record_their_spans(spans):
                 assert agg["kernels.run_dp_kernel"][0] == 1
             else:
                 assert agg["utility.evaluate_platoon"][0] >= 1
+                assert agg["utility.evaluate_platoon"][3] == len(prepared)
     finally:
         tracer.uninstall()
     assert all(holder.__dict__[attr] is raw for (holder, attr), raw in before.items())

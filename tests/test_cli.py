@@ -281,6 +281,13 @@ class TestCompare:
             "", f"generator flags {names} only apply without an instance file\n")
         assert loads == [] and sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
+    def test_builds_no_truck_records(self, tmp_path, capsys, truck_specs_built):
+        """Every method, the baselines included, prices the generated
+        fleets from their columns: no `TruckSpec` is built."""
+        assert run(["compare", "--seeds", "0:2", "--n", 200, "--out", tmp_path / "cmp"]) == 0
+        assert len(read_csv(tmp_path / "cmp_summary.csv")) == 8
+        assert truck_specs_built == []
+
     def test_seed_list_parsing(self, tmp_path):
         prefix = tmp_path / "cmp"
         assert run(["compare", "--seeds", "5,7", "--n", 10, "--arrival-hi", 60,
@@ -301,6 +308,12 @@ class TestVerify:
         assert run(["verify", "--trials", 8, "--full-trials", 4]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    def test_builds_no_truck_records(self, capsys, truck_specs_built):
+        """The oracles price the fleets they check from the columns too."""
+        assert run(["verify"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 3
+        assert truck_specs_built == []
 
     @pytest.mark.parametrize("trials, full_trials, message", [
         (-1, 0, "--trials must be >= 1, got -1"),

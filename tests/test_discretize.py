@@ -1,9 +1,10 @@
 """Mandatory charging and fleet ordering.
 
-`prepare_fleet` computes in columns. `reference_prepare_fleet` below is the
-scalar loop it replaced, kept as the reference: every record must equal the
-reference's by `==` and `repr`, and every error must match in type, truck
-and message.
+`prepare_fleet` computes in columns. `checks.reference_prepare_fleet` is the
+scalar loop it replaced, kept as the reference: the fleet must rank the
+trucks as the loop's records do, every column must equal its scalar formula
+over them bit for bit, and every error must match in type, truck and
+message.
 """
 
 import copy
@@ -21,27 +22,25 @@ from platoon_coord import (
     HorizonExceededError,
     InfeasibleTruckError,
     PreparedFleet,
-    PreparedTruck,
     ProblemInstance,
     RouteParams,
     ScenarioConfig,
-    TruckSpec,
-    departure_soc_bounds,
     generate,
     load_instance,
-    min_charge_time,
     prepare_fleet,
-    soc_after_charge,
     soc_after_trip,
     solve_dp_ls,
     solve_dp_nls,
     solve_fixed_interval,
     solve_spontaneous,
 )
-from platoon_coord import cli, discretize
+from platoon_coord import cli
 from platoon_coord.kernels import fleet_arrays
-from platoon_coord.model import LEAD_COEFF, SOC_TOL, TIME_TOL
-from checks import alone_departure, assert_fleet_arrays_match_scalar
+from checks import (
+    assert_fleet_arrays_match_scalar,
+    reference_min_charge_time,
+    reference_prepare_fleet,
+)
 from conftest import FOLLOW_NEED, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 
 APPROX = dict(abs=1e-9)
@@ -49,58 +48,55 @@ DATA = Path(__file__).parent / "data"
 
 
 class TestMinChargeTime:
+    """An ET's mandatory charge: the fleet's `tau_cmin` column."""
+
+    @staticmethod
+    def charge(truck):
+        return prepare([truck]).arrays.tau_cmin[0]
+
     def test_low_soc_needs_charging(self):
-        assert min_charge_time(et(1, 0.0, soc=30.0), REF_ROUTE) == pytest.approx(
+        assert self.charge(et(1, 0.0, soc=30.0)) == pytest.approx(
             (FOLLOW_NEED - 30.0) / 1.07, **APPROX)
 
     def test_high_soc_needs_none(self):
-        assert min_charge_time(et(1, 0.0, soc=60.0), REF_ROUTE) == 0.0
+        assert self.charge(et(1, 0.0, soc=60.0)) == 0.0
 
     def test_boundary_soc_needs_none(self):
-        assert min_charge_time(et(1, 0.0, soc=56.904), REF_ROUTE) == 0.0
-
-    def test_fuel_truck_rejected(self):
-        with pytest.raises(ContractViolation):
-            min_charge_time(ft(1, 0.0), REF_ROUTE)
+        assert self.charge(et(1, 0.0, soc=56.904)) == 0.0
 
     def test_undersized_battery_is_infeasible(self):
         truck = et(1, 0.0, soc=30.0, max_soc=40.0)
-        with pytest.raises(InfeasibleTruckError):
-            min_charge_time(truck, REF_ROUTE)
+        with pytest.raises(InfeasibleTruckError, match="^truck 1: needs departure SoC"):
+            prepare([truck])
 
 
 class TestPrepareFleet:
     def test_charging_reorders_behind_later_arrival(self):
-        prepared = prepare([ft(1, 10.0), et(2, 0.0, soc=30.0)]).records()
-        assert [p.id for p in prepared] == [1, 2]
-        assert prepared[0].earliest_departure == 10.0
-        assert prepared[1].earliest_departure == pytest.approx(
-            (FOLLOW_NEED - 30.0) / 1.07, **APPROX)
-        assert [p.rank for p in prepared] == [0, 1]
+        fleet = prepare([ft(1, 10.0), et(2, 0.0, soc=30.0)])
+        assert fleet.ids == (1, 2) and fleet.order.tolist() == [0, 1]
+        assert fleet.arrays.tau_delta[0] == 10.0
+        assert fleet.arrays.tau_delta[1] == pytest.approx((FOLLOW_NEED - 30.0) / 1.07, **APPROX)
 
     def test_fuel_trucks_keep_arrival_order(self):
-        prepared = prepare([ft(1, 5.0), ft(2, 3.0)]).records()
-        assert [p.earliest_departure for p in prepared] == [3.0, 5.0]
+        assert prepare([ft(1, 5.0), ft(2, 3.0)]).arrays.tau_delta.tolist() == [3.0, 5.0]
 
     def test_full_battery_departs_on_arrival(self):
-        (p,) = prepare([et(1, 7.0, soc=100.0)]).records()
-        assert p.earliest_departure == 7.0
-        assert p.min_charge_time == 0.0
-        assert p.min_departure_soc == 100.0
+        arr = prepare([et(1, 7.0, soc=100.0)]).arrays
+        assert arr.tau_delta[0] == 7.0
+        assert arr.tau_cmin[0] == 0.0
+        assert arr.fill_time[0] == 0.0  # full on departure
 
     def test_ties_break_by_id(self):
-        prepared = prepare([ft(7, 4.0), ft(3, 4.0)]).records()
-        assert [p.id for p in prepared] == [3, 7]
+        assert prepare([ft(7, 4.0), ft(3, 4.0)]).ids == (3, 7)
 
     def test_deterministic_and_idempotent(self):
         trucks = [ft(1, 5.0), et(2, 1.0, soc=40.0), ft(3, 5.0)]
         assert prepare(trucks) == prepare(trucks)
 
     def test_fuel_arrival_never_changes(self):
-        prepared = prepare([ft(1, 5.0), ft(2, 900.0)]).records()
-        for p in prepared:
-            assert p.earliest_departure == p.arrival_time
-            assert p.min_charge_time == 0.0
+        arr = prepare([ft(1, 5.0), ft(2, 900.0)]).arrays
+        assert arr.tau_delta.tolist() == arr.arrival.tolist() == [5.0, 900.0]
+        assert arr.tau_cmin.tolist() == [0.0, 0.0]
 
     def test_horizon_exceeded_by_arrival(self):
         route = RouteParams(distance=200.0, horizon=100.0, max_platoon_size=8)
@@ -115,84 +111,31 @@ class TestPrepareFleet:
 
     def test_ranks_and_order_invariants(self):
         trucks = [et(i, (i * 37) % 50, soc=10.0 + (i * 13) % 90) for i in range(1, 15)]
-        prepared = prepare(trucks).records()
-        assert [p.rank for p in prepared] == list(range(len(trucks)))
-        departures = [p.earliest_departure for p in prepared]
+        fleet = prepare(trucks)
+        assert sorted(fleet.order.tolist()) == list(range(len(trucks)))
+        assert fleet.ids == tuple(trucks[k].id for k in fleet.order.tolist())
+        departures = fleet.arrays.tau_delta.tolist()
         assert departures == sorted(departures)
 
     def test_mandatory_charge_makes_following_safe(self):
         # Departing at the earliest instant with the mandatory charge must
         # leave every ET at or above its safety floor after a follower trip.
         trucks = [et(i, (i * 11) % 40, soc=10.0 + (i * 17) % 90) for i in range(1, 30)]
-        for p in prepare(trucks).records():
-            arrival_soc = soc_after_trip(p.min_departure_soc, p.spec.discharge_rate,
-                                         REF_ROUTE.distance, REF_ROUTE.follower_coeff)
-            assert arrival_soc >= p.spec.safe_soc - 1e-9
-
-
-def reference_min_charge_time(truck, route):
-    required = truck.safe_soc + route.follower_coeff * truck.discharge_rate * route.distance
-    if required - truck.max_soc > SOC_TOL:
-        raise InfeasibleTruckError(
-            truck.id,
-            f"needs departure SoC {required:.6g}% to follow safely but capacity "
-            f"is {truck.max_soc:.6g}%",
-        )
-    return max(0.0, (required - truck.initial_soc) / truck.charge_rate)
-
-
-def reference_prepare_fleet(instance):
-    """The scalar loop: one truck at a time, then one sort by (earliest, id),
-    with every earliest departure a float. An ET's fill time, lead need and
-    alone departure come from the scalar formulas of `departure_soc_bounds`
-    and `checks.alone_departure`; a fuel truck has none of the first two and
-    leaves alone when it is ready."""
-    route = instance.route
-    rows = []
-    for truck in instance.trucks:
-        if truck.is_electric:
-            charge = reference_min_charge_time(truck, route)
-            dep_soc = soc_after_charge(truck.initial_soc, truck.charge_rate, charge)
-            earliest = float(truck.arrival_time + charge)
-        else:
-            charge = 0.0
-            dep_soc = None
-            earliest = float(truck.arrival_time)
-        if earliest > route.horizon + TIME_TOL:
-            raise HorizonExceededError(truck.id, earliest, route.horizon)
-        rows.append((truck, charge, dep_soc, earliest))
-
-    rows.sort(key=lambda r: (r[3], r[0].id))
-    records = []
-    for rank, (truck, charge, dep_soc, earliest) in enumerate(rows):
-        record = PreparedTruck(spec=truck, min_charge_time=charge, min_departure_soc=dep_soc,
-                               earliest_departure=earliest, rank=rank, fill_time=None,
-                               lead_need=None, alone_departure=earliest)
-        if truck.is_electric:
-            record = record._replace(
-                fill_time=(truck.max_soc - dep_soc) / truck.charge_rate,
-                lead_need=departure_soc_bounds(truck, route, LEAD_COEFF)[0],
-                alone_departure=alone_departure(record, route))
-        records.append(record)
-    return records
-
-
-def plain(record):
-    """The record with its electric figures as Python floats: the scalar
-    loop keeps numpy scalars that numpy battery fields bring in, the columns
-    give Python floats of the same value."""
-    if not record.is_electric:
-        return record
-    return record._replace(**{name: float(getattr(record, name)) for name in (
-        "min_charge_time", "min_departure_soc", "fill_time", "lead_need", "alone_departure")})
+        fleet = prepare(trucks)
+        arr = fleet.arrays
+        for rank, k in enumerate(fleet.order.tolist()):
+            dep_soc = arr.init_soc[rank] + arr.rate[rank] * arr.tau_cmin[rank]
+            arrival_soc = soc_after_trip(dep_soc, arr.vrate[rank], REF_ROUTE.distance,
+                                         REF_ROUTE.follower_coeff)
+            assert arrival_soc >= trucks[k].safe_soc - 1e-9
 
 
 def assert_matches_reference(instance):
-    """prepare_fleet against the scalar loop: the same records, or the same
-    error; and every `FleetArrays` column of the fleet equals its scalar
-    formula over the loop's records. Returns the fleet's records.
-    Where the loop's sort fails on tied ids that Python cannot order,
-    prepare_fleet raises a `ContractViolation` that names two of them."""
+    """prepare_fleet against the scalar loop: the same trucks at each rank,
+    and every `FleetArrays` column equal to its scalar formula over the
+    loop's records; or the same error. Returns the fleet. Where the loop's
+    sort fails on tied ids that Python cannot order, prepare_fleet raises
+    a `ContractViolation` that names two of them."""
     try:
         expected = reference_prepare_fleet(instance)
     except TypeError:
@@ -206,19 +149,11 @@ def assert_matches_reference(instance):
         assert getattr(err.value, "truck_id", None) == getattr(exc, "truck_id", None)
         return None
     fleet = prepare_fleet(instance)
-    records = fleet.records()
-    assert list(records) == expected
-    assert repr(list(records)) == repr([plain(r) for r in expected])
-    for r in records:
-        assert type(r.earliest_departure) is float and type(r.min_charge_time) is float
-        assert type(r.alone_departure) is float
-        if r.is_electric:
-            assert type(r.min_departure_soc) is type(r.fill_time) is type(r.lead_need) is float
-        else:
-            assert r.min_departure_soc is r.fill_time is r.lead_need is None
-            assert r.earliest_departure == float(r.spec.arrival_time) == r.alone_departure
+    trucks = instance.trucks
+    assert [trucks[k] for k in fleet.order.tolist()] == [r.spec for r in expected]
+    assert fleet.ids == tuple(r.id for r in expected)
     assert_fleet_arrays_match_scalar(fleet, instance.route, expected)
-    return records
+    return fleet
 
 
 def instance_of(trucks, route=REF_ROUTE):
@@ -253,25 +188,25 @@ class TestAgainstScalarReference:
         tied = (FOLLOW_NEED - 30.0) / 1.07
         trucks = [et(9, 0.0, soc=30.0), ft(4, tied), et(2, 0.0, soc=30.0), ft(7, 0),
                   et(5, 0.0, soc=30.0), ft(1, 0), ft(8, tied), ft(3, 0.0)]
-        records = assert_matches_reference(instance_of(trucks))
-        assert [m.id for m in records] == [1, 3, 7, 2, 4, 5, 8, 9]
+        fleet = assert_matches_reference(instance_of(trucks))
+        assert fleet.ids == (1, 3, 7, 2, 4, 5, 8, 9)
 
     def test_integer_arrivals_become_floats(self):
-        records = assert_matches_reference(instance_of([ft(2, 4), ft(1, 4.0), ft(3, 2),
+        fleet = assert_matches_reference(instance_of([ft(2, 4), ft(1, 4.0), ft(3, 2),
                                                       et(4, 4, soc=80.0)]))
-        assert [m.id for m in records] == [3, 1, 2, 4]
-        assert [repr(m.earliest_departure) for m in records] == ["2.0", "4.0", "4.0", "4.0"]
+        assert fleet.ids == (3, 1, 2, 4)
+        assert list(map(repr, fleet.column_lists().tau_delta)) == ["2.0", "4.0", "4.0", "4.0"]
 
     def test_string_ids(self):
-        records = assert_matches_reference(instance_of(
+        fleet = assert_matches_reference(instance_of(
             [ft("b", 3.0), ft("a", 3.0), ft("A", 3.0), et("c", 0.0, soc=30.0), ft("", 3)]))
-        assert [m.id for m in records] == ["", "A", "a", "b", "c"]
+        assert fleet.ids == ("", "A", "a", "b", "c")
 
     def test_mixed_ids_that_never_tie(self):
-        records = assert_matches_reference(instance_of(
+        fleet = assert_matches_reference(instance_of(
             [ft("f-2", 5.0), ft(3, 7.0), ft("f-1", 5.0), ft(1, 7.0), ft(None, 1.0),
              ft(2.5, 7.0)]))
-        assert [m.id for m in records] == [None, "f-1", "f-2", 1, 2.5, 3]
+        assert fleet.ids == (None, "f-1", "f-2", 1, 2.5, 3)
 
     def test_mixed_ids_that_tie_are_a_contract_violation(self):
         assert_matches_reference(instance_of([ft("f-2", 5.0), ft(3, 5.0)]))
@@ -281,7 +216,7 @@ class TestAgainstScalarReference:
             prepare_fleet(instance_of([ft("f-2", 5.0), ft(3, 5.0)]))
         # Only tied ids are compared: the ET is ready at another instant.
         fleet = instance_of([ft(1, 4), et("e", 4, soc=30.0), ft(2.5, 4.0), ft("a", 7)])
-        assert [m.id for m in prepare_fleet(fleet).records()] == [1, 2.5, "a", "e"]
+        assert prepare_fleet(fleet).ids == (1, 2.5, "a", "e")
         with pytest.raises(ContractViolation, match=r"'a' and 2\.5|2\.5 and 'a'"):
             prepare_fleet(instance_of([ft(1, 3), ft("a", 4.0), ft(2.5, 4)]))
 
@@ -294,19 +229,22 @@ class TestAgainstScalarReference:
         # 2**53 + 1 and 2**53 are one float64 but two Python numbers: they
         # tie, and the tie breaks by id.
         route = replace(REF_ROUTE, horizon=1e17)
-        records = assert_matches_reference(instance_of(
+        fleet = assert_matches_reference(instance_of(
             [ft(1, 2 ** 53 + 1), ft(2, float(2 ** 53)), ft(3, 2 ** 53 + 1), ft(4, 0)],
             route))
-        assert [m.id for m in records] == [4, 1, 2, 3]
-        assert {m.earliest_departure for m in records[1:]} == {float(2 ** 53)}
+        assert fleet.ids == (4, 1, 2, 3)
+        assert set(fleet.arrays.tau_delta[1:].tolist()) == {float(2 ** 53)}
 
     def test_numpy_battery_fields(self):
         trucks = [et(1, 3.0, soc=np.float64(30.0), rate=np.float64(1.25),
                      vrate=np.float64(0.2), safe=np.float64(10.0), max_soc=np.float64(95.0)),
                   et(2, np.float64(1.0), soc=np.float64(70.0)), ft(3, np.float64(2.0))]
-        records = assert_matches_reference(instance_of(trucks))
-        (fuel,) = [m for m in records if not m.is_electric]
-        assert type(fuel.earliest_departure) is float and fuel.earliest_departure == 2.0
+        fleet = assert_matches_reference(instance_of(trucks))
+        # The scalar pricer reads Python floats, whatever the fields were.
+        lists = fleet.column_lists()
+        assert {type(v) for name in COLUMNS if name != "is_et"
+                for v in getattr(lists, name)} == {float}
+        assert lists.tau_delta[fleet.ids.index(3)] == 2.0
 
     @pytest.mark.parametrize("name", ["integer-arrivals-200", "dense-ties-300"])
     def test_committed_instances(self, name):
@@ -331,7 +269,8 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("soc", [0.0, 30.0, 56.904, 60.0, 100.0])
     def test_min_charge_time(self, soc):
         truck = et(1, 0.0, soc=soc, rate=0.7)
-        assert min_charge_time(truck, REF_ROUTE) == reference_min_charge_time(truck, REF_ROUTE)
+        fleet = assert_matches_reference(instance_of([truck]))
+        assert fleet.arrays.tau_cmin[0] == reference_min_charge_time(truck, REF_ROUTE)
 
 
 # The columns of `FleetArrays`, all of which `prepare_fleet` builds.
@@ -346,31 +285,35 @@ def fleet_and_records():
 
 class TestPreparedFleet:
     def test_records_by_rank(self):
-        _, fleet, records = fleet_and_records()
+        # The scalar loop's records by rank are the fleet's trucks by rank.
+        inst, fleet, records = fleet_and_records()
         assert isinstance(fleet, PreparedFleet) and len(fleet) == len(records) == 30
-        got = fleet.records()
-        assert type(got) is tuple and list(got) == records
-        assert fleet.records() is got  # the cache, which a tuple keeps unchanged
+        assert [inst.trucks[k] for k in fleet.order.tolist()] == [r.spec for r in records]
+        assert fleet.ids == tuple(r.id for r in records)
 
     @pytest.mark.parametrize("instance", [
         generate(ScenarioConfig(n_trucks=30, seed=3)),
         load_instance(DATA / "dense-ties-300.json"),
     ], ids=["generated", "dense-ties"])
     def test_record_constants_are_the_columns(self, instance):
-        # Bit for bit: a record's per-truck constants are its rank's column
-        # entries, as Python floats; a fuel truck's SoC figures are None.
+        # Bit for bit: the per-truck constants the scalar pricer reads are
+        # its rank's column entries, as Python floats, and equal the scalar
+        # loop's; a fuel truck has none of the ET figures.
         fleet = prepare_fleet(instance)
-        arr = fleet.arrays
-        for field, column in (("fill_time", arr.fill_time), ("lead_need", arr.need_lead),
-                              ("alone_departure", arr.alone_depart)):
-            got = [getattr(r, field) for r in fleet.records()]
-            want = [v if e or field == "alone_departure" else None
-                    for v, e in zip(column.tolist(), arr.is_et.tolist())]
+        lists, arr = fleet.column_lists(), fleet.arrays
+        for field, name in (("fill_time", "fill_time"), ("lead_need", "need_lead"),
+                            ("alone_departure", "alone_depart")):
+            column = getattr(arr, name)
+            assert repr(getattr(lists, name)) == repr(column.tolist()), name
+            want = [float(getattr(r, field)) if e or field == "alone_departure" else None
+                    for r, e in zip(reference_prepare_fleet(instance), arr.is_et.tolist())]
+            got = [v if e or field == "alone_departure" else None
+                   for v, e in zip(getattr(lists, name), arr.is_et.tolist())]
             assert repr(got) == repr(want), field
 
     def test_not_a_sequence(self):
-        # The records are asked for; nothing iterates or indexes the columns
-        # into them by the way.
+        # Nothing iterates or indexes the columns into per-truck records by
+        # the way.
         _, fleet, _ = fleet_and_records()
         assert not isinstance(fleet, Sequence)
         for use in (iter, lambda f: f[0], lambda f: f[2:5], reversed):
@@ -382,64 +325,54 @@ class TestPreparedFleet:
         assert fleet == prepare_fleet(inst)
         assert fleet != prepare_fleet(generate(ScenarioConfig(n_trucks=30, seed=4)))
         assert fleet != records  # a fleet is not a list, as a tuple is not
-        # Fleets compare by their instances: the same records drawn for
+        # Fleets compare by their instances: the same trucks drawn for
         # another seed, or listed in another order, make another fleet.
         for other in (ProblemInstance(inst.trucks, inst.route, inst.econ, inst.seed + 1),
                       ProblemInstance(inst.trucks[::-1], inst.route, inst.econ, inst.seed)):
             again = prepare_fleet(other)
-            assert list(again.records()) == records and again != fleet
+            assert reference_prepare_fleet(other) == records and again != fleet
+            assert again.ids == fleet.ids
 
-    def test_equality_builds_no_records(self, monkeypatch):
+    def test_equality_builds_no_records(self, truck_specs_built):
         config = ScenarioConfig(n_trucks=200, seed=3)
         fleet, same = prepare_fleet(generate(config)), prepare_fleet(generate(config))
         other = prepare_fleet(generate(replace(config, seed=4)))
-        built = []
-        real_spec, real_record = TruckSpec.__new__, discretize.PreparedTruck
-        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
-            built.append(args or kwargs) or real_spec(cls, *args, **kwargs)))
-        monkeypatch.setattr(discretize, "PreparedTruck",
-                            lambda *fields: built.append(fields) or real_record(*fields))
         assert fleet == same and fleet != other and not fleet != same
-        assert built == []
+        assert truck_specs_built == []
 
-    def test_repr_builds_no_records(self, monkeypatch):
+    def test_repr_builds_no_records(self, truck_specs_built):
         instance = generate(ScenarioConfig(n_trucks=200, seed=3))
         fleet = prepare_fleet(instance)
-        built = []
-        real = TruckSpec.__new__
-        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
-            built.append(args or kwargs) or real(cls, *args, **kwargs)))
         text = repr(fleet)
-        assert built == []
+        assert truck_specs_built == []
         assert text == f"PreparedFleet(n_trucks=200, route={instance.route!r}, seed=3)"
 
-    def test_records_are_built_once(self, monkeypatch):
+    def test_column_lists_are_built_once(self):
+        # The scalar pricer's lists are the columns, made on the first call;
+        # they are kept on the fleet, not among the arrays, whose fields all
+        # stay numpy columns.
         _, fleet, _ = fleet_and_records()
-        built = []
-        real = discretize.PreparedTruck
-        monkeypatch.setattr(discretize, "PreparedTruck",
-                            lambda *fields: built.append(fields) or real(*fields))
-        first = fleet.records()
-        assert len(built) == 30
-        assert all(a is b for a, b in zip(fleet.records(), first))
-        assert len(built) == 30
+        lists = fleet.column_lists()
+        assert fleet.column_lists() is lists
+        assert lists._fields == tuple(vars(fleet.arrays))
+        assert sorted(lists._fields) == sorted(COLUMNS)
+        for name in COLUMNS:
+            assert repr(getattr(lists, name)) == repr(getattr(fleet.arrays, name).tolist()), name
 
-    def test_dp_solves_build_no_records(self, monkeypatch, tmp_path):
-        inst, fleet, _ = fleet_and_records()
-        built = []
-        real = discretize.PreparedTruck
-        monkeypatch.setattr(discretize, "PreparedTruck",
-                            lambda *fields: built.append(fields) or real(*fields))
+    def test_dp_solves_build_no_records(self, truck_specs_built, tmp_path):
+        # Every solver, the baselines included, prices from the columns.
+        inst = generate(ScenarioConfig(n_trucks=30, seed=3))
+        fleet = prepare_fleet(inst)
         solve_dp_ls(fleet, inst.route, inst.econ)
         solve_dp_nls(fleet, inst.route, inst.econ, 2)
-        path = tmp_path / "inst.json"
-        assert cli.main(["generate", "--seed", "3", "--n", "30", "--out", str(path)]) == 0
-        assert cli.main(["solve", str(path), "--method", "dp-ls",
-                         "--out", str(tmp_path / "sol.json")]) == 0
-        assert built == []
         solve_spontaneous(fleet, inst.route, inst.econ, 0)
         solve_fixed_interval(fleet, inst.route, inst.econ, 30.0, 0)
-        assert len(built) == 30
+        path = tmp_path / "inst.json"
+        assert cli.main(["generate", "--seed", "3", "--n", "30", "--out", str(path)]) == 0
+        for method in ("dp-ls", "spontaneous", "fixed-interval"):
+            assert cli.main(["solve", str(path), "--method", method,
+                             "--out", str(tmp_path / "sol.json")]) == 0
+        assert truck_specs_built == []
 
     def test_columns_cannot_be_written(self):
         inst, fleet, _ = fleet_and_records()
@@ -460,10 +393,10 @@ class TestPreparedFleet:
     @pytest.mark.parametrize("clone", [
         lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy])
     def test_pickle_and_copy_round_trip(self, clone):
-        inst, fleet, records = fleet_and_records()
+        inst, fleet, _ = fleet_and_records()
         again = clone(prepare_fleet(inst))
         assert type(again) is PreparedFleet and again == fleet
-        assert list(again.records()) == records
+        assert again.column_lists() == fleet.column_lists()
         assert sorted(vars(again.arrays)) == sorted(COLUMNS)
         for name in COLUMNS:
             column = getattr(again.arrays, name)
@@ -476,13 +409,11 @@ class TestPreparedFleet:
 
     @pytest.mark.parametrize("clone", [
         lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy])
-    def test_pickle_and_copy_build_no_records(self, clone, monkeypatch):
-        inst, fleet, _ = fleet_and_records()
-        built = []
-        real = discretize.PreparedTruck
-        monkeypatch.setattr(discretize, "PreparedTruck",
-                            lambda *fields: built.append(fields) or real(*fields))
+    def test_pickle_and_copy_build_no_records(self, clone, truck_specs_built):
+        inst = generate(ScenarioConfig(n_trucks=30, seed=3))
+        fleet = prepare_fleet(inst)
+        fleet.column_lists()
         again = clone(fleet)
         assert type(again) is PreparedFleet and again.instance == inst
         assert again.order.tobytes() == fleet.order.tobytes()
-        assert built == []
+        assert truck_specs_built == []

@@ -27,7 +27,7 @@ from platoon_coord.dp import run_dp
 from platoon_coord.kernels import fleet_arrays
 from platoon_coord.utility import price_platoons
 from conftest import FOLLOW_NEED, REF_ECON, REF_ROUTE, et, ft, prepare
-from checks import assert_solution_valid
+from checks import assert_solution_valid, reference_prepare_fleet
 
 APPROX = dict(abs=1e-9)
 
@@ -35,21 +35,21 @@ APPROX = dict(abs=1e-9)
 class TestLeaderFeasible:
     def test_topped_up_electric_can_lead(self):
         cmin = (FOLLOW_NEED - 30.0) / 1.07
-        prepared = prepare([et(1, 100.0 - cmin, soc=30.0), ft(2, 120.0)]).records()
-        p = evaluate_platoon(prepared, LeaderType.FUEL, REF_ROUTE, REF_ECON)
+        p = evaluate_platoon((0, 1), LeaderType.FUEL,
+                             prepare([et(1, 100.0 - cmin, soc=30.0), ft(2, 120.0)]), REF_ECON)
         # 20 minutes of top-up lift the ET to 78.304, above the 67.2 bound.
         assert p.ledger[0].departure_soc == pytest.approx(78.304, **APPROX)
         assert leader_feasible(p, LeaderType.ELECTRIC)
         assert leader_feasible(p, LeaderType.FUEL)
 
     def test_low_soc_electric_cannot_lead(self):
-        prepared = prepare([ft(1, 10.0), et(2, 12.0, soc=60.0)]).records()
-        p = evaluate_platoon(prepared, LeaderType.FUEL, REF_ROUTE, REF_ECON)
+        p = evaluate_platoon((0, 1), LeaderType.FUEL,
+                             prepare([ft(1, 10.0), et(2, 12.0, soc=60.0)]), REF_ECON)
         assert not leader_feasible(p, LeaderType.ELECTRIC)
 
     def test_no_electric_member(self):
-        prepared = prepare([ft(1, 0.0), ft(2, 1.0)]).records()
-        p = evaluate_platoon(prepared, LeaderType.FUEL, REF_ROUTE, REF_ECON)
+        p = evaluate_platoon((0, 1), LeaderType.FUEL, prepare([ft(1, 0.0), ft(2, 1.0)]),
+                             REF_ECON)
         assert not leader_feasible(p, LeaderType.ELECTRIC)
         assert leader_feasible(p, LeaderType.FUEL)
 
@@ -94,10 +94,10 @@ class TestSolveDpLs:
         inst = generate(cfg)
         prepared = prepare_fleet(inst)
         state = run_dp(prepared, inst.route, inst.econ, mode=0)
-        for i, member in enumerate(prepared.records(), start=1):
-            solo = evaluate_platoon([member],
-                                    LeaderType.ELECTRIC if member.is_electric else LeaderType.FUEL,
-                                    inst.route, inst.econ)
+        for i, electric in enumerate(prepared.arrays.is_et.tolist(), start=1):
+            solo = evaluate_platoon((i - 1,),
+                                    LeaderType.ELECTRIC if electric else LeaderType.FUEL,
+                                    prepared, inst.econ)
             assert state.values[i] >= state.values[i - 1] + solo.utility - 1e-9
 
     def test_work_bound_and_value_consistency(self):
@@ -187,15 +187,15 @@ class TestCheckPrepared:
         fleet: only `prepare_fleet` makes one."""
         fleet = prepare([ft(1, 0.0), ft(2, 5.0)])
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
-            ENTRY_POINTS[entry](list(fleet.records()), REF_ROUTE)
+            ENTRY_POINTS[entry](reference_prepare_fleet(fleet.instance), REF_ROUTE)
 
     def test_rank_order_required(self):
         prepared = prepare([ft(1, 0.0), ft(2, 5.0)])
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
-            run_dp(list(prepared.records())[::-1], REF_ROUTE, REF_ECON, mode=0)
+            run_dp(reference_prepare_fleet(prepared.instance)[::-1], REF_ROUTE, REF_ECON, mode=0)
 
     def test_departure_order_required(self):
-        a, b = prepare([ft(1, 0.0), ft(2, 5.0)]).records()
+        a, b = reference_prepare_fleet(prepare([ft(1, 0.0), ft(2, 5.0)]).instance)
         swapped = [b._replace(rank=0), a._replace(rank=1)]
         with pytest.raises(ContractViolation, match="PreparedFleet that prepare_fleet returns"):
             run_dp(swapped, REF_ROUTE, REF_ECON, mode=0)

@@ -30,7 +30,6 @@ from platoon_coord.kernels import (
 )
 from platoon_coord.model import MONEY_TOL, TIME_TOL
 from platoon_coord.scenario import load_instance
-from platoon_coord.utility import leader_type_for_kind
 from checks import (
     reference_candidate_table,
     reference_list_kernel,
@@ -125,15 +124,16 @@ def _compositions(n, nbar):
 def _safe_blocks(prepared, route, econ):
     """Utility of every safe leader kind of every block, keyed (end, size)."""
     blocks = {}
-    records = prepared.records()
+    is_et = prepared.arrays.is_et.tolist()
     for end in range(1, len(prepared) + 1):
         for size in range(1, min(end, route.max_platoon_size) + 1):
-            members = records[end - size:end]
+            members = range(end - size, end)
+            kinds = {LeaderType.ELECTRIC if is_et[k] else LeaderType.FUEL for k in members}
             safe = {}
             for leader in (LeaderType.ELECTRIC, LeaderType.FUEL):
-                if all(leader_type_for_kind(m.kind) is not leader for m in members):
+                if leader not in kinds:
                     continue
-                p = evaluate_platoon(members, leader, route, econ)
+                p = evaluate_platoon(members, leader, prepared, econ)
                 if not leader_feasible(p, leader):
                     continue
                 if size == 1 and p.departure_time > route.horizon + TIME_TOL:
@@ -217,7 +217,7 @@ def _check_table_against_reference(prepared, route, econ, seed):
                 continue
             kind = LeaderType.FUEL if leader[end - 1, size - 1] else LeaderType.ELECTRIC
             assert kind in safe, (mode, end, size)
-            ref = evaluate_platoon(prepared.records()[end - size:end], kind, route, econ)
+            ref = evaluate_platoon(range(end - size, end), kind, prepared, econ)
             if size <= 2:
                 assert got == ref.utility and repr(got) == repr(ref.utility), \
                     (mode, end, size, got, ref.utility)

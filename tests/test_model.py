@@ -13,9 +13,9 @@ from platoon_coord import (
     RouteParams,
     TruckKind,
     TruckSpec,
+    LeaderType,
     departure_soc_bounds,
-    departure_time,
-    min_charge_time,
+    evaluate_platoon,
     soc_after_charge,
     soc_after_trip,
 )
@@ -25,27 +25,33 @@ APPROX = dict(abs=1e-9)
 
 
 class TestDepartureTime:
+    """A truck leaves at its arrival plus its charge and its wait, as the
+    ledger of a priced platoon gives them; a fuel truck only waits."""
+
+    @staticmethod
+    def row(truck, leader, depart_at):
+        (row,) = evaluate_platoon((0,), leader, prepare([truck]), REF_ECON,
+                                  depart_at=depart_at).ledger
+        return row
+
     def test_fuel_truck_waits_only(self):
-        (p,) = prepare([ft(1, 100.0)]).records()
-        assert departure_time(p, 0.0, 20.0) == 120.0
+        row = self.row(ft(1, 100.0), LeaderType.FUEL, 120.0)
+        assert (row.charge_time, row.wait_time) == (0.0, 20.0)
 
     def test_electric_truck_charges_then_waits(self):
-        (p,) = prepare([et(1, 100.0, soc=90.0)]).records()
-        assert departure_time(p, 25.14, 4.86) == pytest.approx(130.0, **APPROX)
+        # Full after (100 - 90) / 1.07 minutes of charge; then it waits.
+        row = self.row(et(1, 100.0, soc=90.0), LeaderType.ELECTRIC, 130.0)
+        assert row.charge_time == pytest.approx(10.0 / 1.07, **APPROX)
+        assert 100.0 + row.charge_time + row.wait_time == pytest.approx(130.0, **APPROX)
 
     def test_all_zero(self):
-        (p,) = prepare([et(1, 0.0, soc=90.0)]).records()
-        assert departure_time(p, 0.0, 0.0) == 0.0
-
-    def test_fuel_truck_rejects_charging(self):
-        (p,) = prepare([ft(1, 100.0)]).records()
-        with pytest.raises(ContractViolation):
-            departure_time(p, 1.0, 0.0)
+        row = self.row(et(1, 0.0, soc=90.0), LeaderType.ELECTRIC, 0.0)
+        assert (row.charge_time, row.wait_time) == (0.0, 0.0)
 
     def test_negative_times_rejected(self):
-        (p,) = prepare([ft(1, 100.0)]).records()
-        with pytest.raises(ContractViolation):
-            departure_time(p, 0.0, -1.0)
+        # A departure before the truck is ready would leave it a negative wait.
+        with pytest.raises(ContractViolation, match="precedes"):
+            self.row(ft(1, 100.0), LeaderType.FUEL, 99.0)
 
 
 class TestSocAfterCharge:
@@ -184,12 +190,6 @@ class TestValidation:
         prices; it is refused by name before numpy meets it."""
         with pytest.raises(ContractViolation, match=f"^{field} is beyond the float range$"):
             replace(params, **{field: 10**400})
-
-    def test_min_charge_time_beyond_float(self):
-        truck = et(1, 0.0, soc=50.0, rate=10**400)
-        with pytest.raises(ContractViolation,
-                           match=r"^truck 1: charge_rate is beyond the float range$"):
-            min_charge_time(truck, REF_ROUTE)
 
 
 NAN = float("nan")

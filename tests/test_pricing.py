@@ -33,8 +33,14 @@ from platoon_coord import (
 )
 from platoon_coord.kernels import fleet_arrays
 from platoon_coord.scenario import load_instance, solution_text
-from platoon_coord.utility import leader_type_for_kind, price_platoons
-from checks import alone_departure, assert_fleet_arrays_match_scalar, reference_evaluate_platoon
+from platoon_coord.utility import price_platoons
+from checks import (
+    alone_departure,
+    assert_fleet_arrays_match_scalar,
+    leader_type_for_kind,
+    reference_evaluate_platoon,
+    reference_prepare_fleet,
+)
 from conftest import ET_VRATE, REF_ECON, REF_ROUTE, UNLEADABLE, et, fleet_instances, ft, prepare
 
 LEADER_CODE = {LeaderType.ELECTRIC: 0, LeaderType.FUEL: 1}
@@ -48,8 +54,9 @@ def assert_same(batch, scalar):
 def assert_schedule_matches_reference(sol, prepared, route, econ):
     """Every platoon of a dp schedule equals the scalar reference pricing on
     its block, by `==` and by `repr`."""
+    records = reference_prepare_fleet(prepared.instance)
     for p in sol.platoons:
-        members = prepared.records()[p.ranks[0]:p.ranks[-1] + 1]
+        members = records[p.ranks[0]:p.ranks[-1] + 1]
         assert_same(p, reference_evaluate_platoon(members, p.leader_type, route, econ))
 
 
@@ -131,8 +138,9 @@ class TestScheduleAgainstReference:
         prepared = prepare(trucks, route=route, econ=econ)
         sol = solve_dp_ls(prepared, route, econ)
         assert all(p.size == 1 for p in sol.platoons)
+        records = reference_prepare_fleet(prepared.instance)
         for p in sol.platoons:
-            m = prepared.records()[p.ranks[0]]
+            m = records[p.ranks[0]]
             assert p.departure_time == m.alone_departure == alone_departure(m, route)
             assert p.departure_time > m.earliest_departure
 
@@ -259,10 +267,11 @@ def test_every_block_and_leader_kind(case):
     members allow equals the scalar reference block by block; so does the same
     batch restricted to the kinds `leader_feasible` admits."""
     prepared, route, econ = case
+    records = reference_prepare_fleet(prepared.instance)
     blocks, expected = [], []
     for start in range(len(prepared)):
         for size in range(1, min(route.max_platoon_size, len(prepared) - start) + 1):
-            members = prepared.records()[start:start + size]
+            members = records[start:start + size]
             kinds = {leader_type_for_kind(m.kind) for m in members}
             for leader in sorted(kinds, key=LEADER_CODE.get):
                 blocks.append((start, size, LEADER_CODE[leader]))

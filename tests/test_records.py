@@ -1,12 +1,12 @@
 """The records built once per truck or per platoon.
 
-`TruckSpec`, `PreparedTruck`, `MemberLedger` and `PlatoonAssignment` are
-immutable NamedTuples. They compare and hash by value, and their `repr` is
-the text that the dataclasses they replaced wrote, since schedules are
-fingerprinted by it. `TruckSpec` validates however it is built: the
-constructor, `_make` and `_replace` raise the same errors. `FleetArrays`,
-built once per prepared fleet, stays a dataclass whose fields all report
-`.nbytes`.
+`TruckSpec`, `MemberLedger` and `PlatoonAssignment`, and the scalar
+reference's `checks.PreparedTruck`, are immutable NamedTuples. They compare
+and hash by value, and their `repr` is the text that the dataclasses they
+replaced wrote, since schedules are fingerprinted by it. `TruckSpec`
+validates however it is built: the constructor, `_make` and `_replace`
+raise the same errors. `FleetArrays`, built once per prepared fleet, stays a
+dataclass whose fields all report `.nbytes`.
 """
 
 import dataclasses
@@ -17,12 +17,12 @@ from platoon_coord import (
     ContractViolation,
     MemberLedger,
     PlatoonAssignment,
-    PreparedTruck,
     TruckKind,
     TruckSpec,
     solve_dp_ls,
 )
 from platoon_coord.kernels import fleet_arrays
+from checks import PreparedTruck, reference_prepare_fleet
 from conftest import REF_ECON, REF_ROUTE, et, ft, prepare
 
 TRUCK_REPR = (
@@ -56,7 +56,7 @@ def two_truck_records():
     truck = et(7, 3.5, soc=40.0)
     prepared = prepare([ft(1, 0.0), et(2, 5.0, soc=40.0)])
     (platoon,) = solve_dp_ls(prepared, REF_ROUTE, REF_ECON).platoons
-    return truck, prepared.records()[1], platoon, platoon.ledger[1]
+    return truck, reference_prepare_fleet(prepared.instance)[1], platoon, platoon.ledger[1]
 
 
 RECORDS = two_truck_records()

@@ -59,7 +59,7 @@ class TestGenerate:
                 assert 10.0 <= t.initial_soc <= 100.0
         # Resampling keeps mandatory charging inside the horizon.
         prepared = prepare_fleet(inst)
-        assert all(p.earliest_departure <= 1440.0 for p in prepared.records())
+        assert prepared.arrays.tau_delta.max() <= 1440.0
 
     def test_all_fuel(self):
         inst = generate(ScenarioConfig(n_trucks=40, et_share=0.0, seed=1))
@@ -301,11 +301,9 @@ class TestColumnarGenerate:
             generate(cfg)
         assert str(err.value) == f"truck {self.first_et()}: charge_rate must be > 0"
 
-    def test_generate_and_save_build_no_truck_records(self, monkeypatch, tmp_path, capsys):
-        real = TruckSpec.__new__
-        built = []
-        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
-            built.append(args or kwargs) or real(cls, *args, **kwargs)))
+    def test_generate_and_save_build_no_truck_records(self, truck_specs_built, tmp_path,
+                                                      capsys):
+        built = truck_specs_built
         inst = generate(DENSE)
         save_instance(inst, tmp_path / "dense.json", config=DENSE)
         out = tmp_path / "seed3.json"
@@ -800,14 +798,11 @@ class TestLoaderFastPath:
         assert loaded == instance and repr(loaded) == repr(instance)
         assert hash(loaded) == hash(instance)
 
-    def test_dp_solve_builds_no_truck_records(self, monkeypatch, tmp_path):
+    def test_dp_solve_builds_no_truck_records(self, truck_specs_built, tmp_path):
         """From the file to the solution file, a dp solve reads the fleet's
         columns only; the `TruckSpec`s are built when they are asked for."""
         path, out = DATA / "dense-ties-300.json", tmp_path / "solution.json"
-        real = TruckSpec.__new__
-        built = []
-        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
-            built.append(args or kwargs) or real(cls, *args, **kwargs)))
+        built = truck_specs_built
         instance = load_instance(path)
         prepared = prepare_fleet(instance)
         save_solution(solve_dp_ls(prepared, instance.route, instance.econ), out)
@@ -838,18 +833,14 @@ class TestLoaderFastPath:
     @pytest.mark.parametrize("clone", [
         lambda i: pickle.loads(pickle.dumps(i)), copy.copy, copy.deepcopy],
         ids=["pickle", "copy", "deepcopy"])
-    def test_pickle_and_copy_build_no_truck_specs(self, clone, monkeypatch):
+    def test_pickle_and_copy_build_no_truck_specs(self, clone, truck_specs_built):
         """A generated instance and its prepared fleet pickle and copy by
         their columns: no `TruckSpec` is built, and each copy is equal and
         prints alike. A `TruckSpec`-built instance keeps its int fields."""
         instance = generate(ScenarioConfig(n_trucks=200, seed=3))
         prepared = prepare_fleet(instance)
-        real = TruckSpec.__new__
-        built = []
-        monkeypatch.setattr(TruckSpec, "__new__", lambda cls, *args, **kwargs: (
-            built.append(args or kwargs) or real(cls, *args, **kwargs)))
         again, fleet = clone(instance), clone(prepared)
-        assert built == []
+        assert truck_specs_built == []
         assert again == instance and repr(again) == repr(instance)
         assert fleet == prepared and repr(fleet) == repr(prepared)
         ints = ProblemInstance(trucks=(ft(1, 4), et(2, 7, soc=50, max_soc=100), ft(3, 0)),

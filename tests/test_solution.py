@@ -123,8 +123,7 @@ class TestAssembly:
             Solution.from_table("DP-LS", priced([(3, 2, 1), (1, 2, 1), (0, 1, 0)]))
         blocks = [(1, 2, 1), (3, 2, 1), (0, 1, 0)]
         sol = Solution.from_table("DP-LS", priced(blocks))
-        records = [evaluate_platoon(prepared.records()[s:s + n], LEADER_BY_CODE[k], REF_ROUTE,
-                                    REF_ECON)
+        records = [evaluate_platoon(range(s, s + n), LEADER_BY_CODE[k], prepared, REF_ECON)
                    for s, n, k in blocks]
         assert_assembled_from(sol, records)
 
@@ -137,8 +136,8 @@ class TestAssembly:
         prepared = prepare([et(1, 0.0, soc=30.0), ft(2, 28.0), ft(3, 30.0), ft(4, 31.0)],
                            route=route)
         sol = solve(prepared, route, REF_ECON)
-        records = [evaluate_platoon([p], LEADER_BY_CODE[not p.is_electric], route, REF_ECON)
-                   for p in prepared.records()]
+        records = [evaluate_platoon((k,), LEADER_BY_CODE[not electric], prepared, REF_ECON)
+                   for k, electric in enumerate(prepared.arrays.is_et.tolist())]
         assert [p.ranks for p in sol.platoons] == [(1,), (2,), (3,), (0,)]
         assert_assembled_from(sol, records)
 
@@ -167,10 +166,10 @@ class TestAssembly:
 
 class TestCoverage:
     def setup_method(self):
-        self.prepared = prepare([ft(1, 0.0), ft(2, 10.0), ft(3, 11.0)]).records()
+        self.prepared = prepare([ft(1, 0.0), ft(2, 10.0), ft(3, 11.0)])
 
     def block(self, lo, hi):
-        return evaluate_platoon(self.prepared[lo:hi], LeaderType.FUEL, REF_ROUTE, REF_ECON)
+        return evaluate_platoon(range(lo, hi), LeaderType.FUEL, self.prepared, REF_ECON)
 
     def test_overlap_raises(self):
         with pytest.raises(ContractViolation, match="exactly once"):
