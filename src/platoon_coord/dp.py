@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import PreparedFleet
-from .kernels import (
-    block_departure,
-    check_seed,
-    fleet_arrays,
-    leader_draw_bits,
-    run_dp_kernel,
-)
+from .kernels import check_seed, fleet_arrays, leader_draw_bits, run_dp_kernel
 from .model import (
     MONEY_TOL,
     ContractViolation,
@@ -31,7 +25,7 @@ from .model import (
     NoFeasibleScheduleError,
     RouteParams,
 )
-from .solution import Diagnostics, Solution, departure_order
+from .solution import Diagnostics, Solution
 from .utility import PlatoonTable, price_platoons
 # Not called here; solvebench/spans.py traces `dp.evaluate_platoon` by this name.
 from .utility import evaluate_platoon  # noqa: F401
@@ -68,25 +62,21 @@ def run_dp(prepared: PreparedFleet, route: RouteParams,
 
 def _backtrack(state: DpState, prepared: PreparedFleet,
                route: RouteParams, econ: EconomicParams) -> PlatoonTable:
-    """Walk the winning choices back from the full fleet, then price every
-    chosen platoon in one columnar pass, in (departure, first rank) order."""
+    """Walk the winning choices back from the full fleet, whose finite value
+    gives every prefix on the way a choice, and price the blocks, last first,
+    in one `price_platoons` call, which puts them in `Solution` order."""
     choice_sizes = state.choice_sizes.tolist()
     starts, sizes = [], []
     i = len(prepared)
     while i > 0:
         size = choice_sizes[i]
-        if size <= 0:
-            raise NoFeasibleScheduleError(
-                f"no safe schedule covers the first {i} trucks"
-            )
         sizes.append(size)
         i -= size
         starts.append(i)
     starts = np.array(starts, dtype=np.intp)
     sizes = np.array(sizes, dtype=np.intp)
     leaders = state.choice_leaders[starts + sizes]
-    order = departure_order(block_departure(prepared.arrays, starts, sizes), starts)
-    return price_platoons(prepared, starts[order], sizes[order], leaders[order], route, econ)
+    return price_platoons(prepared, starts, sizes, leaders, route, econ)
 
 
 def _solve(prepared, route, econ, mode, seed, method) -> Solution:

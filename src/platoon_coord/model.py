@@ -158,8 +158,8 @@ class EconomicParams:
     def __post_init__(self):
         names = ("wait_cost", "charge_cost", "et_follower_profit", "ft_follower_profit")
         for name in names:
-            if not getattr(self, name) >= 0:
-                raise ContractViolation(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ContractViolation(f"{name} must be >= 0 and finite")
         if self.charge_cost > self.wait_cost:
             raise ContractViolation("charge_cost must not exceed wait_cost")
         _check_float_range(self, names)
@@ -262,8 +262,8 @@ class ProblemInstance:
             raise ContractViolation("instance needs at least one truck")
         if len(set(ids)) != len(ids):
             raise ContractViolation("truck ids must be unique")
-        if seed < 0:
-            raise ContractViolation("seed must be >= 0")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ContractViolation(f"seed must be an integer >= 0, got {seed!r}")
         for name, value in zip(self.__slots__, (route, econ, seed, columns, trucks)):
             object.__setattr__(self, name, value)
 

@@ -109,17 +109,16 @@ def oracle_consecutive(prepared: PreparedFleet, route: RouteParams,
             split.pop()
 
     explore(n, 0.0)
-    if n and best_split is None:
+    if best_split is None:
         raise NoFeasibleScheduleError("no safe schedule exists for this fleet")
 
+    # The blocks, last first; `from_platoons` puts them in departure order.
     platoons = []
     i = n
-    for size in best_split or []:
+    for size in best_split:
         platoons.append(blocks[i][size])
         i -= size
-    platoons.reverse()
-    diag = Diagnostics(solve_ms=(time.perf_counter() - start) * 1e3,
-                       dp_value=best_total if n else 0.0)
+    diag = Diagnostics(solve_ms=(time.perf_counter() - start) * 1e3, dp_value=best_total)
     return Solution.from_platoons(ORACLE, platoons, diag)
 
 

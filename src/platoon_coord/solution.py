@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .model import ContractViolation
-from .utility import PlatoonAssignment, PlatoonTable, check_cover, ordered_sum
+from .utility import PlatoonAssignment, PlatoonTable, check_cover, departure_order, ordered_sum
 
 
 @dataclass
@@ -31,8 +31,8 @@ class Solution:
 
     The platoons are held as a `PlatoonTable` in (departure, first rank)
     order, so output order is stable even when a postponed solo leaves after
-    the block that follows it in rank. The solver orders them: dp prices its
-    blocks in that order, `from_platoons` sorts the records it is given.
+    the block that follows it in rank. The table's constructors deliver that
+    order (`utility.departure_order`); `from_table` only checks it.
     `platoons` gives them as records, built on first access.
     """
 
@@ -75,15 +75,5 @@ class Solution:
     @classmethod
     def from_platoons(cls, method: str, platoons: Sequence[PlatoonAssignment],
                       diagnostics: Optional[Diagnostics] = None) -> "Solution":
-        """Assemble a solution from platoon records in any order: ordered,
-        then turned into a table for `from_table`."""
-        order = departure_order([p.departure_time for p in platoons],
-                                 [p.ranks[0] for p in platoons])
-        table = PlatoonTable.from_records([platoons[k] for k in order.tolist()])
-        return cls.from_table(method, table, diagnostics)
-
-
-def departure_order(departure: Sequence[float], first_rank: Sequence[int]) -> np.ndarray:
-    """Positions of the platoons in (departure, first rank) order, the order
-    a `Solution` holds them in."""
-    return np.lexsort((first_rank, departure))
+        """Assemble a solution from platoon records in any order."""
+        return cls.from_table(method, PlatoonTable.from_records(platoons), diagnostics)

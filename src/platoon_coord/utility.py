@@ -113,12 +113,15 @@ def evaluate_platoon(ranks: Sequence[int], leader_type: LeaderType, fleet: Prepa
     safe is the caller's check; this function only reports the SoC figures.
     The members' constants (mandatory charge, fill time, lead need, alone
     departure) are the fleet's columns, which hold for its instance's route,
-    and the platoon is priced on that route. A rank outside the fleet, a
-    rank listed twice or a departure that is not finite is a
-    `ContractViolation`.
+    and the platoon is priced on that route. A rank that is not an int (a
+    bool is not), a rank outside the fleet, a rank listed twice or a
+    departure that is not finite is a `ContractViolation`.
     """
     route = fleet.instance.route
     ranks = sorted(ranks)
+    for r in ranks:  # a plain loop: the cheapest form of this per-call check
+        if type(r) is not int:
+            raise ContractViolation(f"ranks must be ints, got {tuple(ranks)!r}")
     n = len(ranks)
     if n == 0:
         raise ContractViolation("platoon needs at least one member")
@@ -222,13 +225,14 @@ ROLE_BY_CODE = (Role.LEADER, Role.FOLLOWER, Role.ALONE)
 class PlatoonTable:
     """Scheduled platoons as columns: the form a `Solution` holds.
 
-    Block columns hold one entry per platoon. Member columns hold one entry
-    per member, platoon after platoon in block order and by rank within a
-    platoon, so platoon b's members sit at `start[b]` .. `start[b] + size[b]
-    - 1`. Each value is the object it was computed as: a float of numpy's
-    `.tolist()`, or a record's own field, so a writer renders a table as it
-    would render the records. The SoC columns are read only where `fuel` is
-    False.
+    Block columns hold one entry per platoon, in `departure_order`, which
+    both constructors (`price_platoons` and `from_records`) deliver. Member
+    columns hold one entry per member, platoon after platoon in block order
+    and by rank within a platoon, so platoon b's members sit at `start[b]`
+    .. `start[b] + size[b] - 1`. Each value is the object it was computed
+    as: a float of numpy's `.tolist()`, or a record's own field, so a writer
+    renders a table as it would render the records. The SoC columns are
+    read only where `fuel` is False.
     """
 
     # one entry per platoon
@@ -255,11 +259,17 @@ class PlatoonTable:
 
     @classmethod
     def from_records(cls, platoons: Sequence[PlatoonAssignment]) -> "PlatoonTable":
-        """The table of these records, in their order: one transposition of
-        the platoons and one of their ledgers."""
+        """The table of these records, given in any order, in `departure_order`:
+        one transposition of the ordered platoons and one of their ledgers."""
         if not platoons:
             return cls(*([] for _ in fields(cls)))
-        ranks, leader_types, leader_ranks, departure, ledgers, profit, loss, _ = zip(*platoons)
+        try:
+            first_rank = [p.ranks[0] for p in platoons]
+        except IndexError:
+            raise ContractViolation("platoon needs at least one member") from None
+        order = departure_order([p.departure_time for p in platoons], first_rank).tolist()
+        (ranks, leader_types, leader_ranks, departure, ledgers, profit, loss,
+         _) = zip(*[platoons[k] for k in order])
         size = list(map(len, ledgers))
         if 0 in size:
             raise ContractViolation("platoon needs at least one member")
@@ -319,11 +329,12 @@ def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: Route
     `kernels.block_departure`. `prepared` is the fleet `prepare_fleet`
     returns, sorted by earliest departure, so a block's last member is its
     latest; its columns come from `kernels.fleet_arrays`, which refuses a
-    route other than the fleet's. The table holds the blocks in the given
-    order, and each of its records equals, field for field, what
-    `evaluate_platoon` returns for the same members and leader kind: the
-    numpy expressions repeat its scalar arithmetic operation for operation,
-    and each loss is summed in rank order from 0.0 as it does.
+    route other than the fleet's. The blocks may come in any order; the
+    table holds them in `departure_order`, the order a `Solution` holds.
+    Each of its records equals, field for field, what `evaluate_platoon`
+    returns for the same members and leader kind: the numpy expressions
+    repeat its scalar arithmetic operation for operation, and each loss is
+    summed in rank order from 0.0 as it does.
     """
     arr = fleet_arrays(prepared, route)
     starts, sizes, leaders = np.asarray(starts), np.asarray(sizes), np.asarray(leaders)
@@ -339,7 +350,6 @@ def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: Route
     if not ((leaders == 0) | (leaders == 1)).all():
         raise ContractViolation("leader codes must be 0 (electric) or 1 (fuel)")
     starts, sizes = starts.astype(np.intp), sizes.astype(np.intp)
-    fuel_led = leaders == 1
     if sizes.min() < 1:
         raise ContractViolation("platoon needs at least one member")
     if sizes.max() > route.max_platoon_size:
@@ -348,6 +358,10 @@ def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: Route
         )
     if starts.min() < 0 or (starts + sizes).max() > arr.size:
         raise ContractViolation("platoon ranks run outside the fleet")
+    depart = block_departure(arr, starts, sizes)
+    order = departure_order(depart, starts)
+    starts, sizes, depart = starts[order], sizes[order], depart[order]
+    fuel_led = leaders[order] == 1
 
     # One entry per member, blocks back to back: `block` names the platoon,
     # `pos` the member's place in it, `idx` its rank.
@@ -364,7 +378,6 @@ def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: Route
     if (np.where(fuel_led, ft_count, et_count) < 1).any():
         raise ContractViolation("no member of the leader's kind to lead this platoon")
 
-    depart = block_departure(arr, starts, sizes)
     charge, wait, dep_soc, can_lead = member_terms(arr, idx, depart[block])
 
     # Leader: the first eligible member of the block's top score. A
@@ -415,6 +428,12 @@ def price_platoons(prepared: PreparedFleet, starts, sizes, leaders, route: Route
         can_lead=can_lead.tolist(),
         fuel=(~et).tolist(),
     )
+
+
+def departure_order(departure: Sequence[float], first_rank: Sequence[int]) -> np.ndarray:
+    """Positions of the platoons in (departure, first rank) order, the order
+    a `PlatoonTable` is built in and a `Solution` holds."""
+    return np.lexsort((first_rank, departure))
 
 
 def leader_feasible(platoon: PlatoonAssignment, leader: LeaderType) -> bool:

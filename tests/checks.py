@@ -29,6 +29,12 @@ def leader_type_for_kind(kind: TruckKind) -> LeaderType:
     return LeaderType.ELECTRIC if kind is TruckKind.ELECTRIC else LeaderType.FUEL
 
 
+def in_departure_order(platoons):
+    """Platoon records in the order a `Solution` holds them: by departure,
+    then first rank, equal keys kept in the given order."""
+    return sorted(platoons, key=lambda p: (p.departure_time, p.ranks[0]))
+
+
 class PreparedTruck(NamedTuple):
     """A truck with its mandatory-charge schedule, sort rank and the other
     per-truck constants that pricing reads, each from its scalar formula

@@ -22,9 +22,9 @@ from platoon_coord import (
     solve_fixed_interval,
     solve_spontaneous,
 )
-from platoon_coord import dp
+from platoon_coord import dp, utility
 from platoon_coord.dp import run_dp
-from platoon_coord.kernels import fleet_arrays
+from platoon_coord.kernels import block_departure, fleet_arrays
 from platoon_coord.utility import price_platoons
 from conftest import FOLLOW_NEED, REF_ECON, REF_ROUTE, et, ft, prepare
 from checks import assert_solution_valid, reference_prepare_fleet
@@ -312,3 +312,22 @@ class TestValueInvariant:
         monkeypatch.setattr(dp, "price_platoons", drifted)
         with pytest.raises(ContractViolation, match="recursion value"):
             solve(prepared, inst.route, inst.econ)
+
+
+class TestBacktrack:
+    @pytest.mark.parametrize("solve", [
+        solve_dp_ls, lambda p, r, e: solve_dp_nls(p, r, e, 3)], ids=["dp-ls", "dp-nls"])
+    def test_departures_are_computed_once(self, monkeypatch, solve):
+        """The pricer computes the chosen blocks' departures and orders the
+        blocks by them; the backtrack leaves both to it."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return block_departure(*args)
+
+        for module in (dp, utility):
+            monkeypatch.setattr(module, "block_departure", spy, raising=False)
+        inst = generate(ScenarioConfig(seed=0))
+        solve(prepare_fleet(inst), inst.route, inst.econ)
+        assert len(calls) == 1

@@ -170,6 +170,23 @@ class TestValidation:
         with pytest.raises(ContractViolation):
             ProblemInstance(trucks=(), route=REF_ROUTE, econ=REF_ECON)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1", None])
+    def test_instance_seed_is_an_integer(self, seed):
+        """A seed the instance file cannot hold is refused, as `generate` and
+        the loader refuse it: 1.5 and True used to be kept, written, and then
+        refused on load."""
+        with pytest.raises(ContractViolation, match="seed must be an integer >= 0"):
+            ProblemInstance(trucks=(ft(1, 0.0),), route=REF_ROUTE, econ=REF_ECON, seed=seed)
+
+    @pytest.mark.parametrize("field", [
+        "wait_cost", "charge_cost", "et_follower_profit", "ft_follower_profit"])
+    @pytest.mark.parametrize("value", [math.inf, float("1e999")])
+    def test_econ_fields_are_finite(self, field, value):
+        """An infinite price used to be accepted, and a solve then multiplied
+        it by 0.0 and reported a schedulable fleet as unschedulable."""
+        with pytest.raises(ContractViolation, match=f"^{field} must be >= 0 and finite$"):
+            replace(REF_ECON, **{field: value})
+
     @pytest.mark.parametrize("trucks, message", [
         ((TruckSpec(1, TruckKind.FUEL, 10**400),), "truck 1: arrival_time"),
         ((ft(1, 0.0), et(2, 0.0, soc=50.0, rate=10**400)), "truck 2: charge_rate"),

@@ -37,6 +37,7 @@ from platoon_coord.utility import price_platoons
 from checks import (
     alone_departure,
     assert_fleet_arrays_match_scalar,
+    in_departure_order,
     leader_type_for_kind,
     reference_evaluate_platoon,
     reference_prepare_fleet,
@@ -264,8 +265,9 @@ def small_fleets(draw):
 @given(small_fleets())
 def test_every_block_and_leader_kind(case):
     """One batch call over every consecutive block and every leader kind its
-    members allow equals the scalar reference block by block; so does the same
-    batch restricted to the kinds `leader_feasible` admits."""
+    members allow equals the scalar reference block by block, in `Solution`
+    order; so does the same batch restricted to the kinds `leader_feasible`
+    admits."""
     prepared, route, econ = case
     records = reference_prepare_fleet(prepared.instance)
     blocks, expected = [], []
@@ -278,12 +280,12 @@ def test_every_block_and_leader_kind(case):
                 expected.append(reference_evaluate_platoon(members, leader, route, econ))
     starts, sizes, leaders = zip(*blocks)
     assert_same(price_platoons(prepared, starts, sizes, leaders, route, econ).records(),
-                expected)
+                in_departure_order(expected))
     admitted = [k for k, p in enumerate(expected) if leader_feasible(p, p.leader_type)]
     assert_same(price_platoons(prepared, [starts[k] for k in admitted],
                                [sizes[k] for k in admitted],
                                [leaders[k] for k in admitted], route, econ).records(),
-                [expected[k] for k in admitted])
+                in_departure_order([expected[k] for k in admitted]))
 
 
 class TestFleetArrays:

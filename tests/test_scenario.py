@@ -1,4 +1,5 @@
 import copy
+import math
 import json
 import pickle
 import tracemalloc
@@ -398,6 +399,18 @@ class TestInstanceFiles:
         with pytest.raises(InstanceFormatError) as err:
             load_instance(path)
         assert "arrival" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["ew", "xiF"])
+    @pytest.mark.parametrize("spelling", ["Infinity", "1e999"])
+    def test_infinite_price_refused_on_load(self, tmp_path, key, spelling):
+        inst = generate(ScenarioConfig(n_trucks=20, seed=1))
+        path = tmp_path / "prices.json"
+        save_instance(inst, path)
+        doc = json.loads(path.read_text())
+        doc["econ"][key] = math.inf
+        path.write_text(json.dumps(doc).replace("Infinity", spelling))
+        with pytest.raises(ContractViolation, match="must be >= 0 and finite"):
+            load_instance(path)
 
     def test_cost_ordering_enforced_on_load(self, tmp_path):
         inst = generate(ScenarioConfig(n_trucks=5, seed=1))

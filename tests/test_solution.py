@@ -4,7 +4,9 @@ replaced: sort the records by (departure, first rank), sum the totals in that
 order, count sizes and leader kinds platoon by platoon.
 """
 
+import itertools
 import operator
+import random
 from dataclasses import replace
 from functools import reduce
 
@@ -28,12 +30,13 @@ from platoon_coord import (
     solve_spontaneous,
 )
 from platoon_coord.utility import LEADER_BY_CODE, PlatoonTable, check_cover, price_platoons
+from checks import in_departure_order
 from conftest import REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
 
 
 def reference_assembly(platoons):
     """Ordered records, totals and diagnostics, as records were assembled."""
-    ordered = sorted(platoons, key=lambda p: (p.departure_time, p.ranks[0]))
+    ordered = in_departure_order(platoons)
     # Added one after the other from 0.0 on every Python; the built-in sum
     # compensates from 3.12 on.
     profit = reduce(operator.add, [p.profit for p in ordered], 0.0)
@@ -58,6 +61,17 @@ def assert_assembled_from(sol, platoons):
     assert list(d.platoon_sizes) == list(sizes)
     counts = [*d.platoon_sizes, *d.platoon_sizes.values(), d.et_led, d.ft_led]
     assert all(type(v) is int for v in counts)
+
+
+def solo_fuel_table(departure, rank, loss=0.0):
+    """A hand-built table of one solo fuel truck per platoon, in the given
+    order: the table constructors deliver only `Solution` order."""
+    n = len(rank)
+    return PlatoonTable(
+        start=list(range(n)), size=[1] * n, leader=[1] * n, leader_pos=[0] * n,
+        departure=departure, profit=[0.0] * n, loss=[loss] * n, rank=rank, truck_id=rank,
+        role=[2] * n, charge=[0.0] * n, wait=[1.0] * n, departure_soc=[0.0] * n,
+        arrival_soc=[0.0] * n, can_lead=[True] * n, fuel=[True] * n)
 
 
 def solve_all(prepared, route, econ, seed):
@@ -109,23 +123,55 @@ class TestAssembly:
             assert_round_trips(sol)
 
     def test_table_out_of_departure_order_raises(self):
-        """A table priced out of (departure, first rank) order, as when a
-        postponed solo ET leaves after the block behind it, is refused: the
-        solver orders its blocks before it prices them."""
+        """`from_table` checks the order it does not make: a postponed solo
+        ahead of the block behind it, and a tie out of first-rank order."""
+        for departure, rank in (([34.8, 30.0], [0, 1]), ([30.0, 30.0], [1, 0])):
+            with pytest.raises(ContractViolation, match="departure, first rank"):
+                Solution.from_table("X", solo_fuel_table(departure, rank))
+
+    def test_pricer_orders_the_blocks(self):
+        """`price_platoons` gives one table for the blocks in every order, in
+        (departure, first rank) order: the postponed solo ET leaves after the
+        block behind it."""
         # The ET is ready at 25.1 but may leave alone only at 34.8.
         prepared = prepare([et(1, 0.0, soc=30.0), ft(2, 28.0), ft(3, 30.0), ft(4, 31.0),
                             et(5, 32.0, soc=95.0)])
-
-        def priced(blocks):  # (start, size, leader kind)
-            return price_platoons(prepared, *zip(*blocks), REF_ROUTE, REF_ECON)
-
-        with pytest.raises(ContractViolation, match="departure, first rank"):
-            Solution.from_table("DP-LS", priced([(3, 2, 1), (1, 2, 1), (0, 1, 0)]))
-        blocks = [(1, 2, 1), (3, 2, 1), (0, 1, 0)]
-        sol = Solution.from_table("DP-LS", priced(blocks))
+        blocks = [(1, 2, 1), (3, 2, 1), (0, 1, 0)]  # (start, size, leader kind)
+        table = price_platoons(prepared, *zip(*blocks), REF_ROUTE, REF_ECON)
+        for given in itertools.permutations(blocks):
+            assert price_platoons(prepared, *zip(*given), REF_ROUTE, REF_ECON) == table
         records = [evaluate_platoon(range(s, s + n), LEADER_BY_CODE[k], prepared, REF_ECON)
                    for s, n, k in blocks]
-        assert_assembled_from(sol, records)
+        assert_assembled_from(Solution.from_table("DP-LS", table), records)
+        assert [p.ranks[0] for p in table.records()] == [1, 3, 0]
+
+    @pytest.mark.parametrize("fleet", ["ref", "postponed solo"])
+    def test_pricer_takes_the_backtrack_order(self, fleet):
+        """The dp's blocks priced in reverse rank order, as the backtrack
+        walks them, give the table of the same blocks in `Solution` order."""
+        if fleet == "ref":
+            inst = generate(ScenarioConfig(seed=0))
+            prepared, route, econ = prepare_fleet(inst), inst.route, inst.econ
+        else:  # the ET ready first leaves alone last, as in the test below
+            route, econ = replace(REF_ROUTE, max_platoon_size=1), REF_ECON
+            prepared = prepare([et(1, 0.0, soc=30.0), ft(2, 28.0), ft(3, 30.0), ft(4, 31.0)],
+                               route=route)
+        table = solve_dp_ls(prepared, route, econ).table
+        blocks = [(table.rank[s], n, k) for s, n, k in zip(table.start, table.size, table.leader)]
+        for given in (blocks, sorted(blocks, reverse=True)):
+            priced = price_platoons(prepared, *zip(*given), route, econ)
+            assert priced == table and repr(priced) == repr(table)
+
+    def test_records_in_any_order_give_one_table(self):
+        """`PlatoonTable.from_records` orders the records it is given."""
+        inst = generate(ScenarioConfig(seed=0))
+        for sol in solve_all(prepare_fleet(inst), inst.route, inst.econ, inst.seed):
+            records = sol.platoons
+            shuffled = random.Random(0).sample(records, len(records))
+            assert shuffled != records
+            table = PlatoonTable.from_records(shuffled)
+            assert table == PlatoonTable.from_records(records)
+            assert table.records() == records
 
     @pytest.mark.parametrize("solve", [solve_dp_ls, lambda p, r, e: solve_dp_nls(p, r, e, 1)],
                              ids=["dp-ls", "dp-nls"])
@@ -151,12 +197,7 @@ class TestAssembly:
         0.9999999999999999 on every Python, where the built-in sum gives 1.0
         from 3.12 on."""
         n = 10
-        table = PlatoonTable(
-            start=list(range(n)), size=[1] * n, leader=[1] * n, leader_pos=[0] * n,
-            departure=[float(k) for k in range(n)], profit=[0.0] * n, loss=[0.1] * n,
-            rank=list(range(n)), truck_id=list(range(n)), role=[2] * n, charge=[0.0] * n,
-            wait=[1.0] * n, departure_soc=[0.0] * n, arrival_soc=[0.0] * n,
-            can_lead=[True] * n, fuel=[True] * n)
+        table = solo_fuel_table([float(k) for k in range(n)], list(range(n)), loss=0.1)
         sol = Solution.from_table("X", table)
         assert repr((sol.profit, sol.loss, sol.utility)) == repr(
             (0.0, 0.9999999999999999, -0.9999999999999999))

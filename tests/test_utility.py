@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
@@ -225,6 +226,14 @@ class TestEvaluatePlatoon:
         for ranks in ((0, 0), (1, 0, 1)):
             with pytest.raises(ContractViolation, match="more than once"):
                 price(fleet, LeaderType.FUEL, ranks)
+
+    @pytest.mark.parametrize("ranks", [(True,), (1.0,), (0, True), (0, 1.0), (np.int64(1),)])
+    def test_rank_must_be_an_int(self, ranks):
+        """A record keeps the rank objects it is given: True used to price
+        rank 1 and return `ranks=(True,)`, and 1.0 raised a bare TypeError."""
+        fleet = prepare([ft(1, 0.0), ft(2, 1.0)])
+        with pytest.raises(ContractViolation, match="^ranks must be ints, got "):
+            price(fleet, LeaderType.FUEL, ranks)
 
     @pytest.mark.parametrize("ranks", [(2,), (0, 2), (-1,), (-1, 0), (-2, 1), (0, 1, 5)])
     def test_rank_must_lie_in_the_fleet(self, ranks):
