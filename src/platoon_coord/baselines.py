@@ -13,6 +13,7 @@ position, is settled before the block is priced, once.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from typing import List
 
@@ -55,29 +56,30 @@ def _solve_grouped(method: str, fleet: PreparedFleet, slot,
     # Where each run of trucks sharing a slot instant begins.
     runs = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), n]
     cap = route.max_platoon_size
+    leader_of = (LeaderType.FUEL, LeaderType.ELECTRIC)  # by `is_et` flag
     platoons: List[PlatoonAssignment] = []
+    solos = []  # ranks that leave alone, in rank order
     for first, end in zip(runs, runs[1:]):
-        depart_at = depart[first]
+        if end - first == 1:
+            solos.append(first)
+            continue
         for lo in range(first, end, cap):
             hi = min(lo + cap, end)
-            if hi - lo > 1:
-                ok_e, ok_f = any(et_leads[lo:hi]), not all(et[lo:hi])
-                if ok_e or ok_f:
-                    electric = ok_e and (not ok_f or leader_draw_bit(seed, hi, hi - lo))
-                    platoons.append(evaluate_platoon(
-                        range(lo, hi), LeaderType.ELECTRIC if electric else LeaderType.FUEL,
-                        fleet, econ, depart_at=depart_at))
-                    continue
-            for k in range(lo, hi):
-                solo = evaluate_platoon(
-                    (k,), LeaderType.ELECTRIC if et[k] else LeaderType.FUEL,
-                    fleet, econ, depart_at=depart_at)
-                if not solo.ledger[0].can_lead:
-                    raise NoFeasibleScheduleError(
-                        f"truck {fleet.ids[k]}: cannot drive alone safely and has no "
-                        "platoon to follow"
-                    )
-                platoons.append(solo)
+            ok_e, ok_f = any(et_leads[lo:hi]), not all(et[lo:hi])
+            if hi - lo > 1 and (ok_e or ok_f):
+                electric = ok_e and (not ok_f or leader_draw_bit(seed, hi, hi - lo))
+                platoons.append(evaluate_platoon(range(lo, hi), leader_of[electric], fleet,
+                                                 econ, depart_at=depart[lo]))
+            else:
+                solos.extend(range(lo, hi))
+    for k in solos:
+        solo = evaluate_platoon((k,), leader_of[et[k]], fleet, econ, depart_at=depart[k])
+        if not solo.ledger[0].can_lead:
+            raise NoFeasibleScheduleError(
+                f"truck {fleet.ids[k]}: cannot drive alone safely and has no "
+                "platoon to follow"
+            )
+        platoons.append(solo)
     diag = Diagnostics(
         solve_ms=(time.perf_counter() - start) * 1e3,
         horizon_violation=any(
@@ -107,7 +109,9 @@ def solve_fixed_interval(prepared: PreparedFleet, route: RouteParams,
     A nonempty slot ending past the horizon is still scheduled, but the
     solution is flagged in its diagnostics.
     """
-    if not 0 < interval < math.inf:
-        raise ContractViolation(f"interval must be positive and finite, got {interval!r}")
+    if (isinstance(interval, bool) or not isinstance(interval, numbers.Real)
+            or not 0 < interval < math.inf):
+        raise ContractViolation(
+            f"interval must be a positive and finite number, got {interval!r}")
     return _solve_grouped(FIXED_INTERVAL, prepared,
                           lambda t: _slot_end(t, interval), route, econ, seed)

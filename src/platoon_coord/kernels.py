@@ -60,7 +60,9 @@ def leader_draw_bit(seed: int, prefix: int, size: int) -> int:
 
 def check_seed(seed) -> int:
     """The seed of a solver's leader draws, as an int. Any integer passes,
-    numpy's included; anything else is refused."""
+    numpy's included; a bool, like anything else, is refused."""
+    if isinstance(seed, bool):  # an int to Python, but no seed
+        raise ContractViolation(f"seed must be an integer, got {seed!r}")
     try:
         return operator.index(seed)
     except TypeError:

@@ -9,9 +9,10 @@ profit minus the charging and waiting cost of every member.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +41,13 @@ class Role(Enum):
     LEADER = "LEADER"
     FOLLOWER = "FOLLOWER"
     ALONE = "ALONE"
+
+
+# Reading an Enum member through its class takes about 0.1 us on CPython
+# 3.11, so the scalar pricer unpacks these tuples instead.
+LEADER_BY_CODE = (LeaderType.ELECTRIC, LeaderType.FUEL)
+ROLE_BY_CODE = (Role.LEADER, Role.FOLLOWER, Role.ALONE)
+KIND_BY_FLAG = (TruckKind.FUEL, TruckKind.ELECTRIC)  # by `is_et` flag
 
 
 class MemberLedger(NamedTuple):
@@ -113,10 +121,14 @@ def evaluate_platoon(ranks: Sequence[int], leader_type: LeaderType, fleet: Prepa
     safe is the caller's check; this function only reports the SoC figures.
     The members' constants (mandatory charge, fill time, lead need, alone
     departure) are the fleet's columns, which hold for its instance's route,
-    and the platoon is priced on that route. A rank that is not an int (a
-    bool is not), a rank outside the fleet, a rank listed twice or a
-    departure that is not finite is a `ContractViolation`.
+    and the platoon is priced on that route. A leader type that is not a
+    `LeaderType`, a rank that is not an int (a bool is not), a rank outside
+    the fleet, a rank listed twice or a departure that is not finite is a
+    `ContractViolation`.
     """
+    electric, fuel = LEADER_BY_CODE
+    if leader_type is not electric and leader_type is not fuel:
+        raise ContractViolation(f"leader type must be a LeaderType, got {leader_type!r}")
     route = fleet.instance.route
     ranks = sorted(ranks)
     for r in ranks:  # a plain loop: the cheapest form of this per-call check
@@ -129,7 +141,7 @@ def evaluate_platoon(ranks: Sequence[int], leader_type: LeaderType, fleet: Prepa
         raise ContractViolation(
             f"platoon of {n} exceeds the size cap {route.max_platoon_size}"
         )
-    if len(set(ranks)) < n:
+    if n > 1 and len(set(ranks)) < n:  # one rank cannot repeat
         raise ContractViolation("a rank appears more than once in one platoon")
     # The members' constants by rank, in `FleetArrays` field order.
     (tau, cmin, is_et, fill, rate, need, alone, arrival, init, cap,
@@ -138,7 +150,7 @@ def evaluate_platoon(ranks: Sequence[int], leader_type: LeaderType, fleet: Prepa
         raise ContractViolation(
             f"ranks run outside the fleet of {len(tau)} trucks: {ranks[0]} .. {ranks[-1]}")
 
-    earliest = max([tau[r] for r in ranks])
+    earliest = max(map(tau.__getitem__, ranks))
     if depart_at is None:
         depart_at = earliest
     elif not -math.inf < depart_at < math.inf:
@@ -148,30 +160,29 @@ def evaluate_platoon(ranks: Sequence[int], leader_type: LeaderType, fleet: Prepa
             f"departure {depart_at:.6g} precedes a member's earliest departure"
         )
 
+    kinds = list(map(is_et.__getitem__, ranks))  # 1 for an ET, 0 for a fuel truck
     solo = n == 1
     if solo:
-        first = ranks[0]
-        if leader_type is not (LeaderType.ELECTRIC if is_et[first] else LeaderType.FUEL):
+        if leader_type is not (electric if kinds[0] else fuel):
             raise ContractViolation("solo truck must lead as its own kind")
-        if is_et[first]:
-            depart_at = max(depart_at, alone[first])
-    elif leader_type is LeaderType.ELECTRIC:
-        if 1 not in [is_et[r] for r in ranks]:
+        if kinds[0]:
+            depart_at = max(depart_at, alone[ranks[0]])
+    elif leader_type is electric:
+        if 1 not in kinds:
             raise ContractViolation("no ET member to lead this platoon")
-    elif 0 not in [is_et[r] for r in ranks]:
+    elif 0 not in kinds:
         raise ContractViolation("no FT member to lead this platoon")
 
-    # First pass, in rank order: charge/wait split, departure SoC and the
-    # loss, independent of roles. After its mandatory charge an ET keeps
-    # charging until its battery is full or the platoon leaves, whichever
-    # comes first; what remains of the gap is waiting.
+    # One pass in rank order: charge/wait split, departure SoC, whether the
+    # member could lead, and the loss, independent of roles. After its
+    # mandatory charge an ET keeps charging until its battery is full or the
+    # platoon leaves, whichever comes first; what remains of the gap is
+    # waiting.
     charge_cost, wait_cost = econ.charge_cost, econ.wait_cost
     terms = []
-    et_count = 0
     loss = 0.0
-    for r in ranks:
-        if is_et[r]:
-            et_count += 1
+    for r, et in zip(ranks, kinds):
+        if et:
             charge = cmin[r] + min(fill[r], max(0.0, depart_at - tau[r]))
             wait = depart_at - arrival[r] - charge
             dep_soc = soc_after_charge(init[r], rate[r], charge)
@@ -186,39 +197,33 @@ def evaluate_platoon(ranks: Sequence[int], leader_type: LeaderType, fleet: Prepa
 
     if solo:
         leader_pos = 0
-    elif leader_type is LeaderType.FUEL:
-        leader_pos = next(k for k, t in enumerate(terms) if t[2] is None)
+    elif leader_type is fuel:
+        leader_pos = kinds.index(0)
     else:
         # max keeps the first of equal SoCs: the lowest rank.
-        candidates = [k for k, t in enumerate(terms) if t[2] is not None and t[3]]
-        if not candidates:
-            candidates = [k for k, t in enumerate(terms) if t[2] is not None]
+        candidates = ([k for k, t in enumerate(terms) if t[2] is not None and t[3]]
+                      or [k for k, t in enumerate(terms) if t[2] is not None])
         leader_pos = max(candidates, key=lambda k: terms[k][2])
+    leader, follower, alone_role = ROLE_BY_CODE
+    roles = [follower] * n
+    roles[leader_pos] = alone_role if solo else leader
 
+    # Records are built positionally with `tuple.__new__`: a NamedTuple's
+    # own constructor costs about 0.17 us more a record on CPython 3.11, and
+    # the baselines build one ledger row per truck.
+    new = tuple.__new__
     ids = fleet.ids
     follower_coeff, distance = route.follower_coeff, route.distance
     ledger = []
-    for k, (r, (charge, wait, dep_soc, can_lead)) in enumerate(zip(ranks, terms)):
-        if solo:
-            role, coeff = Role.ALONE, LEAD_COEFF
-        elif k == leader_pos:
-            role, coeff = Role.LEADER, LEAD_COEFF
-        else:
-            role, coeff = Role.FOLLOWER, follower_coeff
-        if dep_soc is None:
-            kind, arr_soc = TruckKind.FUEL, None
-        else:
-            kind, arr_soc = TruckKind.ELECTRIC, soc_after_trip(dep_soc, vrate[r], distance, coeff)
-        ledger.append(MemberLedger(ids[r], r, kind, role, charge, wait, dep_soc, arr_soc,
-                                   can_lead))
+    for r, et, role, (charge, wait, dep_soc, can_lead) in zip(ranks, kinds, roles, terms):
+        arr_soc = None if dep_soc is None else soc_after_trip(
+            dep_soc, vrate[r], distance, follower_coeff if role is follower else LEAD_COEFF)
+        ledger.append(new(MemberLedger, (ids[r], r, KIND_BY_FLAG[et], role, charge, wait,
+                                         dep_soc, arr_soc, can_lead)))
 
-    profit = 0.0 if solo else platoon_profit(et_count, n - et_count, leader_type, econ)
-    return PlatoonAssignment(tuple(ranks), leader_type, ranks[leader_pos], depart_at,
-                             tuple(ledger), profit, loss, profit - loss)
-
-
-LEADER_BY_CODE = (LeaderType.ELECTRIC, LeaderType.FUEL)
-ROLE_BY_CODE = (Role.LEADER, Role.FOLLOWER, Role.ALONE)
+    profit = 0.0 if solo else platoon_profit(sum(kinds), n - sum(kinds), leader_type, econ)
+    return new(PlatoonAssignment, (tuple(ranks), leader_type, ranks[leader_pos], depart_at,
+                                   tuple(ledger), profit, loss, profit - loss))
 
 
 @dataclass(frozen=True)
@@ -264,23 +269,22 @@ class PlatoonTable:
         if not platoons:
             return cls(*([] for _ in fields(cls)))
         try:
-            first_rank = [p.ranks[0] for p in platoons]
+            first_rank = list(map(operator.itemgetter(0), map(operator.itemgetter(0), platoons)))
         except IndexError:
             raise ContractViolation("platoon needs at least one member") from None
-        order = departure_order([p.departure_time for p in platoons], first_rank).tolist()
+        order = departure_order(list(map(operator.itemgetter(3), platoons)), first_rank).tolist()
         (ranks, leader_types, leader_ranks, departure, ledgers, profit, loss,
-         _) = zip(*[platoons[k] for k in order])
+         _) = zip(*map(platoons.__getitem__, order))
         size = list(map(len, ledgers))
         if 0 in size:
             raise ContractViolation("platoon needs at least one member")
         (truck_id, rank, kind, role, charge, wait, departure_soc, arrival_soc,
          can_lead) = zip(*chain.from_iterable(ledgers))
-        fuel_kind = TruckKind.FUEL
         return cls(
             start=list(accumulate(size[:-1], initial=0)),
             size=size,
             leader=list(map(LEADER_BY_CODE.index, leader_types)),
-            leader_pos=[r.index(lead) for r, lead in zip(ranks, leader_ranks)],
+            leader_pos=list(map(tuple.index, ranks, leader_ranks)),
             departure=departure,
             profit=profit,
             loss=loss,
@@ -292,7 +296,7 @@ class PlatoonTable:
             departure_soc=departure_soc,
             arrival_soc=arrival_soc,
             can_lead=can_lead,
-            fuel=[k is fuel_kind for k in kind],
+            fuel=list(map(operator.is_, kind, repeat(TruckKind.FUEL))),
         )
 
     def records(self) -> List[PlatoonAssignment]:

@@ -1,6 +1,7 @@
 import math
 from itertools import groupby
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -22,8 +23,10 @@ from platoon_coord.kernels import leader_draw_bit
 from platoon_coord.model import SOC_TOL, TIME_TOL
 from platoon_coord.scenario import solution_text
 from platoon_coord.solution import Diagnostics, Solution
-from platoon_coord.utility import LeaderType, leader_feasible
-from conftest import LEAD_NEED, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
+from platoon_coord.utility import LeaderType, Role, leader_feasible
+from conftest import (
+    LEAD_NEED, REF_ECON, REF_ROUTE, UNLEADABLE, et, fleet_instances, ft, prepare,
+)
 from checks import (
     assert_solution_valid,
     leader_type_for_kind,
@@ -242,6 +245,22 @@ class TestFixedInterval:
         with pytest.raises(ContractViolation, match="positive and finite"):
             solve_fixed_interval(prepare([ft(1, 5.0)]), REF_ROUTE, REF_ECON, 0.0, seed=0)
 
+    @pytest.mark.parametrize("interval", [True, False, "30", None, [30.0], np.bool_(True)])
+    def test_interval_must_be_a_real_number(self, interval):
+        """True used to run one-minute slots, and "30" raised a bare
+        TypeError."""
+        prepared = prepare([ft(1, 5.0), et(2, 3.0, soc=40.0)])
+        with pytest.raises(ContractViolation, match="^interval must be a positive and finite "):
+            solve_fixed_interval(prepared, REF_ROUTE, REF_ECON, interval, seed=0)
+
+    def test_any_real_interval_gives_the_same_schedule(self):
+        inst = generate(ScenarioConfig(n_trucks=30, seed=1))
+        prepared = prepare_fleet(inst)
+        expected = solve_fixed_interval(prepared, inst.route, inst.econ, 30.0, seed=1)
+        for interval in (30, np.float64(30.0), np.int64(30)):
+            got = solve_fixed_interval(prepared, inst.route, inst.econ, interval, seed=1)
+            assert solution_text(got) == solution_text(expected)
+
     def test_late_slot_is_flagged_not_dropped(self):
         from platoon_coord import RouteParams
         route = RouteParams(distance=200.0, horizon=40.0, max_platoon_size=8)
@@ -331,6 +350,49 @@ class TestAgainstScalarReference:
         assert early > 0
         sol = solve_fixed_interval(prepare(fleets[0]), REF_ROUTE, REF_ECON, 0.1, seed=0)
         assert [(p.size, p.leader_type) for p in sol.platoons] == [(2, LeaderType.ELECTRIC)]
+
+
+class TestOneTruckRuns:
+    """A truck alone in its run is priced as a solo straight away, as is
+    each member of a block that no kind may lead."""
+
+    # A full battery to follow with, and a discharge rate too high to lead.
+    UNLEADABLE_ET = et(7, 10.0, soc=100.0, vrate=UNLEADABLE)
+
+    @pytest.mark.parametrize("method", sorted(BASELINES))
+    def test_et_that_cannot_lead_alone_in_its_run_raises(self, method):
+        # Other slots of 30 min and other instants: the ET's run is itself.
+        prepared = prepare([self.UNLEADABLE_ET, ft(1, 40.0), ft(2, 95.0)])
+        with pytest.raises(NoFeasibleScheduleError, match=(
+                "^truck 7: cannot drive alone safely and has no platoon to follow$")):
+            BASELINES[method](prepared, REF_ROUTE, REF_ECON, 0)
+
+    @pytest.mark.parametrize("method", sorted(BASELINES))
+    def test_et_that_cannot_lead_follows_a_tied_fuel_truck(self, method):
+        prepared = prepare([self.UNLEADABLE_ET, ft(8, 10.0), ft(2, 95.0)])
+        sol = BASELINES[method](prepared, REF_ROUTE, REF_ECON, 0)
+        block = sol.platoons[0]
+        assert [row.truck_id for row in block.ledger] == [7, 8]
+        assert (block.leader_type, block.leader_id) == (LeaderType.FUEL, 8)
+        assert [row.role for row in block.ledger] == [Role.FOLLOWER, Role.LEADER]
+        assert_matches_reference(prepared, REF_ROUTE, REF_ECON, 0,
+                                 None if method == "spontaneous" else 30.0)
+
+    @pytest.mark.parametrize("interval", [None, 0.1])
+    def test_postponed_solo_et_equals_the_reference(self, interval):
+        # A weak ET alone in its run charges to the alone-safe level, so it
+        # leaves after its slot's instant.
+        prepared = prepare([et(1, 10.0, soc=30.0), ft(2, 95.0)])
+        assert_matches_reference(prepared, REF_ROUTE, REF_ECON, 0, interval)
+        ready = prepared.arrays.tau_delta[0].item()
+        if interval is None:
+            sol, instant = solve_spontaneous(prepared, REF_ROUTE, REF_ECON, 0), ready
+        else:
+            sol = solve_fixed_interval(prepared, REF_ROUTE, REF_ECON, interval, 0)
+            instant = reference_slot_end(ready, interval)
+        solo = sol.platoons[0]
+        assert solo.ranks == (0,)
+        assert solo.departure_time == prepared.arrays.alone_depart[0].item() > instant
 
 
 @pytest.mark.parametrize("method", sorted(BASELINES))

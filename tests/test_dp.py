@@ -219,10 +219,11 @@ class TestSolverArguments:
     ], ids=["dp-nls", "run_dp", "spontaneous", "fixed-interval"])
     def test_seeded_solvers_refuse_a_non_integral_seed(self, solve):
         """`solve_dp_nls(seed=1.5)` raised a TypeError from the draw's bit
-        mask, and `solve_spontaneous(seed=1.5)` returned a schedule. A numpy
-        integer is an integer."""
+        mask, and `solve_spontaneous(seed=1.5)` returned a schedule. True ran
+        as seed 1, though an instance refuses a bool seed. A numpy integer is
+        an integer."""
         fleet = prepare(self.FLEET)
-        for seed in (1.5, 2.0, "3", None):
+        for seed in (1.5, 2.0, "3", None, True):
             with pytest.raises(ContractViolation, match="seed must be an integer"):
                 solve(fleet, seed)
         assert solve(fleet, np.int64(3)) == solve(fleet, 3)

@@ -11,8 +11,10 @@ from platoon_coord import (
     InfeasibleTruckError,
     LeaderType,
     Role,
+    ScenarioConfig,
     aggregate,
     evaluate_platoon,
+    generate,
     platoon_profit,
     prepare_fleet,
 )
@@ -241,6 +243,17 @@ class TestEvaluatePlatoon:
         fleet = prepare([ft(1, 0.0), et(2, 1.0, soc=80.0)])
         for leader in LeaderType:
             with pytest.raises(ContractViolation, match="^ranks run outside the fleet of 2 "):
+                price(fleet, leader, ranks)
+
+    @pytest.mark.parametrize("leader", ["E", "F", None, 0])
+    def test_leader_type_must_be_a_leader_type(self, leader):
+        """The code "E" used to fail on a block without a fuel truck with
+        `ValueError: max() arg is an empty sequence`, and to price a block
+        with one into a record that the platoon table could not read."""
+        fleet = prepare_fleet(generate(ScenarioConfig(n_trucks=30, seed=1)))
+        for ranks in ((0, 1, 2), (3, 4, 5), (0,)):
+            with pytest.raises(ContractViolation,
+                               match=f"^leader type must be a LeaderType, got {leader!r}$"):
                 price(fleet, leader, ranks)
 
     def test_route_is_the_fleets(self):
