@@ -33,7 +33,6 @@ from .utility import (
     MemberLedger,
     PlatoonAssignment,
     Role,
-    aggregate,
     evaluate_platoon,
     leader_feasible,
     platoon_profit,

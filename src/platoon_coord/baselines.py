@@ -4,10 +4,13 @@ Spontaneous platooning never waits: trucks leave the moment they are ready,
 and only those sharing the exact same earliest departure end up together.
 Fixed-interval platooning cuts the horizon into uniform slots; everything
 ready within a slot leaves together at the slot's end. Both respect the same
-platoon-size cap and leader-safety rules as the optimizing solvers: which
-trucks could lead at their slot's instant comes from `kernels.member_terms`,
-so each block's leader kind, drawn from the same seeded stream keyed by block
-position, is settled before the block is priced, once.
+platoon-size cap and leader-safety rules as the optimizing solvers. The
+blocks are laid out in columns: which members of a block of two or more
+could lead at their slot's instant comes from one `kernels.member_terms`
+call, and every block that either kind may lead draws its kind from one
+`kernels.leader_draw_bits` call, keyed by block position like the dp's
+candidates. So each block's leader kind is settled before the block is
+priced, once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import List
 import numpy as np
 
 from .discretize import PreparedFleet
-from .kernels import check_seed, fleet_arrays, leader_draw_bit, member_terms
+from .kernels import check_seed, fleet_arrays, leader_draw_bits, member_terms
 from .model import (
     ContractViolation,
     EconomicParams,
@@ -47,33 +50,38 @@ def _solve_grouped(method: str, fleet: PreparedFleet, slot,
     seed = check_seed(seed)
     arr = fleet_arrays(fleet, route)
     n = arr.size
+    ranks = np.arange(n)
     slots = slot(arr.tau_delta)
-    depart = slots.tolist()
+    # Each run of trucks sharing a slot instant is cut every nbar trucks.
+    run_first = np.maximum.accumulate(np.where(np.r_[True, slots[1:] != slots[:-1]], ranks, 0))
+    starts = np.flatnonzero((ranks - run_first) % route.max_platoon_size == 0)
+    sizes = np.diff(starts, append=n)
+
+    # Which kinds may lead each block of two or more, from its members alone.
+    multi = sizes > 1
+    members = np.flatnonzero(np.repeat(multi, sizes))
+    et = arr.is_et == 1
+    et_leads = np.zeros(n, bool)
     # A slot end may fall an ulp before a truck is ready; the scalar pricing
     # clamps that slack at 0, so clamp to agree with it.
-    can_lead = member_terms(arr, np.arange(n), np.maximum(slots, arr.tau_delta))[3]
-    et, et_leads = arr.is_et.tolist(), (arr.is_et & can_lead).tolist()
-    # Where each run of trucks sharing a slot instant begins.
-    runs = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), n]
-    cap = route.max_platoon_size
+    depart_at = np.maximum(slots[members], arr.tau_delta[members])
+    et_leads[members] = et[members] & member_terms(arr, members, depart_at)[3]
+    ok_e = multi & np.logical_or.reduceat(et_leads, starts)
+    ok_f = multi & ~np.logical_and.reduceat(et, starts)
+    drawn = ok_e & ok_f
+    electric = ok_e.copy()
+    electric[drawn] = leader_draw_bits(seed, starts[drawn] + sizes[drawn], sizes[drawn]) == 1
+    led = ok_e | ok_f
+
+    depart = slots.tolist()
     leader_of = (LeaderType.FUEL, LeaderType.ELECTRIC)  # by `is_et` flag
-    platoons: List[PlatoonAssignment] = []
-    solos = []  # ranks that leave alone, in rank order
-    for first, end in zip(runs, runs[1:]):
-        if end - first == 1:
-            solos.append(first)
-            continue
-        for lo in range(first, end, cap):
-            hi = min(lo + cap, end)
-            ok_e, ok_f = any(et_leads[lo:hi]), not all(et[lo:hi])
-            if hi - lo > 1 and (ok_e or ok_f):
-                electric = ok_e and (not ok_f or leader_draw_bit(seed, hi, hi - lo))
-                platoons.append(evaluate_platoon(range(lo, hi), leader_of[electric], fleet,
-                                                 econ, depart_at=depart[lo]))
-            else:
-                solos.extend(range(lo, hi))
-    for k in solos:
-        solo = evaluate_platoon((k,), leader_of[et[k]], fleet, econ, depart_at=depart[k])
+    platoons: List[PlatoonAssignment] = [
+        evaluate_platoon(range(lo, lo + size), leader_of[e], fleet, econ, depart_at=depart[lo])
+        for lo, size, e in zip(starts[led].tolist(), sizes[led].tolist(),
+                               electric[led].tolist())]
+    is_et = arr.is_et.tolist()
+    for k in np.flatnonzero(np.repeat(~led, sizes)).tolist():
+        solo = evaluate_platoon((k,), leader_of[is_et[k]], fleet, econ, depart_at=depart[k])
         if not solo.ledger[0].can_lead:
             raise NoFeasibleScheduleError(
                 f"truck {fleet.ids[k]}: cannot drive alone safely and has no "

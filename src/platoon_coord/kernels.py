@@ -22,12 +22,14 @@ The `updates` counter adds a block's work, less the work of its cells that
 extend a prefix with no schedule (value -inf); most blocks have none.
 The table skips work that its result never reads: a size at which no
 ET of any row's block can lead prices the fuel leader alone, with no
-electric-led utility. Leader draws for the randomized variant come from a
+electric-led utility. Leader draws, for the randomized variant and the
+baselines alike, come from `leader_draw_bits`, the one statement of a
 counter-based splitmix64 stream keyed by (seed, prefix, size), so results
 are independent of evaluation order and reproducible across platforms. A
-block draws its prefixes' bits in one call, made at the first size where
-some candidate has both leader kinds safe; a block with no such candidate,
-where the one safe kind is the pick whatever the bit, draws nothing.
+kernel block draws its prefixes' bits in one call, made at the first size
+where some candidate has both leader kinds safe; a block with no such
+candidate, where the one safe kind is the pick whatever the bit, draws
+nothing.
 """
 
 from __future__ import annotations
@@ -41,21 +43,19 @@ from .discretize import FleetArrays, PreparedFleet
 from .model import SOC_TOL, TIME_TOL, ContractViolation
 
 _U64 = (1 << 64) - 1
-_KEY_I = 0x9E3779B97F4A7C15
-_KEY_N = 0xC2B2AE3D27D4EB4F
+_KEY_I = np.uint64(0x9E3779B97F4A7C15)
+_KEY_N = np.uint64(0xC2B2AE3D27D4EB4F)
 
 
-def _splitmix64_py(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _U64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
-    return x ^ (x >> 31)
-
-
-def leader_draw_bit(seed: int, prefix: int, size: int) -> int:
-    """Single fair bit for the leader-kind draw of candidate (prefix, size)."""
-    key = ((prefix * _KEY_I) ^ (size * _KEY_N)) & _U64
-    return _splitmix64_py(_splitmix64_py(seed & _U64) ^ key) >> 63
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of every entry of the uint64 array `x`, in place."""
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def check_seed(seed) -> int:
@@ -69,26 +69,18 @@ def check_seed(seed) -> int:
         raise ContractViolation(f"seed must be an integer, got {seed!r}") from None
 
 
-def leader_draw_bits(seed: int, lo: int, hi: int, max_size: int) -> np.ndarray:
-    """Vectorized draws of prefixes `lo` .. `hi` - 1, shape
-    (hi - lo, max_size + 1), entries 0/1.
-
-    Entry [i - lo, n] equals leader_draw_bit(seed, i, n); column 0 is
-    padding so candidates can index with their natural 1-based size n.
+def leader_draw_bits(seed: int, prefix, size) -> np.ndarray:
+    """The leader-kind bits (0/1, uint8) of candidates (`prefix`, `size`),
+    integer arrays that broadcast together: the platoon of `size` trucks
+    ending with prefix length `prefix`. Each bit is the top bit of
+    splitmix64 of the key of (`prefix`, `size`) mixed with splitmix64 of the
+    seed, so it does not depend on which other candidates are drawn with it.
     """
-    i = np.arange(lo, hi, dtype=np.uint64)[:, None]
-    n = np.arange(max_size + 1, dtype=np.uint64)[None, :]
-    # The key allocates the table; every later step works on it in place.
-    x = (i * np.uint64(_KEY_I)) ^ (n * np.uint64(_KEY_N))
-    x ^= np.uint64(_splitmix64_py(seed & _U64))
-    x += np.uint64(0x9E3779B97F4A7C15)
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    x >>= np.uint64(63)
-    return x.astype(np.uint8)
+    key = np.atleast_1d(np.asarray(prefix, np.uint64)) * _KEY_I
+    key = key ^ np.atleast_1d(np.asarray(size, np.uint64)) * _KEY_N
+    # A one-entry array, not a numpy scalar, so its wrapping steps are quiet.
+    key ^= _splitmix64(np.array([operator.index(seed) & _U64], np.uint64))
+    return (_splitmix64(key) >> np.uint64(63)).astype(np.uint8)
 
 
 def fleet_arrays(fleet: PreparedFleet, route) -> FleetArrays:
@@ -163,10 +155,11 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
     A row reads only the fleet's columns, so these are exactly those rows of
     the table over the whole fleet. Without `draw` the better leader kind
     is kept; with it, the drawn one where both are safe, from
-    `draw(lo + 1, hi + 1, nbar)`, the bits of prefixes `lo` + 1 .. `hi`.
-    That call is made once, at the first size with a cell where both kinds
-    are safe, and not at all when there is none: elsewhere the one safe kind
-    is the pick, whatever the bit. A size at which no ET of any row's block
+    `draw(prefixes[:, None], sizes)`, the bits of prefixes `lo` + 1 .. `hi`
+    by sizes 1 .. `nbar`, in the table's shape. That call is made once, at
+    the first size with a cell where both kinds are safe, and not at all
+    when there is none: elsewhere the one safe kind is the pick, whatever
+    the bit. A size at which no ET of any row's block
     can lead prices the fuel leader alone. Returns the utility of each
     candidate under its leader kind (-inf when no kind is safe or the block
     runs past the first truck), that kind as a code (0 electric, 1 fuel),
@@ -219,11 +212,11 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
             work[s:, k] = val_e.astype(np.int8) + val_f
         else:
             if bits is None and np.count_nonzero(val_e & val_f):
-                bits = draw(lo + 1, hi + 1, nbar)
+                bits = draw(np.arange(lo + 1, hi + 1)[:, None], np.arange(1, nbar + 1))
             if bits is None:  # no cell yet where both kinds are safe
                 pick_e = val_e & ~val_f
             else:
-                pick_e = val_e & (~val_f | (bits[s:, k + 1] == 1))
+                pick_e = val_e & (~val_f | (bits[s:, k] == 1))
             work[s:, k] = val_e | val_f
         utility[s:, k] = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
         leader[s:, k] = ~pick_e
@@ -272,11 +265,11 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float, draw=None):
     """Run the value recursion; returns (values, choice_n, choice_m, updates).
 
     Without `draw` the better leader kind per candidate is kept; with it,
-    one is drawn from `draw(lo, hi, nbar)`, the `leader_draw_bits` of
-    prefixes `lo` .. `hi` - 1, which a block asks for its own prefixes
-    only if one of its candidates has both kinds safe, and then once. The
-    returned choice arrays encode, per prefix length, the platoon size and
-    leader kind (0 electric, 1 fuel) of the winning candidate.
+    one is drawn from `draw(prefix, size)`, `leader_draw_bits` with the
+    seed bound, which a block asks for its own prefixes' grid only if one
+    of its candidates has both kinds safe, and then once. The returned
+    choice arrays encode, per prefix length, the platoon size and leader
+    kind (0 electric, 1 fuel) of the winning candidate.
     `updates` counts the safe (candidate, leader kind) pairs whose prefix has
     a finite value; under a draw each candidate counts once.
 

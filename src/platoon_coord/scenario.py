@@ -714,11 +714,6 @@ def solution_text(solution: Solution, include_timing: bool = False) -> str:
     return "".join(_solution_chunks(solution, include_timing))
 
 
-def solution_to_json(solution: Solution, include_timing: bool = False) -> dict:
-    """Schema dict of a solution, parsed from `solution_text`."""
-    return json.loads(solution_text(solution, include_timing))
-
-
 def save_solution(solution: Solution, path: str, include_timing: bool = False) -> None:
     # The chunks are tens of kB: a 1 MiB buffer gathers them into few system
     # calls while holding at most 1 MiB of the file.

@@ -451,25 +451,11 @@ def leader_feasible(platoon: PlatoonAssignment, leader: LeaderType) -> bool:
     return any(row.departure_soc is not None and row.can_lead for row in platoon.ledger)
 
 
-def check_cover(ranks: Sequence[int], n_trucks: Optional[int] = None) -> None:
-    """Raise unless the platoons' member ranks cover 0 .. n_trucks - 1 (all
-    their own ranks by default) exactly once."""
-    expected = len(ranks) if n_trucks is None else n_trucks
-    if sorted(ranks) != list(range(expected)):
+def check_cover(ranks: Sequence[int]) -> None:
+    """Raise unless the platoons' member ranks cover 0 .. len(ranks) - 1
+    exactly once."""
+    if sorted(ranks) != list(range(len(ranks))):
         raise ContractViolation("platoons must cover every rank exactly once")
-
-
-def aggregate(platoons: Sequence[PlatoonAssignment],
-              n_trucks: Optional[int] = None) -> Tuple[float, float, float]:
-    """Fleet totals (profit, loss, utility) of platoons covering each rank once.
-
-    Pass `n_trucks` to additionally reject partitions that drop trailing
-    trucks; without it only overlaps and gaps are detectable.
-    """
-    check_cover([r for p in platoons for r in p.ranks], n_trucks)
-    profit = ordered_sum(p.profit for p in platoons)
-    loss = ordered_sum(p.loss for p in platoons)
-    return profit, loss, profit - loss
 
 
 def ordered_sum(values) -> float:

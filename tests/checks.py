@@ -6,7 +6,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from platoon_coord import LeaderType, Role, aggregate, kernels
+from platoon_coord import LeaderType, Role, kernels
 from platoon_coord.kernels import block_departure, block_profit, fleet_arrays, member_terms
 from platoon_coord.model import (
     LEAD_COEFF,
@@ -23,6 +23,25 @@ from platoon_coord.model import (
     soc_after_trip,
 )
 from platoon_coord.utility import MemberLedger, PlatoonAssignment, platoon_profit
+
+
+# The leader draw written one candidate at a time over Python ints: the
+# reference that `kernels.leader_draw_bits` is checked against.
+_U64 = (1 << 64) - 1
+
+
+def _splitmix64_py(x: int) -> int:
+    x = (x + 0x9E3779B97F4A7C15) & _U64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
+    return x ^ (x >> 31)
+
+
+def leader_draw_bit(seed: int, prefix: int, size: int) -> int:
+    """Single fair bit for the leader-kind draw of candidate (prefix, size),
+    from any integers, numpy's included."""
+    key = ((int(prefix) * 0x9E3779B97F4A7C15) ^ (int(size) * 0xC2B2AE3D27D4EB4F)) & _U64
+    return _splitmix64_py(_splitmix64_py(int(seed) & _U64) ^ key) >> 63
 
 
 def leader_type_for_kind(kind: TruckKind) -> LeaderType:
@@ -67,6 +86,16 @@ class PreparedTruck(NamedTuple):
         return self.spec.arrival_time
 
 
+def reference_totals(platoons):
+    """Fleet totals (profit, loss, utility) of platoon records, each sum
+    taken one record after the other from 0.0."""
+    profit = loss = 0.0
+    for p in platoons:
+        profit += p.profit
+        loss += p.loss
+    return profit, loss, profit - loss
+
+
 def assert_solution_valid(solution, prepared, route, consecutive=True):
     """Partition exactness, SoC safety, horizon, and money consistency."""
     by_rank = {m.rank: m for m in reference_prepare_fleet(prepared.instance)}
@@ -74,7 +103,7 @@ def assert_solution_valid(solution, prepared, route, consecutive=True):
     ranks = sorted(r for p in solution.platoons for r in p.ranks)
     assert ranks == list(range(len(prepared))), "fleet partition is not exact"
 
-    profit, loss, utility = aggregate(solution.platoons)
+    profit, loss, utility = reference_totals(solution.platoons)
     assert abs(solution.profit - profit) <= MONEY_TOL
     assert abs(solution.loss - loss) <= MONEY_TOL
     assert abs(solution.utility - utility) <= MONEY_TOL

@@ -19,7 +19,6 @@ from platoon_coord import (
     solve_spontaneous,
 )
 from platoon_coord import baselines
-from platoon_coord.kernels import leader_draw_bit
 from platoon_coord.model import SOC_TOL, TIME_TOL
 from platoon_coord.scenario import solution_text
 from platoon_coord.solution import Diagnostics, Solution
@@ -29,6 +28,7 @@ from conftest import (
 )
 from checks import (
     assert_solution_valid,
+    leader_draw_bit,
     leader_type_for_kind,
     reference_evaluate_platoon,
     reference_prepare_fleet,
@@ -409,6 +409,36 @@ def test_every_platoon_priced_once(large_fleet, method, monkeypatch):
     sol = BASELINES[method](prepared, instance.route, instance.econ, instance.seed)
     assert len(calls) == len(sol.platoons)
     assert max(p.size for p in sol.platoons) > 1
+
+
+@pytest.mark.parametrize("method", sorted(BASELINES))
+def test_blocks_are_decided_in_one_pass(large_fleet, method, monkeypatch):
+    """A baseline asks `member_terms` once, about exactly the members of its
+    blocks of two or more, and `leader_draw_bits` once, for exactly the
+    (end, size) of the blocks that both kinds may lead."""
+    instance, prepared = large_fleet
+    terms, draws = [], []
+    real_terms, real_draw = baselines.member_terms, baselines.leader_draw_bits
+    monkeypatch.setattr(baselines, "member_terms", lambda arr, idx, depart: (
+        terms.append(idx.tolist()) or real_terms(arr, idx, depart)))
+    monkeypatch.setattr(baselines, "leader_draw_bits", lambda seed, ends, sizes: (
+        draws.append(list(zip(ends.tolist(), sizes.tolist()))) or real_draw(seed, ends, sizes)))
+    sol = BASELINES[method](prepared, instance.route, instance.econ, instance.seed)
+
+    slot = (lambda t: t) if method == "spontaneous" else (lambda t: reference_slot_end(t, 30.0))
+    cap, members, rank = instance.route.max_platoon_size, [], 0
+    for _, run in groupby(prepared.arrays.tau_delta.tolist(), key=slot):
+        run = len(list(run))
+        for lo in range(0, run, cap):
+            size = min(cap, run - lo)
+            if size > 1:
+                members += range(rank + lo, rank + lo + size)
+        rank += run
+    assert terms == [members]
+    both = [(p.ranks[-1] + 1, p.size) for p in sol.platoons if p.size > 1
+            and leader_feasible(p, LeaderType.ELECTRIC) and leader_feasible(p, LeaderType.FUEL)]
+    assert len(draws) == 1 and sorted(draws[0]) == sorted(both)
+    assert members
 
 
 class TestInputOrder:

@@ -115,6 +115,20 @@ class TestSolveDpLs:
         with pytest.raises(ContractViolation, match="prepare_fleet"):
             solve_dp_ls([], REF_ROUTE, REF_ECON)
 
+    def test_solo_et_leaving_alone_on_the_horizon_is_scheduled(self):
+        """An ET whose alone-safe departure falls exactly on the horizon may
+        still leave alone. Every figure is exact in binary: it needs
+        10 + 0.25 * 200 = 60 % to drive alone, and charges the 20 % it lacks
+        at 0.5 %/min, so it leaves at 60 + 40 = 100."""
+        route = RouteParams(distance=200.0, horizon=100.0, max_platoon_size=8)
+        prepared = prepare([et(1, 60.0, soc=40.0, rate=0.5, vrate=0.25)], route=route)
+        assert prepared.arrays.alone_depart.tolist() == [100.0]
+        for sol in (solve_dp_ls(prepared, route, REF_ECON),
+                    solve_dp_nls(prepared, route, REF_ECON, 3)):
+            (p,) = sol.platoons
+            assert p.leader_type is LeaderType.ELECTRIC and p.departure_time == 100.0
+            assert not sol.diagnostics.horizon_violation
+
     def test_unservable_fleet_raises(self):
         # One weak ET whose alone-safe departure misses the horizon: it can
         # neither leave alone nor find a platoon.

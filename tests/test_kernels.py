@@ -24,13 +24,13 @@ from platoon_coord.dp import run_dp, solve_dp_ls, solve_dp_nls
 from platoon_coord.kernels import (
     _candidate_table,
     fleet_arrays,
-    leader_draw_bit,
     leader_draw_bits,
     run_dp_kernel,
 )
 from platoon_coord.model import MONEY_TOL, TIME_TOL
 from platoon_coord.scenario import load_instance
 from checks import (
+    leader_draw_bit,
     reference_candidate_table,
     reference_list_kernel,
     reference_value_recursion,
@@ -50,27 +50,64 @@ class TestBackendSelection:
         assert sol.diagnostics.backend == "numpy"
 
 
+def _bit_table(seed, n, nbar):
+    """The draws of prefixes 0 .. n by sizes 0 .. nbar, so that entry
+    [i, size] is candidate (i, size); row and column 0 are padding."""
+    return leader_draw_bits(seed, np.arange(n + 1)[:, None], np.arange(nbar + 1))
+
+
+# Seeds of either sign, past 64 bits, and numpy's.
+SEEDS = (0, -1, 2**64 + 5, np.int64(7))
+
+
 class TestLeaderDraws:
+    """`leader_draw_bits` against the scalar reference `leader_draw_bit`."""
+
     def test_table_matches_scalar(self):
-        bits = leader_draw_bits(99, 0, 21, 8)
+        bits = _bit_table(99, 20, 8)
+        assert bits.shape == (21, 9) and bits.dtype == np.uint8
         for i in (0, 1, 7, 20):
             for n in (0, 1, 5, 8):
                 assert bits[i, n] == leader_draw_bit(99, i, n)
 
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    def test_pairs_match_scalar(self, seed):
+        """Block ends and sizes as two vectors, one bit per pair, as the
+        baselines ask for them; an empty pair of vectors draws nothing."""
+        rng = np.random.default_rng(5)
+        ends = rng.integers(1, 10**6, 300)
+        sizes = rng.integers(1, 17, 300)
+        bits = leader_draw_bits(seed, ends, sizes)
+        assert bits.shape == (300,) and bits.dtype == np.uint8
+        assert bits.tolist() == [leader_draw_bit(seed, e, n)
+                                 for e, n in zip(ends.tolist(), sizes.tolist())]
+        assert 0 < bits.sum() < 300
+        assert leader_draw_bits(seed, ends[:0], sizes[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    def test_grid_matches_scalar(self, seed):
+        """A column of prefixes against a row of sizes, as a kernel block
+        asks for them, gives every (prefix, size) pair."""
+        prefixes, sizes = np.arange(40, 73), np.arange(1, 17)
+        bits = leader_draw_bits(seed, prefixes[:, None], sizes)
+        assert bits.shape == (33, 16)
+        assert bits.tolist() == [[leader_draw_bit(seed, i, n) for n in sizes.tolist()]
+                                 for i in prefixes.tolist()]
+
     def test_rows_of_a_block_are_those_prefixes(self):
-        bits = leader_draw_bits(99, 7, 19, 8)
+        bits = leader_draw_bits(99, np.arange(7, 19)[:, None], np.arange(9))
         assert bits.shape == (12, 9)
-        assert bits.tobytes() == leader_draw_bits(99, 0, 30, 8)[7:19].tobytes()
+        assert bits.tobytes() == _bit_table(99, 29, 8)[7:19].tobytes()
         assert bits[0, 3] == leader_draw_bit(99, 7, 3) and bits[11, 8] == leader_draw_bit(99, 18, 8)
 
     def test_deterministic(self):
-        assert np.array_equal(leader_draw_bits(5, 0, 31, 8), leader_draw_bits(5, 0, 31, 8))
+        assert np.array_equal(_bit_table(5, 30, 8), _bit_table(5, 30, 8))
 
     def test_seed_changes_draws(self):
-        assert not np.array_equal(leader_draw_bits(1, 0, 201, 8), leader_draw_bits(2, 0, 201, 8))
+        assert not np.array_equal(_bit_table(1, 200, 8), _bit_table(2, 200, 8))
 
     def test_roughly_fair(self):
-        bits = leader_draw_bits(42, 0, 2001, 8)
+        bits = _bit_table(42, 2000, 8)
         mean = bits[1:, 1:].mean()
         assert 0.45 < mean < 0.55
 
@@ -320,7 +357,7 @@ def _both_modes(arr, nbar, seeds):
     block at a time."""
     yield 0, None, None
     for seed in seeds:
-        yield 1, leader_draw_bits(seed, 0, arr.size + 1, nbar), partial(leader_draw_bits, seed)
+        yield 1, _bit_table(seed, arr.size, nbar), partial(leader_draw_bits, seed)
 
 
 def _reference_kernel(arr, econ, nbar, horizon, mode, bits):
@@ -444,13 +481,15 @@ class TestChunkEdges:
             drawn.append((args, real(*args))) or drawn[-1][1]))
         monkeypatch.setattr(kernels, "CHUNK_ROWS", 5)
         assert _dp_states_equal(run_dp(prepared, route, econ, 1, seed), whole)
-        assert [args for args, _ in drawn] == [(seed, lo + 1, lo + 6, 4)
-                                               for lo, draws in zip(range(0, 40, 5), both)
-                                               if draws]
-        for (_, lo, hi, size), bits in drawn:
-            assert bits.shape == (hi - lo, size + 1)
-            assert bits.tolist() == [[leader_draw_bit(seed, i, n) for n in range(size + 1)]
-                                     for i in range(lo, hi)]
+        blocks = [lo for lo, draws in zip(range(0, 40, 5), both) if draws]
+        assert len(drawn) == len(blocks)
+        for lo, ((got_seed, prefixes, sizes), bits) in zip(blocks, drawn):
+            assert got_seed == seed
+            assert prefixes.tolist() == [[i] for i in range(lo + 1, lo + 6)]
+            assert sizes.tolist() == [1, 2, 3, 4]
+            assert bits.shape == (5, 4)
+            assert bits.tolist() == [[leader_draw_bit(seed, i, n) for n in range(1, 5)]
+                                     for i in range(lo + 1, lo + 6)]
         _check_kernel_against_reference(prepared, route, econ, (seed,))
 
     def test_no_draw_where_one_kind_is_safe(self, monkeypatch):
@@ -464,7 +503,7 @@ class TestChunkEdges:
         state = run_dp(prepared, route, econ, 1, seed)
         assert drawn == []
         arr, nbar = prepared.arrays, min(route.max_platoon_size, len(prepared))
-        bits = leader_draw_bits(seed, 0, arr.size + 1, nbar)
+        bits = _bit_table(seed, arr.size, nbar)
         want = _reference_kernel(arr, econ, nbar, route.horizon, 1, bits)
         assert _kernel_outputs_equal((state.values, state.choice_sizes, state.choice_leaders,
                                       state.updates), want)

@@ -5,6 +5,12 @@ For each drawn fleet, every method either returns a schedule that passes
 `error: ...` and exit status 1. `dp-ls` must reach the exhaustive
 consecutive-block optimum, and `platoon-coord solve` on the saved instance
 must write the bytes an in-process `save_solution` writes.
+
+Doubling every price (both per-minute costs and both follower savings) must
+leave every schedule as it is and exactly double its money: doubling is
+exact in binary floating point whatever the order of the sums, so a
+decision that changes, or a figure off by an ulp, means some step depends on
+the scale of the prices (an absolute money tolerance in a comparison, say).
 """
 
 import contextlib
@@ -14,12 +20,18 @@ import tempfile
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platoon_coord import (
+    EconomicParams,
     HorizonExceededError,
     NoFeasibleScheduleError,
+    ProblemInstance,
+    ScenarioConfig,
+    generate,
     load_instance,
     oracle_consecutive,
+    oracle_full,
     prepare_fleet,
     save_instance,
     save_solution,
@@ -30,8 +42,10 @@ from platoon_coord import (
 )
 from platoon_coord.cli import main
 from platoon_coord.model import MONEY_TOL
+from platoon_coord.verification import FULL_GRID_STEP, tiny_grid_config
 from checks import assert_solution_valid
 from conftest import fleet_instances
+from test_baselines import LARGE_FLEETS
 
 INTERVAL = 30.0  # the CLI's default fixed-interval slot
 
@@ -88,3 +102,84 @@ def test_every_method_end_to_end(instance):
         return
     best = solve_dp_ls(prepared, instance.route, instance.econ)
     assert abs(best.utility - exact.utility) <= MONEY_TOL
+
+
+def doubled(econ):
+    return EconomicParams(wait_cost=2 * econ.wait_cost, charge_cost=2 * econ.charge_cost,
+                          et_follower_profit=2 * econ.et_follower_profit,
+                          ft_follower_profit=2 * econ.ft_follower_profit)
+
+
+def schedule(solution):
+    """Each platoon's members, leader kind and rank, and departure."""
+    return [(p.ranks, p.leader_type, p.leader_rank, repr(p.departure_time))
+            for p in solution.platoons]
+
+
+def money(solution, factor=1):
+    """`repr` of each platoon's and the fleet's profit, loss and utility,
+    each times `factor`."""
+    rows = [(p.profit, p.loss, p.utility) for p in solution.platoons]
+    rows.append((solution.profit, solution.loss, solution.utility))
+    return repr([tuple(factor * x for x in row) for row in rows])
+
+
+def assert_doubling_keeps_schedule(solve, econ):
+    """`solve(econ)` and `solve(doubled(econ))` give the same schedule with
+    exactly twice the money, or raise the same error."""
+    try:
+        base = solve(econ)
+    except NoFeasibleScheduleError as exc:
+        with pytest.raises(NoFeasibleScheduleError) as raised:
+            solve(doubled(econ))
+        assert str(raised.value) == str(exc)
+        return
+    twice = solve(doubled(econ))
+    assert schedule(twice) == schedule(base)
+    assert money(twice) == money(base, 2)
+
+
+# method -> solve of a prepared fleet on its route under the given prices
+PRICED = {
+    "dp-ls": lambda p, route, econ, seed: solve_dp_ls(p, route, econ),
+    "dp-nls": solve_dp_nls,
+    "spontaneous": solve_spontaneous,
+    "fixed-interval": lambda p, route, econ, seed: solve_fixed_interval(
+        p, route, econ, INTERVAL, seed),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(fleet_instances())
+def test_doubled_prices_keep_every_schedule(instance):
+    try:
+        prepared = prepare_fleet(instance)
+    except HorizonExceededError:
+        return
+    route, seed = instance.route, instance.seed
+    for solve in PRICED.values():
+        assert_doubling_keeps_schedule(lambda econ: solve(prepared, route, econ, seed),
+                                       instance.econ)
+    assert_doubling_keeps_schedule(lambda econ: oracle_consecutive(prepared, route, econ),
+                                   instance.econ)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 5), st.sampled_from((0.0, 0.5, 1.0)))
+def test_doubled_prices_keep_the_full_search(seed, n_trucks, et_share):
+    instance = generate(tiny_grid_config(seed, n_trucks, et_share))
+    assert_doubling_keeps_schedule(
+        lambda econ: oracle_full(
+            ProblemInstance(instance.trucks, instance.route, econ, instance.seed),
+            FULL_GRID_STEP),
+        instance.econ)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_FLEETS))
+def test_doubled_prices_keep_large_schedules(name):
+    instance = generate(ScenarioConfig(**LARGE_FLEETS[name]))
+    prepared = prepare_fleet(instance)
+    route, seed = instance.route, instance.seed
+    for solve in PRICED.values():
+        assert_doubling_keeps_schedule(lambda econ: solve(prepared, route, econ, seed),
+                                       instance.econ)

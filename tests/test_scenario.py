@@ -39,7 +39,6 @@ from platoon_coord.scenario import (
     _truck_from_row,
     instance_text,
     solution_text,
-    solution_to_json,
 )
 from conftest import REF_ECON, REF_ROUTE, et, fleet_instances, ft
 
@@ -432,7 +431,7 @@ class TestSolutionFiles:
 
     def test_schema_shape(self):
         sol = self.make_solution()
-        doc = solution_to_json(sol)
+        doc = json.loads(solution_text(sol))
         assert doc["method"] == "DP-LS"
         assert set(doc["totals"]) == {"R", "L", "J"}
         platoon = doc["platoons"][0]
@@ -647,7 +646,7 @@ class TestSolutionText:
     def test_solution_to_json_parses_the_text(self):
         sol = solve_dp_ls(prepare_fleet(generate(ScenarioConfig(n_trucks=40, seed=1))),
                           REF_ROUTE, REF_ECON)
-        assert solution_to_json(sol, True) == reference_doc(sol, True)
+        assert json.loads(solution_text(sol, True)) == reference_doc(sol, True)
 
 
 def reference_instance_doc(instance, config=None):

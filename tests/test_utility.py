@@ -12,7 +12,6 @@ from platoon_coord import (
     LeaderType,
     Role,
     ScenarioConfig,
-    aggregate,
     evaluate_platoon,
     generate,
     platoon_profit,
@@ -60,6 +59,10 @@ class TestPlatoonProfit:
             platoon_profit(0, 2, LeaderType.ELECTRIC, REF_ECON)
         with pytest.raises(ContractViolation):
             platoon_profit(0, 0, LeaderType.FUEL, REF_ECON)
+
+    def test_fuel_leader_needs_a_fuel_truck(self):
+        with pytest.raises(ContractViolation, match="fuel leader requires a fuel truck"):
+            platoon_profit(2, 0, LeaderType.FUEL, REF_ECON)
 
 
 class TestEtChargeTime:
@@ -125,6 +128,15 @@ class TestEvaluatePlatoon:
         assert p.loss == pytest.approx(4.0, **APPROX)
         assert p.utility == pytest.approx(10.0, **APPROX)
         assert p.leader_rank == 0  # lowest-rank fuel member leads
+
+    def test_departure_at_the_tolerance_edge(self):
+        """A departure `TIME_TOL` before the latest member is ready is
+        accepted as it stands; the next float below it is refused."""
+        fleet = prepare([ft(1, 0.0), ft(2, 10.0)])
+        edge = 10.0 - TIME_TOL
+        assert price(fleet, LeaderType.FUEL, depart_at=edge).departure_time == edge
+        with pytest.raises(ContractViolation, match="precedes"):
+            price(fleet, LeaderType.FUEL, depart_at=np.nextafter(edge, -np.inf))
 
     def test_solo_fuel_truck(self):
         p = price(prepare([ft(1, 0.0)]), LeaderType.FUEL)
@@ -327,37 +339,6 @@ class TestAgainstReference:
                            route, econ, depart_at=depart_at)
         assert got == expected
         assert repr(got) == repr(expected)
-
-
-class TestAggregate:
-    def test_empty(self):
-        assert aggregate([]) == (0.0, 0.0, 0.0)
-
-    def test_singleton_passthrough(self):
-        p = price(prepare([ft(1, 0.0), ft(2, 10.0)]), LeaderType.FUEL)
-        profit, loss, utility = aggregate([p])
-        assert (profit, loss) == (p.profit, p.loss)
-        assert utility == pytest.approx(p.utility, **APPROX)
-
-    def test_additive(self):
-        fleet = prepare([ft(1, 0.0), ft(2, 10.0), ft(3, 11.0), ft(4, 12.0)])
-        a = price(fleet, LeaderType.FUEL, range(0, 2))
-        b = price(fleet, LeaderType.FUEL, range(2, 4))
-        profit, loss, utility = aggregate([a, b])
-        assert profit == pytest.approx(a.profit + b.profit, **APPROX)
-        assert loss == pytest.approx(a.loss + b.loss, **APPROX)
-        assert utility == pytest.approx(profit - loss, **APPROX)
-
-    def test_partition_must_be_exact(self):
-        fleet = prepare([ft(1, 0.0), ft(2, 10.0), ft(3, 11.0)])
-        a = price(fleet, LeaderType.FUEL, range(0, 2))
-        with pytest.raises(ContractViolation):
-            aggregate([a, a])
-        with pytest.raises(ContractViolation):
-            aggregate([a], n_trucks=3)
-        b = price(fleet, LeaderType.FUEL, range(1, 3))
-        with pytest.raises(ContractViolation):
-            aggregate([b])  # rank 0 missing
 
 
 class TestAloneDeparture:
