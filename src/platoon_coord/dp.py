@@ -47,7 +47,7 @@ class DpState:
 def run_dp(prepared: PreparedFleet, route: RouteParams,
            econ: EconomicParams, mode: int, seed: int = 0) -> DpState:
     """Fill the value table for the given fleet. mode 0 = best leader, 1 = drawn."""
-    if mode not in (0, 1):
+    if type(mode) is not int or mode not in (0, 1):  # True == 1, but is no mode
         raise ContractViolation(f"mode must be 0 (best leader) or 1 (drawn), got {mode!r}")
     seed = check_seed(seed)
     arr = fleet_arrays(prepared, route)

@@ -5,31 +5,26 @@ and `block_profit`.
 
 The recursion scans every (prefix, platoon size, leader kind) candidate,
 which dominates runtime at fleet scale. It runs a block of `CHUNK_ROWS`
-rows at a time, in two steps: numpy prices the block's (last truck, size)
-candidates into one table, reducing each to a single utility and leader
-kind, then the max-plus recursion over the block's rows fills the value
-table and the winning choice per prefix. The table is built one platoon
-size at a time: the members that a size adds across the rows are one slice
-of ranks, so each size reads views of the fleet's columns, and the running
-loss, ET count and lead flag of each row carry to the next size in one
-elementwise step each. The recursion is Python source written out
-once per window width, with the window in local variables, so a candidate
-costs one addition and one comparison and no indexing; the additions and
-comparisons are those of a plain loop over the table, in the same order.
-The recursion appends a block's values and picks to lists of its own, each
-copied once into its slice of an array preallocated for the N + 1 prefixes.
-The `updates` counter adds a block's work, less the work of its cells that
-extend a prefix with no schedule (value -inf); most blocks have none.
-The table skips work that its result never reads: a size at which no
-ET of any row's block can lead prices the fuel leader alone, with no
-electric-led utility. Leader draws, for the randomized variant and the
-baselines alike, come from `leader_draw_bits`, the one statement of a
-counter-based splitmix64 stream keyed by (seed, prefix, size), so results
-are independent of evaluation order and reproducible across platforms. A
-kernel block draws its prefixes' bits in one call, made at the first size
-where some candidate has both leader kinds safe; a block with no such
-candidate, where the one safe kind is the pick whatever the bit, draws
-nothing.
+rows at a time, in three steps: table -> pick -> recursion. The table
+(`_candidate_table`) prices the block's candidates under each leader kind,
+one platoon size at a time: the members that a size adds across the rows
+are one slice of ranks, so each size reads views of the fleet's columns,
+and the running loss, ET count and lead flag of each row carry to the next
+size in one elementwise step each; a size at which no ET can lead leaves
+its electric-led column unpriced. The pick (`_pick`), the one statement of
+the leader policy, keeps one kind per candidate. The max-plus recursion,
+Python source written out once per window width with the window in local
+variables, then fills the value table and the winning choice per prefix:
+a candidate costs one addition and one comparison, those of a plain loop
+over the table in the same order. A block's values and picks are copied
+once into arrays preallocated for the N + 1 prefixes, and the `updates`
+counter adds a block's work, less the work of its cells that extend a
+prefix with no schedule (value -inf). Leader draws, for the randomized
+variant and the baselines alike, come from `leader_draw_bits`, the one
+statement of a counter-based splitmix64 stream keyed by (seed, prefix,
+size), so results are independent of evaluation order and reproducible
+across platforms. The pick draws a block's prefixes' bits in one call,
+and only when some candidate has both leader kinds safe.
 """
 
 from __future__ import annotations
@@ -143,9 +138,9 @@ CHUNK_ROWS = 8192
 
 
 def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
-                     draw, lo: int, hi: int):
-    """Price the (last truck, size) candidates of rows `lo` .. `hi` - 1, one
-    platoon size at a time.
+                     lo: int, hi: int):
+    """Price the (last truck, size) candidates of rows `lo` .. `hi` - 1 under
+    each leader kind, one platoon size at a time.
 
     Row r - lo, column k is the platoon of trucks r - k .. r. Its k-th
     member, across the rows, is a slice of ranks, so each size reads views
@@ -153,74 +148,77 @@ def _candidate_table(arr: FleetArrays, econ, nbar: int, horizon: float,
     ET can lead carry from column k - 1 with one elementwise step each: the
     additions that a running sum along the row makes, in the same order.
     A row reads only the fleet's columns, so these are exactly those rows of
-    the table over the whole fleet. Without `draw` the better leader kind
-    is kept; with it, the drawn one where both are safe, from
-    `draw(prefixes[:, None], sizes)`, the bits of prefixes `lo` + 1 .. `hi`
-    by sizes 1 .. `nbar`, in the table's shape. That call is made once, at
-    the first size with a cell where both kinds are safe, and not at all
-    when there is none: elsewhere the one safe kind is the pick, whatever
-    the bit. A size at which no ET of any row's block
-    can lead prices the fuel leader alone. Returns the utility of each
-    candidate under its leader kind (-inf when no kind is safe or the block
-    runs past the first truck), that kind as a code (0 electric, 1 fuel),
-    and the work each candidate adds to the `updates` counter.
+    the table over the whole fleet. Returns `j_e` and `j_f`, the utility of
+    each candidate under an electric and under a fuel leader, each -inf
+    where that kind is unsafe or the block runs past the first truck. A
+    size at which no ET of any row's block can lead leaves its `j_e` column
+    at -inf without pricing it.
     """
     ew, ec = econ.wait_cost, econ.charge_cost
     m = hi - lo
-    utility = np.full((m, nbar), -np.inf)
-    leader = np.ones((m, nbar), np.int8)
-    work = np.zeros((m, nbar), np.int8)
-    bits = None
+    j_e = np.full((m, nbar), -np.inf)
+    j_f = np.full((m, nbar), -np.inf)
     # The profit depends only on (size, ET count): price that grid once and
-    # gather it, the same `block_profit` on the same integers.
+    # gather it, the same `block_profit` on the same integers. A fuel leader
+    # needs a fuel truck, so an all-ET block's fuel profit is -inf.
     ets = np.arange(nbar + 1)[None, :]
     fts = np.arange(1, nbar + 1)[:, None] - ets
     profit_e = block_profit(econ, ets, fts, False)
-    profit_f = block_profit(econ, ets, fts, True)
+    profit_f = np.where(fts > 0, block_profit(econ, ets, fts, True), -np.inf)
 
     for k in range(min(nbar, hi)):
         s = max(lo, k) - lo  # rows before s have fewer than k + 1 trucks
         members = slice(lo + s - k, hi - k)
         charge, wait, _, can_lead = member_terms(arr, members, arr.tau_delta[lo + s:hi])
         cost = ec * charge + ew * wait
-        et = arr.is_et[members] == 1
+        et = arr.is_et[members].view(bool)  # 0/1 flags
         if k == 0:
             loss, et_cnt, lead_ok = cost, et.astype(np.intp), et & can_lead
             # A lone truck leaves at its solo departure; the carried loss
             # keeps the row's own departure, since every larger block sums it.
             t0 = arr.alone_depart[members]
             charge, wait, _, can_lead = member_terms(arr, members, t0)
-            val_e = et & can_lead & (t0 <= horizon + TIME_TOL)
+            np.subtract(0.0, ec * charge + ew * wait, out=j_e[:, 0],
+                        where=et & can_lead & (t0 <= horizon + TIME_TOL))
         else:
             loss[s:] += cost
             et_cnt[s:] += et
             lead_ok[s:] |= et & can_lead
-            val_e = lead_ok[s:]
-        j_f = profit_f[k][et_cnt[s:]] - loss[s:]
-        val_f = et_cnt[s:] <= k  # at least one fuel truck
-        if not np.count_nonzero(val_e):  # only a fuel leader is safe, in either mode
-            utility[s:, k] = np.where(val_f, j_f, -np.inf)
-            work[s:, k] = val_f
-            continue
+            if np.count_nonzero(lead_ok[s:]):
+                np.subtract(profit_e[k][et_cnt[s:]], loss[s:], out=j_e[s:, k],
+                            where=lead_ok[s:])
+        np.subtract(profit_f[k][et_cnt[s:]], loss[s:], out=j_f[s:, k])
+    return j_e, j_f
 
-        if k == 0:
-            j_e = 0.0 - (ec * charge + ew * wait)
-        else:
-            j_e = profit_e[k][et_cnt[s:]] - loss[s:]
-        if draw is None:
-            pick_e = val_e & (~val_f | (j_e >= j_f))
-            work[s:, k] = val_e.astype(np.int8) + val_f
-        else:
-            if bits is None and np.count_nonzero(val_e & val_f):
-                bits = draw(np.arange(lo + 1, hi + 1)[:, None], np.arange(1, nbar + 1))
-            if bits is None:  # no cell yet where both kinds are safe
-                pick_e = val_e & ~val_f
-            else:
-                pick_e = val_e & (~val_f | (bits[s:, k] == 1))
-            work[s:, k] = val_e | val_f
-        utility[s:, k] = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
-        leader[s:, k] = ~pick_e
-    return utility, leader, work
+
+def _pick(j_e, j_f, draw, lo: int, hi: int):
+    """The leader policy of the value recursion, over the table of rows
+    `lo` .. `hi` - 1 (`_candidate_table`). Without `draw` the better kind is
+    kept, electric on an exact tie; with it, where both kinds are safe, the
+    drawn one, from `draw(prefixes[:, None], sizes)`, the bits of prefixes
+    `lo` + 1 .. `hi` by sizes 1 .. nbar in the table's shape. That call is
+    made once, and only when some cell has both kinds safe: elsewhere the
+    one safe kind is the pick, whatever the bit.
+
+    Returns the utility of each candidate under its leader kind (-inf when
+    no kind is safe), that kind as a code (0 electric, 1 fuel; read only
+    where the utility is finite), and the work each candidate adds to the
+    `updates` counter: its safe kinds, or under a draw 1 when either is
+    safe. The utility is written over `j_e`, which the pick consumes: a
+    fresh array of the table's size costs more than the pick's arithmetic.
+    """
+    safe_e, safe_f = j_e > -np.inf, j_f > -np.inf
+    fuel = j_f > j_e  # electric wins an exact tie
+    if draw is None:
+        work = safe_e.view(np.int8) + safe_f
+    else:
+        both = safe_e & safe_f
+        if np.count_nonzero(both):
+            bits = draw(np.arange(lo + 1, hi + 1)[:, None], np.arange(1, j_e.shape[1] + 1))
+            fuel = np.where(both, bits == 0, fuel)
+        work = (safe_e | safe_f).view(np.int8)
+    np.copyto(j_e, j_f, where=fuel)
+    return j_e, fuel.view(np.int8), work
 
 
 @functools.cache
@@ -264,27 +262,21 @@ def _value_recursion(width: int):
 def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float, draw=None):
     """Run the value recursion; returns (values, choice_n, choice_m, updates).
 
-    Without `draw` the better leader kind per candidate is kept; with it,
-    one is drawn from `draw(prefix, size)`, `leader_draw_bits` with the
-    seed bound, which a block asks for its own prefixes' grid only if one
-    of its candidates has both kinds safe, and then once. The returned
-    choice arrays encode, per prefix length, the platoon size and leader
-    kind (0 electric, 1 fuel) of the winning candidate.
-    `updates` counts the safe (candidate, leader kind) pairs whose prefix has
-    a finite value; under a draw each candidate counts once.
-
-    The table is built `CHUNK_ROWS` rows at a time, one platoon size after
-    another (`_candidate_table`), and each block runs through
-    `_value_recursion(nbar)` before the next is built, carrying the last
-    `nbar` values in from the value array. The recursion fills fresh lists
-    for the block, which are copied once into the block's slices of the
-    value and pick arrays. The choices and `updates` of a block come from
-    its own rows: `updates` adds the block's whole work, then takes off the
-    work of the cells that extend a prefix whose value is not finite. Cell
-    (r, k) extends prefix r - k, so only prefixes `lo` - nbar + 1 .. `hi` - 1
-    are looked at, and most blocks have none to take off. Every value is the
-    sum and comparison that a loop over the whole table makes, in the same
-    order, so the outputs do not depend on the block size.
+    Each block of `CHUNK_ROWS` rows goes table -> pick -> recursion:
+    `_candidate_table` prices its candidates under both leader kinds,
+    `_pick` keeps one kind per candidate, the better one without `draw`
+    and with it the one drawn from `draw(prefix, size)` (`leader_draw_bits`
+    with the seed bound) where both are safe, and `_value_recursion(nbar)`
+    runs the block's rows, carrying the last `nbar` values in from the
+    value array. The returned choice arrays encode, per prefix length, the
+    platoon size and leader kind (0 electric, 1 fuel) of the winning
+    candidate. `updates` counts the safe (candidate, leader kind) pairs
+    whose prefix has a finite value; under a draw each candidate counts once.
+    A block's `updates` is its whole work less that of the cells that extend
+    a prefix whose value is not finite: cell (r, k) extends prefix r - k,
+    so only prefixes `lo` - nbar + 1 .. `hi` - 1 are looked at. Every value
+    is the sum and comparison that a loop over the whole table makes, in
+    the same order, so the outputs do not depend on the block size.
     """
     n = arr.size
     nbar = int(nbar)
@@ -297,7 +289,8 @@ def run_dp_kernel(arr: FleetArrays, econ, nbar: int, horizon: float, draw=None):
     updates = 0
     for lo in range(0, n, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n)
-        utility, leader, work = _candidate_table(arr, econ, nbar, horizon, draw, lo, hi)
+        utility, leader, work = _pick(*_candidate_table(arr, econ, nbar, horizon, lo, hi),
+                                      draw, lo, hi)
         first = max(lo - nbar + 1, 0)
         window = values[first:lo + 1][::-1].tolist()  # the latest first
         block_values, block_picks = [], []

@@ -396,10 +396,10 @@ def reference_evaluate_platoon(members, leader_type, route, econ, depart_at=None
 
 def reference_value_recursion(utility, nbar):
     """The value recursion as one plain loop over the rows of the whole
-    candidate table (`reference_candidate_table` over every row): the
-    reference that `kernels.run_dp_kernel` is checked against. Returns the
-    value of each prefix length and the winning column per prefix (-1 when
-    no candidate has a finite value)."""
+    candidate table (`reference_pick` of `reference_candidate_table` over
+    every row): the reference that `kernels.run_dp_kernel` is checked
+    against. Returns the value of each prefix length and the winning column
+    per prefix (-1 when no candidate has a finite value)."""
     n = len(utility)
     values = [0.0] * (n + 1)
     best_k = [-1] * (n + 1)
@@ -432,7 +432,8 @@ def reference_list_kernel(arr, econ, nbar, horizon, draw=None):
     updates = 0
     for lo in range(0, n, kernels.CHUNK_ROWS):
         hi = min(lo + kernels.CHUNK_ROWS, n)
-        utility, leader, work = kernels._candidate_table(arr, econ, nbar, horizon, draw, lo, hi)
+        utility, leader, work = kernels._pick(
+            *kernels._candidate_table(arr, econ, nbar, horizon, lo, hi), draw, lo, hi)
         window = values[:-nbar - 1:-1]  # the last nbar values, the latest first
         recurse(utility.tolist(), window + [-np.inf] * (nbar - len(window)),
                 values, picks)
@@ -451,16 +452,15 @@ def reference_list_kernel(arr, econ, nbar, horizon, draw=None):
     return np.array(values), np.array(picks) + 1, choice_m, updates
 
 
-def reference_candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi):
+def reference_candidate_table(arr, econ, nbar, horizon, lo, hi):
     """The candidate table of rows `lo` .. `hi` - 1 in one vectorised pass
     over an index grid: the reference that `kernels._candidate_table`, which
     builds it one platoon size at a time, is checked against.
 
-    Row r - lo, column k is the platoon of trucks r - k .. r. Returns the
-    utility of each candidate under its leader kind (-inf when no kind is
-    safe or the block runs past the first truck), that kind as a code (0
-    electric, 1 fuel), the work each candidate adds to the `updates`
-    counter, and the prefix length each candidate extends.
+    Row r - lo, column k is the platoon of trucks r - k .. r. Returns `j_e`
+    and `j_f`, the utility of each candidate under an electric and under a
+    fuel leader (-inf where that kind is unsafe or the block runs past the
+    first truck), and the prefix length each candidate extends.
     """
     ew, ec = econ.wait_cost, econ.charge_cost
     k = np.arange(nbar)
@@ -493,13 +493,25 @@ def reference_candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi):
     charge, wait, _, can_lead = member_terms(arr, rows, t0)
     j_e[:, 0] = 0.0 - (ec * charge + ew * wait)
     val_e[:, 0] = (arr.is_et[lo:hi] == 1) & can_lead & (t0 <= horizon + TIME_TOL)
+    return np.where(val_e, j_e, -np.inf), np.where(val_f, j_f, -np.inf), idxc
 
+
+def reference_pick(j_e, j_f, mode, bits, lo, hi):
+    """The leader policy over a candidate table of rows `lo` .. `hi` - 1, a
+    cell at a time: the reference that `kernels._pick` is checked against.
+    Mode 0 keeps the electric leader where it is safe and no worse than the
+    fuel one; mode 1 keeps it where it is safe and the fuel one is not, or
+    where both are and the drawn bit (`bits[prefix, size]`, drawn for every
+    prefix up front) is 1. Returns the utility under the kept kind (-inf
+    when no kind is safe), that kind (0 electric, 1 fuel) and the work: the
+    safe kinds in mode 0, and in mode 1 one when either is safe."""
+    safe_e, safe_f = np.isfinite(j_e), np.isfinite(j_f)
     if mode == 0:
-        pick_e = val_e & (~val_f | (j_e >= j_f))
-        work = val_e.astype(np.int8) + val_f
+        pick_e = safe_e & (~safe_f | (j_e >= j_f))
+        work = safe_e.astype(np.int8) + safe_f
     else:
-        pick_e = val_e & (~val_f | (bits[lo + 1:hi + 1, 1:nbar + 1] == 1))
-        work = val_e | val_f
-    utility = np.where(pick_e, j_e, np.where(val_f, j_f, -np.inf))
+        pick_e = safe_e & (~safe_f | (bits[lo + 1:hi + 1, 1:j_e.shape[1] + 1] == 1))
+        work = (safe_e | safe_f).astype(np.int8)
+    utility = np.where(pick_e, j_e, np.where(safe_f, j_f, -np.inf))
     leader = np.where(pick_e, 0, 1).astype(np.int8)
-    return utility, leader, work, idxc
+    return utility, leader, work

@@ -218,10 +218,11 @@ class TestCheckPrepared:
 class TestSolverArguments:
     FLEET = (ft(1, 0.0), et(2, 0.0, soc=90.0), et(3, 4.0, soc=45.0), ft(4, 9.0))
 
-    @pytest.mark.parametrize("mode", [2, -1, "1", None])
+    @pytest.mark.parametrize("mode", [2, -1, "1", None, True, False, 1.0, 0.0])
     def test_run_dp_refuses_a_bad_mode(self, mode):
         """Mode 2 used to fail inside numpy on a broadcast of mismatched
-        shapes; only 0 (best leader) and 1 (drawn) are modes."""
+        shapes, and True ran the drawn variant, since True == 1; only the
+        ints 0 (best leader) and 1 (drawn) are modes."""
         with pytest.raises(ContractViolation, match="mode must be 0"):
             run_dp(prepare(self.FLEET), REF_ROUTE, REF_ECON, mode)
 

@@ -23,6 +23,7 @@ from platoon_coord import dp, kernels
 from platoon_coord.dp import run_dp, solve_dp_ls, solve_dp_nls
 from platoon_coord.kernels import (
     _candidate_table,
+    _pick,
     fleet_arrays,
     leader_draw_bits,
     run_dp_kernel,
@@ -33,6 +34,7 @@ from checks import (
     leader_draw_bit,
     reference_candidate_table,
     reference_list_kernel,
+    reference_pick,
     reference_value_recursion,
 )
 from conftest import ET_VRATE, REF_ECON, REF_ROUTE, et, fleet_instances, ft, prepare
@@ -234,32 +236,42 @@ class TestAgainstEnumeration:
 
 
 def _check_table_against_reference(prepared, route, econ, seed):
-    """The candidate table, in both recursion modes, against `_safe_blocks`:
-    an entry is finite exactly when its block has a safe leader kind; its
-    kind is one of those, and its utility is what `evaluate_platoon` gives
-    the block under that kind. One- and two-truck blocks match bit for bit;
-    larger ones sum member costs in another order, so they match to
+    """The candidate table against `_safe_blocks`: each kind's entry is
+    finite exactly when that kind is safe for the block, and is then what
+    `evaluate_platoon` gives the block under it. Then the pick, in both
+    recursion modes: its kind is one of the safe ones, and its utility is
+    the table's under that kind. One- and two-truck blocks match bit for
+    bit; larger ones sum member costs in another order, so they match to
     `MONEY_TOL` relative to R + L."""
     arr = fleet_arrays(prepared, route)
     nbar = route.max_platoon_size
     blocks = _safe_blocks(prepared, route, econ)
+    j_e, j_f = _candidate_table(arr, econ, nbar, route.horizon, 0, arr.size)
+    for kind, table in ((LeaderType.ELECTRIC, j_e), (LeaderType.FUEL, j_f)):
+        assert np.isfinite(table).sum() == sum(kind in safe for safe in blocks.values())
+        for (end, size), safe in blocks.items():
+            got = table[end - 1, size - 1].item()
+            if kind not in safe:
+                assert got == -np.inf, (kind, end, size)
+                continue
+            ref = evaluate_platoon(range(end - size, end), kind, prepared, econ)
+            if size <= 2:
+                assert got == ref.utility and repr(got) == repr(ref.utility), \
+                    (kind, end, size, got, ref.utility)
+            else:
+                assert abs(got - ref.utility) <= MONEY_TOL * (1 + ref.profit + ref.loss)
     for mode, draw in ((0, None), (1, partial(leader_draw_bits, seed))):
-        utility, leader, _ = _candidate_table(arr, econ, nbar, route.horizon,
-                                              draw, 0, arr.size)
+        utility, leader, _ = _pick(j_e.copy(), j_f, draw, 0, arr.size)
         assert np.isfinite(utility).sum() == sum(1 for safe in blocks.values() if safe)
         for (end, size), safe in blocks.items():
-            got = utility[end - 1, size - 1].item()
+            got = utility[end - 1, size - 1]
             if not safe:
                 assert got == -np.inf, (mode, end, size)
                 continue
             kind = LeaderType.FUEL if leader[end - 1, size - 1] else LeaderType.ELECTRIC
             assert kind in safe, (mode, end, size)
-            ref = evaluate_platoon(range(end - size, end), kind, prepared, econ)
-            if size <= 2:
-                assert got == ref.utility and repr(got) == repr(ref.utility), \
-                    (mode, end, size, got, ref.utility)
-            else:
-                assert abs(got - ref.utility) <= MONEY_TOL * (1 + ref.profit + ref.loss)
+            table = j_f if kind is LeaderType.FUEL else j_e
+            assert got == table[end - 1, size - 1], (mode, end, size)
 
 
 class TestCandidateTableAgainstReference:
@@ -293,21 +305,36 @@ def _row_ranges(n, nbar):
     return sorted(ranges)
 
 
+def _finite_leaders(utility, leader):
+    """The leader codes where the utility is finite, -1 elsewhere: a cell
+    with no safe kind has no leader to read."""
+    return np.where(np.isfinite(utility), leader, -1)
+
+
 def _check_table_against_grid(arr, econ, nbar, horizon, seeds):
-    """`_candidate_table`, in both modes and over each of `_row_ranges`,
-    against `reference_candidate_table`, the same table in one pass over an
-    index grid whose draws are drawn for every row up front: utility, leader
-    and work equal in value, and by bytes once cast to the reference's
-    dtypes."""
-    for mode, bits, draw in _both_modes(arr, nbar, seeds):
-        for lo, hi in _row_ranges(arr.size, nbar):
-            got = _candidate_table(arr, econ, nbar, horizon, draw, lo, hi)
-            want = reference_candidate_table(arr, econ, nbar, horizon, mode, bits, lo, hi)
-            assert len(got) == 3
-            for name, g, w in zip(("utility", "leader", "work"), got, want):
+    """`_candidate_table` over each of `_row_ranges` against
+    `reference_candidate_table`, the same table in one pass over an index
+    grid: `j_e` and `j_f` equal by dtype and bytes. Then `_pick`, in both
+    modes, against `reference_pick` with draws drawn for every row up front:
+    utility and work equal in value, and by bytes once cast to the
+    reference's dtypes, and the leader wherever the utility is finite."""
+    for lo, hi in _row_ranges(arr.size, nbar):
+        got = _candidate_table(arr, econ, nbar, horizon, lo, hi)
+        want = reference_candidate_table(arr, econ, nbar, horizon, lo, hi)[:2]
+        assert len(got) == 2
+        for name, g, w in zip(("j_e", "j_f"), got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape, (name, lo, hi)
+            assert g.tobytes() == w.tobytes(), (name, lo, hi)
+        for mode, bits, draw in _both_modes(arr, nbar, seeds):
+            utility, leader, work = _pick(got[0].copy(), got[1], draw, lo, hi)
+            w_utility, w_leader, w_work = reference_pick(*want, mode, bits, lo, hi)
+            for name, g, w in (("utility", utility, w_utility), ("work", work, w_work)):
                 where = (name, mode, lo, hi)
                 assert g.shape == w.shape and np.array_equal(g, w), where
                 assert g.astype(w.dtype).tobytes() == w.tobytes(), where
+            assert leader.dtype == np.int8, (mode, lo, hi)
+            assert np.array_equal(_finite_leaders(utility, leader),
+                                  _finite_leaders(w_utility, w_leader)), (mode, lo, hi)
 
 
 class TestCandidateTableAgainstGrid:
@@ -353,8 +380,8 @@ class TestCandidateTableAgainstGrid:
 def _both_modes(arr, nbar, seeds):
     """(mode, bits, draw) of mode 0, and of mode 1 under each seed's draws:
     the draws of every prefix in one table, which the references read, and
-    the `_candidate_table` and `run_dp_kernel` argument that draws them a
-    block at a time."""
+    the `_pick` and `run_dp_kernel` argument that draws them a block at a
+    time."""
     yield 0, None, None
     for seed in seeds:
         yield 1, _bit_table(seed, arr.size, nbar), partial(leader_draw_bits, seed)
@@ -365,8 +392,8 @@ def _reference_kernel(arr, econ, nbar, horizon, mode, bits):
     the reference table over every row, whose draws `bits` are drawn for
     every prefix up front: the values, and the choice sizes, choice leaders
     and `updates` taken from that table as the kernel states them."""
-    utility, leader, work, prefix = reference_candidate_table(
-        arr, econ, nbar, horizon, mode, bits, 0, arr.size)
+    j_e, j_f, prefix = reference_candidate_table(arr, econ, nbar, horizon, 0, arr.size)
+    utility, leader, work = reference_pick(j_e, j_f, mode, bits, 0, arr.size)
     values, best_k = reference_value_recursion(utility, nbar)
     found = np.flatnonzero(best_k >= 0)
     choice_m = np.full(arr.size + 1, -1, np.int8)
@@ -464,7 +491,7 @@ class TestChunkEdges:
     def test_each_block_draws_its_own_prefixes(self, monkeypatch):
         """Mode 1 draws the bits of a block's prefixes in one
         `dp.leader_draw_bits` call of its own when one of its candidates has
-        both leader kinds safe (work 2 in the mode-0 reference table), and
+        both leader kinds safe (both finite in the reference table), and
         makes no call for any other block; each bit is the scalar draw, and
         the state is the one drawn from the whole table in one block."""
         inst = generate(ScenarioConfig(n_trucks=40, seed=4, arrival_hi=30, horizon=200.0,
@@ -472,9 +499,9 @@ class TestChunkEdges:
         prepared, route, econ, seed = prepare_fleet(inst), inst.route, inst.econ, 9
         whole = run_dp(prepared, route, econ, 1, seed)
         assert not _dp_states_equal(whole, run_dp(prepared, route, econ, 0))  # draws decide
-        work = reference_candidate_table(prepared.arrays, econ, 4, route.horizon, 0, None,
-                                         0, 40)[2]
-        both = [(work[lo:lo + 5] == 2).any() for lo in range(0, 40, 5)]
+        j_e, j_f, _ = reference_candidate_table(prepared.arrays, econ, 4, route.horizon, 0, 40)
+        both = [(np.isfinite(j_e[lo:lo + 5]) & np.isfinite(j_f[lo:lo + 5])).any()
+                for lo in range(0, 40, 5)]
         assert any(both) and not all(both)
         real, drawn = dp.leader_draw_bits, []
         monkeypatch.setattr(dp, "leader_draw_bits", lambda *args: (
@@ -526,18 +553,101 @@ class TestChunkEdges:
         self._check(prepare_fleet(inst), inst.route, inst.econ, monkeypatch)
 
     def test_a_middle_chunk_is_those_rows_of_the_table(self):
+        """A block's table, and its pick in either mode, are those rows of
+        the table and pick over the whole fleet."""
         inst = load_instance(DATA / "dense-ties-300.json")
         arr = prepare_fleet(inst).arrays
         nbar = inst.route.max_platoon_size
+
+        def table(lo, hi):
+            return _candidate_table(arr, inst.econ, nbar, inst.route.horizon, lo, hi)
+
+        full = table(0, arr.size)
         for mode, _, draw in _both_modes(arr, nbar, (4,)):
-            full = _candidate_table(arr, inst.econ, nbar, inst.route.horizon,
-                                    draw, 0, arr.size)
+            picked = _pick(full[0].copy(), full[1], draw, 0, arr.size)
             for lo, hi in ((0, 3), (7, 14), (150, 157), (arr.size - 7, arr.size)):
-                part = _candidate_table(arr, inst.econ, nbar, inst.route.horizon,
-                                        draw, lo, hi)
-                for got, want in zip(part, full):
+                part = table(lo, hi)
+                for got, want in zip(part + _pick(part[0].copy(), part[1], draw, lo, hi),
+                                     full + picked):
                     assert got.dtype == want.dtype, (mode, lo)
                     assert got.tobytes() == want[lo:hi].tobytes(), (mode, lo)
+
+
+class TestPick:
+    """`_pick`, the dp leader policy, on tables written out by hand and on
+    the tables of fleets that reach its edges."""
+
+    # One row of four sizes: a tie, fuel only, electric only, neither.
+    J_E = np.array([[5.0, -np.inf, 2.0, -np.inf]])
+    J_F = np.array([[5.0, 3.0, -np.inf, -np.inf]])
+
+    def test_an_exact_tie_picks_electric_in_mode_0(self):
+        utility, leader, work = _pick(self.J_E.copy(), self.J_F, None, 0, 1)
+        assert utility.tolist() == [[5.0, 3.0, 2.0, -np.inf]]
+        assert leader[:, :3].tolist() == [[0, 1, 0]]
+        assert work.tolist() == [[2, 1, 1, 0]]
+
+    def test_an_exact_tie_on_a_fleet_is_led_electric(self):
+        """Equal follower profits make a fuel truck and a lead-capable ET
+        worth the same under either leader: mode 0 sends them out together,
+        led by the ET."""
+        econ = replace(REF_ECON, et_follower_profit=14.0)
+        prepared = prepare([ft(0, 0.0), et(1, 0.0, soc=90.0)], econ=econ)
+        j_e, j_f = _candidate_table(prepared.arrays, econ, 2, REF_ROUTE.horizon, 0, 2)
+        assert np.isfinite(j_e[1, 1]) and j_e[1, 1] == j_f[1, 1]
+        state = run_dp(prepared, REF_ROUTE, econ, 0)
+        assert state.choice_sizes[2] == 2 and state.choice_leaders[2] == 0
+
+    def test_the_bit_decides_only_where_both_kinds_are_safe(self):
+        for bit in (0, 1):
+            drawn = []
+            draw = lambda prefixes, sizes: drawn.append((prefixes, sizes)) or \
+                np.full((prefixes.size, sizes.size), bit, np.uint8)
+            utility, leader, work = _pick(self.J_E.copy(), self.J_F, draw, 6, 7)
+            assert utility.tolist() == [[5.0, 3.0, 2.0, -np.inf]]
+            assert leader[:, :3].tolist() == [[1 - bit, 1, 0]]
+            assert work.tolist() == [[1, 1, 1, 0]]
+            [(prefixes, sizes)] = drawn
+            assert prefixes.tolist() == [[7]] and sizes.tolist() == [1, 2, 3, 4]
+
+    def test_no_draw_without_a_cell_where_both_kinds_are_safe(self):
+        j_e, j_f = self.J_E.copy(), self.J_F.copy()
+        j_e[0, 0] = -np.inf
+        draw = mock.Mock()
+        utility, leader, _ = _pick(j_e, j_f, draw, 0, 1)
+        draw.assert_not_called()
+        assert utility.tolist() == [[5.0, 3.0, 2.0, -np.inf]]
+        assert leader[:, :3].tolist() == [[1, 1, 0]]
+
+    def test_a_size_where_no_et_can_lead_has_no_electric_column(self):
+        """In "ETs lead only long blocks" no row's block of 2 .. 6 trucks has
+        an ET that can lead: those `j_e` columns are -inf throughout, while
+        sizes 1, 7 and 8 have an electric leader and every size a fuel one."""
+        trucks, route, econ = DEGENERATE["ETs lead only long blocks"]
+        arr = prepare(trucks, route=route, econ=econ).arrays
+        j_e, j_f = _candidate_table(arr, econ, route.max_platoon_size, route.horizon,
+                                    0, arr.size)
+        assert np.isneginf(j_e[:, 1:6]).all()
+        assert np.isfinite(j_e[:, [0, 6, 7]]).any(axis=0).all()
+        assert np.isfinite(j_f).any(axis=0).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 3), st.data())
+    def test_against_reference(self, rows, nbar, seed, data):
+        """Tables with -inf cells and exact ties, in both modes."""
+        values = st.sampled_from((-np.inf, -np.inf, -1.5, 0.0, 2.0, 7.25))
+        cells = st.lists(values, min_size=rows * nbar, max_size=rows * nbar)
+        j_e = np.array(data.draw(cells)).reshape(rows, nbar)
+        j_f = np.array(data.draw(cells)).reshape(rows, nbar)
+        lo = data.draw(st.integers(0, 20))
+        bits = _bit_table(seed, lo + rows, nbar)
+        for mode, draw in ((0, None), (1, partial(leader_draw_bits, seed))):
+            utility, leader, work = _pick(j_e.copy(), j_f, draw, lo, lo + rows)
+            want = reference_pick(j_e, j_f, mode, bits, lo, lo + rows)
+            assert utility.tobytes() == want[0].tobytes(), mode
+            assert work.dtype == want[2].dtype and work.tobytes() == want[2].tobytes(), mode
+            assert np.array_equal(_finite_leaders(utility, leader),
+                                  _finite_leaders(want[0], want[1])), mode
 
 
 @st.composite

@@ -11,15 +11,22 @@ leave every schedule as it is and exactly double its money: doubling is
 exact in binary floating point whatever the order of the sums, so a
 decision that changes, or a figure off by an ulp, means some step depends on
 the scale of the prices (an absolute money tolerance in a comparison, say).
+
+The `dp-ls` J is monotone in the route and the prices: one more truck
+allowed per platoon, or a horizon 30 min later, only adds candidates, so J
+does not fall; a charge minute half again as dear prices every candidate
+no higher, so J does not rise. Each relation allows `MONEY_TOL` relative to
+R + L, as the solver's own J check does.
 """
 
 import contextlib
 import io
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from platoon_coord import (
@@ -183,3 +190,59 @@ def test_doubled_prices_keep_large_schedules(name):
     for solve in PRICED.values():
         assert_doubling_keeps_schedule(lambda econ: solve(prepared, route, econ, seed),
                                        instance.econ)
+
+
+def with_route(instance, **changes):
+    return ProblemInstance(instance.trucks, replace(instance.route, **changes),
+                           instance.econ, instance.seed)
+
+
+def dearer_charging(instance):
+    """The instance with charging half again as dear, or None when that
+    would exceed the wait cost, which prices refuse."""
+    econ = instance.econ
+    if 1.5 * econ.charge_cost > econ.wait_cost:
+        return None
+    return ProblemInstance(instance.trucks, instance.route,
+                           replace(econ, charge_cost=1.5 * econ.charge_cost), instance.seed)
+
+
+# relation -> (the changed instance, +1 when its J must not fall, -1 rise)
+MONOTONE = {
+    "nbar + 1": (lambda inst: with_route(inst, max_platoon_size=inst.route.max_platoon_size + 1),
+                 +1),
+    "horizon + 30 min": (lambda inst: with_route(inst, horizon=inst.route.horizon + 30.0), +1),
+    "ec x 1.5": (dearer_charging, -1),
+}
+
+
+def assert_dp_ls_monotone(instance, changed, direction):
+    """The `dp-ls` J of `changed` against that of `instance`, within
+    `MONEY_TOL` relative to the instance's R + L. An instance with no safe
+    schedule has no J to compare; the changed one keeps every safe schedule,
+    so it has one too."""
+    try:
+        base = solve_dp_ls(prepare_fleet(instance), instance.route, instance.econ)
+    except (HorizonExceededError, NoFeasibleScheduleError):
+        return
+    after = solve_dp_ls(prepare_fleet(changed), changed.route, changed.econ)
+    slack = MONEY_TOL * (1.0 + base.profit + base.loss)
+    assert direction * (after.utility - base.utility) >= -slack, (base.utility, after.utility)
+
+
+@pytest.mark.parametrize("relation", sorted(MONOTONE))
+@settings(max_examples=60, deadline=None)
+@given(fleet_instances())
+def test_dp_ls_is_monotone(relation, instance):
+    change, direction = MONOTONE[relation]
+    changed = change(instance)
+    assume(changed is not None)
+    assert_dp_ls_monotone(instance, changed, direction)
+
+
+@pytest.mark.parametrize("relation", sorted(MONOTONE))
+@pytest.mark.parametrize("name", sorted(LARGE_FLEETS))
+def test_dp_ls_is_monotone_on_large_fleets(name, relation):
+    instance = generate(ScenarioConfig(**LARGE_FLEETS[name]))
+    change, direction = MONOTONE[relation]
+    assert_dp_ls_monotone(instance, change(instance), direction)

@@ -643,7 +643,7 @@ class TestSolutionText:
                 continue
             assert_text_matches_reference(sol)
 
-    def test_solution_to_json_parses_the_text(self):
+    def test_parsed_text_equals_the_reference_document(self):
         sol = solve_dp_ls(prepare_fleet(generate(ScenarioConfig(n_trucks=40, seed=1))),
                           REF_ROUTE, REF_ECON)
         assert json.loads(solution_text(sol, True)) == reference_doc(sol, True)
